@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cochains, constructions, hochster, massey, nestohedra, simplicial
-from .exactalg import Ring
+from .exactalg import DivisionByZero, Ring
 
 
 class DomainError(Exception):
@@ -86,7 +85,7 @@ def cmd_homology(args):
 def cmd_hochster(args):
     K = _complex(args.input)
     ring = _ring(args.ring)
-    table = hochster.hochster_decompose(K, ring, cap=args.cap, threads=args.threads)
+    table = hochster.hochster_decompose(K, ring, cap=args.cap)
     _emit(table.to_json(), args.out)
 
 
@@ -253,8 +252,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Moment-angle complex toolkit: exact cohomology rings, "
                     "Massey products, and the constructions that generate them.",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for per-subset computations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -329,6 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 DOMAIN_ERRORS = (
     DomainError,
+    DivisionByZero,
     simplicial.SimplicialError,
     cochains.GradingMismatch,
     cochains.AmbientMismatch,

@@ -24,7 +24,6 @@ Sign conventions, fixed once here and used everywhere:
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import exactalg
@@ -328,42 +327,39 @@ class ReducedCohomology:
         return Cochain(self.complex, self.ring, self.J, p,
                        {s: c for s, c in zip(basis, vec)})
 
+    def _coboundary_rows(self, p: int) -> list:
+        """d: C^p -> C^{p+1} as integer rows, one per (p+1)-simplex t:
+        chi_{t minus t_r} maps to (-1)^r chi_t, the epsilon sign of t_r."""
+        idx = {s: i for i, s in enumerate(self.simplices(p))}
+        return [{idx[t[:r] + t[r + 1:]]: -1 if r % 2 else 1 for r in range(len(t))}
+                for t in self.simplices(p + 1)]
+
     def delta_matrix(self, p: int) -> list:
         """Matrix of d: C^p -> C^{p+1} in the simplex bases."""
         if p not in self._delta:
-            dom = self.simplices(p)
-            cod = self.simplices(p + 1)
-            idx = {s: i for i, s in enumerate(cod)}
-            M = [[self.ring.zero] * len(dom) for _ in cod]
-            for j, s in enumerate(dom):
-                image = coboundary(self.cochain(
-                    [self.ring.one if i == j else self.ring.zero for i in range(len(dom))], p))
-                for t, c in image.coeffs.items():
-                    M[idx[t]][j] = c
+            ring = self.ring
+            n = len(self.simplices(p))
+            M = []
+            for row in self._coboundary_rows(p):
+                dense = [ring.zero] * n
+                for j, a in row.items():
+                    dense[j] = ring.of_int(a)
+                M.append(dense)
             self._delta[p] = M
         return self._delta[p]
 
     def group(self, p: int) -> exactalg.AbelianGroup:
-        if p not in self._groups:
-            n_p = len(self.simplices(p))
-            if n_p == 0:
-                self._groups[p] = exactalg.AbelianGroup(0)
-                return self._groups[p]
-            d_p = self.delta_matrix(p)
-            d_prev = self.delta_matrix(p - 1) if p - 1 >= -1 else []
-            r_p = exactalg.rank(d_p, self.ring) if self.simplices(p + 1) else 0
-            cycles = n_p - r_p
-            if self.ring.is_field:
-                r_prev = exactalg.rank(d_prev, self.ring) if d_prev else 0
-                self._groups[p] = exactalg.AbelianGroup(cycles - r_prev)
-            else:
-                diag = [d for d in exactalg.snf_diagonal(d_prev) if d != 0] if d_prev else []
-                torsion = tuple(d for d in diag if d > 1)
-                self._groups[p] = exactalg.AbelianGroup(cycles - len(diag), torsion)
-        return self._groups[p]
+        return self.groups().get(p, exactalg.AbelianGroup(0))
 
     def groups(self) -> dict:
-        return {p: self.group(p) for p in range(-1, self.max_p + 1)}
+        """H-tilde^p(K_J) for p = -1 .. dim K_J, each coboundary reduced once."""
+        if not self._groups:
+            degrees = range(-1, self.max_p + 1)
+            self._groups = exactalg.cohomology_groups(
+                {p: len(self.simplices(p)) for p in degrees},
+                {p: self._coboundary_rows(p) for p in degrees[:-1]},
+                self.ring)
+        return dict(self._groups)
 
     def cocycle_basis(self, p: int) -> list:
         if p < -1 or p > self.max_p:
@@ -472,9 +468,6 @@ class ReducedCohomology:
             d = diag[i] if i < len(diag) else 0
             out.append(x % d if d else x)
         return tuple(out)
-
-    # the canonical fingerprint doubles as the coordinate of the class
-    class_of = class_key
 
 
 @functools.lru_cache(maxsize=65536)

@@ -1,20 +1,32 @@
 """Exact linear algebra over Z, Q and prime fields.
 
-Everything here is dense, small-scale and exact: arbitrary-precision integers,
-``fractions.Fraction`` for rationals, and reduced residues for F_p.  Matrices
-are plain lists of lists.  The Smith normal form pivots on the entry of least
-absolute value to keep intermediate coefficients small.
+Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
+for rationals, and reduced residues for F_p.  Ranks and invariant factors come
+from one sparse elimination on integer rows, one ``{column: entry}`` dict per
+row.  Over Z (and Q, whose rows are scaled to integers) it pivots on units
+only and hands the small residual to a Smith form computed modulo a maximal
+minor; over F_p any nonzero entry is a pivot.  ``cohomology_groups`` gives
+these kernels the coboundary rows of a cochain complex directly and reduces
+each matrix once.  The dense API (lists of lists) remains for the solves: row
+echelon form, kernels, affine systems, and the transform-tracking Smith normal
+form, which pivots on the entry of least absolute value.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from math import gcd, lcm
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 
 class NotPrime(ValueError):
     pass
+
+
+class DivisionByZero(ZeroDivisionError):
+    """Division by an element that is zero in the ring (such as 2 in F2)."""
 
 
 def _factorint(n: int) -> dict:
@@ -90,6 +102,8 @@ class Ring:
         return (-a) % self.p if self.kind == "Fp" else -a
 
     def inv(self, a):
+        if (a % self.p if self.kind == "Fp" else a) == 0:
+            raise DivisionByZero(f"division by zero in {self.name()}")
         if self.kind == "Q":
             return 1 / Fraction(a)
         if self.kind == "Fp":
@@ -112,11 +126,9 @@ class Ring:
         s = s.strip()
         if "/" in s:
             num, den = s.split("/")
-            if self.kind == "Q":
-                return Fraction(int(num), int(den))
-            if self.kind == "Fp":
-                return self.div(self.of_int(int(num)), self.of_int(int(den)))
-            raise ValueError(f"{s!r} is not an integer")
+            if self.kind == "Z":
+                raise ValueError(f"{s!r} is not an integer")
+            return self.div(self.of_int(int(num)), self.of_int(int(den)))
         return self.of_int(int(s))
 
     def name(self) -> str:
@@ -286,81 +298,83 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SNFResult:
 
 
 def snf_diagonal(M) -> list:
-    """Invariant factors (diagonal of the Smith form), via sparse unit-pivot
-    pre-reduction; the residual matrix gets the dense transform-tracking SNF."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    k = min(rows, cols)
-    if k == 0:
-        return []
-    pivots, residual = _sparse_int_reduce([[int(x) for x in row] for row in M])
-    if residual:
-        D, _, _ = smith_normal_form(residual)
-        tail = [D[i][i] for i in range(min(len(D), len(D[0])))]
-    else:
-        tail = []
-    diag = [1] * pivots + tail
-    diag.extend([0] * (k - len(diag)))
-    return diag[:k]
+    """Invariant factors (diagonal of the Smith form) of an integer matrix,
+    padded with zeros to min(rows, cols)."""
+    k = min(len(M), len(M[0])) if M else 0
+    diag = _invariant_factors(_sparse_rows(M), ZZ)
+    return diag + [0] * (k - len(diag))
 
 
-# -- rank / kernel / affine solving ------------------------------------------
+# -- sparse elimination: ranks, invariant factors, cochain complexes ----------
 
 
-def _sparse_int_reduce(M):
-    """Eliminate unit pivots of an integer matrix with exact row operations.
+def _sparse_rows(M, ring: Ring = ZZ) -> list:
+    """The nonzero entries of a dense matrix as integer rows.  Over Q each row
+    is scaled by the lcm of its denominators, which keeps the rank."""
+    out = []
+    for row in M:
+        if ring.kind == "Q":
+            den = lcm(*(Fraction(a).denominator for a in row))
+            row = [a * den for a in row]
+        out.append({j: int(a) for j, a in enumerate(row) if a})
+    return out
 
-    Returns (pivots, residual) where the residual is the dense submatrix left
-    once no entry of absolute value 1 remains.  Each eliminated pivot is an
-    elementary SNF step, so the invariant factors of M are those of the
-    residual prefixed by ``pivots`` ones.
+
+def _sparse_reduce(M, p: int = 0):
+    """Gaussian elimination on an integer matrix given by sparse rows.
+
+    With p = 0 it works over Z and pivots only on entries of absolute value
+    1; with p prime it works over F_p and any nonzero entry is a pivot.
+    Each step takes the shortest live row (a heap keyed by row length) and,
+    among its pivot candidates, the one with the fewest entries in its column,
+    which keeps fill-in low.  Returns (pivots, residual): the residual is the
+    dense submatrix left once no candidate remains, always empty over F_p.
+    Each unit pivot is an elementary SNF step, so over Z the invariant
+    factors of M are those of the residual prefixed by ``pivots`` ones.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set] = {}
     for i, row in enumerate(M):
-        for j, a in enumerate(row):
-            if a:
-                rows.setdefault(i, {})[j] = int(a)
+        row = {j: a % p for j, a in row.items() if a % p} if p else dict(row)
+        if row:
+            rows[i] = row
+            for j in row:
                 cols.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
     pivots = 0
-    while True:
-        best = None
-        best_fill = None
-        for i, row in rows.items():
-            for j, a in row.items():
-                if a in (1, -1):
-                    fill = (len(row) - 1) * (len(cols[j]) - 1)
-                    if best_fill is None or fill < best_fill:
-                        best, best_fill = (i, j, a), fill
-                        if fill == 0:
-                            break
-            if best_fill == 0:
-                break
-        if best is None:
-            break
-        i0, j0, v = best
-        pivot_row = rows.pop(i0)
+    while heap:
+        n, i0 = heapq.heappop(heap)
+        pivot_row = rows.get(i0)
+        if pivot_row is None or len(pivot_row) != n:
+            continue  # stale entry: the row is gone or has changed since
+        units = [j for j, a in pivot_row.items() if p or a in (1, -1)]
+        if not units:
+            continue  # stays in the residual unless a later step changes it
+        j0 = min(units, key=lambda j: len(cols[j]))
+        inv = pow(pivot_row[j0], -1, p) if p else pivot_row[j0]
+        del rows[i0]
         for j in pivot_row:
             cols[j].discard(i0)
-        for i in list(cols.get(j0, ())):
+        for i in cols.pop(j0):
             row = rows[i]
-            f = row[j0] * v
+            f = row.pop(j0) * inv
             for j, a in pivot_row.items():
                 if j == j0:
                     continue
                 new = row.get(j, 0) - f * a
+                if p:
+                    new %= p
                 if new:
                     row[j] = new
-                    cols.setdefault(j, set()).add(i)
-                else:
-                    if j in row:
-                        del row[j]
-                        cols[j].discard(i)
-            del row[j0]
-            cols[j0].discard(i)
-            if not row:
+                    cols[j].add(i)
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+            else:
                 del rows[i]
-        cols.pop(j0, None)
         pivots += 1
     live_rows = sorted(rows)
     live_cols = sorted({j for row in rows.values() for j in row})
@@ -368,49 +382,101 @@ def _sparse_int_reduce(M):
     return pivots, residual
 
 
-def _sparse_modp_rank(M, p: int) -> int:
-    rows: list[dict[int, int]] = []
-    for row in M:
-        r = {j: int(a) % p for j, a in enumerate(row) if int(a) % p}
-        if r:
-            rows.append(r)
-    rank_count = 0
-    while rows:
-        rows.sort(key=len)
-        pivot_row = rows.pop(0)
-        j0 = next(iter(pivot_row))
-        inv = pow(pivot_row[j0], p - 2, p)
-        rank_count += 1
-        nxt = []
-        for row in rows:
-            a = row.get(j0)
-            if a:
-                f = (a * inv) % p
-                for j, b in pivot_row.items():
-                    new = (row.get(j, 0) - f * b) % p
-                    if new:
-                        row[j] = new
-                    elif j in row:
-                        del row[j]
-            if row:
-                nxt.append(row)
-        rows = nxt
-    return rank_count
+def _unimodular_pair(a: int, b: int):
+    """(x, y, u, v) with x*v - y*u = 1, x*a + y*b = gcd(a, b) and u*a + v*b = 0,
+    for a > 0 and b >= 0; the identity on the first slot when a divides b."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g = gcd(a, b)
+    x = pow(a // g, -1, b // g)
+    return x, (g - x * a) // b, -(b // g), a // g
 
 
-def _integer_entries(M):
-    out = []
-    for row in M:
-        r = []
-        for a in row:
-            if isinstance(a, Fraction):
-                if a.denominator != 1:
-                    return None
-                r.append(a.numerator)
-            else:
-                r.append(int(a))
-        out.append(r)
+def _pivot_to_corner(A, t: int) -> bool:
+    """Swap a nonzero entry of A[t:, t:] to A[t][t]; False when there is none."""
+    piv = next(((i, j) for i in range(t, len(A)) for j in range(t, len(A[0])) if A[i][j]),
+               None)
+    if piv is None:
+        return False
+    A[t], A[piv[0]] = A[piv[0]], A[t]
+    for row in A:
+        row[t], row[piv[1]] = row[piv[1]], row[t]
+    return True
+
+
+def _modular_invariant_factors(M) -> list:
+    """The nonzero invariant factors of a dense integer matrix.
+
+    Fraction-free (Bareiss) elimination gives the rank r and a nonzero r x r
+    minor d, which every nonzero invariant factor divides.  So over Z/dZ the
+    Smith form, each diagonal entry e read as gcd(e, d) and the whole diagonal
+    put in divisibility order, starts with them all, and no intermediate
+    entry reaches d (Hafner-McCurley).  Plain Smith elimination over Z can
+    instead grow entries without bound.
+    """
+    A = [list(row) for row in M]
+    r, d = 0, 1
+    while _pivot_to_corner(A, r):
+        for i in range(r + 1, len(A)):
+            for j in range(r + 1, len(A[0])):
+                A[i][j] = (A[i][j] * A[r][r] - A[i][r] * A[r][j]) // d
+            A[i][r] = 0
+        d = A[r][r]
+        r += 1
+    d = abs(d)
+    B = [[a % d for a in row] for row in M]
+    k = min(len(B), len(B[0]))
+    diag = []
+    for t in range(k):
+        if not _pivot_to_corner(B, t):
+            diag.extend([d] * (k - t))  # zero mod d: gcd(0, d) = d
+            break
+        # clear column t by unimodular row pairs, then row t the same way on
+        # the transpose; a pass that changes B[t][t] makes it a proper divisor
+        while any(B[i][t] for i in range(t + 1, len(B))) or any(B[t][t + 1:]):
+            for _ in range(2):
+                for i in range(t + 1, len(B)):
+                    if B[i][t]:
+                        x, y, u, v = _unimodular_pair(B[t][t], B[i][t])
+                        B[t], B[i] = ([(x * a + y * b) % d for a, b in zip(B[t], B[i])],
+                                      [(u * a + v * b) % d for a, b in zip(B[t], B[i])])
+                B = [list(col) for col in zip(*B)]
+        diag.append(gcd(B[t][t], d))
+    for i in range(len(diag)):  # diag(a, b) ~ diag(gcd, lcm): a divisibility chain
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag[:r]
+
+
+def _invariant_factors(rows, ring: Ring) -> list:
+    """The nonzero invariant factors of an integer matrix given by sparse
+    rows, from one reduction.  Over a field only their count, the rank,
+    means anything: every factor is then 1."""
+    pivots, residual = _sparse_reduce(rows, ring.p if ring.kind == "Fp" else 0)
+    return [1] * pivots + (_modular_invariant_factors(residual) if residual else [])
+
+
+def cohomology_groups(sizes: Mapping[int, int], deltas: Mapping[int, list],
+                      ring: Ring) -> dict:
+    """The cohomology of a cochain complex of free modules, per degree.
+
+    ``sizes[p]`` is the rank of C^p, and ``deltas[p]`` the coboundary
+    C^p -> C^{p+1} as integer rows, one ``{column: entry}`` dict per basis
+    element of C^{p+1} (a missing degree is the zero map).  Each coboundary
+    is reduced once: the count of its nonzero invariant factors is its rank,
+    and over Z the factors above 1 are the torsion of H^{p+1}.
+    """
+    factors = {p: _invariant_factors(rows, ring) for p, rows in deltas.items()}
+    out = {}
+    for p, n in sizes.items():
+        image = factors.get(p - 1, [])
+        torsion = () if ring.is_field else tuple(d for d in image if d > 1)
+        out[p] = AbelianGroup(n - len(factors.get(p, [])) - len(image), torsion)
     return out
+
+
+# -- rank / kernel / affine solving ------------------------------------------
 
 
 def row_echelon(M, ring: Ring):
@@ -441,18 +507,7 @@ def row_echelon(M, ring: Ring):
 
 
 def rank(M, ring: Ring) -> int:
-    if not M or not M[0]:
-        return 0
-    if ring.kind == "Fp":
-        return _sparse_modp_rank(M, ring.p)
-    ints = _integer_entries(M)
-    if ints is not None:  # rank over Q equals rank over Z
-        pivots, residual = _sparse_int_reduce(ints)
-        if not residual:
-            return pivots
-        return pivots + len(row_echelon(
-            [[Fraction(a) for a in row] for row in residual], QQ)[1])
-    return len(row_echelon(M, QQ)[1])
+    return len(_invariant_factors(_sparse_rows(M, ring), ring))
 
 
 def kernel_basis(M, ring: Ring, cols: Optional[int] = None) -> list:
@@ -525,16 +580,6 @@ def solve_affine(A, b, ring: Ring) -> Optional[AffineSolution]:
     return AffineSolution(x, kernel_basis(A, ring, cols))
 
 
-def column_space_basis(M, ring: Ring) -> list:
-    """Independent columns of M over a field (as column vectors)."""
-    if not M or not M[0]:
-        return []
-    rows = len(M)
-    cols = len(M[0])
-    _, pivots = row_echelon([[M[i][j] for j in range(cols)] for i in range(rows)], ring)
-    return [[M[i][j] for i in range(rows)] for j in pivots]
-
-
 # -- finitely generated abelian groups ---------------------------------------
 
 
@@ -594,9 +639,4 @@ class AbelianGroup:
 
 def cokernel_invariants(M, ambient_rank: int, ring: Ring) -> AbelianGroup:
     """The group (ambient space) / column-span(M)."""
-    if ring.is_field:
-        r = rank(M, ring)
-        return AbelianGroup(ambient_rank - r)
-    diag = [d for d in snf_diagonal(M) if d != 0]
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianGroup(ambient_rank - len(diag), torsion)
+    return cohomology_groups({0: ambient_rank}, {-1: _sparse_rows(M, ring)}, ring)[0]

@@ -5,16 +5,15 @@ full subcomplexes K_J, one class of degree p + |J| + 1 per class of
 H-tilde^p(K_J).  ``moment_angle_cw_oracle`` computes the same groups from the
 cellular chain complex of the moment-angle complex itself (one cell per pair
 of a face sigma and a disjoint circle-coordinate set T, of dimension
-2|sigma| + |T|), so the two never share a cell model and cross-validate each
-other.
+2|sigma| + |T|).  The two share the linear algebra (``exactalg``'s sparse
+elimination turns each cochain complex into its groups) but not the cell
+model, so they cross-validate each other.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import exactalg
 from .cochains import (
@@ -106,8 +105,7 @@ class HochsterTable:
         }
 
 
-def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24,
-                       threads: int = 1) -> HochsterTable:
+def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> HochsterTable:
     """Groups of H^*(Z_K) per vertex subset J and in total per degree."""
     m = len(K.vertices)
     if m > cap:
@@ -118,19 +116,11 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24,
         for J in itertools.combinations(K.vertices, size)
     ]
 
-    def groups_of(J):
-        H = reduced_cohomology(K, J, ring)
-        return J, {p: g for p, g in H.groups().items() if not g.is_trivial}
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(groups_of, subsets))
-    else:
-        results = [groups_of(J) for J in subsets]
-
     table = HochsterTable(K, ring)
     per_degree: dict[int, list] = {}
-    for J, groups in results:
+    for J in subsets:
+        groups = {p: g for p, g in reduced_cohomology(K, J, ring).groups().items()
+                  if not g.is_trivial}
         if groups:
             table.by_J[J] = groups
         for p, g in groups.items():
@@ -187,50 +177,23 @@ def moment_angle_cw_oracle(K: SimplicialComplex, ring: Ring, cap: int = 12) -> d
     if len(K.vertices) > cap:
         raise VertexCapExceeded(f"{len(K.vertices)} vertices exceeds the 3^m cell cap {cap}")
     cells = _cw_cells(K)
-    if not cells:
-        return {}
-    top = max(cells)
     index = {d: {cell: i for i, cell in enumerate(cells[d])} for d in cells}
 
-    def boundary_matrix(d):
-        """Matrix of the boundary C_d -> C_{d-1} over Z."""
-        rows = cells.get(d - 1, [])
-        cols = cells.get(d, [])
-        M = [[0] * len(cols) for _ in rows]
-        if not rows or not cols:
-            return M
-        row_index = index[d - 1]
-        for j, (sigma, T) in enumerate(cols):
-            for i, v in enumerate(sigma):
+    def coboundary_rows(d):
+        """C^d -> C^{d+1}: the row of each (d+1)-cell is its boundary."""
+        rows = []
+        for sigma, T in cells[d + 1]:
+            row = {}
+            for v in sigma:
                 sign = (-1) ** sum(1 for t in T if K.rank(t) < K.rank(v))
                 tgt = (tuple(x for x in sigma if x != v),
                        tuple(sorted(T + (v,), key=K.rank)))
-                M[row_index[tgt]][j] += sign
-        return M
+                row[index[d][tgt]] = sign
+            rows.append(row)
+        return rows
 
-    def delta_matrix(d):
-        # coboundary C^d -> C^{d+1} is the transpose of the boundary C_{d+1} -> C_d
-        rows = cells.get(d + 1, [])
-        cols = cells.get(d, [])
-        if not rows or not cols:
-            return [[ring.zero] * len(cols) for _ in rows]
-        b = boundary_matrix(d + 1)
-        return [[ring.of_int(b[i][j]) for i in range(len(cols))] for j in range(len(rows))]
-
-    out: dict[int, AbelianGroup] = {}
-    deltas = {d: delta_matrix(d) for d in range(-1, top + 1)}
-    for d in range(0, top + 1):
-        n_d = len(cells.get(d, []))
-        if n_d == 0:
-            continue
-        delta_d = deltas[d]
-        delta_prev = deltas[d - 1]
-        cycles = n_d - exactalg.rank(delta_d, ring)
-        if ring.is_field:
-            g = AbelianGroup(cycles - exactalg.rank(delta_prev, ring))
-        else:
-            diag = [x for x in exactalg.snf_diagonal(delta_prev) if x != 0] if delta_prev else []
-            g = AbelianGroup(cycles - len(diag), tuple(x for x in diag if x > 1))
-        if not g.is_trivial:
-            out[d] = g
-    return out
+    groups = exactalg.cohomology_groups(
+        {d: len(c) for d, c in cells.items()},
+        {d: coboundary_rows(d) for d in cells if d + 1 in cells},
+        ring)
+    return {d: g for d, g in sorted(groups.items()) if not g.is_trivial}

@@ -30,7 +30,6 @@ from .cochains import (
     Chain,
     Cochain,
     GradingMismatch,
-    boundary,
     coboundary,
     cochain_from_json,
     cochain_to_json,

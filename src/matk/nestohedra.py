@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .simplicial import SimplicialComplex, full_subcomplex, join, star_delete, stellar_subdivide
+from .simplicial import SimplicialComplex, full_subcomplex, join, stellar_subdivide
 
 
 class MissingSingleton(ValueError):

@@ -10,7 +10,6 @@ returns a new complex in canonical form (facets sorted by rank sequence).
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
@@ -58,7 +57,7 @@ class SimplicialComplex:
     is a face of every complex, including the empty complex.
     """
 
-    __slots__ = ("vertices", "facets", "_rank", "_facet_sets", "_faces_by_dim", "_lock", "_hash")
+    __slots__ = ("vertices", "facets", "_rank", "_facet_sets", "_faces_by_dim", "_hash")
 
     def __init__(self, vertices: Sequence[str], facets: Iterable[Sequence[str]]):
         vertices = tuple(str(v) for v in vertices)
@@ -83,7 +82,6 @@ class SimplicialComplex:
         self._rank = rank
         self._facet_sets = tuple(frozenset(f) for f in self.facets)
         self._faces_by_dim: dict[int, tuple] = {}
-        self._lock = threading.Lock()
         self._hash = hash((self.vertices, self.facets))
 
     # -- basic queries ---------------------------------------------------
@@ -118,16 +116,15 @@ class SimplicialComplex:
             return ((),)
         if p < -1:
             return ()
-        with self._lock:
-            if p not in self._faces_by_dim:
-                seen = set()
-                for f in self.facets:
-                    if len(f) >= p + 1:
-                        seen.update(itertools.combinations(f, p + 1))
-                self._faces_by_dim[p] = tuple(
-                    sorted(seen, key=lambda s: tuple(self.rank(v) for v in s))
-                )
-            return self._faces_by_dim[p]
+        if p not in self._faces_by_dim:
+            seen = set()
+            for f in self.facets:
+                if len(f) >= p + 1:
+                    seen.update(itertools.combinations(f, p + 1))
+            self._faces_by_dim[p] = tuple(
+                sorted(seen, key=lambda s: tuple(self.rank(v) for v in s))
+            )
+        return self._faces_by_dim[p]
 
     def all_faces(self, include_empty: bool = False) -> list:
         out = [()] if include_empty else []

@@ -175,6 +175,18 @@ def test_missing_file_is_a_domain_error(capsys):
     assert blob["error"]["type"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("ring,coeff", [("F2", "1/2"), ("F3", "1/3"), ("Q", "1/0")])
+def test_zero_denominator_is_a_domain_error(capsys, tmp_path, ring, coeff):
+    classes = json.loads((FIX / "fig1-classes.json").read_text())[:2]
+    classes[0]["terms"][0]["coeff"] = coeff
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps(classes))
+    code, blob = run_json(capsys, "product", str(FIX / "fig1.json"),
+                          "--classes", str(path), "--ring", ring)
+    assert code == 1
+    assert blob["error"]["type"] == "DivisionByZero"
+
+
 def test_out_flag_writes_stable_json(capsys, tmp_path):
     out = tmp_path / "res.json"
     code = main(["hochster", str(FIX / "fig1.json"), "--ring", "Z",
@@ -182,7 +194,7 @@ def test_out_flag_writes_stable_json(capsys, tmp_path):
     assert code == 0
     capsys.readouterr()
     first = out.read_text()
-    code = main(["--threads", "3", "hochster", str(FIX / "fig1.json"), "--ring", "Z",
+    code = main(["hochster", str(FIX / "fig1.json"), "--ring", "Z",
                  "--out", str(out)])
     assert code == 0
     assert out.read_text() == first

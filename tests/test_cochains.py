@@ -345,3 +345,26 @@ def test_ambient_mismatch_raises():
     b = Cochain.chi(octahedron(), ZZ, ("5",), J=("5", "6"))
     with pytest.raises(AmbientMismatch):
         cup_multiply(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(), st.data())
+def test_coboundary_rows_match_coboundary_of_basis_cochains(K, data):
+    # the rows handed to the elimination kernel and the dense delta_matrix
+    # carry exactly the signs of coboundary(), the convention of this module
+    J = data.draw(st.sets(st.sampled_from(K.vertices), min_size=1))
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(3)]))
+    H = ReducedCohomology(K, J, ring)
+    for p in range(-1, H.max_p + 1):
+        dom, cod = H.simplices(p), H.simplices(p + 1)
+        rows = [{} for _ in cod]
+        for j, s in enumerate(dom):
+            image = coboundary(Cochain(K, ring, H.J, p, {s: ring.one}))
+            for i, t in enumerate(cod):
+                c = image.coefficient(t)
+                if not ring.is_zero(c):
+                    rows[i][j] = c
+        assert [{j: ring.of_int(a) for j, a in row.items()}
+                for row in H._coboundary_rows(p)] == rows
+        assert H.delta_matrix(p) == [[row.get(j, ring.zero) for j in range(len(dom))]
+                                     for row in rows]

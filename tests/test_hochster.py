@@ -76,13 +76,6 @@ def test_vertex_cap():
         moment_angle_cw_oracle(K, ZZ, cap=5)
 
 
-def test_tables_are_thread_invariant():
-    K = fig1_complex()
-    a = hochster_decompose(K, ZZ, threads=1).to_json()
-    b = hochster_decompose(K, ZZ, threads=4).to_json()
-    assert a == b
-
-
 def test_unit_class_is_identity():
     K = fig1_complex()
     unit = unit_class(K, ZZ)
