@@ -4,7 +4,6 @@ from .exactalg import GF, QQ, ZZ, AbelianGroup, Ring
 from .simplicial import (
     SimplicialComplex,
     VertexMap,
-    build_complex,
     contract_edge,
     full_subcomplex,
     join,

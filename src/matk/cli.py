@@ -47,7 +47,7 @@ def _complex(path: str) -> simplicial.SimplicialComplex:
 def _classes(path: str, K, ring):
     blobs = _load(path)
     if isinstance(blobs, dict):
-        blobs = blobs["classes"]
+        blobs = simplicial.json_field(blobs, "classes", "class file")
     out = []
     for blob in blobs:
         rep = cochains.cochain_from_json(blob, K, ring)
@@ -152,7 +152,7 @@ def cmd_construct_join(args):
         out["certificate"] = {
             "method": cert.method,
             "moves": cert.moves,
-            "nontrivial": True,
+            "nontrivial": True,  # only a successful certificate is returned
         }
         if cert.cycle is not None:
             out["certificate"]["witness_cycle"] = cochains.cochain_to_json(cert.cycle)
@@ -179,8 +179,8 @@ def cmd_contract(args):
 def cmd_stretch(args):
     Khat = _complex(args.input)
     blob = _load(args.map)
-    source = simplicial.complex_from_json(blob["source"])
-    phi = simplicial.VertexMap(source, Khat, blob["assignment"])
+    source = simplicial.complex_from_json(simplicial.json_field(blob, "source", "map"))
+    phi = simplicial.VertexMap(source, Khat, simplicial.json_field(blob, "assignment", "map"))
     problems = []
     if not phi.is_simplicial():
         problems.append("map is not simplicial")
@@ -328,11 +328,11 @@ DOMAIN_ERRORS = (
     DomainError,
     DivisionByZero,
     simplicial.SimplicialError,
+    simplicial.MissingField,
     cochains.GradingMismatch,
     cochains.AmbientMismatch,
     cochains.VertexNotInSet,
     hochster.VertexCapExceeded,
-    hochster.AmbientMismatch,
     massey.OverlappingSupports,
     massey.RingNotFinite,
     massey.InvalidDefiningSystem,
@@ -346,7 +346,6 @@ DOMAIN_ERRORS = (
     nestohedra.InvalidTruncationPair,
     FileNotFoundError,
     json.JSONDecodeError,
-    KeyError,
     ValueError,
 )
 

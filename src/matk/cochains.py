@@ -27,8 +27,8 @@ import functools
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import exactalg
-from .exactalg import Ring, ZZ
-from .simplicial import SimplicialComplex, full_subcomplex
+from .exactalg import Ring
+from .simplicial import SimplicialComplex, full_subcomplex, json_field
 
 
 class GradingMismatch(ValueError):
@@ -295,8 +295,11 @@ class CohomologyBasis(NamedTuple):
 class ReducedCohomology:
     """All reduced cohomology data of one full subcomplex K_J over one ring.
 
-    Matrices are built from the simplex bases of K_J once; class membership
-    queries reduce to exact affine solves against them.
+    Matrices are built from the simplex bases of K_J once.  Each coboundary
+    d: C^p -> C^{p+1} is factored once into an ``exactalg.Solver``, kept per
+    degree: its kernel is the cocycle basis, and every solve against it
+    (a primitive of a coboundary, coboundary membership, the class key of a
+    cocycle) is a matrix-vector product.
     """
 
     def __init__(self, K: SimplicialComplex, J, ring: Ring):
@@ -307,7 +310,8 @@ class ReducedCohomology:
         self.max_p = self.KJ.dim
         self._delta: dict[int, list] = {}
         self._groups: dict[int, exactalg.AbelianGroup] = {}
-        self._class_data: dict[int, tuple] = {}
+        self._solvers: dict[int, exactalg.Solver] = {}
+        self._cycles: dict[int, list] = {}
 
     def simplices(self, p: int) -> tuple:
         if p < -1 or p > self.max_p:
@@ -348,6 +352,13 @@ class ReducedCohomology:
             self._delta[p] = M
         return self._delta[p]
 
+    def solver(self, p: int) -> exactalg.Solver:
+        """d: C^p -> C^{p+1}, factored on first use."""
+        if p not in self._solvers:
+            self._solvers[p] = exactalg.Solver(self.delta_matrix(p), self.ring,
+                                               len(self.simplices(p)))
+        return self._solvers[p]
+
     def group(self, p: int) -> exactalg.AbelianGroup:
         return self.groups().get(p, exactalg.AbelianGroup(0))
 
@@ -362,28 +373,20 @@ class ReducedCohomology:
         return dict(self._groups)
 
     def cocycle_basis(self, p: int) -> list:
-        if p < -1 or p > self.max_p:
-            return []
-        if not self.simplices(p):
-            return []
-        if not self.simplices(p + 1):
-            basis = exactalg.identity(len(self.simplices(p)), self.ring)
-            vectors = [[row[j] for row in basis] for j in range(len(basis))]
-        else:
-            vectors = exactalg.kernel_basis(self.delta_matrix(p), self.ring,
-                                            cols=len(self.simplices(p)))
-        return [self.cochain(v, p) for v in vectors]
+        return [self.cochain(v, p) for v in self.solver(p).kernel]
 
     def coboundary_basis(self, p: int) -> list:
-        if p - 1 < -1:
-            return []
-        out = []
-        for s in self.simplices(p - 1):
-            img = coboundary(Cochain(self.complex, self.ring, self.J, p - 1,
-                                     {s: self.ring.one}))
-            if not img.is_zero():
-                out.append(img)
-        return out
+        """The nonzero images d(chi_s) of the (p-1)-simplices s, in order."""
+        images = exactalg.transpose(self.delta_matrix(p - 1), len(self.simplices(p - 1)))
+        return [self.cochain(v, p) for v in images if any(v)]
+
+    def cycle_basis(self, q: int) -> list:
+        """A basis of the q-cycles as vectors: the kernel of the boundary,
+        which is d: C^{q-1} -> C^q transposed; found once per degree."""
+        if q not in self._cycles:
+            boundary = exactalg.transpose(self.delta_matrix(q - 1), len(self.simplices(q - 1)))
+            self._cycles[q] = exactalg.Solver(boundary, self.ring, len(self.simplices(q))).kernel
+        return self._cycles[q]
 
     def degree_data(self, p: int) -> CohomologyBasis:
         return CohomologyBasis(self.J, p, self.cocycle_basis(p),
@@ -392,14 +395,15 @@ class ReducedCohomology:
     def is_cocycle(self, a: Cochain) -> bool:
         return coboundary(a).is_zero()
 
+    def primitive(self, b: Cochain) -> Optional[Cochain]:
+        """A cochain a with d(a) = b, its free coordinates zero; None if b is
+        not a coboundary."""
+        self._check(b)
+        x = self.solver(b.p - 1).solve(self.vector(b))
+        return None if x is None else self.cochain(x, b.p - 1)
+
     def is_coboundary(self, a: Cochain) -> bool:
-        self._check(a)
-        if a.is_zero():
-            return True
-        if a.p == -1:
-            return False
-        sol = exactalg.solve_affine(self.delta_matrix(a.p - 1), self.vector(a), self.ring)
-        return sol is not None
+        return self.primitive(a) is not None
 
     def are_cohomologous(self, a: Cochain, b: Cochain) -> bool:
         return self.is_coboundary(a - b)
@@ -411,63 +415,13 @@ class ReducedCohomology:
         if a.complex != self.complex or a.ring != self.ring or a.J != self.J:
             raise GradingMismatch("cochain does not live on this K_J")
 
-    def _class_machinery(self, p: int):
-        """Kernel basis plus a canonical reduction of the coboundary image."""
-        if p in self._class_data:
-            return self._class_data[p]
-        kb = exactalg.kernel_basis(self.delta_matrix(p), self.ring,
-                                   cols=len(self.simplices(p))) if self.simplices(p) else []
-        m = len(kb)
-        Zmat = [[kb[j][i] for j in range(m)] for i in range(len(self.simplices(p)))]
-        gens = []
-        for b in self.coboundary_basis(p):
-            vec = self.vector(b)
-            sol = exactalg.solve_affine(Zmat, vec, self.ring) if m else None
-            if m:
-                gens.append(sol.particular)
-        if self.ring.is_field:
-            reducers, _ = exactalg.row_echelon(gens, self.ring) if gens else ([], [])
-            reducers = [r for r in reducers if any(not self.ring.is_zero(x) for x in r)]
-            data = ("field", Zmat, reducers)
-        else:
-            B = [[g[i] for g in gens] for i in range(m)] if gens else [[] for _ in range(m)]
-            if gens and m:
-                D, U, V = exactalg.smith_normal_form(B)
-                diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-            else:
-                U = exactalg.identity(m)
-                diag = []
-            data = ("Z", Zmat, U, diag)
-        self._class_data[p] = data
-        return data
-
     def class_key(self, a: Cochain) -> tuple:
-        """A canonical, hashable fingerprint of the cohomology class of a."""
+        """A canonical, hashable fingerprint of the cohomology class of a: the
+        residue of the cocycle modulo the image of d: C^{p-1} -> C^p."""
         self._check(a)
         if not self.is_cocycle(a):
             raise GradingMismatch("class_key needs a cocycle")
-        data = self._class_machinery(a.p)
-        Zmat = data[1]
-        m = len(Zmat[0]) if Zmat else 0
-        if m == 0:
-            return ()
-        sol = exactalg.solve_affine(Zmat, self.vector(a), self.ring)
-        t = sol.particular
-        if data[0] == "field":
-            reducers = data[2]
-            t = list(t)
-            for r in reducers:
-                pivot = next(i for i, x in enumerate(r) if not self.ring.is_zero(x))
-                f = self.ring.div(t[pivot], r[pivot])
-                t = [self.ring.sub(x, self.ring.mul(f, y)) for x, y in zip(t, r)]
-            return tuple(t)
-        _, _, U, diag = data
-        s = exactalg.mat_vec(U, t, ZZ)
-        out = []
-        for i, x in enumerate(s):
-            d = diag[i] if i < len(diag) else 0
-            out.append(x % d if d else x)
-        return tuple(out)
+        return self.solver(a.p - 1).residue(self.vector(a))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -497,7 +451,8 @@ def cochain_to_json(a: Cochain) -> dict:
 
 def cochain_from_json(obj: Mapping, K: SimplicialComplex, ring: Ring) -> Cochain:
     coeffs = {}
-    for term in obj["terms"]:
-        s = K.sort_simplex(term["simplex"])
-        coeffs[s] = ring.element_from_str(term["coeff"])
-    return Cochain(K, ring, obj["J"], obj["p"], coeffs)
+    for term in json_field(obj, "terms", "cochain"):
+        s = K.sort_simplex(json_field(term, "simplex", "cochain term"))
+        coeffs[s] = ring.element_from_str(json_field(term, "coeff", "cochain term"))
+    return Cochain(K, ring, json_field(obj, "J", "cochain"), json_field(obj, "p", "cochain"),
+                   coeffs)

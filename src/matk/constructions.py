@@ -362,10 +362,6 @@ class JoinCertificate:
     value: Optional[object]
     moves: int = 0
 
-    @property
-    def nontrivial(self) -> bool:
-        return True  # only successful certificates are constructed
-
 
 def _as_ring(a: Cochain, ring: Ring) -> Cochain:
     if a.ring == ring:
@@ -671,21 +667,21 @@ def spec_to_json(spec: JoinMasseySpec) -> dict:
 
 def spec_from_json(obj: Mapping) -> JoinMasseySpec:
     from .cochains import cochain_from_json
-    from .simplicial import complex_from_json
+    from .simplicial import complex_from_json, json_field
 
-    ring = Ring.parse(obj["ring"])
-    factors = tuple(complex_from_json(K) for K in obj["factors"])
+    ring = Ring.parse(json_field(obj, "ring", "spec"))
+    factors = tuple(complex_from_json(K) for K in json_field(obj, "factors", "spec"))
     cochains = tuple(
-        cochain_from_json(c, K, ring) for K, c in zip(factors, obj["cochains"])
+        cochain_from_json(c, K, ring) for K, c in zip(factors, json_field(obj, "cochains", "spec"))
     )
     vertex_choice = {}
     for entry in obj.get("vertex_choice", []):
-        s = tuple(entry["simplex"])
+        s = tuple(json_field(entry, "simplex", "vertex choice"))
         for K in factors:
             if all(v in K.vertices for v in s):
                 s = K.sort_simplex(s)
                 break
-        vertex_choice[s] = entry["vertex"]
+        vertex_choice[s] = json_field(entry, "vertex", "vertex choice")
     support_order = {
         int(i): [tuple(s) for s in order]
         for i, order in obj.get("support_order", {}).items()

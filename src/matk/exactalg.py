@@ -7,9 +7,12 @@ row.  Over Z (and Q, whose rows are scaled to integers) it pivots on units
 only and hands the small residual to a Smith form computed modulo a maximal
 minor; over F_p any nonzero entry is a pivot.  ``cohomology_groups`` gives
 these kernels the coboundary rows of a cochain complex directly and reduces
-each matrix once.  The dense API (lists of lists) remains for the solves: row
-echelon form, kernels, affine systems, and the transform-tracking Smith normal
-form, which pivots on the entry of least absolute value.
+each matrix once.  Solves go through ``Solver``, which factors one dense
+matrix (a list of rows) once and then answers each right-hand side with a
+matrix-vector product: over a field from the row echelon form of [A | I],
+over Z from the transform-tracking Smith normal form, which pivots on the
+entry of least absolute value.  It is the only code that chooses between
+the two.
 """
 
 from __future__ import annotations
@@ -510,74 +513,73 @@ def rank(M, ring: Ring) -> int:
     return len(_invariant_factors(_sparse_rows(M, ring), ring))
 
 
-def kernel_basis(M, ring: Ring, cols: Optional[int] = None) -> list:
-    """A basis of ker(M).  Over Z this generates the full integer kernel lattice."""
-    rows = len(M)
-    if cols is None:
-        cols = len(M[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[ring.one if j == i else ring.zero for j in range(cols)] for i in range(cols)]
-    if ring.is_field:
-        R, pivots = row_echelon(M, ring)
-        free = [c for c in range(cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [ring.zero] * cols
-            v[fc] = ring.one
-            for r, pc in enumerate(pivots):
-                v[pc] = ring.neg(R[r][fc])
-            basis.append(v)
-        return basis
-    D, U, V = smith_normal_form(M)
-    k = min(rows, cols)
-    basis = []
-    for j in range(cols):
-        if j >= k or D[j][j] == 0:
-            basis.append([V[i][j] for i in range(cols)])
-    return basis
+def transpose(M, cols: int) -> list:
+    """The transpose of a rows x cols matrix; cols is needed when rows = 0."""
+    return [list(col) for col in zip(*M)] if M else [[] for _ in range(cols)]
 
 
-class AffineSolution(NamedTuple):
-    particular: list
-    kernel: list  # list of basis vectors
+class Solver:
+    """A x = b for one matrix A and many right-hand sides b, factored once.
 
-
-def solve_affine(A, b, ring: Ring) -> Optional[AffineSolution]:
-    """Solve A x = b exactly; None when b is not in the image.
-
-    Over a field the kernel is a vector-space basis; over Z the particular
-    solution is integral and the kernel basis generates the kernel lattice.
+    This is the one place that chooses between a field and Z.  Over a field
+    the RREF of [A | I] is [R | E] with R = E A the RREF of A; over Z the
+    Smith form is U A V = D.  A right-hand side then costs one product y = E b
+    (U b over Z): the system is solvable iff y vanishes past the rank and,
+    over Z, d_i divides y_i.  The particular solution sets every free
+    coordinate to zero.  Over a field it and the kernel basis are those of
+    the RREF of [A | b], so they do not depend on when A was factored; over Z
+    the kernel basis (columns of V) generates the kernel lattice.
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if rows == 0:
-        return AffineSolution([], kernel_basis(A, ring, cols))
-    if ring.is_field:
-        aug = [list(row) + [bi] for row, bi in zip(A, b)]
-        R, pivots = row_echelon(aug, ring)
-        if cols in pivots:
-            return None
-        x = [ring.zero] * cols
-        for r, pc in enumerate(pivots):
-            x[pc] = R[r][cols]
-        return AffineSolution(x, kernel_basis(A, ring, cols))
-    D, U, V = smith_normal_form(A)
-    c = mat_vec(U, [int(x) for x in b], ZZ)
-    k = min(rows, cols)
-    y = [0] * cols
-    for i in range(rows):
-        d = D[i][i] if i < k else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
+
+    def __init__(self, A, ring: Ring, cols: Optional[int] = None):
+        self.ring = ring
+        self.cols = cols = len(A[0]) if cols is None else cols
+        if ring.is_field:
+            eye = identity(len(A), ring)
+            R, pivots = row_echelon([list(a) + e for a, e in zip(A, eye)], ring)
+            self._pivots = [c for c in pivots if c < cols]
+            self._E = [row[cols:] for row in R]
+            self.rank = len(self._pivots)
+            free = sorted(set(range(cols)) - set(self._pivots))
+            self.kernel = []
+            for fc in free:
+                v = [ring.zero] * cols
+                v[fc] = ring.one
+                for r, pc in enumerate(self._pivots):
+                    v[pc] = ring.neg(R[r][fc])
+                self.kernel.append(v)
         else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    x = mat_vec(V, y, ZZ)
-    return AffineSolution(x, kernel_basis(A, ring, cols))
+            D, self._E, self._V = smith_normal_form(A) if A else ([], [], identity(cols))
+            self._diag = [D[i][i] for i in range(min(len(D), cols)) if D[i][i]]
+            self.rank = len(self._diag)  # the nonzero factors come first
+            self.kernel = transpose(self._V, cols)[self.rank:]
+
+    def _reduce(self, b):
+        """(y, residue): y = E b, and the part of it that decides solvability."""
+        y = mat_vec(self._E, b, self.ring)
+        tail = tuple(y[self.rank:])
+        if self.ring.is_field:
+            return y, tail
+        return y, tuple(c % d for c, d in zip(y, self._diag)) + tail
+
+    def residue(self, b) -> tuple:
+        """b modulo the column span of A, canonically: equal for b and b'
+        exactly when A x = b - b' has a solution, and all zero exactly when
+        A x = b has one."""
+        return self._reduce(b)[1]
+
+    def solve(self, b) -> Optional[list]:
+        """A solution x of A x = b, or None when b is not in the image."""
+        y, residue = self._reduce(b)
+        if any(residue):
+            return None
+        if self.ring.is_field:
+            x = [self.ring.zero] * self.cols
+            for c, pc in zip(y, self._pivots):
+                x[pc] = c
+            return x
+        z = [c // d for c, d in zip(y, self._diag)] + [0] * (self.cols - self.rank)
+        return mat_vec(self._V, z, ZZ)
 
 
 # -- finitely generated abelian groups ---------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from . import exactalg
 from .cochains import (
+    AmbientMismatch,
     Cochain,
     cup_multiply,
     reduced_cohomology,
@@ -26,10 +27,6 @@ from .simplicial import SimplicialComplex
 
 
 class VertexCapExceeded(ValueError):
-    pass
-
-
-class AmbientMismatch(ValueError):
     pass
 
 

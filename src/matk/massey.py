@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 from . import exactalg
 from .cochains import (
+    AmbientMismatch,
     Chain,
     Cochain,
     GradingMismatch,
@@ -40,7 +41,7 @@ from .cochains import (
 )
 from .exactalg import Ring
 from .hochster import CohomologyClass
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, json_field
 
 
 class OverlappingSupports(ValueError):
@@ -121,10 +122,12 @@ class DefiningSystem:
 
     @staticmethod
     def from_json(obj, K: SimplicialComplex, ring: Ring) -> "DefiningSystem":
-        classes = tuple(CohomologyClass(cochain_from_json(c, K, ring)) for c in obj["classes"])
+        classes = tuple(CohomologyClass(cochain_from_json(c, K, ring))
+                        for c in json_field(obj, "classes", "defining system"))
         entries = {
-            (e["i"], e["k"]): cochain_from_json(e["cochain"], K, ring)
-            for e in obj["entries"]
+            (json_field(e, "i", "entry"), json_field(e, "k", "entry")):
+                cochain_from_json(json_field(e, "cochain", "entry"), K, ring)
+            for e in json_field(obj, "entries", "defining system")
         }
         return DefiningSystem(classes, entries)
 
@@ -201,24 +204,16 @@ class MasseyVerdict:
         return out
 
 
-def _require_disjoint(classes):
+def _common_ambient(classes):
+    """(K, ring) shared by all classes, whose supports must be disjoint."""
     for a, b in itertools.combinations(classes, 2):
         if set(a.J) & set(b.J):
             raise OverlappingSupports(
                 f"supports {list(a.J)} and {list(b.J)} overlap; no Massey product here")
-
-
-def _solve_stage(K, ring, J, p, rhs: Cochain):
-    """Solutions of d(a) = rhs in C^p(K_J): (particular, kernel cochains)."""
-    H = reduced_cohomology(K, J, ring)
-    delta = H.delta_matrix(p)
-    cols = len(H.simplices(p))
-    sol = exactalg.solve_affine(delta, H.vector(rhs), ring)
-    if sol is None:
-        return None
-    particular = H.cochain(sol.particular, p)
-    kernel = [H.cochain(v, p) for v in sol.kernel]
-    return particular, kernel
+    K, ring = classes[0].complex, classes[0].ring
+    if any(c.complex != K or c.ring != ring for c in classes):
+        raise AmbientMismatch("classes live on different complexes or rings")
+    return K, ring
 
 
 def find_evaluating_cycle(omega: Cochain, prefer_small: bool = False) -> Optional[Chain]:
@@ -230,21 +225,9 @@ def find_evaluating_cycle(omega: Cochain, prefer_small: bool = False) -> Optiona
     K, ring = omega.complex, omega.ring
     H = reduced_cohomology(K, omega.J, ring)
     q = omega.p
-    simplices = H.simplices(q)
-    if not simplices:
-        return None
-    # boundary matrix on chains is the transpose of the coboundary one degree down
-    delta_prev = H.delta_matrix(q - 1)
-    bmat = [[delta_prev[j][i] for j in range(len(delta_prev))]
-            for i in range(len(delta_prev[0]))] if delta_prev and delta_prev[0] else []
-    if not bmat:
-        vectors = exactalg.identity(len(simplices), ring)
-        kernel = [[row[j] for row in vectors] for j in range(len(simplices))]
-    else:
-        kernel = exactalg.kernel_basis(bmat, ring, cols=len(simplices))
     best = None
-    for v in kernel:
-        x = Chain(K, ring, omega.J, q, dict(zip(simplices, v)))
+    for v in H.cycle_basis(q):
+        x = Chain(K, ring, omega.J, q, dict(zip(H.simplices(q), v)))
         if not ring.is_zero(evaluate(omega, x)):
             if not prefer_small:
                 return x
@@ -262,55 +245,35 @@ def triple_massey_decide(alpha1: CohomologyClass, alpha2: CohomologyClass,
     subgroup; over Z this is an integer affine solve, over fields a rank test.
     """
     classes = (alpha1, alpha2, alpha3)
-    _require_disjoint(classes)
-    K, ring = alpha1.complex, alpha1.ring
-    for c in classes[1:]:
-        if c.complex != K or c.ring != ring:
-            raise OverlappingSupports("classes live on different complexes or rings")
+    K, ring = _common_ambient(classes)
     (p1, p2, p3) = (c.p for c in classes)
     (a1, a2, a3) = (c.representative for c in classes)
 
-    def block(cs):
-        out = []
-        for c in cs:
-            out.extend(c.J)
-        return K.sort_simplex(out)
+    def cohomology(cs):
+        return reduced_cohomology(K, [v for c in cs for v in c.J], ring)
 
-    J12, J23, J123 = block(classes[:2]), block(classes[1:]), block(classes)
-
-    stage12 = _solve_stage(K, ring, J12, p1 + p2, cup_multiply(overline(a1), a2))
-    if stage12 is None:
+    H12, H23, H = cohomology(classes[:2]), cohomology(classes[1:]), cohomology(classes)
+    a12 = H12.primitive(cup_multiply(overline(a1), a2))
+    if a12 is None:
         return MasseyVerdict(defined=False, obstruction_stage=(1, 2))
-    stage23 = _solve_stage(K, ring, J23, p2 + p3, cup_multiply(overline(a2), a3))
-    if stage23 is None:
+    a23 = H23.primitive(cup_multiply(overline(a2), a3))
+    if a23 is None:
         return MasseyVerdict(defined=False, obstruction_stage=(2, 3))
-    a12, kernel12 = stage12
-    a23, kernel23 = stage23
 
     ds = DefiningSystem(classes, {(1, 2): a12, (2, 3): a23})
     omega = associated_cocycle(ds)
 
-    H = reduced_cohomology(K, J123, ring)
+    # omega is in the indeterminacy iff it lies in the span of the generators
+    # and the coboundaries: one solve against [generators | d]
     q = p1 + p2 + p3 + 1
-    generators = [cup_multiply(overline(a1), z) for z in kernel23]
-    generators += [cup_multiply(overline(z), a3) for z in kernel12]
-    gen_vectors = [H.vector(g) for g in generators]
+    generators = [cup_multiply(overline(a1), z) for z in H23.cocycle_basis(p2 + p3)]
+    generators += [cup_multiply(overline(z), a3) for z in H12.cocycle_basis(p1 + p2)]
     delta_prev = H.delta_matrix(q - 1)
-    n_rows = len(H.simplices(q))
-    cols = []
-    cols.extend(gen_vectors)
-    for j in range(len(delta_prev[0]) if delta_prev and delta_prev[0] else 0):
-        cols.append([delta_prev[i][j] for i in range(n_rows)])
-    system = [[col[i] for col in cols] for i in range(n_rows)]
-    membership = exactalg.solve_affine(system, H.vector(omega), ring) if cols else None
-    contains_zero = membership is not None if cols else omega.is_zero()
-
-    rank_all = exactalg.rank(system, ring) if cols else 0
-    delta_cols = [[delta_prev[i][j] for i in range(n_rows)]
-                  for j in range(len(delta_prev[0]) if delta_prev and delta_prev[0] else 0)]
-    delta_mat = [[col[i] for col in delta_cols] for i in range(n_rows)]
-    rank_delta = exactalg.rank(delta_mat, ring) if delta_cols else 0
-    indeterminacy_rank = rank_all - rank_delta
+    gen_cols = exactalg.transpose([H.vector(g) for g in generators], len(delta_prev))
+    system = exactalg.Solver([g + d for g, d in zip(gen_cols, delta_prev)], ring,
+                             len(generators) + len(H.simplices(q - 1)))
+    contains_zero = system.solve(H.vector(omega)) is not None
+    indeterminacy_rank = system.rank - exactalg.rank(delta_prev, ring)
 
     verdict = MasseyVerdict(defined=True, contains_zero=contains_zero,
                             indeterminacy_rank=indeterminacy_rank)
@@ -331,10 +294,9 @@ def enumerate_defining_systems(classes, budget: int = 20,
     ``visit(ds, omega)`` is called on every valid complete system.
     """
     classes = tuple(classes)
-    _require_disjoint(classes)
     if not classes:
         raise ValueError("need at least one class")
-    K, ring = classes[0].complex, classes[0].ring
+    K, ring = _common_ambient(classes)
     if ring.kind != "Fp":
         raise RingNotFinite("exhaustive enumeration needs a prime field")
     n = len(classes)
@@ -347,27 +309,17 @@ def enumerate_defining_systems(classes, budget: int = 20,
         if (i, i + gap) != (1, n)
     ]
 
-    kernels = {}
-    total_params = 0
-    for (i, k) in stages:
-        H = reduced_cohomology(K, base.J_block(i, k), ring)
-        p = base.p_block(i, k)
-        vectors = exactalg.kernel_basis(H.delta_matrix(p), ring,
-                                        cols=len(H.simplices(p)))
-        kernels[(i, k)] = [H.cochain(v, p) for v in vectors]
-        total_params += len(vectors)
-    if total_params > budget:
+    cohomology = {s: reduced_cohomology(K, base.J_block(*s), ring) for s in stages}
+    kernels = {s: cohomology[s].cocycle_basis(base.p_block(*s)) for s in stages}
+    if sum(len(z) for z in kernels.values()) > budget:
         # probe one parameter-free branch so "defined" still means something
         probe = base
-        ok = True
         for (i, k) in stages:
-            solved = _solve_stage(K, ring, probe.J_block(i, k), probe.p_block(i, k),
-                                  probe.staircase(i, k))
+            solved = cohomology[(i, k)].primitive(probe.staircase(i, k))
             if solved is None:
-                ok = False
-                break
-            probe = probe.with_entry(i, k, solved[0])
-        return MasseyVerdict(defined=ok, contains_zero=None, budget_exhausted=True)
+                return MasseyVerdict(defined=False, contains_zero=None, budget_exhausted=True)
+            probe = probe.with_entry(i, k, solved)
+        return MasseyVerdict(defined=True, contains_zero=None, budget_exhausted=True)
 
     H_top = reduced_cohomology(K, base.J_block(1, n), ring)
     residues = list(range(ring.p))
@@ -392,11 +344,9 @@ def enumerate_defining_systems(classes, budget: int = 20,
                 first_nonzero = (ds, omega)
             return
         i, k = stages[idx]
-        rhs = ds.staircase(i, k)
-        solved = _solve_stage(K, ring, ds.J_block(i, k), ds.p_block(i, k), rhs)
-        if solved is None:
+        particular = cohomology[(i, k)].primitive(ds.staircase(i, k))
+        if particular is None:
             return
-        particular = solved[0]
         for coeffs in itertools.product(residues, repeat=len(kernels[(i, k)])):
             a = particular
             for c, z in zip(coeffs, kernels[(i, k)]):

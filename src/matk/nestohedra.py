@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .simplicial import SimplicialComplex, full_subcomplex, join, stellar_subdivide
+from .simplicial import SimplicialComplex, full_subcomplex, join, json_field, stellar_subdivide
 
 
 class MissingSingleton(ValueError):
@@ -50,7 +50,8 @@ class BuildingSet:
 
     @staticmethod
     def from_json(obj: Mapping) -> "BuildingSet":
-        return validate_building_set(obj["ground"], obj["sets"])
+        return validate_building_set(json_field(obj, "ground", "building set"),
+                                     json_field(obj, "sets", "building set"))
 
 
 def validate_building_set(ground: int, sets: Iterable) -> BuildingSet:

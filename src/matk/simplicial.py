@@ -48,6 +48,10 @@ class OrderIncompatibleMap(SimplicialError):
     pass
 
 
+class MissingField(ValueError):
+    """A JSON input object lacks a field that its reader needs."""
+
+
 class SimplicialComplex:
     """An abstract simplicial complex with a total order on its vertices.
 
@@ -160,10 +164,6 @@ def _rank_of(rank: Mapping[str, int], v: str) -> int:
         return rank[v]
     except KeyError:
         raise FacetUsesUnknownLabel(f"facet uses unknown label {v!r}") from None
-
-
-def build_complex(vertex_labels: Sequence[str], facets: Iterable[Sequence[str]]) -> SimplicialComplex:
-    return SimplicialComplex(vertex_labels, facets)
 
 
 def full_subcomplex(K: SimplicialComplex, J: Iterable[str]) -> SimplicialComplex:
@@ -437,5 +437,13 @@ def complex_to_json(K: SimplicialComplex) -> dict:
     return {"vertices": list(K.vertices), "facets": [list(f) for f in K.facets]}
 
 
+def json_field(obj, key: str, what: str):
+    """obj[key] of a JSON object read as a ``what``; MissingField if absent."""
+    if not isinstance(obj, Mapping) or key not in obj:
+        raise MissingField(f"{what} has no {key!r} field")
+    return obj[key]
+
+
 def complex_from_json(obj: Mapping) -> SimplicialComplex:
-    return SimplicialComplex(obj["vertices"], obj["facets"])
+    return SimplicialComplex(json_field(obj, "vertices", "complex"),
+                             json_field(obj, "facets", "complex"))

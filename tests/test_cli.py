@@ -187,6 +187,45 @@ def test_zero_denominator_is_a_domain_error(capsys, tmp_path, ring, coeff):
     assert blob["error"]["type"] == "DivisionByZero"
 
 
+def _drop(path, field, *, index=None):
+    """The JSON fixture at path without one field (in its index-th item)."""
+    blob = json.loads((FIX / path).read_text())
+    del (blob if index is None else blob[index])[field]
+    return blob
+
+
+@pytest.mark.parametrize("argv,blob,field", [
+    (["product", "fig1.json", "--classes"], _drop("fig1-classes.json", "terms", index=0),
+     "terms"),
+    (["product", "fig1.json", "--classes"], {"class": []}, "classes"),
+    (["build"], _drop("fig1.json", "facets"), "facets"),
+    (["nested-set"], _drop("stellohedron3-building-set.json", "sets"), "sets"),
+    (["construct-join"], _drop("joins-example.json", "ring"), "ring"),
+    (["stretch", "contraction-target.json", "--map"], _drop("contraction-map.json",
+                                                              "assignment"), "assignment"),
+])
+def test_missing_json_field_is_a_typed_domain_error(capsys, tmp_path, argv, blob, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(blob))
+    argv = [str(FIX / a) if a.endswith(".json") else a for a in argv]
+    code, out = run_json(capsys, *argv, str(path))
+    assert code == 1
+    assert out["error"]["type"] == "MissingField"
+    assert repr(field) in out["error"]["message"]
+
+
+def test_internal_key_error_is_not_an_input_error(capsys, monkeypatch):
+    from matk import hochster
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(hochster, "hochster_decompose", broken)
+    with pytest.raises(KeyError):
+        main(["hochster", str(FIX / "fig1.json")])
+    assert capsys.readouterr().out == ""
+
+
 def test_out_flag_writes_stable_json(capsys, tmp_path):
     out = tmp_path / "res.json"
     code = main(["hochster", str(FIX / "fig1.json"), "--ring", "Z",

@@ -14,15 +14,15 @@ from matk.exactalg import (
     DivisionByZero,
     NotPrime,
     Ring,
+    Solver,
     cokernel_invariants,
     identity,
-    kernel_basis,
     mat_mul,
     mat_vec,
     rank,
+    row_echelon,
     smith_normal_form,
     snf_diagonal,
-    solve_affine,
 )
 
 from helpers import boundary_matrix, det, rp2_six_vertices
@@ -123,14 +123,14 @@ def test_snf_permutation_invariance(data):
 
 
 def test_solve_affine_identity():
-    sol = solve_affine(identity(3), [4, -1, 7], ZZ)
-    assert sol.particular == [4, -1, 7]
-    assert sol.kernel == []
+    solver = Solver(identity(3), ZZ)
+    assert solver.solve([4, -1, 7]) == [4, -1, 7]
+    assert solver.kernel == []
 
 
 def test_solve_affine_no_solution_over_z():
-    assert solve_affine([[2]], [1], ZZ) is None
-    assert solve_affine([[2]], [1], QQ).particular == [QQ.of_int(1) / 2]
+    assert Solver([[2]], ZZ).solve([1]) is None
+    assert Solver([[2]], QQ).solve([1]) == [QQ.of_int(1) / 2]
 
 
 def test_solve_affine_f3_against_exhaustive_search():
@@ -143,16 +143,17 @@ def test_solve_affine_f3_against_exhaustive_search():
         for x in itertools.product(range(3), repeat=7)
         if mat_vec(A, list(x), ring) == b
     }
-    sol = solve_affine(A, b, ring)
+    solver = Solver(A, ring)
+    particular = solver.solve(b)
     if not brute:
-        assert sol is None
+        assert particular is None
         return
-    assert tuple(sol.particular) in brute
+    assert tuple(particular) in brute
     # particular + kernel spans exactly the brute-force solution set
     span = set()
-    for coeffs in itertools.product(range(3), repeat=len(sol.kernel)):
-        x = list(sol.particular)
-        for c, v in zip(coeffs, sol.kernel):
+    for coeffs in itertools.product(range(3), repeat=len(solver.kernel)):
+        x = list(particular)
+        for c, v in zip(coeffs, solver.kernel):
             x = [ring.add(xi, ring.mul(c, vi)) for xi, vi in zip(x, v)]
         span.add(tuple(x))
     assert span == brute
@@ -167,26 +168,86 @@ def test_solve_affine_consistency(data):
     A = [[ring.of_int(data.draw(st.integers(-5, 5))) for _ in range(cols)] for _ in range(rows)]
     x0 = [ring.of_int(data.draw(st.integers(-3, 3))) for _ in range(cols)]
     b = mat_vec(A, x0, ring)
-    sol = solve_affine(A, b, ring)
-    assert sol is not None
-    assert mat_vec(A, sol.particular, ring) == b
-    for v in sol.kernel:
-        shifted = [ring.add(p, vi) for p, vi in zip(sol.particular, v)]
+    solver = Solver(A, ring)
+    particular = solver.solve(b)
+    assert particular is not None
+    assert mat_vec(A, particular, ring) == b
+    for v in solver.kernel:
+        shifted = [ring.add(p, vi) for p, vi in zip(particular, v)]
         assert mat_vec(A, shifted, ring) == b
     if ring.is_field:
-        assert rank(A, ring) + len(sol.kernel) == cols
+        assert rank(A, ring) + len(solver.kernel) == cols
+
+
+def _fresh_solve(A, b, ring, cols):
+    """A x = b and ker A from a fresh reduction of this one system: the RREF of
+    [A | b] over a field, the Smith form of A over Z."""
+    if not A:
+        return [ring.zero] * cols, identity(cols, ring)
+    if ring.is_field:
+        R, pivots = row_echelon([list(row) + [bi] for row, bi in zip(A, b)], ring)
+        K, kpivots = row_echelon(A, ring)
+        kernel = []
+        for fc in (c for c in range(cols) if c not in kpivots):
+            v = [ring.zero] * cols
+            v[fc] = ring.one
+            for r, pc in enumerate(kpivots):
+                v[pc] = ring.neg(K[r][fc])
+            kernel.append(v)
+        if cols in pivots:
+            return None, kernel
+        x = [ring.zero] * cols
+        for r, pc in enumerate(pivots):
+            x[pc] = R[r][cols]
+        return x, kernel
+    D, U, V = smith_normal_form(A)
+    k = min(len(A), cols)
+    kernel = [[V[i][j] for i in range(cols)] for j in range(cols) if j >= k or D[j][j] == 0]
+    c = mat_vec(U, b, ZZ)
+    y = [0] * cols
+    for i, ci in enumerate(c):
+        d = D[i][i] if i < k else 0
+        if (ci % d if d else ci) != 0:
+            return None, kernel
+        if d:
+            y[i] = ci // d
+    return mat_vec(V, y, ZZ), kernel
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solver_agrees_with_a_fresh_reduction_per_right_hand_side(data):
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+    rows = data.draw(st.integers(0, 4))
+    cols = data.draw(st.integers(0, 5))
+    entry = st.integers(-5, 5) if ring.kind != "Fp" else st.integers(0, ring.p - 1)
+    A = [[ring.of_int(data.draw(entry)) for _ in range(cols)] for _ in range(rows)]
+    solver = Solver(A, ring, cols)
+    zero = solver.residue([ring.zero] * rows)
+    for _ in range(4):
+        if data.draw(st.booleans()):  # a consistent right-hand side
+            b = mat_vec(A, [ring.of_int(data.draw(entry)) for _ in range(cols)], ring)
+        else:
+            b = [ring.of_int(data.draw(entry)) for _ in range(rows)]
+        particular, kernel = _fresh_solve(A, b, ring, cols)
+        assert solver.solve(b) == particular
+        assert solver.kernel == kernel
+        assert (solver.residue(b) == zero) == (particular is not None)
+        shift = mat_vec(A, [ring.of_int(data.draw(entry)) for _ in range(cols)], ring)
+        assert solver.residue([ring.add(x, y) for x, y in zip(b, shift)]) == solver.residue(b)
+    assert solver.rank == rank(A, ring)
 
 
 def test_kernel_basis_generates_integer_kernel():
     A = [[2, 4, 6], [1, 2, 3]]
-    basis = kernel_basis(A, ZZ)
+    basis = Solver(A, ZZ).kernel
     assert len(basis) == 2
     for v in basis:
         assert mat_vec(A, v, ZZ) == [0, 0]
     # (2, -1, 0) is in the kernel lattice and must be an integer combination
     target = [2, -1, 0]
     M = [[basis[0][i], basis[1][i]] for i in range(3)]
-    assert solve_affine(M, target, ZZ) is not None
+    assert Solver(M, ZZ).solve(target) is not None
 
 
 def test_ring_parsing_and_element_strings():

@@ -3,7 +3,9 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from matk import cochains, exactalg
 from matk.cochains import (
+    AmbientMismatch,
     Chain,
     Cochain,
     coboundary,
@@ -26,7 +28,7 @@ from matk.massey import (
     find_evaluating_cycle,
     triple_massey_decide,
 )
-from matk.simplicial import SimplicialComplex
+from matk.simplicial import MissingField, SimplicialComplex
 
 from helpers import (
     cycle_complex,
@@ -138,6 +140,15 @@ def test_overlapping_supports_raise():
         triple_massey_decide(a, b, a)
 
 
+def test_mixed_rings_are_an_ambient_mismatch():
+    a1, _, a3 = fig1_classes(ZZ)
+    _, a2, _ = fig1_classes(GF(2))
+    with pytest.raises(AmbientMismatch):
+        triple_massey_decide(a1, a2, a3)
+    with pytest.raises(AmbientMismatch):
+        enumerate_defining_systems((a1, a2, a3))
+
+
 def test_enumeration_needs_finite_field():
     with pytest.raises(RingNotFinite):
         enumerate_defining_systems(fig1_classes(ZZ))
@@ -211,6 +222,35 @@ def test_four_massey_enumeration_shape_and_nontriviality():
     assert len(seen) == 2 ** 6
 
 
+def test_enumeration_factors_each_coboundary_once(monkeypatch):
+    """Every stage solve and class key of one fourfold enumeration reuses the
+    factorization of its (K_J, p) coboundary."""
+    factored, solves = [], []
+
+    class CountingSolver(exactalg.Solver):
+        def __init__(self, A, ring, cols=None):
+            factored.append(A)  # kept alive, so ids stay distinct
+            super().__init__(A, ring, cols)
+
+        def _reduce(self, b):
+            solves.append(b)
+            return super()._reduce(b)
+
+    monkeypatch.setattr(exactalg, "Solver", CountingSolver)
+    cochains._cached_cohomology.cache_clear()
+    K = four_massey_complex()
+    ring = GF(2)
+    classes = tuple(
+        class_in_slot(K, ring, (str(i), str(i) + "'"), 0, {(str(i),): ring.one})
+        for i in range(1, 5)
+    )
+    verdict = enumerate_defining_systems(classes, budget=12)
+    cochains._cached_cohomology.cache_clear()
+    assert verdict.contains_zero is False
+    assert len({id(A) for A in factored}) == len(factored)
+    assert len(solves) > 10 * len(factored)
+
+
 def test_verdict_json_round_trips_witness():
     ring = GF(2)
     verdict = enumerate_defining_systems(fig1_classes(ring))
@@ -219,6 +259,9 @@ def test_verdict_json_round_trips_witness():
     K = fig1_complex()
     replay = DefiningSystem.from_json(blob["witness"]["defining_system"], K, ring)
     assert check_defining_system(replay) == []
+    del blob["witness"]["defining_system"]["entries"][0]["k"]
+    with pytest.raises(MissingField, match="'k'"):
+        DefiningSystem.from_json(blob["witness"]["defining_system"], K, ring)
 
 
 def _triple_candidates(K):
@@ -285,7 +328,7 @@ def test_triple_coset_law():
     system = [[col[i] for col in cols] for i in range(n_rows)]
     for omega in omegas[1:]:
         diff = H.vector(omega - base)
-        assert exactalg.solve_affine(system, diff, ring) is not None
+        assert exactalg.Solver(system, ring).solve(diff) is not None
 
 
 def test_find_evaluating_cycle_returns_pairing_witness():

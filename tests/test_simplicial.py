@@ -11,7 +11,6 @@ from matk.simplicial import (
     SimplexNotInComplex,
     SimplicialComplex,
     boundary_star,
-    build_complex,
     complex_from_json,
     complex_to_json,
     contract_edge,
@@ -30,29 +29,29 @@ from helpers import cycle_complex, octahedron, reduced_betti, simplex_boundary, 
 
 
 def test_build_two_point_complex():
-    K = build_complex(["1", "2"], [["1"], ["2"]])
+    K = SimplicialComplex(["1", "2"], [["1"], ["2"]])
     assert K.facets == (("1",), ("2",))
     assert K.dim == 0
 
 
 def test_build_rejects_unknown_label():
     with pytest.raises(FacetUsesUnknownLabel):
-        build_complex(["1", "2", "3"], [["1", "2"], ["2", "3"], ["1", "3", "?"]])
+        SimplicialComplex(["1", "2", "3"], [["1", "2"], ["2", "3"], ["1", "3", "?"]])
 
 
 def test_build_rejects_duplicate_vertex():
     with pytest.raises(DuplicateVertex):
-        build_complex(["1", "1"], [["1"]])
+        SimplicialComplex(["1", "1"], [["1"]])
 
 
 def test_build_keeps_isolated_vertices():
-    K = build_complex(["1", "2", "3"], [["1", "2"]])
+    K = SimplicialComplex(["1", "2", "3"], [["1", "2"]])
     assert ("3",) in K.facets
     assert K.has_face(("3",))
 
 
 def test_build_reduces_to_maximal_facets():
-    K = build_complex(["1", "2", "3"], [["1", "2"], ["1"], ["1", "2", "3"]])
+    K = SimplicialComplex(["1", "2", "3"], [["1", "2"], ["1"], ["1", "2", "3"]])
     assert K.facets == (("1", "2", "3"),)
 
 
@@ -77,7 +76,7 @@ def test_full_subcomplex_empty():
 
 
 def test_full_subcomplex_keeps_order():
-    K = build_complex(list("abc"), [["a", "b"], ["b", "c"]])
+    K = SimplicialComplex(list("abc"), [["a", "b"], ["b", "c"]])
     S = full_subcomplex(K, {"c", "a"})
     assert S.vertices == ("a", "c")
     assert S.facets == (("a",), ("c",))
@@ -136,7 +135,7 @@ def test_star_delete_facet_removes_single_face():
 
 
 def test_star_delete_vertex_shrinks_vertex_list():
-    K = build_complex(["1", "2", "3"], [["1", "2"], ["2", "3"]])
+    K = SimplicialComplex(["1", "2", "3"], [["1", "2"], ["2", "3"]])
     D = star_delete(K, ("2",))
     assert D.vertices == ("1", "3")
     assert D.facets == (("1",), ("3",))
@@ -145,7 +144,7 @@ def test_star_delete_vertex_shrinks_vertex_list():
 def test_join_of_spheres():
     S0 = two_points()
     T = two_points("3", "4")
-    assert join(S0, T) == build_complex(
+    assert join(S0, T) == SimplicialComplex(
         "1234", [["1", "3"], ["1", "4"], ["2", "3"], ["2", "4"]]
     )
     K = join(join(S0, T), two_points("5", "6"))
@@ -161,14 +160,14 @@ def test_join_rejects_label_collision():
 
 def test_join_example_wedge_betti():
     K1 = two_points()
-    K2 = build_complex(["3", "4", "5", "6"], [["3", "4"], ["4", "5"], ["3", "5"], ["6"]])
+    K2 = SimplicialComplex(["3", "4", "5", "6"], [["3", "4"], ["4", "5"], ["3", "5"], ["6"]])
     K = join(K1, K2)
     assert reduced_betti(K) == {1: 1, 2: 1}
 
 
 def test_star_delete_join_is_contractible():
     K1 = two_points()
-    K2 = build_complex(["3", "4", "5", "6"], [["3", "4"], ["4", "5"], ["3", "5"], ["6"]])
+    K2 = SimplicialComplex(["3", "4", "5", "6"], [["3", "4"], ["4", "5"], ["3", "5"], ["6"]])
     K = join(K1, K2)
     for e in (("1", "4"), ("1", "5"), ("1", "6")):
         K = star_delete(K, e)
@@ -198,7 +197,7 @@ def test_contract_edge_of_hollow_triangle_fails_link_condition():
 
 
 def test_contract_edge_can_create_a_cycle():
-    K = build_complex(
+    K = SimplicialComplex(
         "12345",
         [["1", "2", "3"], ["1", "2", "4"], ["1", "3", "4"], ["3", "4", "5"], ["2", "5"]],
     )
