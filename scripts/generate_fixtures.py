@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
 """Regenerate the JSON fixtures in fixtures/.
 
+    python3 scripts/generate_fixtures.py            # rewrite fixtures/
+    python3 scripts/generate_fixtures.py --check    # compare, write nothing
+
 Each fixture is rebuilt from its defining construction and sanity-checked
-against the facts the test suite relies on before being written.
+against the facts the test suite relies on before being written.  With
+--check every fixture is rebuilt in memory and compared byte for byte with
+the file in fixtures/; each file that differs (or is missing) is named on
+stdout and the exit code is 1.
 """
 
+import argparse
 import json
 import pathlib
 import sys
@@ -30,10 +37,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "fixtures"
 
 
+BUILT = {}  # fixture file name -> its text, filled by the builders below
+
+
 def dump(name, obj):
-    path = OUT / name
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {path.relative_to(ROOT)}")
+    BUILT[name] = json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def two_points(a, b):
@@ -194,8 +202,11 @@ def building_set_fixture():
     })
 
 
-if __name__ == "__main__":
-    OUT.mkdir(exist_ok=True)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the JSON fixtures.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare the rebuilt fixtures with fixtures/ and write nothing")
+    args = parser.parse_args(argv)
     fig1()
     joins_example()
     rp2_join()
@@ -203,4 +214,20 @@ if __name__ == "__main__":
     contraction_example()
     truncated_octahedron()
     building_set_fixture()
+    if args.check:
+        stale = [name for name, text in BUILT.items()
+                 if not (OUT / name).is_file() or (OUT / name).read_bytes() != text.encode()]
+        for name in stale:
+            print(f"differs: fixtures/{name}")
+        print(f"{len(BUILT) - len(stale)} of {len(BUILT)} fixtures match")
+        return 1 if stale else 0
+    OUT.mkdir(exist_ok=True)
+    for name, text in BUILT.items():
+        (OUT / name).write_text(text)
+        print(f"wrote fixtures/{name}")
     print("done")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cochains, constructions, hochster, massey, nestohedra, simplicial
@@ -17,6 +18,10 @@ from .exactalg import DivisionByZero, Ring
 
 class DomainError(Exception):
     pass
+
+
+class OutputDirectoryMissing(DomainError):
+    """--out names a file in a directory that does not exist."""
 
 
 def _load(path: str):
@@ -354,6 +359,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise OutputDirectoryMissing(f"no directory for --out {args.out!r}")
         args.fn(args)
     except DOMAIN_ERRORS as err:
         _emit({"error": {"type": type(err).__name__, "message": str(err)}}, None)

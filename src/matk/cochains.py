@@ -45,12 +45,17 @@ class VertexNotInSet(ValueError):
 
 def epsilon(K: SimplicialComplex, j: str, J: Iterable[str]) -> int:
     """(-1)^(r-1) for j the r-th element of J in K's vertex order."""
-    Js = sorted(set(J), key=K.rank)
+    Js = set(J)
+    if j not in Js:
+        raise VertexNotInSet(f"{j!r} not in {list(K.sort_simplex(Js))}")
+    rank = K._rank
     try:
-        r = Js.index(j)
-    except ValueError:
-        raise VertexNotInSet(f"{j!r} not in {Js}") from None
-    return -1 if r % 2 else 1
+        r = rank[j]
+        below = sum(rank[v] < r for v in Js)
+    except KeyError:
+        K.sort_simplex(Js)  # raises UnknownVertex naming the label
+        raise
+    return -1 if below % 2 else 1
 
 
 def epsilon_set(K: SimplicialComplex, L: Iterable[str], J: Iterable[str]) -> int:

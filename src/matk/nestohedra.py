@@ -76,47 +76,69 @@ def subset_label(S) -> str:
     return "v{" + ",".join(str(x) for x in sorted(S)) + "}"
 
 
-def _admissible(family: Sequence, B: BuildingSet) -> bool:
-    for S, T in itertools.combinations(family, 2):
-        if not (S <= T or T <= S or not (S & T)):
+def _mask(S) -> int:
+    return sum(1 << x for x in S)
+
+
+def _extends(current: Sequence, cand: int, sets: set) -> bool:
+    """Whether current + [cand] is nested, given that current already is.
+
+    Members are bitmasks of their ground elements.  Only the conditions
+    that involve cand are new: cand is nested with or disjoint from each
+    member, and no pairwise-disjoint subfamily holding cand unions into the
+    building set.
+    """
+    apart = []
+    for S in current:
+        meet = S & cand
+        if not meet:
+            apart.append(S)
+        elif meet != S and meet != cand:
             return False
-    for size in range(2, len(family) + 1):
-        for sub in itertools.combinations(family, size):
-            if all(not (a & b) for a, b in itertools.combinations(sub, 2)):
-                union = frozenset().union(*sub)
-                if union in B.sets:
+    # grow every pairwise-disjoint subfamily of `apart`, joined with cand
+    stack = [(cand, 0)]
+    while stack:
+        union, start = stack.pop()
+        for i in range(start, len(apart)):
+            S = apart[i]
+            if not S & union:
+                if union | S in sets:
                     return False
+                stack.append((union | S, i + 1))
     return True
 
 
 def nested_set_complex(B: BuildingSet) -> SimplicialComplex:
-    """Vertices are the non-maximal members; faces are the nested families."""
+    """Vertices are the non-maximal members; faces are the nested families.
+
+    A depth-first search adds members in label order, each tested against
+    the family built so far with ``_extends``.  Every prefix of a nested
+    family is nested, so the dead ends of the search (families no later
+    member extends) include every maximal nested family, and each dead end
+    lies in one.  ``SimplicialComplex`` keeps the inclusion-maximal dead
+    ends, which are the facets, in canonical order.
+    """
     maximal = set(B.maximal())
     members = [S for S in B.members() if S not in maximal]
     members.sort(key=lambda S: tuple(sorted(S)))
     labels = [subset_label(S) for S in members]
+    masks = [_mask(S) for S in members]
+    sets = {_mask(S) for S in B.sets}
 
-    facets = []
+    dead_ends = []
 
-    def extend(current: list, start: int):
+    def extend(chosen: list, start: int):
+        current = [masks[idx] for idx in chosen]
         grew = False
-        for idx in range(start, len(members)):
-            cand = members[idx]
-            trial = current + [cand]
-            if _admissible(trial, B):
+        for idx in range(start, len(masks)):
+            if _extends(current, masks[idx], sets):
                 grew = True
-                extend(trial, idx + 1)
-        if not grew and current:
-            # maximal among all, not only among later candidates
-            for idx in range(len(members)):
-                if members[idx] in current:
-                    continue
-                if _admissible(current + [members[idx]], B):
-                    return
-            facets.append([subset_label(S) for S in current])
+                extend(chosen + [idx], idx + 1)
+        if not grew and chosen:
+            dead_ends.append([labels[idx] for idx in chosen])
 
     extend([], 0)
-    return SimplicialComplex(labels, facets)
+    return SimplicialComplex(labels, dead_ends)
 
 
 def graphical_building_set(n_vertices: int, edges: Iterable) -> BuildingSet:

@@ -5,6 +5,13 @@ maps, cup products, defining systems) is computed from vertex ranks.  A complex
 is stored by its inclusion-maximal faces; all other faces are enumerated lazily
 and memoized.  Complexes are immutable and hashable, and every operation here
 returns a new complex in canonical form (facets sorted by rank sequence).
+
+Face lookups go through one index per complex: for each vertex, an int
+bitmask of the facets that contain it.  The facets containing a simplex are
+the AND of its vertices' masks, so ``has_face`` costs O(|s|) big-int ANDs
+instead of a scan over all facets, and the same masks reduce the input to
+its maximal facets.  The index holds one int per vertex, where a set of all
+faces would hold 2^(dim+1) entries per facet.
 """
 
 from __future__ import annotations
@@ -59,9 +66,12 @@ class SimplicialComplex:
     the inclusion-maximal faces, each a tuple of labels sorted by rank.  Every
     listed vertex is a face: there are no ghost vertices.  The empty simplex
     is a face of every complex, including the empty complex.
+
+    ``_cofacets`` is the face index: it maps each vertex to the bitmask of
+    the facets containing it, bit i standing for ``facets[i]``.
     """
 
-    __slots__ = ("vertices", "facets", "_rank", "_facet_sets", "_faces_by_dim", "_hash")
+    __slots__ = ("vertices", "facets", "_rank", "_cofacets", "_faces_by_dim", "_hash")
 
     def __init__(self, vertices: Sequence[str], facets: Iterable[Sequence[str]]):
         vertices = tuple(str(v) for v in vertices)
@@ -70,21 +80,40 @@ class SimplicialComplex:
         rank = {v: i for i, v in enumerate(vertices)}
         cleaned = set()
         for f in facets:
-            fs = tuple(sorted({str(v) for v in f}, key=lambda v: _rank_of(rank, v)))
-            cleaned.add(fs)
+            fs = {str(v) for v in f}
+            if not fs.issubset(rank):
+                bad = next(v for v in fs if v not in rank)
+                raise FacetUsesUnknownLabel(f"facet uses unknown label {bad!r}")
+            cleaned.add(tuple(sorted(fs, key=rank.__getitem__)))
         # every vertex is a face; facets reduced to the inclusion-maximal family
         covered = {v for f in cleaned for v in f}
         for v in vertices:
             if v not in covered:
                 cleaned.add((v,))
+        # by decreasing size: a facet is dropped when a facet kept so far
+        # contains it (the AND of its vertices' masks is nonzero); () is
+        # dropped once any facet is kept
+        kept_masks = dict.fromkeys(vertices, 0)
         maximal = []
         for f in sorted(cleaned, key=len, reverse=True):
-            if not any(set(f) <= set(g) for g in maximal):
-                maximal.append(f)
+            inside = -1 if maximal else 0
+            for v in f:
+                inside &= kept_masks[v]
+            if inside:
+                continue
+            bit = 1 << len(maximal)
+            for v in f:
+                kept_masks[v] |= bit
+            maximal.append(f)
         self.vertices = vertices
-        self.facets = tuple(sorted(maximal, key=lambda f: tuple(rank[v] for v in f)))
+        self.facets = tuple(sorted(maximal, key=lambda f: tuple(map(rank.__getitem__, f))))
+        cofacets = dict.fromkeys(vertices, 0)
+        for i, f in enumerate(self.facets):
+            bit = 1 << i
+            for v in f:
+                cofacets[v] |= bit
         self._rank = rank
-        self._facet_sets = tuple(frozenset(f) for f in self.facets)
+        self._cofacets = cofacets
         self._faces_by_dim: dict[int, tuple] = {}
         self._hash = hash((self.vertices, self.facets))
 
@@ -97,15 +126,35 @@ class SimplicialComplex:
             raise UnknownVertex(f"vertex {v!r} not in complex") from None
 
     def sort_simplex(self, vs: Iterable[str]) -> Simplex:
-        return tuple(sorted(set(vs), key=self.rank))
+        try:
+            return tuple(sorted(set(vs), key=self._rank.__getitem__))
+        except KeyError as err:
+            raise UnknownVertex(f"vertex {err.args[0]!r} not in complex") from None
+
+    def _containing(self, simplex: Iterable[str]) -> int:
+        """Bitmask of the facets containing simplex; 0 when it is no face."""
+        mask = (1 << len(self.facets)) - 1  # the empty simplex lies in every facet
+        for v in simplex:
+            mask &= self._cofacets.get(v, 0)
+        return mask
+
+    def _facets_in(self, mask: int) -> list:
+        """The facets whose bits are set in mask, in canonical order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.facets[low.bit_length() - 1])
+            mask ^= low
+        return out
 
     def has_face(self, simplex: Iterable[str]) -> bool:
-        s = set(simplex)
-        if not s:
-            return True  # the empty simplex is a face of every complex
-        if not s <= set(self.vertices):
-            return False
-        return any(s <= fs for fs in self._facet_sets)
+        mask = -1  # the empty simplex is a face of every complex
+        cofacets = self._cofacets
+        for v in simplex:
+            mask &= cofacets.get(v, 0)  # an unknown vertex lies in no facet
+            if not mask:
+                return False
+        return True
 
     def __contains__(self, simplex) -> bool:
         return self.has_face(simplex)
@@ -121,13 +170,14 @@ class SimplicialComplex:
         if p < -1:
             return ()
         if p not in self._faces_by_dim:
+            # enumerate rank tuples, whose natural order is the rank sequence
+            rank, verts = self._rank, self.vertices
             seen = set()
             for f in self.facets:
                 if len(f) >= p + 1:
-                    seen.update(itertools.combinations(f, p + 1))
+                    seen.update(itertools.combinations([rank[v] for v in f], p + 1))
             self._faces_by_dim[p] = tuple(
-                sorted(seen, key=lambda s: tuple(self.rank(v) for v in s))
-            )
+                tuple(verts[i] for i in s) for s in sorted(seen))
         return self._faces_by_dim[p]
 
     def all_faces(self, include_empty: bool = False) -> list:
@@ -159,24 +209,15 @@ class SimplicialComplex:
         return f"SimplicialComplex({list(self.vertices)}, {[list(f) for f in self.facets]})"
 
 
-def _rank_of(rank: Mapping[str, int], v: str) -> int:
-    try:
-        return rank[v]
-    except KeyError:
-        raise FacetUsesUnknownLabel(f"facet uses unknown label {v!r}") from None
-
-
 def full_subcomplex(K: SimplicialComplex, J: Iterable[str]) -> SimplicialComplex:
     """The subcomplex of all faces whose vertices lie in J, with K's order."""
     J = set(J)
+    meets = 0
     for v in J:
         K.rank(v)  # raises UnknownVertex
+        meets |= K._cofacets[v]
     verts = [v for v in K.vertices if v in J]
-    facets = set()
-    for f, fs in zip(K.facets, K._facet_sets):
-        g = tuple(v for v in f if v in J)
-        if g:
-            facets.add(g)
+    facets = {tuple(v for v in f if v in J) for f in K._facets_in(meets)}
     return SimplicialComplex(verts, facets)
 
 
@@ -190,7 +231,7 @@ def _require_face(K: SimplicialComplex, I: Iterable[str]) -> Simplex:
 def star(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
     """st_K(I): all faces J with I ∪ J a face of K."""
     s = _require_face(K, I)
-    facets = [f for f, fs in zip(K.facets, K._facet_sets) if set(s) <= fs]
+    facets = K._facets_in(K._containing(s))
     verts = sorted({v for f in facets for v in f}, key=K.rank)
     return SimplicialComplex(verts, facets)
 
@@ -198,10 +239,7 @@ def star(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
 def link(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
     """link_K(I): faces J disjoint from I with I ∪ J a face of K."""
     s = _require_face(K, I)
-    facets = set()
-    for f, fs in zip(K.facets, K._facet_sets):
-        if set(s) <= fs:
-            facets.add(tuple(v for v in f if v not in s))
+    facets = {tuple(v for v in f if v not in s) for f in K._facets_in(K._containing(s))}
     facets.discard(())
     verts = sorted({v for f in facets for v in f}, key=K.rank)
     return SimplicialComplex(verts, facets)
@@ -230,16 +268,12 @@ def star_delete(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
     if len(s) == 0:
         # deleting the cofaces of the empty simplex removes everything
         return SimplicialComplex((), ())
-    sset = set(s)
-    facets = set()
-    for f, fs in zip(K.facets, K._facet_sets):
-        if sset <= fs:
-            # keep the maximal proper faces not containing I
-            for g in itertools.combinations(f, len(f) - 1):
-                if not sset <= set(g):
-                    facets.add(g)
-        else:
-            facets.add(f)
+    inside = K._facets_in(K._containing(s))
+    facets = set(K.facets).difference(inside)
+    for f in inside:
+        # keep the maximal proper faces not containing I: drop one vertex of I
+        for v in s:
+            facets.add(tuple(w for w in f if w != v))
     verts = list(K.vertices)
     if len(s) == 1:
         verts.remove(s[0])

@@ -226,6 +226,21 @@ def test_internal_key_error_is_not_an_input_error(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_out_into_missing_directory_fails_before_computing(capsys, monkeypatch, tmp_path):
+    from matk import hochster
+
+    calls = []
+    monkeypatch.setattr(hochster, "hochster_decompose", lambda *a, **k: calls.append(a))
+    target = tmp_path / "nodir" / "x.json"
+    code, out = run_json(capsys, "hochster", str(FIX / "truncated-octahedron.json"),
+                         "--out", str(target))
+    assert code == 1
+    assert out["error"]["type"] == "OutputDirectoryMissing"
+    assert str(target) in out["error"]["message"]
+    assert calls == []
+    assert not target.parent.exists()
+
+
 def test_out_flag_writes_stable_json(capsys, tmp_path):
     out = tmp_path / "res.json"
     code = main(["hochster", str(FIX / "fig1.json"), "--ring", "Z",

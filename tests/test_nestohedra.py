@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matk.exactalg import QQ, ZZ
 from matk.nestohedra import (
@@ -47,31 +48,80 @@ def test_nested_set_complex_of_simplex():
     assert N == simplex_boundary(["v{1}", "v{2}", "v{3}"])
 
 
+def admissible(family, B):
+    """The definition, checked on the whole family: members pairwise nested
+    or disjoint, and no pairwise-disjoint subfamily of two or more members
+    unions into the building set."""
+    for S, T in itertools.combinations(family, 2):
+        if not (S <= T or T <= S or not (S & T)):
+            return False
+    for size in range(2, len(family) + 1):
+        for sub in itertools.combinations(family, size):
+            if all(not (a & b) for a, b in itertools.combinations(sub, 2)):
+                if frozenset().union(*sub) in B.sets:
+                    return False
+    return True
+
+
 def brute_force_nested_sets(B):
+    """Every admissible family of non-maximal members, by size.
+
+    Admissibility passes to subfamilies, so every admissible family of size
+    k + 1 is an admissible family of size k plus one later member; each
+    candidate is checked whole by ``admissible``.
+    """
     maximal = set(B.maximal())
     members = sorted((S for S in B.members() if S not in maximal),
                      key=lambda S: tuple(sorted(S)))
-    faces = []
-    for size in range(1, len(members) + 1):
-        found_any = False
-        for family in itertools.combinations(members, size):
-            ok = all(S <= T or T <= S or not (S & T)
-                     for S, T in itertools.combinations(family, 2))
-            if ok:
-                for m in range(2, size + 1):
-                    for sub in itertools.combinations(family, m):
-                        if all(not (a & b) for a, b in itertools.combinations(sub, 2)) \
-                                and frozenset().union(*sub) in B.sets:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                faces.append(family)
-                found_any = True
-        if not found_any:
-            break
-    return faces
+    levels = [[()]]
+    while levels[-1]:
+        levels.append([
+            F + (j,)
+            for F in levels[-1]
+            for j in range(F[-1] + 1 if F else 0, len(members))
+            if admissible([members[i] for i in F + (j,)], B)
+        ])
+    return [tuple(members[i] for i in F) for level in levels[1:] for F in level]
+
+
+def maximal_nested_sets(B):
+    families = {frozenset(F) for F in brute_force_nested_sets(B)}
+    grown = {F - {S} for F in families for S in F}
+    return {F for F in families if F not in grown}
+
+
+def assert_matches_definition(B):
+    N = nested_set_complex(B)
+    maximal = set(B.maximal())
+    members = sorted((S for S in B.members() if S not in maximal),
+                     key=lambda S: tuple(sorted(S)))
+    assert N.vertices == tuple(subset_label(S) for S in members)
+    assert {frozenset(f) for f in N.facets} == {
+        frozenset(subset_label(S) for S in F) for F in maximal_nested_sets(B)}
+
+
+@pytest.mark.parametrize("kind,n", [
+    ("permutahedron", 2), ("permutahedron", 3), ("permutahedron", 4),
+    ("stellohedron", 2), ("stellohedron", 3), ("stellohedron", 4),
+])
+def test_nested_set_complex_matches_the_definition(kind, n):
+    B = (permutahedron_building_set if kind == "permutahedron"
+         else stellohedron_building_set)(n)
+    assert_matches_definition(B)
+
+
+@st.composite
+def graphical_building_sets(draw, max_ground=5):
+    n = draw(st.integers(1, max_ground))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return graphical_building_set(n, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphical_building_sets())
+def test_nested_set_complex_matches_the_definition_on_graphs(B):
+    assert_matches_definition(B)
 
 
 def test_permutahedron3_is_a_small_sphere():

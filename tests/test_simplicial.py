@@ -10,6 +10,7 @@ from matk.simplicial import (
     LabelCollision,
     SimplexNotInComplex,
     SimplicialComplex,
+    UnknownVertex,
     boundary_star,
     complex_from_json,
     complex_to_json,
@@ -299,3 +300,85 @@ def test_reorder_keeps_face_set(K):
     order = sorted(K.vertices, reverse=True)
     R = reorder_vertices(K, order)
     assert {frozenset(f) for f in R.all_faces()} == {frozenset(f) for f in K.all_faces()}
+
+
+# -- the face index -------------------------------------------------------------
+
+@st.composite
+def raw_complexes(draw, max_vertices=6):
+    """Vertex labels and facet lists as a caller might pass them: repeats,
+    non-maximal and empty facets, and vertices in no facet."""
+    n = draw(st.integers(0, max_vertices))
+    labels = [str(i + 1) for i in range(n)]
+    facets = draw(st.lists(
+        st.lists(st.sampled_from(labels), max_size=4) if labels else st.just([]),
+        max_size=8))
+    return labels, facets
+
+
+def _maximal_family(labels, facets):
+    family = {frozenset(f) for f in facets} | {frozenset((v,)) for v in labels}
+    return {f for f in family if not any(f < g for g in family)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_complexes())
+def test_facets_are_the_maximal_input_faces(raw):
+    labels, facets = raw
+    K = SimplicialComplex(labels, facets)
+    assert {frozenset(f) for f in K.facets} == _maximal_family(labels, facets)
+    assert len(set(K.facets)) == len(K.facets)
+    ranks = [tuple(K.rank(v) for v in f) for f in K.facets]
+    assert all(list(r) == sorted(r) for r in ranks)
+    assert ranks == sorted(ranks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_complexes(), st.data())
+def test_has_face_is_containment_in_some_facet(raw, data):
+    labels, facets = raw
+    K = SimplicialComplex(labels, facets)
+    family = _maximal_family(labels, facets)
+    pool = labels + ["?", "0", "x1"]
+    for _ in range(10):
+        q = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+        assert K.has_face(q) == (not q or any(set(q) <= f for f in family))
+        assert K.has_face(iter(q)) == K.has_face(tuple(q))
+    assert K.has_face(())
+    assert not K.has_face(("?",))
+
+
+def test_empty_facet_survives_only_alone():
+    assert SimplicialComplex([], []).facets == ()
+    assert SimplicialComplex([], [[]]).facets == ((),)
+    assert SimplicialComplex(["a"], [[]]).facets == (("a",),)
+    assert SimplicialComplex(["a", "b"], [[], ["b", "a"]]).facets == (("a", "b"),)
+    for K in (SimplicialComplex([], []), SimplicialComplex([], [[]])):
+        assert K.has_face(()) and not K.has_face(("a",))
+        assert K.dim == -1
+
+
+def test_sort_simplex_orders_by_rank_and_rejects_unknown_vertices():
+    K = SimplicialComplex(["c", "a", "b"], [["a", "b", "c"]])
+    assert K.sort_simplex(["b", "a", "c", "a"]) == ("c", "a", "b")
+    assert K.faces(1) == (("c", "a"), ("c", "b"), ("a", "b"))
+    with pytest.raises(UnknownVertex):
+        K.sort_simplex(["a", "z"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(), st.data())
+def test_star_link_and_deletion_read_the_index(K, data):
+    faces = K.all_faces(include_empty=True)
+    s = data.draw(st.sampled_from(faces))
+    cofaces = [f for f in K.facets if set(s) <= set(f)]
+    assert star(K, s).facets == SimplicialComplex(
+        sorted({v for f in cofaces for v in f}, key=K.rank), cofaces).facets
+    assert set(link(K, s).all_faces()) == {
+        f for f in star(K, s).all_faces() if not set(f) & set(s)}
+    if s:
+        kept = {f for f in K.all_faces() if not set(s) <= set(f)}
+        assert set(star_delete(K, s).all_faces()) == kept
+    J = data.draw(st.sets(st.sampled_from(K.vertices)))
+    assert set(full_subcomplex(K, J).all_faces()) == {
+        f for f in K.all_faces() if set(f) <= J}
