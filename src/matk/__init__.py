@@ -1,5 +1,6 @@
 """matk: exact computation in the cohomology of moment-angle complexes."""
 
+from .errors import MatkError
 from .exactalg import GF, QQ, ZZ, AbelianGroup, Ring
 from .simplicial import (
     SimplicialComplex,

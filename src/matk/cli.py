@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Every invocation reads JSON, writes one JSON object (stdout or --out) with
-sorted keys, and logs nothing to stdout.  Exit codes: 0 success, 1 domain
-error (reported as a structured JSON error object), 2 usage error.
+sorted keys, and logs nothing to stdout.  Exit codes: 0 success, 1 bad input,
+2 usage error.  Bad input is a ``MatkError`` or an input file that cannot be
+read or is not JSON; it is reported as a JSON error object ``{"error":
+{"type", "message"}}`` on stdout.  Any other exception is an internal fault
+and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import os
 import sys
 
 from . import cochains, constructions, hochster, massey, nestohedra, simplicial
-from .exactalg import DivisionByZero, Ring
+from .errors import MatkError, parse_int
+from .exactalg import Ring
 
 
-class DomainError(Exception):
-    pass
+class DomainError(MatkError):
+    """Bad input that only the command line can see, such as a flag value."""
 
 
 class OutputDirectoryMissing(DomainError):
@@ -36,13 +40,6 @@ def _emit(obj, out: str | None):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _ring(name: str) -> Ring:
-    try:
-        return Ring.parse(name)
-    except ValueError as e:
-        raise DomainError(str(e)) from None
 
 
 def _complex(path: str) -> simplicial.SimplicialComplex:
@@ -77,7 +74,7 @@ def cmd_subcomplex(args):
 
 def cmd_homology(args):
     K = _complex(args.input)
-    ring = _ring(args.ring)
+    ring = Ring.parse(args.ring)
     J = _vertices(args.J) if args.J else K.vertices
     H = cochains.reduced_cohomology(K, J, ring)
     groups = {
@@ -89,14 +86,14 @@ def cmd_homology(args):
 
 def cmd_hochster(args):
     K = _complex(args.input)
-    ring = _ring(args.ring)
+    ring = Ring.parse(args.ring)
     table = hochster.hochster_decompose(K, ring, cap=args.cap)
     _emit(table.to_json(), args.out)
 
 
 def cmd_zk_oracle(args):
     K = _complex(args.input)
-    ring = _ring(args.ring)
+    ring = Ring.parse(args.ring)
     groups = hochster.moment_angle_cw_oracle(K, ring, cap=args.cap)
     _emit({
         "ring": ring.name(),
@@ -106,7 +103,7 @@ def cmd_zk_oracle(args):
 
 def cmd_product(args):
     K = _complex(args.input)
-    ring = _ring(args.ring)
+    ring = Ring.parse(args.ring)
     classes = _classes(args.classes, K, ring)
     if len(classes) != 2:
         raise DomainError("product needs exactly two classes")
@@ -123,7 +120,7 @@ def cmd_product(args):
 
 def cmd_massey(args):
     K = _complex(args.input)
-    ring = _ring(args.ring)
+    ring = Ring.parse(args.ring)
     classes = _classes(args.classes, K, ring)
     n = len(classes)
     if args.order is not None and args.order != n:
@@ -195,17 +192,9 @@ def cmd_stretch(args):
         problems.append("vertex order violates the preimage-block contract")
     links_ok = True
     if not problems:
-        current = source
-        assignment = {v: v for v in source.vertices}
-        for w in Khat.vertices:
-            while True:
-                fiber = sorted({assignment[v] for v in phi.fiber(w)}, key=current.rank)
-                if len(fiber) <= 1:
-                    break
-                step = simplicial.contract_edge(current, fiber[:2])
-                links_ok = links_ok and step.link_condition
-                assignment = {v: step.map.assignment[assignment[v]] for v in source.vertices}
-                current = step.complex
+        fibers = [phi.fiber(w) for w in Khat.vertices]
+        _, _, links_ok = constructions.contract_edges(
+            source, [(f[0], v) for f in fibers for v in f[1:]], require_link=False)
     out = {
         "valid": not problems,
         "problems": problems,
@@ -213,7 +202,7 @@ def cmd_stretch(args):
         "complex": simplicial.complex_to_json(source),
     }
     if args.classes and not problems:
-        ring = _ring(args.ring)
+        ring = Ring.parse(args.ring)
         pulled = []
         for cls in _classes(args.classes, Khat, ring):
             a = constructions.pullback_class(phi, cls.representative)
@@ -232,8 +221,10 @@ def _parse_pairs(arg: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        i, k = chunk.split(",")
-        pairs.append((int(i), int(k)))
+        pair = chunk.split(",")
+        if len(pair) != 2:
+            raise DomainError(f"--pairs chunk {chunk!r} is not one pair i,k")
+        pairs.append(tuple(parse_int(x, "--pairs index") for x in pair))
     return pairs
 
 
@@ -329,32 +320,6 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-DOMAIN_ERRORS = (
-    DomainError,
-    DivisionByZero,
-    simplicial.SimplicialError,
-    simplicial.MissingField,
-    cochains.GradingMismatch,
-    cochains.AmbientMismatch,
-    cochains.VertexNotInSet,
-    hochster.VertexCapExceeded,
-    massey.OverlappingSupports,
-    massey.RingNotFinite,
-    massey.InvalidDefiningSystem,
-    constructions.InvalidSpec,
-    constructions.ZeroClass,
-    constructions.SupportContainsContractedEdge,
-    constructions.DiagonalTouchesEdge,
-    constructions.InvalidUpstairsSystem,
-    nestohedra.MissingSingleton,
-    nestohedra.NotUnionClosed,
-    nestohedra.InvalidTruncationPair,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    ValueError,
-)
-
-
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -362,7 +327,7 @@ def main(argv=None) -> int:
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise OutputDirectoryMissing(f"no directory for --out {args.out!r}")
         args.fn(args)
-    except DOMAIN_ERRORS as err:
+    except (MatkError, OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         _emit({"error": {"type": type(err).__name__, "message": str(err)}}, None)
         return 1
     return 0

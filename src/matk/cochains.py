@@ -27,19 +27,20 @@ import functools
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import exactalg
+from .errors import MatkError
 from .exactalg import Ring
 from .simplicial import SimplicialComplex, full_subcomplex, json_field
 
 
-class GradingMismatch(ValueError):
+class GradingMismatch(MatkError):
     pass
 
 
-class AmbientMismatch(ValueError):
+class AmbientMismatch(MatkError):
     pass
 
 
-class VertexNotInSet(ValueError):
+class VertexNotInSet(MatkError):
     pass
 
 

@@ -25,12 +25,15 @@ from .cochains import (
     Cochain,
     boundary,
     coboundary,
+    cochain_from_json,
+    cochain_to_json,
     cup_multiply,
     epsilon,
     epsilon_set,
     evaluate,
     reduced_cohomology,
 )
+from .errors import MatkError, parse_int
 from .exactalg import GF, Ring
 from .hochster import CohomologyClass
 from .massey import (
@@ -38,34 +41,39 @@ from .massey import (
     check_defining_system,
     associated_cocycle,
     enumerate_defining_systems,
+    find_evaluating_cycle,
 )
 from .simplicial import (
     OrderIncompatibleMap,
     SimplicialComplex,
+    SimplicialError,
     VertexMap,
+    complex_from_json,
+    complex_to_json,
     contract_edge,
     join,
+    json_field,
     star_delete,
 )
 
 
-class ZeroClass(ValueError):
+class ZeroClass(MatkError):
     pass
 
 
-class InvalidSpec(ValueError):
+class InvalidSpec(MatkError):
     pass
 
 
-class SupportContainsContractedEdge(ValueError):
+class SupportContainsContractedEdge(MatkError):
     pass
 
 
-class DiagonalTouchesEdge(ValueError):
+class DiagonalTouchesEdge(MatkError):
     pass
 
 
-class InvalidUpstairsSystem(ValueError):
+class InvalidUpstairsSystem(MatkError):
     pass
 
 
@@ -277,13 +285,6 @@ def canonical_defining_system_joins(spec: JoinMasseySpec, K: SimplicialComplex) 
     return DefiningSystem(tuple(classes), entries)
 
 
-def _cycle_pairing_with(a: Cochain):
-    """A small-support cycle x with <a, x> nonzero over a's ring, or None."""
-    from .massey import find_evaluating_cycle
-
-    return find_evaluating_cycle(a, prefer_small=True)
-
-
 def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
     """The explicit cycle certifying non-triviality: a pairing cycle for a_1
     joined with boundary spheres of sigma_2 ∪ sigma_n and of the inner
@@ -295,14 +296,14 @@ def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
     ring = spec.ring
     a1 = Cochain(K, ring, spec.cochains[0].J, spec.cochains[0].p,
                  dict(spec.cochains[0].coeffs))
-    x1 = _cycle_pairing_with(a1)
+    x1 = find_evaluating_cycle(a1, prefer_small=True)
     if x1 is None and ring.kind == "Z":
         for p in (2, 3, 5, 7, 11, 13):
             modp = GF(p)
             reduced = Cochain(K, modp, a1.J, a1.p,
                               {s: modp.of_int(c) for s, c in a1.coeffs.items()})
             if not reduced.is_zero():
-                x1 = _cycle_pairing_with(reduced)
+                x1 = find_evaluating_cycle(reduced, prefer_small=True)
                 if x1 is not None:
                     ring = modp
                     break
@@ -318,11 +319,8 @@ def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
     if n == 2:
         # nothing is deleted for n = 2, so a product of pairing cycles works
         a2 = _as_ring(Cochain(K, spec.ring, spec.cochains[1].J, spec.cochains[1].p,
-                              dict(spec.cochains[1].coeffs)), ring) \
-            if ring != spec.ring else \
-            Cochain(K, ring, spec.cochains[1].J, spec.cochains[1].p,
-                    dict(spec.cochains[1].coeffs))
-        x2 = _cycle_pairing_with(a2)
+                              dict(spec.cochains[1].coeffs)), ring)
+        x2 = find_evaluating_cycle(a2, prefer_small=True)
         if x2 is None:
             raise InvalidSpec("no cycle pairs nontrivially with the second class")
         for s1, c1 in x1.coeffs.items():
@@ -649,9 +647,6 @@ def disjointify_defining_system(ds: DefiningSystem, edge: Iterable[str]) -> Defi
 
 
 def spec_to_json(spec: JoinMasseySpec) -> dict:
-    from .cochains import cochain_to_json
-    from .simplicial import complex_to_json
-
     return {
         "ring": spec.ring.name(),
         "factors": [complex_to_json(K) for K in spec.factors],
@@ -666,9 +661,6 @@ def spec_to_json(spec: JoinMasseySpec) -> dict:
 
 
 def spec_from_json(obj: Mapping) -> JoinMasseySpec:
-    from .cochains import cochain_from_json
-    from .simplicial import complex_from_json, json_field
-
     ring = Ring.parse(json_field(obj, "ring", "spec"))
     factors = tuple(complex_from_json(K) for K in json_field(obj, "factors", "spec"))
     cochains = tuple(
@@ -683,7 +675,7 @@ def spec_from_json(obj: Mapping) -> JoinMasseySpec:
                 break
         vertex_choice[s] = json_field(entry, "vertex", "vertex choice")
     support_order = {
-        int(i): [tuple(s) for s in order]
+        parse_int(i, "support-order factor"): [tuple(s) for s in order]
         for i, order in obj.get("support_order", {}).items()
     }
     return JoinMasseySpec(factors, cochains, vertex_choice, support_order)
@@ -701,11 +693,11 @@ def contract_edges(K: SimplicialComplex, edges: Sequence, require_link: bool = T
     for (u, w) in edges:
         uu, ww = assignment[u], assignment[w]
         if uu == ww:
-            raise ValueError(f"edge {u},{w} already collapsed")
+            raise SimplicialError(f"edge {u},{w} already collapsed")
         contracted = contract_edge(current, (uu, ww))
         all_ok = all_ok and contracted.link_condition
         if require_link and not contracted.link_condition:
-            raise ValueError(f"edge {u},{w} fails the link condition")
+            raise SimplicialError(f"edge {u},{w} fails the link condition")
         step = contracted.map
         assignment = {v: step.assignment[assignment[v]] for v in K.vertices}
         current = contracted.complex

@@ -23,26 +23,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Optional, Sequence
 
+from .errors import MalformedInput, MatkError, parse_int
 
-class NotPrime(ValueError):
+
+class NotPrime(MatkError):
     pass
 
 
-class DivisionByZero(ZeroDivisionError):
+class DivisionByZero(MatkError, ZeroDivisionError):
     """Division by an element that is zero in the ring (such as 2 in F2)."""
-
-
-def _factorint(n: int) -> dict:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _is_prime(n: int) -> bool:
@@ -126,13 +115,11 @@ class Ring:
         return str(a)
 
     def element_from_str(self, s: str):
-        s = s.strip()
-        if "/" in s:
-            num, den = s.split("/")
-            if self.kind == "Z":
-                raise ValueError(f"{s!r} is not an integer")
-            return self.div(self.of_int(int(num)), self.of_int(int(den)))
-        return self.of_int(int(s))
+        parts = s.strip().split("/")
+        if len(parts) > (1 if self.kind == "Z" else 2):
+            raise MalformedInput(f"{s!r} is not an element of {self.name()}")
+        num, *den = (self.of_int(parse_int(x, "coefficient")) for x in parts)
+        return self.div(num, den[0]) if den else num
 
     def name(self) -> str:
         return {"Z": "Z", "Q": "Q"}.get(self.kind, f"F{self.p}")
@@ -145,10 +132,10 @@ class Ring:
         if name == "Q":
             return QQ
         if name.startswith("Fp:"):
-            return GF(int(name[3:]))
+            return GF(parse_int(name[3:], "modulus"))
         if name.startswith("F"):
-            return GF(int(name[1:]))
-        raise ValueError(f"unknown ring {name!r}")
+            return GF(parse_int(name[1:], "modulus"))
+        raise MalformedInput(f"unknown ring {name!r}")
 
 
 ZZ = Ring("Z")
@@ -445,11 +432,18 @@ def _modular_invariant_factors(M) -> list:
                                       [(u * a + v * b) % d for a, b in zip(B[t], B[i])])
                 B = [list(col) for col in zip(*B)]
         diag.append(gcd(B[t][t], d))
-    for i in range(len(diag)):  # diag(a, b) ~ diag(gcd, lcm): a divisibility chain
+    return _divisibility_chain(diag)[:r]
+
+
+def _divisibility_chain(diag: list) -> list:
+    """The invariant factors of a diagonal matrix of positive integers:
+    diag(a, b) ~ diag(gcd, lcm), applied pairwise, gives d1 | d2 | ..."""
+    diag = list(diag)
+    for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return diag[:r]
+    return diag
 
 
 def _invariant_factors(rows, ring: Ring) -> list:
@@ -606,25 +600,9 @@ class AbelianGroup:
     def direct_sum(self, *others: "AbelianGroup") -> "AbelianGroup":
         """Direct sum, renormalized to a divisibility chain of invariant factors."""
         groups = (self,) + others
-        rank = sum(g.free_rank for g in groups)
-        primary: dict[int, list] = {}
-        for g in groups:
-            for d in g.torsion:
-                for p, e in _factorint(d).items():
-                    primary.setdefault(p, []).append(e)
-        chains = []
-        for p, exps in primary.items():
-            exps.sort(reverse=True)
-            chains.append([p ** e for e in exps])
-        width = max((len(c) for c in chains), default=0)
-        factors = []
-        for i in range(width):
-            f = 1
-            for c in chains:
-                if i < len(c):
-                    f *= c[i]
-            factors.append(f)
-        return AbelianGroup(rank, tuple(sorted(factors)))
+        chain = _divisibility_chain([d for g in groups for d in g.torsion])
+        return AbelianGroup(sum(g.free_rank for g in groups),
+                            tuple(d for d in chain if d != 1))
 
     def __str__(self):
         parts = []

@@ -19,15 +19,21 @@ from . import exactalg
 from .cochains import (
     AmbientMismatch,
     Cochain,
+    coboundary,
     cup_multiply,
     reduced_cohomology,
 )
+from .errors import MatkError
 from .exactalg import AbelianGroup, Ring
 from .simplicial import SimplicialComplex
 
 
-class VertexCapExceeded(ValueError):
+class VertexCapExceeded(MatkError):
     pass
+
+
+class NotACocycle(MatkError):
+    """A class representative whose coboundary is not zero."""
 
 
 @dataclass(frozen=True)
@@ -37,10 +43,8 @@ class CohomologyClass:
     representative: Cochain
 
     def __post_init__(self):
-        from .cochains import coboundary
-
         if not coboundary(self.representative).is_zero():
-            raise ValueError("representative must be a cocycle")
+            raise NotACocycle("representative must be a cocycle")
 
     @property
     def complex(self) -> SimplicialComplex:

@@ -39,20 +39,21 @@ from .cochains import (
     overline,
     reduced_cohomology,
 )
+from .errors import MatkError
 from .exactalg import Ring
 from .hochster import CohomologyClass
 from .simplicial import SimplicialComplex, json_field
 
 
-class OverlappingSupports(ValueError):
+class OverlappingSupports(MatkError):
     pass
 
 
-class RingNotFinite(ValueError):
+class RingNotFinite(MatkError):
     pass
 
 
-class InvalidDefiningSystem(ValueError):
+class InvalidDefiningSystem(MatkError):
     pass
 
 
@@ -295,7 +296,7 @@ def enumerate_defining_systems(classes, budget: int = 20,
     """
     classes = tuple(classes)
     if not classes:
-        raise ValueError("need at least one class")
+        raise InvalidDefiningSystem("need at least one class")
     K, ring = _common_ambient(classes)
     if ring.kind != "Fp":
         raise RingNotFinite("exhaustive enumeration needs a prime field")

@@ -17,18 +17,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .errors import MatkError, parse_int
 from .simplicial import SimplicialComplex, full_subcomplex, join, json_field, stellar_subdivide
 
 
-class MissingSingleton(ValueError):
+class MissingSingleton(MatkError):
     pass
 
 
-class NotUnionClosed(ValueError):
+class NotUnionClosed(MatkError):
     pass
 
 
-class InvalidTruncationPair(ValueError):
+class InvalidTruncationPair(MatkError):
     pass
 
 
@@ -55,7 +56,7 @@ class BuildingSet:
 
 
 def validate_building_set(ground: int, sets: Iterable) -> BuildingSet:
-    family = {frozenset(int(x) for x in S) for S in sets}
+    family = {frozenset(parse_int(x, "building-set element") for x in S) for S in sets}
     if any(not S for S in family):
         raise NotUnionClosed("empty set is not allowed")
     universe = set(range(1, ground + 1))

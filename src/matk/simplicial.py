@@ -19,11 +19,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from .errors import MatkError
+
 
 Simplex = tuple  # labels sorted by rank in the owning complex; () is the empty simplex
 
 
-class SimplicialError(ValueError):
+class SimplicialError(MatkError):
     pass
 
 
@@ -55,7 +57,7 @@ class OrderIncompatibleMap(SimplicialError):
     pass
 
 
-class MissingField(ValueError):
+class MissingField(MatkError):
     """A JSON input object lacks a field that its reader needs."""
 
 
@@ -429,10 +431,10 @@ def contract_edge(K: SimplicialComplex, edge: Iterable[str],
     satisfies the link condition (homotopy type is preserved exactly when it
     does; this is not enforced here).
     """
-    u, w = sorted(set(edge), key=K.rank)
-    s = K.sort_simplex((u, w))
+    s = K.sort_simplex(edge)
     if len(s) != 2 or not K.has_face(s):
         raise EdgeNotInComplex(f"{sorted(set(edge))} is not an edge")
+    u, w = s
     ok = link_condition(K, u, w)
     if new_label is None:
         new_label = f"{u}~{w}"

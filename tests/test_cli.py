@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matk.cli import main
+from matk.errors import MatkError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -279,3 +283,186 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["vertices"]) == 5
+
+
+def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
+    from matk import hochster
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(hochster, "hochster_decompose", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["hochster", str(FIX / "fig1.json")])
+    assert capsys.readouterr().out == ""
+
+
+def test_stretch_reports_a_contraction_failing_the_link_condition(capsys, tmp_path):
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"vertices": ["a", "b"], "facets": [["a", "b"]]}))
+    phi = tmp_path / "map.json"
+    phi.write_text(json.dumps({
+        "source": {"vertices": ["1", "2", "3"], "facets": [["1", "2"], ["2", "3"], ["1", "3"]]},
+        "assignment": {"1": "a", "2": "b", "3": "b"},
+    }))
+    code, blob = run_json(capsys, "stretch", str(edge), "--map", str(phi))
+    assert code == 0
+    assert blob["valid"] is True and blob["problems"] == []
+    assert blob["link_condition"] is False
+
+
+# -- the error boundary: bad input is a MatkError or an unreadable file --------
+
+
+def _subclass_names(cls):
+    names = {cls.__name__}
+    for sub in cls.__subclasses__():
+        names |= _subclass_names(sub)
+    return names
+
+
+INPUT_ERRORS = (_subclass_names(MatkError) | _subclass_names(OSError)
+                | {"UnicodeDecodeError", "JSONDecodeError"})
+
+
+def _fixture(name):
+    return json.loads((FIX / name).read_text())
+
+
+def _bad_inputs(root):
+    """Well-shaped input files carrying one malformed value each."""
+    classes = _fixture("fig1-classes.json")[:2]
+    blobs = {"empty": []}
+    for name, coeff in (("coeff_x", "x"), ("coeff_123", "1/2/3")):
+        blobs[name] = json.loads(json.dumps(classes))
+        blobs[name][0]["terms"][0]["coeff"] = coeff
+    blobs["noncocycle"] = json.loads(json.dumps(classes))
+    blobs["noncocycle"][0]["J"] = ["1", "4"]  # chi_1 on the edge {1,4}
+    blobs["member_a"] = _fixture("stellohedron3-building-set.json")
+    blobs["member_a"]["sets"][0] = ["a"]
+    blobs["member_float"] = _fixture("stellohedron3-building-set.json")
+    blobs["member_float"]["sets"][4] = [1.9, 2]  # not read as {1, 2}
+    blobs["spec_x"] = _fixture("joins-example.json")
+    blobs["spec_x"]["support_order"] = {"x": []}
+    paths = {}
+    for name, blob in blobs.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(blob))
+    paths["latin1"] = root / "latin1.json"
+    paths["latin1"].write_bytes(b'{"vertices": ["\xe9"], "facets": []}')
+    paths["dir"] = root
+    return paths
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["massey", "fig1.json", "--classes", "{empty}", "--ring", "F2"], "InvalidDefiningSystem"),
+    (["product", "fig1.json", "--classes", "{coeff_x}"], "MalformedInput"),
+    (["product", "fig1.json", "--classes", "{coeff_123}", "--ring", "Q"], "MalformedInput"),
+    (["product", "fig1.json", "--classes", "{noncocycle}"], "NotACocycle"),
+    (["nested-set", "{member_a}"], "MalformedInput"),
+    (["nested-set", "{member_float}"], "MalformedInput"),
+    (["nestohedron", "--kind", "cube_truncation", "--dim", "3", "--pairs", "1,2,3"],
+     "DomainError"),
+    (["construct-join", "{spec_x}"], "MalformedInput"),
+    (["hochster", "fig1.json", "--ring", "Fx"], "MalformedInput"),
+    (["hochster", "fig1.json", "--ring", "X"], "MalformedInput"),
+    (["hochster", "fig1.json", "--ring", "F4"], "NotPrime"),
+    (["build", "{dir}"], "IsADirectoryError"),
+    (["build", "{latin1}"], "UnicodeDecodeError"),
+    (["contract", "fig1.json", "--edge", "1,1"], "EdgeNotInComplex"),
+])
+def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
+    paths = _bad_inputs(tmp_path)
+    argv = [str(paths[a[1:-1]]) if a.startswith("{") else str(FIX / a) if a.endswith(".json")
+            else a for a in argv]
+    code, blob = run_json(capsys, *argv)
+    assert code == 1
+    assert blob["error"]["type"] == error
+    assert error in INPUT_ERRORS
+    if error == "DomainError":
+        assert "1,2,3" in blob["error"]["message"]
+
+
+def _run_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as err:  # argparse usage errors
+            code = err.code
+    return code, out.getvalue()
+
+
+text = st.text(max_size=6)
+rings = st.one_of(st.text(max_size=4),
+                  st.sampled_from(["Z", "Q", "F2", "F3", "F4", "Fp:5", "Fp:x", "F", "F-2"]))
+labels = st.one_of(text, st.sampled_from(["1", "4", "7", "", "1,4"]))
+
+
+@st.composite
+def malformed_runs(draw):
+    """(argv, files): a CLI call with one malformed value in a flag or in
+    a copy of a fixture that is otherwise well-shaped."""
+    fig1 = str(FIX / "fig1.json")
+    classes = _fixture("fig1-classes.json")[:2]
+    kind = draw(st.sampled_from(["coeff", "ring", "label", "member", "pairs", "support",
+                                 "classes", "dir"]))
+    if kind == "coeff":
+        classes[draw(st.integers(0, 1))]["terms"][0]["coeff"] = draw(st.one_of(
+            text, st.sampled_from(["1/0", "1/2/3", "2/4", "-1", "1/3", " 5 "])))
+        return ["product", fig1, "--classes", "{f}", "--ring", draw(rings)], {"f": classes}
+    if kind == "ring":
+        command = draw(st.sampled_from(["hochster", "homology", "massey"]))
+        extra = ["--classes", str(FIX / "fig1-classes.json")] if command == "massey" else []
+        return [command, fig1, *extra, "--ring", draw(rings)], {}
+    if kind == "label":
+        where = draw(st.sampled_from(["simplex", "J", "vertices", "edge"]))
+        label = draw(labels)
+        if where == "simplex":
+            classes[0]["terms"][0]["simplex"] = [label]
+        elif where == "J":
+            classes[1]["J"] = [label, "4"]
+        elif where == "vertices":
+            return ["subcomplex", fig1, "--vertices", f"1,{label}"], {}
+        else:
+            return ["contract", fig1, "--edge", f"{label},4"], {}
+        return ["product", fig1, "--classes", "{f}"], {"f": classes}
+    if kind == "member":
+        blob = _fixture("stellohedron3-building-set.json")
+        i = draw(st.integers(0, len(blob["sets"]) - 1))
+        j = draw(st.integers(0, len(blob["sets"][i]) - 1))
+        blob["sets"][i][j] = draw(st.one_of(text, st.integers(-3, 8),
+                                            st.sampled_from([1.5, 2.0, True, None])))
+        return ["nested-set", "{f}"], {"f": blob}
+    if kind == "pairs":
+        pairs = draw(st.text(alphabet="0123,; x-", max_size=8))
+        return ["nestohedron", "--kind", "cube_truncation", "--dim", "3", "--pairs", pairs], {}
+    if kind == "support":
+        spec = _fixture("joins-example.json")
+        spec["support_order"] = {draw(text): []}
+        return ["construct-join", "{f}"], {"f": spec}
+    if kind == "classes":
+        blob = draw(st.sampled_from([[], classes[:1], [dict(classes[0], J=["1", "4"])]]))
+        return ["massey", fig1, "--classes", "{f}", "--ring", draw(rings)], {"f": blob}
+    command = draw(st.sampled_from([["build", "{dir}"], ["massey", fig1, "--classes", "{dir}"]]))
+    return command, {}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_runs())
+def test_malformed_values_give_json_errors_never_tracebacks(fuzz_dir, run):
+    argv, files = run
+    paths = {"dir": str(fuzz_dir)}
+    for name, blob in files.items():
+        paths[name] = str(fuzz_dir / f"{name}.json")
+        pathlib.Path(paths[name]).write_text(json.dumps(blob))
+    argv = [paths[a[1:-1]] if a in ("{f}", "{dir}") else a for a in argv]
+    code, out = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert json.loads(out)["error"]["type"] in INPUT_ERRORS

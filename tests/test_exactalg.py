@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matk import exactalg
+from matk.errors import MalformedInput
 from matk.exactalg import (
     GF,
     QQ,
@@ -268,6 +269,28 @@ def test_abelian_group_formatting():
         AbelianGroup(0, (4, 2))
 
 
+def _chain(multipliers):
+    """Invariant factors d1 | d2 | ... (each > 1) as running products."""
+    return tuple(itertools.accumulate(multipliers, lambda a, b: a * b))
+
+
+groups = st.tuples(st.integers(0, 2), st.lists(st.integers(2, 6), max_size=3).map(_chain))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(groups, min_size=1, max_size=4)
+       .filter(lambda gs: sum(r + len(t) for r, t in gs) <= 6))
+def test_direct_sum_matches_the_smith_form_of_the_block_diagonal(gs):
+    # Z^r + C_d1 + ... is the cokernel of diag(d1, ..., 0 (r times))
+    diag = [d for r, t in gs for d in t + (0,) * r]
+    M = [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
+    D = smith_normal_form(M).D if M else []
+    snf = [D[i][i] for i in range(len(D))]
+    total = AbelianGroup(*gs[0]).direct_sum(*(AbelianGroup(*g) for g in gs[1:]))
+    assert total.free_rank == snf.count(0)
+    assert list(total.torsion) == [d for d in snf if d > 1]
+
+
 def test_division_by_zero_is_a_typed_error_in_every_ring():
     # 2 is zero in F2 and 3 in F3: no silent pow(0, p-2, p)
     for ring, text in ((GF(2), "1/2"), (GF(3), "1/3"), (GF(5), "2/0"), (QQ, "1/0")):
@@ -280,6 +303,23 @@ def test_division_by_zero_is_a_typed_error_in_every_ring():
         GF(3).div(1, 6)
     assert GF(3).element_from_str("1/2") == 2
     assert GF(5).element_from_str("3/4") == 2
+
+
+@pytest.mark.parametrize("ring,text", [
+    (ZZ, "x"), (ZZ, ""), (ZZ, "1/2"), (QQ, "1/2/3"), (QQ, "1/x"), (GF(3), "/"), (GF(2), "1.5"),
+])
+def test_malformed_element_is_typed(ring, text):
+    with pytest.raises(MalformedInput):
+        ring.element_from_str(text)
+
+
+@pytest.mark.parametrize("name,error", [
+    ("Fx", MalformedInput), ("Fp:", MalformedInput), ("X", MalformedInput),
+    ("F4", NotPrime), ("F-3", NotPrime), ("F1", NotPrime),
+])
+def test_malformed_ring_name_is_typed(name, error):
+    with pytest.raises(error):
+        Ring.parse(name)
 
 
 def _random_sparse_matrix(data, max_dim):
