@@ -104,8 +104,21 @@ class _Graded:
     def coefficient(self, simplex):
         return self.coeffs.get(self.complex.sort_simplex(simplex), self.ring.zero)
 
-    def _like(self, coeffs, p=None):
-        return type(self)(self.complex, self.ring, self.J, self.p if p is None else p, coeffs)
+    @classmethod
+    def zero(cls, K: SimplicialComplex, ring: Ring, J, p: int):
+        return cls(K, ring, J, p, {})
+
+    @classmethod
+    def _trusted(cls, complex: SimplicialComplex, ring: Ring, J: tuple, p: int, coeffs: Mapping):
+        """An instance from terms known valid (J sorted, keys sorted p-faces
+        of K_J, ring elements as values); only zero terms are dropped."""
+        out = cls.__new__(cls)
+        out.complex, out.ring, out.J, out.p = complex, ring, J, p
+        out.coeffs = {s: c for s, c in coeffs.items() if c}
+        return out
+
+    def _like(self, coeffs):
+        return self._trusted(self.complex, self.ring, self.J, self.p, coeffs)
 
     def _check_compatible(self, other):
         if self.complex != other.complex or self.ring != other.ring:
@@ -153,20 +166,12 @@ class Cochain(_Graded):
         s = K.sort_simplex(simplex)
         return Cochain(K, ring, s if J is None else J, len(s) - 1, {s: ring.one})
 
-    @staticmethod
-    def zero(K: SimplicialComplex, ring: Ring, J, p: int) -> "Cochain":
-        return Cochain(K, ring, J, p, {})
-
 
 class Chain(_Graded):
     @staticmethod
     def delta(K: SimplicialComplex, ring: Ring, simplex, J=None) -> "Chain":
         s = K.sort_simplex(simplex)
         return Chain(K, ring, s if J is None else J, len(s) - 1, {s: ring.one})
-
-    @staticmethod
-    def zero(K: SimplicialComplex, ring: Ring, J, p: int) -> "Chain":
-        return Chain(K, ring, J, p, {})
 
 
 def coboundary(a: Cochain) -> Cochain:
@@ -255,30 +260,6 @@ def cup_multiply(a: Cochain, b: Cochain) -> Cochain:
     return Cochain(K, ring, union, p_out, out)
 
 
-def cup_multiply_reference(a: Cochain, b: Cochain) -> Cochain:
-    """The general-zeta formula with no fast path; used to validate the
-    ordered-blocks shortcut."""
-    if a.complex != b.complex or a.ring != b.ring:
-        raise AmbientMismatch("product needs one ambient complex and one ring")
-    K, ring = a.complex, a.ring
-    I, J = a.J, b.J
-    union = K.sort_simplex(I + J)
-    p_out = a.p + b.p + 1
-    if set(I) & set(J):
-        return Cochain.zero(K, ring, union, p_out)
-    out: dict = {}
-    for L, ca in a.coeffs.items():
-        for M, cb in b.coeffs.items():
-            s = K.sort_simplex(L + M)
-            if not K.has_face(s):
-                continue
-            sign = (epsilon_set(K, L, I) * epsilon_set(K, M, J)
-                    * _zeta(K, I, L, J, M) * epsilon_set(K, s, union))
-            term = ring.mul(ring.mul(ca, cb), ring.of_int(sign))
-            out[s] = ring.add(out.get(s, ring.zero), term)
-    return Cochain(K, ring, union, p_out, out)
-
-
 def total_degree(a: Cochain) -> int:
     """Degree of the corresponding class of the moment-angle complex."""
     return a.p + len(a.J) + 1
@@ -301,11 +282,12 @@ class CohomologyBasis(NamedTuple):
 class ReducedCohomology:
     """All reduced cohomology data of one full subcomplex K_J over one ring.
 
-    Matrices are built from the simplex bases of K_J once.  Each coboundary
-    d: C^p -> C^{p+1} is factored once into an ``exactalg.Solver``, kept per
-    degree: its kernel is the cocycle basis, and every solve against it
-    (a primitive of a coboundary, coboundary membership, the class key of a
-    cocycle) is a matrix-vector product.
+    Matrices are sparse rows in the simplex bases of K_J, built when needed
+    and not kept.  Each coboundary d: C^p -> C^{p+1} is factored once into an
+    ``exactalg.Solver``, kept per degree: its kernel is the cocycle basis,
+    and every solve against it (a primitive of a coboundary, coboundary
+    membership, the class key of a cocycle) is a sparse product and a
+    back-substitution.  Only the groups are computed without a ``Solver``.
     """
 
     def __init__(self, K: SimplicialComplex, J, ring: Ring):
@@ -314,7 +296,6 @@ class ReducedCohomology:
         self.J = K.sort_simplex(J)
         self.KJ = full_subcomplex(K, self.J)
         self.max_p = self.KJ.dim
-        self._delta: dict[int, list] = {}
         self._groups: dict[int, exactalg.AbelianGroup] = {}
         self._solvers: dict[int, exactalg.Solver] = {}
         self._cycles: dict[int, list] = {}
@@ -333,30 +314,24 @@ class ReducedCohomology:
         return v
 
     def cochain(self, vec, p: int) -> Cochain:
-        basis = self.simplices(p)
-        return Cochain(self.complex, self.ring, self.J, p,
-                       {s: c for s, c in zip(basis, vec)})
+        return Cochain._trusted(self.complex, self.ring, self.J, p,
+                                dict(zip(self.simplices(p), vec)))
 
-    def _coboundary_rows(self, p: int) -> list:
+    def delta_matrix(self, p: int) -> list:
         """d: C^p -> C^{p+1} as integer rows, one per (p+1)-simplex t:
         chi_{t minus t_r} maps to (-1)^r chi_t, the epsilon sign of t_r."""
         idx = {s: i for i, s in enumerate(self.simplices(p))}
         return [{idx[t[:r] + t[r + 1:]]: -1 if r % 2 else 1 for r in range(len(t))}
                 for t in self.simplices(p + 1)]
 
-    def delta_matrix(self, p: int) -> list:
-        """Matrix of d: C^p -> C^{p+1} in the simplex bases."""
-        if p not in self._delta:
-            ring = self.ring
-            n = len(self.simplices(p))
-            M = []
-            for row in self._coboundary_rows(p):
-                dense = [ring.zero] * n
-                for j, a in row.items():
-                    dense[j] = ring.of_int(a)
-                M.append(dense)
-            self._delta[p] = M
-        return self._delta[p]
+    def _boundary_rows(self, q: int) -> list:
+        """d: C^{q-1} -> C^q transposed, the boundary C_q -> C_{q-1}: one row
+        per (q-1)-simplex s, holding the coefficients of d(chi_s)."""
+        rows = [{} for _ in self.simplices(q - 1)]
+        for i, row in enumerate(self.delta_matrix(q - 1)):
+            for j, a in row.items():
+                rows[j][i] = a
+        return rows
 
     def solver(self, p: int) -> exactalg.Solver:
         """d: C^p -> C^{p+1}, factored on first use."""
@@ -374,7 +349,7 @@ class ReducedCohomology:
             degrees = range(-1, self.max_p + 1)
             self._groups = exactalg.cohomology_groups(
                 {p: len(self.simplices(p)) for p in degrees},
-                {p: self._coboundary_rows(p) for p in degrees[:-1]},
+                {p: self.delta_matrix(p) for p in degrees[:-1]},
                 self.ring)
         return dict(self._groups)
 
@@ -383,15 +358,17 @@ class ReducedCohomology:
 
     def coboundary_basis(self, p: int) -> list:
         """The nonzero images d(chi_s) of the (p-1)-simplices s, in order."""
-        images = exactalg.transpose(self.delta_matrix(p - 1), len(self.simplices(p - 1)))
-        return [self.cochain(v, p) for v in images if any(v)]
+        basis, of_int = self.simplices(p), self.ring.of_int
+        return [Cochain._trusted(self.complex, self.ring, self.J, p,
+                                 {basis[j]: of_int(a) for j, a in row.items()})
+                for row in self._boundary_rows(p) if row]
 
     def cycle_basis(self, q: int) -> list:
-        """A basis of the q-cycles as vectors: the kernel of the boundary,
-        which is d: C^{q-1} -> C^q transposed; found once per degree."""
+        """A basis of the q-cycles as vectors: the kernel of the boundary
+        C_q -> C_{q-1}; found once per degree."""
         if q not in self._cycles:
-            boundary = exactalg.transpose(self.delta_matrix(q - 1), len(self.simplices(q - 1)))
-            self._cycles[q] = exactalg.Solver(boundary, self.ring, len(self.simplices(q))).kernel
+            self._cycles[q] = exactalg.Solver(self._boundary_rows(q), self.ring,
+                                              len(self.simplices(q))).kernel
         return self._cycles[q]
 
     def degree_data(self, p: int) -> CohomologyBasis:
@@ -413,9 +390,6 @@ class ReducedCohomology:
 
     def are_cohomologous(self, a: Cochain, b: Cochain) -> bool:
         return self.is_coboundary(a - b)
-
-    def is_zero_class(self, a: Cochain) -> bool:
-        return self.is_coboundary(a)
 
     def _check(self, a: Cochain):
         if a.complex != self.complex or a.ring != self.ring or a.J != self.J:

@@ -29,7 +29,6 @@ from .cochains import (
     cochain_to_json,
     cup_multiply,
     epsilon,
-    epsilon_set,
     evaluate,
     reduced_cohomology,
 )
@@ -354,11 +353,11 @@ def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
 
 @dataclass
 class JoinCertificate:
-    method: str  # "pairing", "pairing-after-moves", "enumeration-F2"
+    method: str  # "pairing" or "enumeration-F2"
     omega: Cochain
     cycle: Optional[Chain]
     value: Optional[object]
-    moves: int = 0
+    moves: int = 0  # no rewriting moves are made; kept in the certificate JSON
 
 
 def _as_ring(a: Cochain, ring: Ring) -> Cochain:
@@ -377,70 +376,13 @@ def _as_ring(a: Cochain, ring: Ring) -> Cochain:
                    {s: reduce_coeff(c) for s, c in a.coeffs.items()})
 
 
-def pair_off_supports(omega: Cochain, x: Chain, move_cap: int):
-    """Rewrite the cocycle and the cycle within their classes until the
-    pairing is visibly nonzero or no rewriting move applies.
-
-    Two moves, each targeting one accidental common support simplex tau:
-    push the cycle across a coface of tau none of whose other faces meet the
-    cocycle's support, or slide the cocycle off tau by the coboundary of a
-    facet tau shares with another cycle simplex.  Returns
-    (omega', x', value, moves) with value None when the loop stalls.
-    """
-    K = omega.complex
-    ring = omega.ring
-    moves = 0
-    while moves <= move_cap:
-        value = evaluate(omega, x)
-        if not ring.is_zero(value):
-            return omega, x, value, moves
-        common = sorted(set(omega.support) & set(x.coeffs), key=len)
-        if not common:
-            return omega, x, None, moves
-        tau = common[0]
-        moved = False
-        # replace tau in the cycle by the rest of the boundary of a coface
-        for v in [v for v in omega.J if v not in tau]:
-            A = K.sort_simplex(tau + (v,))
-            if not K.has_face(A):
-                continue
-            other_faces = [f for f in itertools.combinations(A, len(tau))
-                           if f != tau and f in set(omega.support)]
-            if other_faces:
-                continue
-            eps = epsilon(K, v, A)
-            correction = boundary(Chain(K, ring, x.J, x.p + 1, {A: ring.one}))
-            x = x - correction.scale(ring.mul(x.coeffs[tau], ring.of_int(eps)))
-            moves += 1
-            moved = True
-            break
-        if moved:
-            continue
-        # slide the cocycle off tau through a shared facet of the cycle
-        for t in x.coeffs:
-            if t == tau or len(set(tau) & set(t)) != len(tau) - 1:
-                continue
-            shared = tuple(v for v in tau if v in set(t))
-            eps = epsilon_set(K, set(tau) - set(shared), tau)
-            d_chi = coboundary(Cochain(K, ring, omega.J, omega.p - 1,
-                                       {shared: ring.one}))
-            omega = omega - d_chi.scale(ring.mul(omega.coeffs[tau], ring.of_int(eps)))
-            moves += 1
-            moved = True
-            break
-        if not moved:
-            return omega, x, None, moves
-    return omega, x, None, moves
-
-
 def certify_join_nontrivial(spec: JoinMasseySpec, K: Optional[SimplicialComplex] = None,
-                            ds: Optional[DefiningSystem] = None,
-                            move_cap: Optional[int] = None) -> JoinCertificate:
+                            ds: Optional[DefiningSystem] = None) -> JoinCertificate:
     """Certify that the constructed product contains no zero class.
 
-    Pair the canonical associated cocycle against the witness cycle, rewriting
-    both off their accidental common supports when needed; if the bounded
-    rewriting loop stalls, fall back to exhaustive enumeration over F_2.
+    Pair the canonical associated cocycle against the witness cycle.  The
+    pairing depends only on the two classes, so when it is zero no rewriting
+    of either representative can help: decide exactly over F_2 instead.
     """
     if K is None:
         K, _ = construct_massey_complex(spec)
@@ -448,24 +390,18 @@ def certify_join_nontrivial(spec: JoinMasseySpec, K: Optional[SimplicialComplex]
         ds = canonical_defining_system_joins(spec, K)
     omega = associated_cocycle(ds)
     x = witness_cycle(spec, K)
-    omega = _as_ring(omega, x.ring)
-    if move_cap is None:
-        move_cap = 10 * sum(len(K.faces(p)) for p in range(K.dim + 1))
+    paired = _as_ring(omega, x.ring)
+    value = evaluate(paired, x)
+    if not x.ring.is_zero(value):
+        return JoinCertificate("pairing", paired, x, value)
 
-    omega, x, value, moves = pair_off_supports(omega, x, move_cap)
-    if value is not None:
-        method = "pairing" if moves == 0 else "pairing-after-moves"
-        return JoinCertificate(method, omega, x, value, moves)
-
-    # bounded rewriting stalled: decide exactly over F_2
     f2 = GF(2)
     classes = tuple(
         CohomologyClass(_as_ring(c.representative, f2)) for c in ds.classes
     )
     verdict = enumerate_defining_systems(classes, budget=20)
     if verdict.contains_zero is False:
-        return JoinCertificate("enumeration-F2", _as_ring(associated_cocycle(ds), f2),
-                               None, None, moves)
+        return JoinCertificate("enumeration-F2", _as_ring(omega, f2), None, None)
     raise InvalidSpec("could not certify the constructed product non-trivial")
 
 

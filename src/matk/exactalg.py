@@ -1,18 +1,17 @@
 """Exact linear algebra over Z, Q and prime fields.
 
 Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
-for rationals, and reduced residues for F_p.  Ranks and invariant factors come
-from one sparse elimination on integer rows, one ``{column: entry}`` dict per
-row.  Over Z (and Q, whose rows are scaled to integers) it pivots on units
-only and hands the small residual to a Smith form computed modulo a maximal
-minor; over F_p any nonzero entry is a pivot.  ``cohomology_groups`` gives
-these kernels the coboundary rows of a cochain complex directly and reduces
-each matrix once.  Solves go through ``Solver``, which factors one dense
-matrix (a list of rows) once and then answers each right-hand side with a
-matrix-vector product: over a field from the row echelon form of [A | I],
-over Z from the transform-tracking Smith normal form, which pivots on the
-entry of least absolute value.  It is the only code that chooses between
-the two.
+for rationals, and reduced residues for F_p.  Every matrix is a list of
+sparse rows, one ``{column: entry}`` dict per row.  Ranks and invariant
+factors come from one sparse elimination on integer rows, chosen for low
+fill-in: over Z and Q it pivots on units only and hands the small residual
+to a Smith form computed modulo a maximal minor; over F_p any nonzero entry
+is a pivot.  ``cohomology_groups`` gives this kernel the coboundary rows of
+a cochain complex directly and reduces each matrix once.  Solves go through
+``Solver``, which factors one matrix once by a column-ordered sparse
+Gauss-Jordan elimination (unit pivots only over Z, with the
+transform-tracking Smith form on the rows and columns left over) and then
+answers each right-hand side with a sparse product and a back-substitution.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Mapping, NamedTuple, Optional, Sequence
+from math import gcd
+from typing import Mapping, Optional, Sequence
 
 from .errors import MalformedInput, MatkError, parse_int
 
@@ -30,18 +29,41 @@ class NotPrime(MatkError):
     pass
 
 
+class ModulusTooLarge(MatkError):
+    """A modulus beyond the range where primality is decided exactly."""
+
+
 class DivisionByZero(MatkError, ZeroDivisionError):
     """Division by an element that is zero in the ring (such as 2 in F2)."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
+# 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < PRIMALITY_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -59,6 +81,9 @@ class Ring:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
+            if self.p is not None and self.p >= PRIMALITY_BOUND:
+                raise ModulusTooLarge(f"modulus {self.p} is not below {PRIMALITY_BOUND}, "
+                                      "up to which primality is decided exactly")
             if self.p is None or not _is_prime(self.p):
                 raise NotPrime(f"modulus {self.p!r} is not prime")
 
@@ -146,60 +171,12 @@ def GF(p: int) -> Ring:
     return Ring("Fp", p)
 
 
-def zeros(rows: int, cols: int, ring: Ring = ZZ):
-    return [[ring.zero] * cols for _ in range(rows)]
-
-
-def identity(n: int, ring: Ring = ZZ):
-    M = zeros(n, n, ring)
-    for i in range(n):
-        M[i][i] = ring.one
-    return M
-
-
-def mat_mul(A, B, ring: Ring = ZZ):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = zeros(n, m, ring)
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if ring.is_zero(a):
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                row[j] = ring.add(row[j], ring.mul(a, Bt[j]))
-    return out
-
-
-def mat_vec(A, x, ring: Ring = ZZ):
-    return [
-        _dot(row, x, ring)
-        for row in A
-    ]
-
-
-def _dot(row, x, ring: Ring):
-    s = ring.zero
-    for a, b in zip(row, x):
-        if not ring.is_zero(a) and not ring.is_zero(b):
-            s = ring.add(s, ring.mul(a, b))
-    return s
-
-
 # -- Smith normal form -------------------------------------------------------
 
 
-class SNFResult(NamedTuple):
-    D: list  # diagonal form, same shape as the input
-    U: list  # unimodular, rows x rows
-    V: list  # unimodular, cols x cols
-
-
-def smith_normal_form(M: Sequence[Sequence[int]]) -> SNFResult:
-    """U*M*V = D with D diagonal and d1 | d2 | ... ; U, V unimodular over Z.
+def smith_normal_form(M: Sequence[Sequence[int]]) -> tuple:
+    """(D, U, V) with U*M*V = D, D diagonal of M's shape with d1 | d2 | ...,
+    and U (rows x rows), V (cols x cols) unimodular over Z.
 
     Pivots on the least nonzero absolute value to limit coefficient growth.
     Diagonal entries are normalized nonnegative.
@@ -207,8 +184,8 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SNFResult:
     rows = len(M)
     cols = len(M[0]) if rows else 0
     D = [[int(x) for x in row] for row in M]
-    U = identity(rows)
-    V = identity(cols)
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -284,30 +261,10 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SNFResult:
                 V[rr][i] = -V[rr][i]
             for rr in range(rows):
                 D[rr][i] = -D[rr][i]
-    return SNFResult(D, U, V)
-
-
-def snf_diagonal(M) -> list:
-    """Invariant factors (diagonal of the Smith form) of an integer matrix,
-    padded with zeros to min(rows, cols)."""
-    k = min(len(M), len(M[0])) if M else 0
-    diag = _invariant_factors(_sparse_rows(M), ZZ)
-    return diag + [0] * (k - len(diag))
+    return D, U, V
 
 
 # -- sparse elimination: ranks, invariant factors, cochain complexes ----------
-
-
-def _sparse_rows(M, ring: Ring = ZZ) -> list:
-    """The nonzero entries of a dense matrix as integer rows.  Over Q each row
-    is scaled by the lcm of its denominators, which keeps the rank."""
-    out = []
-    for row in M:
-        if ring.kind == "Q":
-            den = lcm(*(Fraction(a).denominator for a in row))
-            row = [a * den for a in row]
-        out.append({j: int(a) for j, a in enumerate(row) if a})
-    return out
 
 
 def _sparse_reduce(M, p: int = 0):
@@ -473,107 +430,142 @@ def cohomology_groups(sizes: Mapping[int, int], deltas: Mapping[int, list],
     return out
 
 
-# -- rank / kernel / affine solving ------------------------------------------
+# -- solving: one factorization, many right-hand sides -------------------------
 
 
-def row_echelon(M, ring: Ring):
-    """Reduced row echelon form over a field; returns (R, pivot_cols)."""
-    if not ring.is_field:
-        raise ValueError("row_echelon needs a field")
-    R = [list(row) for row in M]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if not ring.is_zero(R[i][c])), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = ring.inv(R[r][c])
-        R[r] = [ring.mul(inv, x) for x in R[r]]
-        for i in range(rows):
-            if i != r and not ring.is_zero(R[i][c]):
-                f = R[i][c]
-                R[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
-
-
-def rank(M, ring: Ring) -> int:
-    return len(_invariant_factors(_sparse_rows(M, ring), ring))
-
-
-def transpose(M, cols: int) -> list:
-    """The transpose of a rows x cols matrix; cols is needed when rows = 0."""
-    return [list(col) for col in zip(*M)] if M else [[] for _ in range(cols)]
+def _subtract(row: dict, f, src: dict, p: int, index: Optional[dict] = None, i=None):
+    """row -= f * src in place (mod p if p), keeping ``index`` current for row i."""
+    for j, a in src.items():
+        new = row.get(j, 0) - f * a
+        if p:
+            new %= p
+        if new:
+            row[j] = new
+            if index is not None:
+                index[j].add(i)
+        elif j in row:
+            del row[j]
+            if index is not None:
+                index[j].discard(i)
 
 
 class Solver:
-    """A x = b for one matrix A and many right-hand sides b, factored once.
+    """A x = b for one matrix A (sparse rows, ``cols`` columns) and many
+    right-hand sides b, factored once.
 
-    This is the one place that chooses between a field and Z.  Over a field
-    the RREF of [A | I] is [R | E] with R = E A the RREF of A; over Z the
-    Smith form is U A V = D.  A right-hand side then costs one product y = E b
-    (U b over Z): the system is solvable iff y vanishes past the rank and,
-    over Z, d_i divides y_i.  The particular solution sets every free
-    coordinate to zero.  Over a field it and the kernel basis are those of
-    the RREF of [A | b], so they do not depend on when A was factored; over Z
-    the kernel basis (columns of V) generates the kernel lattice.
+    One column-ordered Gauss-Jordan elimination serves every ring: each
+    column takes as pivot the shortest non-pivot row with a usable entry
+    there (nonzero over a field, +-1 over Z), scales it to 1 and clears the
+    column from every other row, recording the row operations as a sparse E.
+    Over a field E A is then the unique reduced row echelon form of A.  Over
+    Z the rows left with entries form a residual R, and ``smith_normal_form``
+    gives U R V = D.  A right-hand side costs y = E b; it is solvable iff y
+    vanishes on the rows left empty and d_i | (U y)_i, with (U y)_i = 0 past
+    the rank of R.  The particular solution (free coordinates zero, outside
+    R over Z) and each kernel vector (one free coordinate 1, or one kernel
+    column of V) are back-substituted through the pivot rows: over a field
+    those of the echelon form, over Z a basis of the kernel lattice.
     """
 
-    def __init__(self, A, ring: Ring, cols: Optional[int] = None):
-        self.ring = ring
-        self.cols = cols = len(A[0]) if cols is None else cols
-        if ring.is_field:
-            eye = identity(len(A), ring)
-            R, pivots = row_echelon([list(a) + e for a, e in zip(A, eye)], ring)
-            self._pivots = [c for c in pivots if c < cols]
-            self._E = [row[cols:] for row in R]
-            self.rank = len(self._pivots)
-            free = sorted(set(range(cols)) - set(self._pivots))
-            self.kernel = []
-            for fc in free:
-                v = [ring.zero] * cols
-                v[fc] = ring.one
-                for r, pc in enumerate(self._pivots):
-                    v[pc] = ring.neg(R[r][fc])
-                self.kernel.append(v)
-        else:
-            D, self._E, self._V = smith_normal_form(A) if A else ([], [], identity(cols))
-            self._diag = [D[i][i] for i in range(min(len(D), cols)) if D[i][i]]
-            self.rank = len(self._diag)  # the nonzero factors come first
-            self.kernel = transpose(self._V, cols)[self.rank:]
+    def __init__(self, rows, ring: Ring, cols: int):
+        self.ring, self.cols = ring, cols
+        self._p = p = ring.p if ring.kind == "Fp" else 0
+        live: dict[int, dict] = {}
+        index: dict[int, set] = {}  # column -> rows with an entry there
+        E = [{i: 1} for i in range(len(rows))]
+        for i, row in enumerate(rows):
+            row = {j: a % p for j, a in row.items() if a % p} if p else {
+                j: a for j, a in row.items() if a}
+            if row:
+                live[i] = row
+                for j in row:
+                    index.setdefault(j, set()).add(i)
+        pivots: dict[int, int] = {}  # pivot row -> its column
+        for c in sorted(index):
+            usable = [i for i in index[c] if i not in pivots
+                      and (ring.is_field or live[i][c] in (1, -1))]
+            if not usable:
+                continue
+            k = min(usable, key=lambda i: (len(live[i]), i))
+            inv = ring.inv(live[k][c]) if ring.is_field else live[k][c]
+            if inv != 1:
+                live[k] = {j: a * inv % p if p else a * inv for j, a in live[k].items()}
+                E[k] = {j: e * inv % p if p else e * inv for j, e in E[k].items()}
+            for i in list(index[c]):
+                if i != k:
+                    f = live[i][c]
+                    _subtract(live[i], f, live[k], p, index, i)
+                    _subtract(E[i], f, E[k], p)
+            pivots[k] = c
+        self._pivots = pivots
+        self._rows = {k: live[k] for k in pivots}
+        self._index = index
+        rest = [i for i in range(len(rows)) if i not in pivots]
+        self._empty = [i for i in rest if not live.get(i)]
+        self._residual = [i for i in rest if live.get(i)]  # only over Z
+        self._res_cols = sorted({j for i in self._residual for j in live[i]})
+        R = [[live[i].get(j, 0) for j in self._res_cols] for i in self._residual]
+        D, self._U, self._V = smith_normal_form(R) if R else ([], [], [])
+        self._diag = [D[t][t] for t in range(min(len(D), len(self._res_cols))) if D[t][t]]
+        self.rank = len(pivots) + len(self._diag)
+        self._E = {}  # E by columns: row of b -> [(row of y, entry)]
+        for i, row in enumerate(E):
+            for j, e in row.items():
+                self._E.setdefault(j, []).append((i, e))
+        bound = set(pivots.values()) | set(self._res_cols)
+        self.kernel = [self._lift({}, {j: ring.one}) for j in range(cols) if j not in bound]
+        for t in range(len(self._diag), len(self._res_cols)):
+            self.kernel.append(self._lift({}, {j: V[t] for j, V in zip(self._res_cols, self._V)
+                                               if V[t]}))
+
+    def _lift(self, y: dict, free: dict) -> list:
+        """The x equal to ``free`` off the pivot columns with (E A x)_k = y_k
+        on every pivot row k: back-substitution through the reduced rows."""
+        p, zero = self._p, self.ring.zero
+        x = [zero] * self.cols
+        for k, c in self._pivots.items():
+            x[c] = y.get(k, zero)
+        for j, a in free.items():
+            x[j] = a
+            for k in self._index.get(j, ()):
+                c = self._pivots.get(k)
+                if c is not None:
+                    v = x[c] - self._rows[k][j] * a
+                    x[c] = v % p if p else v
+        return x
 
     def _reduce(self, b):
-        """(y, residue): y = E b, and the part of it that decides solvability."""
-        y = mat_vec(self._E, b, self.ring)
-        tail = tuple(y[self.rank:])
-        if self.ring.is_field:
-            return y, tail
-        return y, tuple(c % d for c, d in zip(y, self._diag)) + tail
+        """(y, z, residue): y = E b by row, z = U y on the residual, and the
+        part of them that decides solvability."""
+        p, zero = self._p, self.ring.zero
+        y: dict = {}
+        for j, bj in enumerate(b):
+            if bj:
+                for i, e in self._E.get(j, ()):
+                    y[i] = y.get(i, zero) + e * bj
+        if p:
+            y = {i: v % p for i, v in y.items()}
+        r = [y.get(i, 0) for i in self._residual]
+        z = [sum(u * v for u, v in zip(row, r)) for row in self._U]
+        rank = len(self._diag)
+        residue = (tuple(c % d for c, d in zip(z, self._diag)) + tuple(z[rank:])
+                   + tuple(y.get(i, zero) for i in self._empty))
+        return y, z, residue
 
     def residue(self, b) -> tuple:
         """b modulo the column span of A, canonically: equal for b and b'
         exactly when A x = b - b' has a solution, and all zero exactly when
         A x = b has one."""
-        return self._reduce(b)[1]
+        return self._reduce(b)[2]
 
     def solve(self, b) -> Optional[list]:
         """A solution x of A x = b, or None when b is not in the image."""
-        y, residue = self._reduce(b)
+        y, z, residue = self._reduce(b)
         if any(residue):
             return None
-        if self.ring.is_field:
-            x = [self.ring.zero] * self.cols
-            for c, pc in zip(y, self._pivots):
-                x[pc] = c
-            return x
-        z = [c // d for c, d in zip(y, self._diag)] + [0] * (self.cols - self.rank)
-        return mat_vec(self._V, z, ZZ)
+        w = [c // d for c, d in zip(z, self._diag)]
+        free = {j: sum(a * c for a, c in zip(V, w)) for j, V in zip(self._res_cols, self._V)}
+        return self._lift(y, {j: a for j, a in free.items() if a})
 
 
 # -- finitely generated abelian groups ---------------------------------------
@@ -615,8 +607,3 @@ class AbelianGroup:
 
     def to_json(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
-
-
-def cokernel_invariants(M, ambient_rank: int, ring: Ring) -> AbelianGroup:
-    """The group (ambient space) / column-span(M)."""
-    return cohomology_groups({0: ambient_rank}, {-1: _sparse_rows(M, ring)}, ring)[0]

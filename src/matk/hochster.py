@@ -70,7 +70,7 @@ class CohomologyClass:
         return reduced_cohomology(self.complex, self.J, self.ring)
 
     def is_zero(self) -> bool:
-        return self.cohomology().is_zero_class(self.representative)
+        return self.cohomology().is_coboundary(self.representative)
 
     def same_class(self, other: "CohomologyClass") -> bool:
         if (self.complex, self.ring, self.J, self.p) != (other.complex, other.ring, other.J, other.p):

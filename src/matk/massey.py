@@ -269,12 +269,15 @@ def triple_massey_decide(alpha1: CohomologyClass, alpha2: CohomologyClass,
     q = p1 + p2 + p3 + 1
     generators = [cup_multiply(overline(a1), z) for z in H23.cocycle_basis(p2 + p3)]
     generators += [cup_multiply(overline(z), a3) for z in H12.cocycle_basis(p1 + p2)]
-    delta_prev = H.delta_matrix(q - 1)
-    gen_cols = exactalg.transpose([H.vector(g) for g in generators], len(delta_prev))
-    system = exactalg.Solver([g + d for g, d in zip(gen_cols, delta_prev)], ring,
-                             len(generators) + len(H.simplices(q - 1)))
-    contains_zero = system.solve(H.vector(omega)) is not None
-    indeterminacy_rank = system.rank - exactalg.rank(delta_prev, ring)
+    g = len(generators)
+    row_of = {t: i for i, t in enumerate(H.simplices(q))}
+    system = [{g + j: a for j, a in row.items()} for row in H.delta_matrix(q - 1)]
+    for k, gen in enumerate(generators):
+        for t, c in gen.coeffs.items():
+            system[row_of[t]][k] = c
+    solver = exactalg.Solver(system, ring, g + len(H.simplices(q - 1)))
+    contains_zero = solver.solve(H.vector(omega)) is not None
+    indeterminacy_rank = solver.rank - H.solver(q - 1).rank
 
     verdict = MasseyVerdict(defined=True, contains_zero=contains_zero,
                             indeterminacy_rank=indeterminacy_rank)

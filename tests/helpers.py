@@ -4,14 +4,130 @@ The homology oracle here builds boundary matrices of the augmented simplicial
 chain complex by direct enumeration and reads groups off the dense exact
 linear algebra.  It never touches the cochain-level machinery under test, nor
 the sparse elimination kernel that machinery uses.
+
+The dense references below (row echelon form, matrix products) share no code
+with the sparse ``exactalg.Solver``; ``snf_diagonal``, ``rank`` and
+``cokernel_invariants`` read dense matrices through the library's group
+kernel, which no ``Solver`` uses.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from matk import exactalg
+from matk.cochains import AmbientMismatch, Cochain, _zeta, epsilon_set
 from matk.exactalg import ZZ, QQ, AbelianGroup
 from matk.simplicial import SimplicialComplex
 
+
+# -- dense references ----------------------------------------------------------
+
+def identity(n, ring=ZZ):
+    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+
+
+def mat_mul(A, B, ring=ZZ):
+    m = len(B[0]) if B else 0
+    out = [[ring.zero] * m for _ in A]
+    for i, row in enumerate(A):
+        for t, a in enumerate(row):
+            if not ring.is_zero(a):
+                for j in range(m):
+                    out[i][j] = ring.add(out[i][j], ring.mul(a, B[t][j]))
+    return out
+
+
+def mat_vec(A, x, ring=ZZ):
+    out = []
+    for row in A:
+        s = ring.zero
+        for a, b in zip(row, x):
+            s = ring.add(s, ring.mul(a, b))
+        out.append(s)
+    return out
+
+
+def row_echelon(M, ring):
+    """Reduced row echelon form over a field; returns (R, pivot_cols)."""
+    if not ring.is_field:
+        raise ValueError("row_echelon needs a field")
+    R = [list(row) for row in M]
+    rows = len(R)
+    cols = len(R[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if not ring.is_zero(R[i][c])), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = ring.inv(R[r][c])
+        R[r] = [ring.mul(inv, x) for x in R[r]]
+        for i in range(rows):
+            if i != r and not ring.is_zero(R[i][c]):
+                f = R[i][c]
+                R[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
+
+
+def sparse_rows(M, ring=ZZ):
+    """The nonzero entries of a dense matrix as integer rows.  Over Q each row
+    is scaled by the lcm of its denominators, which keeps the rank."""
+    out = []
+    for row in M:
+        if ring.kind == "Q":
+            den = lcm(*(Fraction(a).denominator for a in row))
+            row = [a * den for a in row]
+        out.append({j: int(a) for j, a in enumerate(row) if a})
+    return out
+
+
+def snf_diagonal(M):
+    """Invariant factors of an integer matrix, padded with zeros to
+    min(rows, cols), from the sparse group kernel."""
+    k = min(len(M), len(M[0])) if M else 0
+    diag = exactalg._invariant_factors(sparse_rows(M), ZZ)
+    return diag + [0] * (k - len(diag))
+
+
+def rank(M, ring):
+    return len(exactalg._invariant_factors(sparse_rows(M, ring), ring))
+
+
+def cokernel_invariants(M, ambient_rank, ring):
+    """The group (ambient space) / column-span(M)."""
+    return exactalg.cohomology_groups({0: ambient_rank}, {-1: sparse_rows(M, ring)}, ring)[0]
+
+
+def cup_multiply_reference(a: Cochain, b: Cochain) -> Cochain:
+    """The general-zeta formula with no fast path; used to validate the
+    ordered-blocks shortcut."""
+    if a.complex != b.complex or a.ring != b.ring:
+        raise AmbientMismatch("product needs one ambient complex and one ring")
+    K, ring = a.complex, a.ring
+    I, J = a.J, b.J
+    union = K.sort_simplex(I + J)
+    p_out = a.p + b.p + 1
+    if set(I) & set(J):
+        return Cochain.zero(K, ring, union, p_out)
+    out: dict = {}
+    for L, ca in a.coeffs.items():
+        for M, cb in b.coeffs.items():
+            s = K.sort_simplex(L + M)
+            if not K.has_face(s):
+                continue
+            sign = (epsilon_set(K, L, I) * epsilon_set(K, M, J)
+                    * _zeta(K, I, L, J, M) * epsilon_set(K, s, union))
+            term = ring.mul(ring.mul(ca, cb), ring.of_int(sign))
+            out[s] = ring.add(out.get(s, ring.zero), term)
+    return Cochain(K, ring, union, p_out, out)
+
+
+# -- homology from scratch -----------------------------------------------------
 
 def boundary_matrix(K: SimplicialComplex, p: int):
     """Matrix of the boundary C_p -> C_{p-1} of the augmented chain complex."""
@@ -33,9 +149,8 @@ def _invariant_factors(M, ring):
     if not M or not M[0]:
         return []
     if ring.kind == "Fp":
-        return [1] * len(exactalg.row_echelon([[ring.of_int(x) for x in row] for row in M],
-                                              ring)[1])
-    D = exactalg.smith_normal_form(M).D
+        return [1] * len(row_echelon([[ring.of_int(x) for x in row] for row in M], ring)[1])
+    D = exactalg.smith_normal_form(M)[0]
     return [D[i][i] for i in range(min(len(M), len(M[0]))) if D[i][i]]
 
 

@@ -30,7 +30,7 @@ from matk.constructions import (
     pullback_defining_system,
     witness_cycle,
 )
-from matk.exactalg import GF, QQ, ZZ, AbelianGroup, snf_diagonal
+from matk.exactalg import GF, QQ, ZZ, AbelianGroup
 from matk.hochster import (
     CohomologyClass,
     class_in_slot,
@@ -62,6 +62,7 @@ from helpers import (
     reduced_betti,
     rp2_join_spec,
     rp2_six_vertices,
+    snf_diagonal,
     two_points,
 )
 from test_constructions import joins_example_spec, target_spec

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +52,15 @@ def test_homology_command(capsys):
                           "--J", "1,2,3,4", "--ring", "Z")
     assert code == 0
     assert blob["reduced_cohomology"] == {"0": {"free_rank": 1, "torsion": []}}
+
+
+def test_large_prime_modulus_answers_quickly(capsys):
+    # primality of 10^18 + 3 by trial division took longer than any timeout
+    start = time.perf_counter()
+    code, blob = run_json(capsys, "homology", str(FIX / "fig1.json"),
+                          "--ring", "F1000000000000000003")
+    assert code == 0 and time.perf_counter() - start < 1
+    assert blob["reduced_cohomology"]["1"]["free_rank"] == 4
 
 
 def test_homology_defaults_to_whole_complex(capsys):
@@ -370,6 +380,7 @@ def _bad_inputs(root):
     (["build", "{dir}"], "IsADirectoryError"),
     (["build", "{latin1}"], "UnicodeDecodeError"),
     (["contract", "fig1.json", "--edge", "1,1"], "EdgeNotInComplex"),
+    (["hochster", "fig1.json", "--ring", "F3317044064679887385961983"], "ModulusTooLarge"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)

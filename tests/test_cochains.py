@@ -15,7 +15,6 @@ from matk.cochains import (
     cochain_from_json,
     cochain_to_json,
     cup_multiply,
-    cup_multiply_reference,
     epsilon,
     epsilon_set,
     evaluate,
@@ -28,6 +27,7 @@ from matk.simplicial import SimplicialComplex
 
 from helpers import (
     contraction_example_source,
+    cup_multiply_reference,
     fig1_complex,
     joins_example_complex,
     octahedron,
@@ -340,6 +340,45 @@ def test_json_round_trip():
     assert cochain_from_json(blob, K, QQ) == a
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(), st.data())
+def test_trusted_arithmetic_equals_validated_construction(K, data):
+    # +, -, scale and coordinate vectors skip validation; they must build
+    # exactly what the validating constructor builds from the same terms
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+    J = K.sort_simplex(data.draw(st.sets(st.sampled_from(K.vertices), min_size=1)))
+    H = ReducedCohomology(K, J, ring)
+    p = data.draw(st.integers(-1, H.max_p))
+    coefficient = st.integers(-3, 3).map(ring.of_int)
+
+    def draw_cochain():
+        return Cochain(K, ring, J, p, {s: data.draw(coefficient) for s in H.simplices(p)
+                                       if data.draw(st.booleans())})
+
+    a, b = draw_cochain(), draw_cochain()
+    c = data.draw(coefficient)
+    terms = set(a.coeffs) | set(b.coeffs)
+    assert a + b == Cochain(K, ring, J, p, {s: ring.add(a.coefficient(s), b.coefficient(s))
+                                             for s in terms})
+    assert a - b == Cochain(K, ring, J, p, {s: ring.sub(a.coefficient(s), b.coefficient(s))
+                                             for s in terms})
+    assert -a == Cochain(K, ring, J, p, {s: ring.neg(x) for s, x in a.coeffs.items()})
+    assert a.scale(c) == Cochain(K, ring, J, p, {s: ring.mul(c, x) for s, x in a.coeffs.items()})
+    assert H.cochain(H.vector(a), p) == a
+    assert all(not ring.is_zero(x) for x in (a + b).coeffs.values())
+
+
+@pytest.mark.parametrize("J,p,simplex", [
+    (["1", "2", "3", "4"], 0, ["1", "2"]),  # not 0-dimensional
+    (["1", "2", "3", "4"], 0, ["5"]),  # not inside J
+    (["1", "2"], 1, ["1", "2"]),  # not a face of fig1
+])
+def test_malformed_json_cochain_still_raises(J, p, simplex):
+    blob = {"J": J, "p": p, "terms": [{"simplex": simplex, "coeff": "1"}]}
+    with pytest.raises(GradingMismatch):
+        cochain_from_json(blob, fig1_complex(), ZZ)
+
+
 def test_ambient_mismatch_raises():
     a = Cochain.chi(fig1_complex(), ZZ, ("3",), J=("3", "4"))
     b = Cochain.chi(octahedron(), ZZ, ("5",), J=("5", "6"))
@@ -350,8 +389,8 @@ def test_ambient_mismatch_raises():
 @settings(max_examples=60, deadline=None)
 @given(small_complexes(), st.data())
 def test_coboundary_rows_match_coboundary_of_basis_cochains(K, data):
-    # the rows handed to the elimination kernel and the dense delta_matrix
-    # carry exactly the signs of coboundary(), the convention of this module
+    # the rows handed to the elimination kernels carry exactly the signs of
+    # coboundary(), the convention of this module
     J = data.draw(st.sets(st.sampled_from(K.vertices), min_size=1))
     ring = data.draw(st.sampled_from([ZZ, QQ, GF(3)]))
     H = ReducedCohomology(K, J, ring)
@@ -365,6 +404,4 @@ def test_coboundary_rows_match_coboundary_of_basis_cochains(K, data):
                 if not ring.is_zero(c):
                     rows[i][j] = c
         assert [{j: ring.of_int(a) for j, a in row.items()}
-                for row in H._coboundary_rows(p)] == rows
-        assert H.delta_matrix(p) == [[row.get(j, ring.zero) for j in range(len(dom))]
-                                     for row in rows]
+                for row in H.delta_matrix(p)] == rows

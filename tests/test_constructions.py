@@ -479,41 +479,23 @@ def test_disjointify_random_systems(data):
     assert H.are_cohomologous(associated_cocycle(clean), associated_cocycle(touched))
 
 
-def test_pair_off_supports_value_is_class_invariant():
-    # homologous perturbations with overlapping supports never change the
-    # pairing, so the loop returns the canonical value immediately
-    from matk.constructions import pair_off_supports
-    from matk.massey import associated_cocycle as assoc
+def test_zero_pairing_witness_falls_back_to_f2_enumeration(monkeypatch):
+    # a boundary pairs to zero with every cocycle, so the pairing proves
+    # nothing and the certificate must come from the exact F2 enumeration
+    from matk import constructions
 
     spec = joins_example_spec()
     K, _ = construct_massey_complex(spec)
-    ds = canonical_defining_system_joins(spec, K)
-    omega = assoc(ds)  # -chi13 - chi17
-    x = witness_cycle(spec, K) + boundary(
-        Chain.delta(K, ZZ, ("2", "3", "4"), J=K.vertices)).scale(5)
-    shifted = omega + coboundary(Cochain.chi(K, ZZ, ("3",), J=K.vertices)).scale(3)
-    assert boundary(x).is_zero() and coboundary(shifted).is_zero()
-    w2, x2, value, moves = pair_off_supports(shifted, x, move_cap=200)
-    assert value == evaluate(omega, witness_cycle(spec, K))
-    assert evaluate(w2, x2) == value
 
+    def boundary_witness(spec, K):
+        return boundary(Chain.delta(K, ZZ, ("1", "3", "7"), J=K.vertices))
 
-def test_pair_off_supports_rewrites_or_stalls_on_zero_classes():
-    # a coboundary pairs to zero with every cycle; the loop must strip the
-    # accidental common supports and stall honestly instead of reporting a hit
-    from matk.constructions import pair_off_supports
-
-    spec = joins_example_spec()
-    K, _ = construct_massey_complex(spec)
-    x = witness_cycle(spec, K)
-    omega = coboundary(Cochain.chi(K, ZZ, ("3",), J=K.vertices))
-    assert set(omega.support) & set(x.coeffs)  # overlap to chew through
-    w2, x2, value, moves = pair_off_supports(omega, x, move_cap=100)
-    assert value is None
-    assert moves >= 1
-    assert boundary(x2).is_zero() and coboundary(w2).is_zero()
-    H = reduced_cohomology(K, K.vertices, ZZ)
-    assert H.is_coboundary(w2)  # the rewritten cocycle stayed in its class
+    monkeypatch.setattr(constructions, "witness_cycle", boundary_witness)
+    cert = certify_join_nontrivial(spec, K)
+    assert cert.method == "enumeration-F2"
+    assert cert.cycle is None and cert.value is None and cert.moves == 0
+    assert cert.omega.ring == GF(2)
+    assert cert.omega == Cochain(K, GF(2), K.vertices, 1, {("1", "3"): 1, ("1", "7"): 1})
 
 
 def test_contract_edges_composite():

@@ -9,24 +9,30 @@ from matk import exactalg
 from matk.errors import MalformedInput
 from matk.exactalg import (
     GF,
+    PRIMALITY_BOUND,
     QQ,
     ZZ,
     AbelianGroup,
     DivisionByZero,
+    ModulusTooLarge,
     NotPrime,
     Ring,
     Solver,
+    smith_normal_form,
+)
+
+from helpers import (
+    boundary_matrix,
     cokernel_invariants,
+    det,
     identity,
     mat_mul,
     mat_vec,
     rank,
     row_echelon,
-    smith_normal_form,
+    rp2_six_vertices,
     snf_diagonal,
 )
-
-from helpers import boundary_matrix, det, rp2_six_vertices
 
 try:
     from sympy import Matrix
@@ -34,6 +40,11 @@ try:
     from sympy.polys.domains import ZZ as SYMPY_ZZ
 except ImportError:
     sympy_smith_normal_form = None
+
+
+def rows_of(A):
+    """The sparse rows of a dense matrix, entries unchanged."""
+    return [{j: a for j, a in enumerate(row) if a} for row in A]
 
 
 def naive_invariant_factors(M):
@@ -124,14 +135,14 @@ def test_snf_permutation_invariance(data):
 
 
 def test_solve_affine_identity():
-    solver = Solver(identity(3), ZZ)
+    solver = Solver(rows_of(identity(3)), ZZ, 3)
     assert solver.solve([4, -1, 7]) == [4, -1, 7]
     assert solver.kernel == []
 
 
 def test_solve_affine_no_solution_over_z():
-    assert Solver([[2]], ZZ).solve([1]) is None
-    assert Solver([[2]], QQ).solve([1]) == [QQ.of_int(1) / 2]
+    assert Solver([{0: 2}], ZZ, 1).solve([1]) is None
+    assert Solver([{0: 2}], QQ, 1).solve([1]) == [QQ.of_int(1) / 2]
 
 
 def test_solve_affine_f3_against_exhaustive_search():
@@ -144,7 +155,7 @@ def test_solve_affine_f3_against_exhaustive_search():
         for x in itertools.product(range(3), repeat=7)
         if mat_vec(A, list(x), ring) == b
     }
-    solver = Solver(A, ring)
+    solver = Solver(rows_of(A), ring, 7)
     particular = solver.solve(b)
     if not brute:
         assert particular is None
@@ -169,7 +180,7 @@ def test_solve_affine_consistency(data):
     A = [[ring.of_int(data.draw(st.integers(-5, 5))) for _ in range(cols)] for _ in range(rows)]
     x0 = [ring.of_int(data.draw(st.integers(-3, 3))) for _ in range(cols)]
     b = mat_vec(A, x0, ring)
-    solver = Solver(A, ring)
+    solver = Solver(rows_of(A), ring, cols)
     particular = solver.solve(b)
     assert particular is not None
     assert mat_vec(A, particular, ring) == b
@@ -181,8 +192,8 @@ def test_solve_affine_consistency(data):
 
 
 def _fresh_solve(A, b, ring, cols):
-    """A x = b and ker A from a fresh reduction of this one system: the RREF of
-    [A | b] over a field, the Smith form of A over Z."""
+    """A x = b and ker A from a fresh dense reduction of this one system: the
+    RREF of [A | b] over a field, the Smith form of A over Z."""
     if not A:
         return [ring.zero] * cols, identity(cols, ring)
     if ring.is_field:
@@ -215,40 +226,96 @@ def _fresh_solve(A, b, ring, cols):
     return mat_vec(V, y, ZZ), kernel
 
 
+def _same_lattice(basis, other, cols):
+    """Each list of independent integer vectors lies in the integer span of
+    the other: the unique rational coordinates of each vector in the other
+    basis are integers."""
+    def spans(gens, v):
+        if not gens:
+            return not any(v)
+        M = [[QQ.of_int(g[i]) for g in gens] for i in range(cols)]
+        x, _ = _fresh_solve(M, [QQ.of_int(a) for a in v], QQ, len(gens))
+        return x is not None and all(c.denominator == 1 for c in x)
+    return all(spans(other, v) for v in basis) and all(spans(basis, v) for v in other)
+
+
+def _check_against_fresh_solves(A, ring, cols, rhs):
+    """The factored Solver answers every b in rhs as a fresh dense reduction
+    does.  Over a field the answers are equal; over Z, where particular
+    solutions and kernel bases may differ, solvability, A x = b, the rank and
+    the kernel lattice agree."""
+    solver = Solver(rows_of(A), ring, cols)
+    zero = solver.residue([ring.zero] * len(A))
+    for b, shift in rhs:
+        particular, kernel = _fresh_solve(A, b, ring, cols)
+        x = solver.solve(b)
+        if ring.is_field:
+            assert x == particular
+            assert solver.kernel == kernel
+        else:
+            assert (x is None) == (particular is None)
+            assert x is None or mat_vec(A, x, ring) == b
+            assert _same_lattice(solver.kernel, kernel, cols)
+        assert all(not any(mat_vec(A, v, ring)) for v in solver.kernel)
+        assert (solver.residue(b) == zero) == (particular is not None)
+        assert solver.residue([ring.add(x, y) for x, y in zip(b, shift)]) == solver.residue(b)
+    assert solver.rank == rank(A, ring) == cols - len(solver.kernel)
+    return solver
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_solver_agrees_with_a_fresh_reduction_per_right_hand_side(data):
     ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
     rows = data.draw(st.integers(0, 4))
     cols = data.draw(st.integers(0, 5))
-    entry = st.integers(-5, 5) if ring.kind != "Fp" else st.integers(0, ring.p - 1)
+    # over Z mostly non-units, so that rows without a unit pivot are left
+    # for the Smith form of the residual
+    entry = (st.integers(0, ring.p - 1) if ring.kind == "Fp"
+             else st.sampled_from([0, 0, 1, -1, 2, -2, 3, -4, 5, 6]))
     A = [[ring.of_int(data.draw(entry)) for _ in range(cols)] for _ in range(rows)]
-    solver = Solver(A, ring, cols)
-    zero = solver.residue([ring.zero] * rows)
+    rhs = []
     for _ in range(4):
         if data.draw(st.booleans()):  # a consistent right-hand side
             b = mat_vec(A, [ring.of_int(data.draw(entry)) for _ in range(cols)], ring)
         else:
             b = [ring.of_int(data.draw(entry)) for _ in range(rows)]
-        particular, kernel = _fresh_solve(A, b, ring, cols)
-        assert solver.solve(b) == particular
-        assert solver.kernel == kernel
-        assert (solver.residue(b) == zero) == (particular is not None)
-        shift = mat_vec(A, [ring.of_int(data.draw(entry)) for _ in range(cols)], ring)
-        assert solver.residue([ring.add(x, y) for x, y in zip(b, shift)]) == solver.residue(b)
-    assert solver.rank == rank(A, ring)
+        rhs.append((b, mat_vec(A, [ring.of_int(data.draw(entry)) for _ in range(cols)], ring)))
+    _check_against_fresh_solves(A, ring, cols, rhs)
+
+
+def test_solver_on_the_rp2_coboundary_over_z():
+    # d: C^1 -> C^2 of the 6-vertex projective plane has invariant factors
+    # 1 (nine times) and 2, so unit pivots alone cannot finish it
+    K = rp2_six_vertices()
+    delta = [list(row) for row in zip(*boundary_matrix(K, 2))]
+    rows, cols = len(delta), len(delta[0])
+    rng = random.Random(2)
+    rhs = []
+    for _ in range(12):
+        x = [rng.randint(-3, 3) for _ in range(cols)]
+        image = mat_vec(delta, x, ZZ)
+        for b in (image, [a + rng.choice([0, 0, 1]) for a in image],
+                  [rng.randint(-2, 2) for _ in range(rows)]):
+            rhs.append((b, mat_vec(delta, [rng.randint(-2, 2) for _ in range(cols)], ZZ)))
+    solver = _check_against_fresh_solves(delta, ZZ, cols, rhs)
+    assert solver._residual
+    # H^2 = C2: one 2-simplex generates it, twice that is a coboundary
+    face = [1] + [0] * (rows - 1)
+    assert solver.solve(face) is None and any(solver.residue(face))
+    assert solver.solve([2] + [0] * (rows - 1)) is not None
 
 
 def test_kernel_basis_generates_integer_kernel():
     A = [[2, 4, 6], [1, 2, 3]]
-    basis = Solver(A, ZZ).kernel
+    basis = Solver(rows_of(A), ZZ, 3).kernel
     assert len(basis) == 2
     for v in basis:
         assert mat_vec(A, v, ZZ) == [0, 0]
     # (2, -1, 0) is in the kernel lattice and must be an integer combination
     target = [2, -1, 0]
     M = [[basis[0][i], basis[1][i]] for i in range(3)]
-    assert Solver(M, ZZ).solve(target) is not None
+    assert Solver(rows_of(M), ZZ, 2).solve(target) is not None
 
 
 def test_ring_parsing_and_element_strings():
@@ -284,7 +351,7 @@ def test_direct_sum_matches_the_smith_form_of_the_block_diagonal(gs):
     # Z^r + C_d1 + ... is the cokernel of diag(d1, ..., 0 (r times))
     diag = [d for r, t in gs for d in t + (0,) * r]
     M = [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
-    D = smith_normal_form(M).D if M else []
+    D = smith_normal_form(M)[0] if M else []
     snf = [D[i][i] for i in range(len(D))]
     total = AbelianGroup(*gs[0]).direct_sum(*(AbelianGroup(*g) for g in gs[1:]))
     assert total.free_rank == snf.count(0)
@@ -330,7 +397,7 @@ def _random_sparse_matrix(data, max_dim):
 
 
 def _dense_invariant_factors(M):
-    D = smith_normal_form(M).D
+    D = smith_normal_form(M)[0]
     return [D[i][i] for i in range(min(len(M), len(M[0]))) if D[i][i]]
 
 
@@ -387,5 +454,30 @@ def test_invariant_factors_of_unit_free_residuals():
 
 def test_rank_over_q_scales_rows_to_integers():
     half, third = QQ.element_from_str("1/2"), QQ.element_from_str("1/3")
-    assert rank([[half, third], [3, 2]], QQ) == 1
-    assert rank([[half, third], [3, 3]], QQ) == 2
+    for last, want in ((2, 1), (3, 2)):
+        M = [[half, third], [3, last]]
+        assert rank(M, QQ) == Solver(rows_of(M), QQ, 2).rank == want
+
+
+def test_primality_agrees_with_trial_division_below_10_5():
+    for n in range(10 ** 5):
+        trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert exactalg._is_prime(n) == trial, n
+
+
+def test_primality_rejects_pseudoprimes_and_accepts_large_primes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    for n in (561, 3215031751, 2 ** 61 + 1):
+        with pytest.raises(NotPrime):
+            GF(n)
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert Ring.parse("F1000000000000000003") == GF(10 ** 18 + 3)
+
+
+def test_modulus_beyond_the_exact_primality_bound_is_typed():
+    for n in (PRIMALITY_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ModulusTooLarge) as err:
+            Ring.parse(f"F{n}")
+        assert not isinstance(err.value, NotPrime)
+        assert "not prime" not in str(err.value)

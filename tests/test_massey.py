@@ -321,14 +321,15 @@ def test_triple_coset_law():
     verdict = enumerate_defining_systems(classes)
     omegas = verdict.class_representatives
     base = omegas[0]
-    delta = H.delta_matrix(0)
-    n_rows = len(H.simplices(1))
-    cols = [H.vector(g) for g in gens]
-    cols += [[delta[i][j] for i in range(n_rows)] for j in range(len(delta[0]))]
-    system = [[col[i] for col in cols] for i in range(n_rows)]
+    # columns: the generators, then d: C^0 -> C^1
+    row_of = {t: i for i, t in enumerate(H.simplices(1))}
+    system = [{len(gens) + j: a for j, a in row.items()} for row in H.delta_matrix(0)]
+    for k, g in enumerate(gens):
+        for t, c in g.coeffs.items():
+            system[row_of[t]][k] = c
+    solver = exactalg.Solver(system, ring, len(gens) + len(H.simplices(0)))
     for omega in omegas[1:]:
-        diff = H.vector(omega - base)
-        assert exactalg.Solver(system, ring).solve(diff) is not None
+        assert solver.solve(H.vector(omega - base)) is not None
 
 
 def test_find_evaluating_cycle_returns_pairing_witness():
