@@ -123,6 +123,8 @@ def cmd_massey(args):
     ring = Ring.parse(args.ring)
     classes = _classes(args.classes, K, ring)
     n = len(classes)
+    if n < 2:
+        raise DomainError(f"a Massey product needs at least two classes, {n} supplied")
     if args.order is not None and args.order != n:
         raise DomainError(f"--order {args.order} but {n} classes supplied")
     if n == 3:
@@ -147,7 +149,7 @@ def cmd_construct_join(args):
         "deletions": ledger.to_json(),
         "defining_system": ds.to_json(),
         "associated_cocycle": cochains.cochain_to_json(omega),
-        "total_degree": omega.p + len(omega.J) + 1,
+        "total_degree": cochains.total_degree(omega),
     }
     if args.certify:
         cert = constructions.certify_join_nontrivial(spec, K, ds)

@@ -27,9 +27,9 @@ import functools
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import exactalg
-from .errors import MatkError
+from .errors import MatkError, parse_int
 from .exactalg import Ring
-from .simplicial import SimplicialComplex, full_subcomplex, json_field
+from .simplicial import SimplicialComplex, full_subcomplex, json_field, json_list
 
 
 class GradingMismatch(MatkError):
@@ -431,8 +431,8 @@ def cochain_to_json(a: Cochain) -> dict:
 
 def cochain_from_json(obj: Mapping, K: SimplicialComplex, ring: Ring) -> Cochain:
     coeffs = {}
-    for term in json_field(obj, "terms", "cochain"):
-        s = K.sort_simplex(json_field(term, "simplex", "cochain term"))
+    for term in json_list(obj, "terms", "cochain"):
+        s = K.sort_simplex(json_list(term, "simplex", "cochain term"))
         coeffs[s] = ring.element_from_str(json_field(term, "coeff", "cochain term"))
-    return Cochain(K, ring, json_field(obj, "J", "cochain"), json_field(obj, "p", "cochain"),
-                   coeffs)
+    return Cochain(K, ring, json_list(obj, "J", "cochain"),
+                   parse_int(json_field(obj, "p", "cochain"), "cochain degree"), coeffs)

@@ -52,6 +52,7 @@ from .simplicial import (
     contract_edge,
     join,
     json_field,
+    json_list,
     star_delete,
 )
 
@@ -604,7 +605,7 @@ def spec_from_json(obj: Mapping) -> JoinMasseySpec:
     )
     vertex_choice = {}
     for entry in obj.get("vertex_choice", []):
-        s = tuple(json_field(entry, "simplex", "vertex choice"))
+        s = tuple(json_list(entry, "simplex", "vertex choice"))
         for K in factors:
             if all(v in K.vertices for v in s):
                 s = K.sort_simplex(s)

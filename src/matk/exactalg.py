@@ -4,14 +4,16 @@ Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
 for rationals, and reduced residues for F_p.  Every matrix is a list of
 sparse rows, one ``{column: entry}`` dict per row.  Ranks and invariant
 factors come from one sparse elimination on integer rows, chosen for low
-fill-in: over Z and Q it pivots on units only and hands the small residual
-to a Smith form computed modulo a maximal minor; over F_p any nonzero entry
-is a pivot.  ``cohomology_groups`` gives this kernel the coboundary rows of
-a cochain complex directly and reduces each matrix once.  Solves go through
-``Solver``, which factors one matrix once by a column-ordered sparse
-Gauss-Jordan elimination (unit pivots only over Z, with the
-transform-tracking Smith form on the rows and columns left over) and then
-answers each right-hand side with a sparse product and a back-substitution.
+fill-in: over Z and Q it pivots on units only, and the small dense residual
+is made diagonal by column Hermite forms of it and its transpose in turn;
+over F_p any nonzero entry is a pivot.  ``cohomology_groups`` gives this
+kernel the coboundary rows of a cochain complex directly and reduces each
+matrix once.  Solves go through ``Solver``, which factors one matrix once by
+a column-ordered sparse Gauss-Jordan elimination (unit pivots only over Z,
+with the column Hermite form H = R V of the residual R left over, keeping
+only V) and then answers each right-hand side with a sparse product, a
+canonical reduction by the columns of H, and a back-substitution.
+``_hermite`` is the one dense integer routine.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import MalformedInput, MatkError, parse_int
 
@@ -171,99 +173,6 @@ def GF(p: int) -> Ring:
     return Ring("Fp", p)
 
 
-# -- Smith normal form -------------------------------------------------------
-
-
-def smith_normal_form(M: Sequence[Sequence[int]]) -> tuple:
-    """(D, U, V) with U*M*V = D, D diagonal of M's shape with d1 | d2 | ...,
-    and U (rows x rows), V (cols x cols) unimodular over Z.
-
-    Pivots on the least nonzero absolute value to limit coefficient growth.
-    Diagonal entries are normalized nonnegative.
-    """
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    D = [[int(x) for x in row] for row in M]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):  # row_dst += q * row_src
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, q):
-        for r in D:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
-
-    def sweep(t0):
-        """Diagonalize D[t0:, t0:] assuming everything left/above is untouched."""
-        t = t0
-        while True:
-            piv = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    a = D[i][j]
-                    if a != 0 and (best is None or abs(a) < best):
-                        best = abs(a)
-                        piv = (i, j)
-            if piv is None:
-                return
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(t + 1, rows):
-                    if D[i][t]:
-                        add_row(t, i, -(D[i][t] // D[t][t]))
-                        if D[i][t]:  # remainder beat the pivot: promote and restart
-                            swap_rows(t, i)
-                            dirty = True
-                for j in range(t + 1, cols):
-                    if D[t][j]:
-                        add_col(t, j, -(D[t][j] // D[t][t]))
-                        if D[t][j]:
-                            swap_cols(t, j)
-                            dirty = True
-            t += 1
-
-    sweep(0)
-
-    # enforce the divisibility chain d1 | d2 | ...
-    k = min(rows, cols)
-    fixed = False
-    while not fixed:
-        fixed = True
-        for i in range(k - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a and b and b % a != 0:
-                add_col(i + 1, i, 1)  # puts b below the pivot; redo the corner
-                sweep(i)
-                fixed = False
-                break
-
-    for i in range(k):
-        if D[i][i] < 0:
-            for rr in range(cols):
-                V[rr][i] = -V[rr][i]
-            for rr in range(rows):
-                D[rr][i] = -D[rr][i]
-    return D, U, V
-
-
 # -- sparse elimination: ranks, invariant factors, cochain complexes ----------
 
 
@@ -330,66 +239,49 @@ def _sparse_reduce(M, p: int = 0):
 
 
 def _unimodular_pair(a: int, b: int):
-    """(x, y, u, v) with x*v - y*u = 1, x*a + y*b = gcd(a, b) and u*a + v*b = 0,
-    for a > 0 and b >= 0; the identity on the first slot when a divides b."""
+    """(x, y, u, v) with x*v - y*u = +-1, x*a + y*b = gcd(a, b) and
+    u*a + v*b = 0, for a != 0; at most a sign change on the first slot when
+    a divides b."""
     if b % a == 0:
-        return 1, 0, -(b // a), 1
+        return (1 if a > 0 else -1), 0, -(b // a), 1
     g = gcd(a, b)
-    x = pow(a // g, -1, b // g)
+    x = pow(a // g, -1, abs(b // g))
     return x, (g - x * a) // b, -(b // g), a // g
 
 
-def _pivot_to_corner(A, t: int) -> bool:
-    """Swap a nonzero entry of A[t:, t:] to A[t][t]; False when there is none."""
-    piv = next(((i, j) for i in range(t, len(A)) for j in range(t, len(A[0])) if A[i][j]),
-               None)
-    if piv is None:
-        return False
-    A[t], A[piv[0]] = A[piv[0]], A[t]
-    for row in A:
-        row[t], row[piv[1]] = row[piv[1]], row[t]
-    return True
+def _hermite(A, V=None) -> int:
+    """Bring the dense integer matrix A to its column Hermite normal form in
+    place, by unimodular column operations that are applied to V as well
+    when it is given; returns the rank.
 
-
-def _modular_invariant_factors(M) -> list:
-    """The nonzero invariant factors of a dense integer matrix.
-
-    Fraction-free (Bareiss) elimination gives the rank r and a nonzero r x r
-    minor d, which every nonzero invariant factor divides.  So over Z/dZ the
-    Smith form, each diagonal entry e read as gcd(e, d) and the whole diagonal
-    put in divisibility order, starts with them all, and no intermediate
-    entry reaches d (Hafner-McCurley).  Plain Smith elimination over Z can
-    instead grow entries without bound.
+    Row by row, the columns from t on are combined pairwise
+    (``_unimodular_pair``) until one nonzero entry is left in the row; that
+    entry is swapped into column t and made positive, and the row's entries
+    to its left are reduced modulo it.  Column t is then zero above its
+    pivot row, and the earlier entries of a pivot row lie in [0, pivot).
     """
-    A = [list(row) for row in M]
-    r, d = 0, 1
-    while _pivot_to_corner(A, r):
-        for i in range(r + 1, len(A)):
-            for j in range(r + 1, len(A[0])):
-                A[i][j] = (A[i][j] * A[r][r] - A[i][r] * A[r][j]) // d
-            A[i][r] = 0
-        d = A[r][r]
-        r += 1
-    d = abs(d)
-    B = [[a % d for a in row] for row in M]
-    k = min(len(B), len(B[0]))
-    diag = []
-    for t in range(k):
-        if not _pivot_to_corner(B, t):
-            diag.extend([d] * (k - t))  # zero mod d: gcd(0, d) = d
-            break
-        # clear column t by unimodular row pairs, then row t the same way on
-        # the transpose; a pass that changes B[t][t] makes it a proper divisor
-        while any(B[i][t] for i in range(t + 1, len(B))) or any(B[t][t + 1:]):
-            for _ in range(2):
-                for i in range(t + 1, len(B)):
-                    if B[i][t]:
-                        x, y, u, v = _unimodular_pair(B[t][t], B[i][t])
-                        B[t], B[i] = ([(x * a + y * b) % d for a, b in zip(B[t], B[i])],
-                                      [(u * a + v * b) % d for a, b in zip(B[t], B[i])])
-                B = [list(col) for col in zip(*B)]
-        diag.append(gcd(B[t][t], d))
-    return _divisibility_chain(diag)[:r]
+    t = 0
+    for i, row in enumerate(A):
+        nonzero = [j for j in range(t, len(row)) if row[j]]
+        if not nonzero:
+            continue
+        live = A[i:] + (V or [])  # the rows above are zero from column t on
+        j0 = min(nonzero, key=lambda j: abs(row[j]))
+        for j in nonzero:
+            if j != j0:
+                x, y, u, v = _unimodular_pair(row[j0], row[j])
+                for r in live:
+                    r[j0], r[j] = x * r[j0] + y * r[j], u * r[j0] + v * r[j]
+        sign = 1 if row[j0] > 0 else -1
+        for r in live:
+            r[j0], r[t] = r[t], sign * r[j0]
+        for j in range(t):
+            q = row[j] // row[t]
+            if q:
+                for r in live:
+                    r[j] -= q * r[t]
+        t += 1
+    return t
 
 
 def _divisibility_chain(diag: list) -> list:
@@ -406,9 +298,19 @@ def _divisibility_chain(diag: list) -> list:
 def _invariant_factors(rows, ring: Ring) -> list:
     """The nonzero invariant factors of an integer matrix given by sparse
     rows, from one reduction.  Over a field only their count, the rank,
-    means anything: every factor is then 1."""
-    pivots, residual = _sparse_reduce(rows, ring.p if ring.kind == "Fp" else 0)
-    return [1] * pivots + (_modular_invariant_factors(residual) if residual else [])
+    means anything: every factor is then 1.
+
+    Over Z the residual is made diagonal by Hermite forms of it and of its
+    transpose in turn.  The corner entry's absolute value never grows, and
+    once it stops shrinking it divides its row and column, which the next
+    form clears; the rest follows by induction.
+    """
+    pivots, A = _sparse_reduce(rows, ring.p if ring.kind == "Fp" else 0)
+    if not A:  # always over F_p, and for most matrices over Z
+        return [1] * pivots
+    while _hermite(A) < sum(1 for row in A for a in row if a):
+        A = [list(col) for col in zip(*A)]
+    return [1] * pivots + _divisibility_chain([a for row in A for a in row if a])
 
 
 def cohomology_groups(sizes: Mapping[int, int], deltas: Mapping[int, list],
@@ -458,13 +360,17 @@ class Solver:
     there (nonzero over a field, +-1 over Z), scales it to 1 and clears the
     column from every other row, recording the row operations as a sparse E.
     Over a field E A is then the unique reduced row echelon form of A.  Over
-    Z the rows left with entries form a residual R, and ``smith_normal_form``
-    gives U R V = D.  A right-hand side costs y = E b; it is solvable iff y
-    vanishes on the rows left empty and d_i | (U y)_i, with (U y)_i = 0 past
-    the rank of R.  The particular solution (free coordinates zero, outside
-    R over Z) and each kernel vector (one free coordinate 1, or one kernel
-    column of V) are back-substituted through the pivot rows: over a field
-    those of the echelon form, over Z a basis of the kernel lattice.
+    Z the rows left with entries form a residual R, and ``_hermite`` gives
+    its column Hermite form H = R V, column t with its pivot in row i_t.  A
+    right-hand side costs y = E b.  On the residual rows it is reduced by
+    subtracting the multiple q_t = floor(y[i_t] / H[i_t][t]) of each column
+    t in turn; the remainder is canonical, since column t is zero above row
+    i_t, and b is solvable iff it and y on the rows left empty vanish.  The
+    particular solution (free coordinates zero; V times q on the columns of
+    R over Z) and each kernel vector (one free coordinate 1, or one column
+    of V past the rank of H) are back-substituted through the pivot rows:
+    over a field those of the echelon form, over Z a basis of the kernel
+    lattice.
     """
 
     def __init__(self, rows, ring: Ring, cols: int):
@@ -504,17 +410,19 @@ class Solver:
         self._empty = [i for i in rest if not live.get(i)]
         self._residual = [i for i in rest if live.get(i)]  # only over Z
         self._res_cols = sorted({j for i in self._residual for j in live[i]})
-        R = [[live[i].get(j, 0) for j in self._res_cols] for i in self._residual]
-        D, self._U, self._V = smith_normal_form(R) if R else ([], [], [])
-        self._diag = [D[t][t] for t in range(min(len(D), len(self._res_cols))) if D[t][t]]
-        self.rank = len(pivots) + len(self._diag)
+        n = len(self._res_cols)
+        self._H = [[live[i].get(j, 0) for j in self._res_cols] for i in self._residual]
+        self._V = [[int(i == j) for j in range(n)] for i in range(n)]
+        k = _hermite(self._H, self._V)
+        self._pivot_rows = [next(i for i, row in enumerate(self._H) if row[t]) for t in range(k)]
+        self.rank = len(pivots) + k
         self._E = {}  # E by columns: row of b -> [(row of y, entry)]
         for i, row in enumerate(E):
             for j, e in row.items():
                 self._E.setdefault(j, []).append((i, e))
         bound = set(pivots.values()) | set(self._res_cols)
         self.kernel = [self._lift({}, {j: ring.one}) for j in range(cols) if j not in bound]
-        for t in range(len(self._diag), len(self._res_cols)):
+        for t in range(k, n):
             self.kernel.append(self._lift({}, {j: V[t] for j, V in zip(self._res_cols, self._V)
                                                if V[t]}))
 
@@ -535,8 +443,9 @@ class Solver:
         return x
 
     def _reduce(self, b):
-        """(y, z, residue): y = E b by row, z = U y on the residual, and the
-        part of them that decides solvability."""
+        """(y, q, residue): y = E b by row, the multiples q_t of H's columns
+        taken off y on the residual rows, and what is left, which decides
+        solvability."""
         p, zero = self._p, self.ring.zero
         y: dict = {}
         for j, bj in enumerate(b):
@@ -546,11 +455,12 @@ class Solver:
         if p:
             y = {i: v % p for i, v in y.items()}
         r = [y.get(i, 0) for i in self._residual]
-        z = [sum(u * v for u, v in zip(row, r)) for row in self._U]
-        rank = len(self._diag)
-        residue = (tuple(c % d for c, d in zip(z, self._diag)) + tuple(z[rank:])
-                   + tuple(y.get(i, zero) for i in self._empty))
-        return y, z, residue
+        q = []
+        for t, i in enumerate(self._pivot_rows):
+            q.append(r[i] // self._H[i][t])
+            for s in range(i, len(r)):
+                r[s] -= q[t] * self._H[s][t]
+        return y, q, tuple(r) + tuple(y.get(i, zero) for i in self._empty)
 
     def residue(self, b) -> tuple:
         """b modulo the column span of A, canonically: equal for b and b'
@@ -560,11 +470,10 @@ class Solver:
 
     def solve(self, b) -> Optional[list]:
         """A solution x of A x = b, or None when b is not in the image."""
-        y, z, residue = self._reduce(b)
+        y, q, residue = self._reduce(b)
         if any(residue):
             return None
-        w = [c // d for c, d in zip(z, self._diag)]
-        free = {j: sum(a * c for a, c in zip(V, w)) for j, V in zip(self._res_cols, self._V)}
+        free = {j: sum(a * c for a, c in zip(V, q)) for j, V in zip(self._res_cols, self._V)}
         return self._lift(y, {j: a for j, a in free.items() if a})
 
 

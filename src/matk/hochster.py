@@ -22,6 +22,7 @@ from .cochains import (
     coboundary,
     cup_multiply,
     reduced_cohomology,
+    total_degree,
 )
 from .errors import MatkError
 from .exactalg import AbelianGroup, Ring
@@ -64,7 +65,7 @@ class CohomologyClass:
 
     @property
     def total_degree(self) -> int:
-        return self.p + len(self.J) + 1
+        return total_degree(self.representative)
 
     def cohomology(self):
         return reduced_cohomology(self.complex, self.J, self.ring)

@@ -298,8 +298,8 @@ def enumerate_defining_systems(classes, budget: int = 20,
     ``visit(ds, omega)`` is called on every valid complete system.
     """
     classes = tuple(classes)
-    if not classes:
-        raise InvalidDefiningSystem("need at least one class")
+    if len(classes) < 2:
+        raise InvalidDefiningSystem("a Massey product needs at least two classes")
     K, ring = _common_ambient(classes)
     if ring.kind != "Fp":
         raise RingNotFinite("exhaustive enumeration needs a prime field")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MatkError, parse_int
-from .simplicial import SimplicialComplex, full_subcomplex, join, json_field, stellar_subdivide
+from .simplicial import (SimplicialComplex, full_subcomplex, join, json_field, json_list,
+                         stellar_subdivide)
 
 
 class MissingSingleton(MatkError):
@@ -51,8 +52,10 @@ class BuildingSet:
 
     @staticmethod
     def from_json(obj: Mapping) -> "BuildingSet":
-        return validate_building_set(json_field(obj, "ground", "building set"),
-                                     json_field(obj, "sets", "building set"))
+        sets = json_list(obj, "sets", "building set")
+        return validate_building_set(
+            parse_int(json_field(obj, "ground", "building set"), "ground size"),
+            [json_list(sets, i, "building-set member") for i in range(len(sets))])
 
 
 def validate_building_set(ground: int, sets: Iterable) -> BuildingSet:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import MatkError
+from .errors import MalformedInput, MatkError
 
 
 Simplex = tuple  # labels sorted by rank in the owning complex; () is the empty simplex
@@ -480,6 +480,17 @@ def json_field(obj, key: str, what: str):
     return obj[key]
 
 
+def json_list(obj, key, what: str) -> list:
+    """``json_field(obj, key, what)``, or the entry ``key`` of a JSON array
+    obj, which must itself be a JSON array; MalformedInput if it is not (so
+    the string "12" is not read as the list 1, 2)."""
+    value = obj[key] if isinstance(obj, list) else json_field(obj, key, what)
+    if not isinstance(value, list):
+        raise MalformedInput(f"{what} {key!r} is not a JSON array: {value!r}")
+    return value
+
+
 def complex_from_json(obj: Mapping) -> SimplicialComplex:
-    return SimplicialComplex(json_field(obj, "vertices", "complex"),
-                             json_field(obj, "facets", "complex"))
+    facets = json_list(obj, "facets", "complex")
+    return SimplicialComplex(json_list(obj, "vertices", "complex"),
+                             [json_list(facets, i, "facet") for i in range(len(facets))])

@@ -5,10 +5,11 @@ chain complex by direct enumeration and reads groups off the dense exact
 linear algebra.  It never touches the cochain-level machinery under test, nor
 the sparse elimination kernel that machinery uses.
 
-The dense references below (row echelon form, matrix products) share no code
-with the sparse ``exactalg.Solver``; ``snf_diagonal``, ``rank`` and
-``cokernel_invariants`` read dense matrices through the library's group
-kernel, which no ``Solver`` uses.
+The dense references below (row echelon form, Smith normal form with
+transforms, matrix products) share no code with the library;
+``snf_diagonal``, ``rank`` and ``cokernel_invariants`` read dense matrices
+through the library's group kernel, which no ``Solver`` uses (the two share
+only the Hermite form of a unit-free residual).
 """
 
 from fractions import Fraction
@@ -72,6 +73,96 @@ def row_echelon(M, ring):
         if r == rows:
             break
     return R, pivots
+
+
+def smith_normal_form(M) -> tuple:
+    """(D, U, V) with U*M*V = D, D diagonal of M's shape with d1 | d2 | ...,
+    and U (rows x rows), V (cols x cols) unimodular over Z.
+
+    Pivots on the least nonzero absolute value to limit coefficient growth.
+    Diagonal entries are normalized nonnegative.
+    """
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    D = [[int(x) for x in row] for row in M]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in D:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, q):  # row_dst += q * row_src
+        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
+        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(src, dst, q):
+        for r in D:
+            r[dst] += q * r[src]
+        for r in V:
+            r[dst] += q * r[src]
+
+    def sweep(t0):
+        """Diagonalize D[t0:, t0:] assuming everything left/above is untouched."""
+        t = t0
+        while True:
+            piv = None
+            best = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    a = D[i][j]
+                    if a != 0 and (best is None or abs(a) < best):
+                        best = abs(a)
+                        piv = (i, j)
+            if piv is None:
+                return
+            swap_rows(t, piv[0])
+            swap_cols(t, piv[1])
+            dirty = True
+            while dirty:
+                dirty = False
+                for i in range(t + 1, rows):
+                    if D[i][t]:
+                        add_row(t, i, -(D[i][t] // D[t][t]))
+                        if D[i][t]:  # remainder beat the pivot: promote and restart
+                            swap_rows(t, i)
+                            dirty = True
+                for j in range(t + 1, cols):
+                    if D[t][j]:
+                        add_col(t, j, -(D[t][j] // D[t][t]))
+                        if D[t][j]:
+                            swap_cols(t, j)
+                            dirty = True
+            t += 1
+
+    sweep(0)
+
+    # enforce the divisibility chain d1 | d2 | ...
+    k = min(rows, cols)
+    fixed = False
+    while not fixed:
+        fixed = True
+        for i in range(k - 1):
+            a, b = D[i][i], D[i + 1][i + 1]
+            if a and b and b % a != 0:
+                add_col(i + 1, i, 1)  # puts b below the pivot; redo the corner
+                sweep(i)
+                fixed = False
+                break
+
+    for i in range(k):
+        if D[i][i] < 0:
+            for rr in range(cols):
+                V[rr][i] = -V[rr][i]
+            for rr in range(rows):
+                D[rr][i] = -D[rr][i]
+    return D, U, V
 
 
 def sparse_rows(M, ring=ZZ):
@@ -150,7 +241,7 @@ def _invariant_factors(M, ring):
         return []
     if ring.kind == "Fp":
         return [1] * len(row_echelon([[ring.of_int(x) for x in row] for row in M], ring)[1])
-    D = exactalg.smith_normal_form(M)[0]
+    D = smith_normal_form(M)[0]
     return [D[i][i] for i in range(min(len(M), len(M[0]))) if D[i][i]]
 
 

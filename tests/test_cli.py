@@ -354,6 +354,20 @@ def _bad_inputs(root):
     blobs["member_float"]["sets"][4] = [1.9, 2]  # not read as {1, 2}
     blobs["spec_x"] = _fixture("joins-example.json")
     blobs["spec_x"]["support_order"] = {"x": []}
+    blobs["one"] = classes[:1]
+    # JSON values of the wrong shape: a string is not read as a list of
+    # characters, and a non-list is not a TypeError
+    for name, key, value in (("vertices_12", "vertices", "12"), ("facets_5", "facets", 5),
+                             ("facet_5", "facets", [5])):
+        blobs[name] = {**_fixture("fig1.json"), key: value}
+    for name, key, value in (("J_12", "J", "12"), ("p_x", "p", "x"), ("terms_x", "terms", "x")):
+        blobs[name] = json.loads(json.dumps(classes))
+        blobs[name][0][key] = value
+    blobs["simplex_1"] = json.loads(json.dumps(classes))
+    blobs["simplex_1"][0]["terms"][0]["simplex"] = "1"
+    for name, key, value in (("sets_5", "sets", 5), ("member_5", "sets", [5]),
+                             ("ground_x", "ground", "x")):
+        blobs[name] = {**_fixture("stellohedron3-building-set.json"), key: value}
     paths = {}
     for name, blob in blobs.items():
         paths[name] = root / f"{name}.json"
@@ -365,7 +379,7 @@ def _bad_inputs(root):
 
 
 @pytest.mark.parametrize("argv,error", [
-    (["massey", "fig1.json", "--classes", "{empty}", "--ring", "F2"], "InvalidDefiningSystem"),
+    (["massey", "fig1.json", "--classes", "{empty}", "--ring", "F2"], "DomainError"),
     (["product", "fig1.json", "--classes", "{coeff_x}"], "MalformedInput"),
     (["product", "fig1.json", "--classes", "{coeff_123}", "--ring", "Q"], "MalformedInput"),
     (["product", "fig1.json", "--classes", "{noncocycle}"], "NotACocycle"),
@@ -381,6 +395,18 @@ def _bad_inputs(root):
     (["build", "{latin1}"], "UnicodeDecodeError"),
     (["contract", "fig1.json", "--edge", "1,1"], "EdgeNotInComplex"),
     (["hochster", "fig1.json", "--ring", "F3317044064679887385961983"], "ModulusTooLarge"),
+    (["massey", "fig1.json", "--classes", "{one}"], "DomainError"),
+    (["massey", "fig1.json", "--classes", "{empty}"], "DomainError"),
+    (["build", "{vertices_12}"], "MalformedInput"),
+    (["build", "{facets_5}"], "MalformedInput"),
+    (["build", "{facet_5}"], "MalformedInput"),
+    (["massey", "fig1.json", "--classes", "{J_12}"], "MalformedInput"),
+    (["massey", "fig1.json", "--classes", "{p_x}"], "MalformedInput"),
+    (["massey", "fig1.json", "--classes", "{terms_x}"], "MalformedInput"),
+    (["massey", "fig1.json", "--classes", "{simplex_1}"], "MalformedInput"),
+    (["nested-set", "{sets_5}"], "MalformedInput"),
+    (["nested-set", "{member_5}"], "MalformedInput"),
+    (["nested-set", "{ground_x}"], "MalformedInput"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)
@@ -390,8 +416,10 @@ def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     assert code == 1
     assert blob["error"]["type"] == error
     assert error in INPUT_ERRORS
-    if error == "DomainError":
+    if "--pairs" in argv:
         assert "1,2,3" in blob["error"]["message"]
+    if argv[0] == "massey" and error == "DomainError":
+        assert "at least two classes" in blob["error"]["message"]
 
 
 def _run_quietly(argv):

@@ -18,7 +18,6 @@ from matk.exactalg import (
     NotPrime,
     Ring,
     Solver,
-    smith_normal_form,
 )
 
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     rank,
     row_echelon,
     rp2_six_vertices,
+    smith_normal_form,
     snf_diagonal,
 )
 
@@ -435,21 +435,73 @@ def test_sparse_kernel_matches_sympy_smith_form(data):
     assert snf_diagonal(M) == want + [0] * (min(len(M), len(M[0])) - len(want))
 
 
+# unit-pivot elimination leaves this 5x5 residual from the 8x8 matrix below;
+# plain Smith elimination over Z grows its entries past 10^80 and does not finish
+UNIT_FREE_RESIDUAL = [[-49, -24, -49, 27, 94], [43, 19, 46, -27, -87],
+                      [262, 117, 268, -153, -487], [180, 85, 183, -102, -337],
+                      [239, 111, 237, -139, -437]]
+
+
 def test_invariant_factors_of_unit_free_residuals():
     # [[-6, -9], [2, 3]] has rank 1 and minor 6; modulo 6 its first pivot is 3,
     # and only the rest of the diagonal (the 2) brings the gcd down to 1
     assert snf_diagonal([[-6, -9], [2, 3]]) == naive_invariant_factors([[-6, -9], [2, 3]]) == [1, 0]
     assert snf_diagonal([[1, -2, 3, 1], [0, 0, 3, 0], [0, 2, 0, 3], [1, 0, 4, 4]]) == [1, 1, 1, 0]
-    # unit-pivot elimination leaves this 5x5 residual from the 8x8 matrix; plain
-    # Smith elimination over Z grows its entries past 10^80 and does not finish
     M = [[4, 1, 1, 0, -1, 1, 1, 1], [0, 0, -1, -1, 1, 2, -2, 1], [4, -2, 4, -1, 4, 0, 0, 0],
          [-1, 0, -6, 2, -6, -1, 1, 1], [-1, 3, 1, 0, 0, 3, -2, -6], [4, 2, 1, 4, 0, 0, -1, 1],
          [2, 4, 1, 4, -6, -1, 4, 1], [0, 4, 4, 4, -1, -6, -2, 4]]
-    residual = [[-49, -24, -49, 27, 94], [43, 19, 46, -27, -87],
-                [262, 117, 268, -153, -487], [180, 85, 183, -102, -337],
-                [239, 111, 237, -139, -437]]
+    residual = UNIT_FREE_RESIDUAL
     assert snf_diagonal(residual) == naive_invariant_factors(residual) == [1, 1, 1, 1, 65274]
     assert snf_diagonal(M) == [1] * 7 + [abs(int(det(M)))]
+
+
+def test_solver_on_a_unit_free_residual():
+    # no entry is a unit, so all of the matrix goes to the Hermite form
+    A = UNIT_FREE_RESIDUAL
+    solver = Solver(rows_of(A), ZZ, 5)
+    assert solver.rank == 5 and solver.kernel == []
+    x0 = [3, -1, 4, 1, -5]
+    b = mat_vec(A, x0, ZZ)
+    x = solver.solve(b)
+    assert x is not None and mat_vec(A, x, ZZ) == b
+    # |det A| = 65274, so the first unit vector is not in the image
+    assert abs(det(A)) == 65274
+    assert solver.solve([1, 0, 0, 0, 0]) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_hermite_form_is_a_unimodular_column_transform(data):
+    M = _random_sparse_matrix(data, 6)
+    H, V = [list(row) for row in M], identity(len(M[0]))
+    k = exactalg._hermite(H, V)
+    assert mat_mul(M, V) == H and abs(det(V)) == 1
+    assert k == rank(M, QQ) and not any(any(row[k:]) for row in H)
+    pivot_rows = [next(i for i, row in enumerate(H) if row[t]) for t in range(k)]
+    assert pivot_rows == sorted(set(pivot_rows))
+    for t, i in enumerate(pivot_rows):
+        assert H[i][t] > 0 and all(0 <= a < H[i][t] for a in H[i][:t])
+
+
+@pytest.mark.skipif(sympy_smith_normal_form is None, reason="sympy is not installed")
+@settings(max_examples=100, deadline=1000)
+@given(st.data())
+def test_solver_on_unit_free_matrices(data):
+    # no entry of absolute value 1, so no unit pivot: the Hermite form of the
+    # residual does all of the work, and must finish quickly
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 0, 0, 2, -2, 3, 4, -6, 5])
+    A = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    S = sympy_smith_normal_form(Matrix(A), domain=SYMPY_ZZ)
+    solver = Solver(rows_of(A), ZZ, cols)
+    assert solver.rank == sum(1 for i in range(min(S.shape)) if S[i, i])
+    assert solver.rank == cols - len(solver.kernel)
+    for _ in range(3):
+        b = mat_vec(A, [data.draw(entry) for _ in range(cols)], ZZ)
+        x = solver.solve(b)
+        assert x is not None and mat_vec(A, x, ZZ) == b
+    for v in solver.kernel:
+        assert not any(mat_vec(A, v, ZZ))
 
 
 def test_rank_over_q_scales_rows_to_integers():

@@ -154,6 +154,12 @@ def test_enumeration_needs_finite_field():
         enumerate_defining_systems(fig1_classes(ZZ))
 
 
+def test_enumeration_needs_two_classes():
+    for classes in ((), fig1_classes(GF(2))[:1]):
+        with pytest.raises(InvalidDefiningSystem):
+            enumerate_defining_systems(classes)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_fig1_enumeration_class_set(p):
     ring = GF(p)
