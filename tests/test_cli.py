@@ -276,6 +276,14 @@ def test_out_flag_writes_stable_json(capsys, tmp_path):
      ["nestohedron", "--kind", "permutahedron", "--dim", "3"]),
     ("joins-example-construct.json",
      ["construct-join", "joins-example.json", "--certify"]),
+    # canonical solutions: a field witness from a cycle kernel, enumeration
+    # witnesses from particular solutions plus kernels, and the Z residual
+    ("truncated-octahedron-massey-F3.json",
+     ["massey", "truncated-octahedron.json", "--classes",
+      "truncated-octahedron-classes.json", "--ring", "F3"]),
+    ("massey4-massey-F3.json", ["massey", "massey4.json", "--classes",
+                                "massey4-classes.json", "--ring", "F3"]),
+    ("rp2-join-construct.json", ["construct-join", "rp2-join.json", "--certify"]),
 ])
 def test_golden_outputs(capsys, name, argv):
     argv = [str(FIX / a) if a.endswith(".json") else a for a in argv]
