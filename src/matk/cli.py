@@ -130,7 +130,7 @@ def cmd_massey(args):
     if n == 3:
         verdict = massey.triple_massey_decide(*classes)
     else:
-        if ring.kind != "Fp":
+        if n >= 4 and ring.kind != "Fp":
             raise DomainError(
                 f"{n}-fold products are decided by enumeration over a prime field; "
                 f"pass --ring F2 (or another F_p)")

@@ -286,8 +286,9 @@ class ReducedCohomology:
     and not kept.  Each coboundary d: C^p -> C^{p+1} is factored once into an
     ``exactalg.Solver``, kept per degree: its kernel is the cocycle basis,
     and every solve against it (a primitive of a coboundary, coboundary
-    membership, the class key of a cocycle) is a sparse product and a
-    back-substitution.  Only the groups are computed without a ``Solver``.
+    membership, the class key of a cocycle) replays the recorded row
+    operations and back-substitutes.  Only the groups are computed without a
+    ``Solver``.
     """
 
     def __init__(self, K: SimplicialComplex, J, ring: Ring):

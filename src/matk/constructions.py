@@ -32,7 +32,7 @@ from .cochains import (
     evaluate,
     reduced_cohomology,
 )
-from .errors import MatkError, parse_int
+from .errors import MalformedInput, MatkError, parse_int
 from .exactalg import GF, Ring
 from .hochster import CohomologyClass
 from .massey import (
@@ -599,22 +599,32 @@ def spec_to_json(spec: JoinMasseySpec) -> dict:
 
 def spec_from_json(obj: Mapping) -> JoinMasseySpec:
     ring = Ring.parse(json_field(obj, "ring", "spec"))
-    factors = tuple(complex_from_json(K) for K in json_field(obj, "factors", "spec"))
-    cochains = tuple(
-        cochain_from_json(c, K, ring) for K, c in zip(factors, json_field(obj, "cochains", "spec"))
-    )
+    factors = tuple(complex_from_json(K) for K in json_list(obj, "factors", "spec"))
+    blobs = json_list(obj, "cochains", "spec")
+    if len(blobs) != len(factors):
+        raise InvalidSpec(f"{len(blobs)} cochains for {len(factors)} factors; "
+                          "one cochain per factor")
+    cochains = tuple(cochain_from_json(c, K, ring) for K, c in zip(factors, blobs))
     vertex_choice = {}
-    for entry in obj.get("vertex_choice", []):
+    for entry in json_list(obj, "vertex_choice", "spec") if "vertex_choice" in obj else []:
         s = tuple(json_list(entry, "simplex", "vertex choice"))
         for K in factors:
             if all(v in K.vertices for v in s):
                 s = K.sort_simplex(s)
                 break
         vertex_choice[s] = json_field(entry, "vertex", "vertex choice")
-    support_order = {
-        parse_int(i, "support-order factor"): [tuple(s) for s in order]
-        for i, order in obj.get("support_order", {}).items()
-    }
+    orders = obj.get("support_order", {})
+    if not isinstance(orders, Mapping):
+        raise MalformedInput(f"spec 'support_order' is not a JSON object: {orders!r}")
+    support_order = {}
+    for key in orders:
+        i = parse_int(key, "support-order factor")
+        if not 0 <= i < len(factors):
+            raise InvalidSpec(f"support order for factor {i}, but the factors are "
+                              f"0..{len(factors) - 1}")
+        order = json_list(orders, key, "support order")
+        support_order[i] = [tuple(json_list(order, t, "support simplex"))
+                            for t in range(len(order))]
     return JoinMasseySpec(factors, cochains, vertex_choice, support_order)
 
 

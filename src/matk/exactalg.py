@@ -2,23 +2,17 @@
 
 Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
 for rationals, and reduced residues for F_p.  Every matrix is a list of
-sparse rows, one ``{column: entry}`` dict per row.  Ranks and invariant
-factors come from one sparse elimination on integer rows, chosen for low
-fill-in: over Z and Q it pivots on units only, and the small dense residual
-is made diagonal by column Hermite forms of it and its transpose in turn;
-over F_p any nonzero entry is a pivot.  ``cohomology_groups`` gives this
-kernel the coboundary rows of a cochain complex directly and reduces each
-matrix once.  Solves go through ``Solver``, which factors one matrix once by
-a column-ordered sparse Gauss-Jordan elimination (unit pivots only over Z,
-with the column Hermite form H = R V of the residual R left over, keeping
-only V) and then answers each right-hand side with a sparse product, a
-canonical reduction by the columns of H, and a back-substitution.
-``_hermite`` is the one dense integer routine.
+sparse rows, one ``{column: entry}`` dict per row.  One sparse Gaussian
+elimination, ``_eliminate``, serves every ring and records its steps; over Z
+it pivots on units only, and ``_hermite``, the one dense integer routine,
+handles the small residual left over.  ``cohomology_groups`` reads ranks
+and invariant factors off it, one reduction per coboundary matrix.
+``Solver`` factors one matrix once and answers each right-hand side by
+replaying the recorded row operations and back-substituting.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -173,69 +167,62 @@ def GF(p: int) -> Ring:
     return Ring("Fp", p)
 
 
-# -- sparse elimination: ranks, invariant factors, cochain complexes ----------
+# -- sparse elimination: one kernel for ranks, invariant factors and solves ---
 
 
-def _sparse_reduce(M, p: int = 0):
-    """Gaussian elimination on an integer matrix given by sparse rows.
+def _eliminate(rows, ring: Ring):
+    """Gaussian elimination on sparse rows, recording it; returns (steps, left).
 
-    With p = 0 it works over Z and pivots only on entries of absolute value
-    1; with p prime it works over F_p and any nonzero entry is a pivot.
-    Each step takes the shortest live row (a heap keyed by row length) and,
-    among its pivot candidates, the one with the fewest entries in its column,
-    which keeps fill-in low.  Returns (pivots, residual): the residual is the
-    dense submatrix left once no candidate remains, always empty over F_p.
-    Each unit pivot is an elementary SNF step, so over Z the invariant
-    factors of M are those of the residual prefixed by ``pivots`` ones.
+    Column by column in sorted order, the shortest remaining row with a
+    usable entry there (nonzero over a field, +-1 over Z; ties to the lower
+    index) becomes the pivot row: it is removed, and the column is cleared
+    from the other rows.  Step (k, c, row_k, inv, ops) holds the pivot row k
+    as chosen, its column c, the inverse of its entry there, and the pairs
+    (i, f) of row_i -= f * row_k.  ``left`` maps each row still nonzero to
+    its entries: the residual over Z, always empty over a field.  Unit pivots
+    are Smith steps, so over Z the invariant factors are one 1 per step and
+    those of the residual.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set] = {}
-    for i, row in enumerate(M):
-        row = {j: a % p for j, a in row.items() if a % p} if p else dict(row)
+    p, field = (ring.p if ring.kind == "Fp" else 0), ring.is_field
+    live: dict[int, dict] = {}
+    index: dict[int, set] = {}  # column -> remaining rows with an entry there
+    for i, row in enumerate(rows):
+        row = {j: a % p for j, a in row.items() if a % p} if p else {
+            j: a for j, a in row.items() if a}
         if row:
-            rows[i] = row
+            live[i] = row
             for j in row:
-                cols.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(heap)
-    pivots = 0
-    while heap:
-        n, i0 = heapq.heappop(heap)
-        pivot_row = rows.get(i0)
-        if pivot_row is None or len(pivot_row) != n:
-            continue  # stale entry: the row is gone or has changed since
-        units = [j for j, a in pivot_row.items() if p or a in (1, -1)]
-        if not units:
-            continue  # stays in the residual unless a later step changes it
-        j0 = min(units, key=lambda j: len(cols[j]))
-        inv = pow(pivot_row[j0], -1, p) if p else pivot_row[j0]
-        del rows[i0]
-        for j in pivot_row:
-            cols[j].discard(i0)
-        for i in cols.pop(j0):
-            row = rows[i]
-            f = row.pop(j0) * inv
-            for j, a in pivot_row.items():
-                if j == j0:
-                    continue
+                index.setdefault(j, set()).add(i)
+    steps = []
+    for c in sorted(index):
+        usable = [i for i in index[c] if field or live[i][c] in (1, -1)]
+        if not usable:
+            continue
+        k = min(usable, key=lambda i: (len(live[i]), i))
+        row_k = live.pop(k)
+        for j in row_k:
+            index[j].discard(k)
+        inv = ring.inv(row_k[c]) if field else row_k[c]
+        rest = [(j, a) for j, a in row_k.items() if j != c]
+        ops = []
+        for i in index.pop(c):
+            row = live[i]
+            f = row.pop(c) * inv % p if p else row.pop(c) * inv
+            for j, a in rest:
                 new = row.get(j, 0) - f * a
                 if p:
                     new %= p
                 if new:
                     row[j] = new
-                    cols[j].add(i)
+                    index[j].add(i)
                 elif j in row:
                     del row[j]
-                    cols[j].discard(i)
-            if row:
-                heapq.heappush(heap, (len(row), i))
-            else:
-                del rows[i]
-        pivots += 1
-    live_rows = sorted(rows)
-    live_cols = sorted({j for row in rows.values() for j in row})
-    residual = [[rows[i].get(j, 0) for j in live_cols] for i in live_rows]
-    return pivots, residual
+                    index[j].discard(i)
+            if not row:
+                del live[i]
+            ops.append((i, f))
+        steps.append((k, c, row_k, inv, ops))
+    return steps, live
 
 
 def _unimodular_pair(a: int, b: int):
@@ -297,20 +284,23 @@ def _divisibility_chain(diag: list) -> list:
 
 def _invariant_factors(rows, ring: Ring) -> list:
     """The nonzero invariant factors of an integer matrix given by sparse
-    rows, from one reduction.  Over a field only their count, the rank,
-    means anything: every factor is then 1.
+    rows, from one ``_eliminate`` (over Z when the ring is Q: the rows are
+    integers).  Over a field only their count, the rank, means anything:
+    every factor is then 1.
 
     Over Z the residual is made diagonal by Hermite forms of it and of its
     transpose in turn.  The corner entry's absolute value never grows, and
     once it stops shrinking it divides its row and column, which the next
     form clears; the rest follows by induction.
     """
-    pivots, A = _sparse_reduce(rows, ring.p if ring.kind == "Fp" else 0)
-    if not A:  # always over F_p, and for most matrices over Z
-        return [1] * pivots
+    steps, left = _eliminate(rows, ring if ring.kind == "Fp" else ZZ)
+    if not left:  # always over F_p, and for most matrices over Z
+        return [1] * len(steps)
+    cols = sorted({j for row in left.values() for j in row})
+    A = [[left[i].get(j, 0) for j in cols] for i in sorted(left)]
     while _hermite(A) < sum(1 for row in A for a in row if a):
         A = [list(col) for col in zip(*A)]
-    return [1] * pivots + _divisibility_chain([a for row in A for a in row if a])
+    return [1] * len(steps) + _divisibility_chain([a for row in A for a in row if a])
 
 
 def cohomology_groups(sizes: Mapping[int, int], deltas: Mapping[int, list],
@@ -335,125 +325,87 @@ def cohomology_groups(sizes: Mapping[int, int], deltas: Mapping[int, list],
 # -- solving: one factorization, many right-hand sides -------------------------
 
 
-def _subtract(row: dict, f, src: dict, p: int, index: Optional[dict] = None, i=None):
-    """row -= f * src in place (mod p if p), keeping ``index`` current for row i."""
-    for j, a in src.items():
-        new = row.get(j, 0) - f * a
-        if p:
-            new %= p
-        if new:
-            row[j] = new
-            if index is not None:
-                index[j].add(i)
-        elif j in row:
-            del row[j]
-            if index is not None:
-                index[j].discard(i)
-
-
 class Solver:
     """A x = b for one matrix A (sparse rows, ``cols`` columns) and many
     right-hand sides b, factored once.
 
-    One column-ordered Gauss-Jordan elimination serves every ring: each
-    column takes as pivot the shortest non-pivot row with a usable entry
-    there (nonzero over a field, +-1 over Z), scales it to 1 and clears the
-    column from every other row, recording the row operations as a sparse E.
-    Over a field E A is then the unique reduced row echelon form of A.  Over
-    Z the rows left with entries form a residual R, and ``_hermite`` gives
-    its column Hermite form H = R V, column t with its pivot in row i_t.  A
-    right-hand side costs y = E b.  On the residual rows it is reduced by
-    subtracting the multiple q_t = floor(y[i_t] / H[i_t][t]) of each column
-    t in turn; the remainder is canonical, since column t is zero above row
-    i_t, and b is solvable iff it and y on the rows left empty vanish.  The
-    particular solution (free coordinates zero; V times q on the columns of
-    R over Z) and each kernel vector (one free coordinate 1, or one column
-    of V past the rank of H) are back-substituted through the pivot rows:
-    over a field those of the echelon form, over Z a basis of the kernel
-    lattice.
+    ``_eliminate`` factors A; over Z the rows it leaves form a residual R,
+    and ``_hermite`` gives H = R V, column t with its pivot in row i_t.  A
+    right-hand side b becomes y by the recorded row operations; on the
+    residual rows the multiple q_t = floor(y[i_t] / H[i_t][t]) of each column
+    t is taken off in turn, which leaves a canonical remainder (column t is
+    zero above row i_t), and b is solvable iff it and y on the empty rows
+    vanish.  The particular solution (free coordinates zero; V q on R's
+    columns) and each kernel vector (one free coordinate 1, or a column of V
+    past the rank of H) are back-substituted through the pivot rows.  Over a
+    field the pivot columns are those of the reduced echelon form, so both
+    are unique; over Z the kernel vectors are a basis of the kernel lattice.
     """
 
     def __init__(self, rows, ring: Ring, cols: int):
         self.ring, self.cols = ring, cols
-        self._p = p = ring.p if ring.kind == "Fp" else 0
-        live: dict[int, dict] = {}
-        index: dict[int, set] = {}  # column -> rows with an entry there
-        E = [{i: 1} for i in range(len(rows))]
-        for i, row in enumerate(rows):
-            row = {j: a % p for j, a in row.items() if a % p} if p else {
-                j: a for j, a in row.items() if a}
-            if row:
-                live[i] = row
-                for j in row:
-                    index.setdefault(j, set()).add(i)
-        pivots: dict[int, int] = {}  # pivot row -> its column
-        for c in sorted(index):
-            usable = [i for i in index[c] if i not in pivots
-                      and (ring.is_field or live[i][c] in (1, -1))]
-            if not usable:
-                continue
-            k = min(usable, key=lambda i: (len(live[i]), i))
-            inv = ring.inv(live[k][c]) if ring.is_field else live[k][c]
-            if inv != 1:
-                live[k] = {j: a * inv % p if p else a * inv for j, a in live[k].items()}
-                E[k] = {j: e * inv % p if p else e * inv for j, e in E[k].items()}
-            for i in list(index[c]):
-                if i != k:
-                    f = live[i][c]
-                    _subtract(live[i], f, live[k], p, index, i)
-                    _subtract(E[i], f, E[k], p)
-            pivots[k] = c
-        self._pivots = pivots
-        self._rows = {k: live[k] for k in pivots}
-        self._index = index
-        rest = [i for i in range(len(rows)) if i not in pivots]
-        self._empty = [i for i in rest if not live.get(i)]
-        self._residual = [i for i in rest if live.get(i)]  # only over Z
-        self._res_cols = sorted({j for i in self._residual for j in live[i]})
+        self._p = ring.p if ring.kind == "Fp" else 0
+        self._steps, left = _eliminate(rows, ring)
+        self._step_of = {k: s for s, (k, *_) in enumerate(self._steps)}
+        self._uses: dict[int, list] = {}  # column -> steps whose pivot row has it
+        for s, (_, c, row_k, _, _) in enumerate(self._steps):
+            for j in row_k.keys() - {c}:
+                self._uses.setdefault(j, []).append(s)
+        self._empty = [i for i in range(len(rows)) if i not in self._step_of and i not in left]
+        self._residual = sorted(left)  # only over Z
+        self._res_cols = sorted({j for row in left.values() for j in row})
         n = len(self._res_cols)
-        self._H = [[live[i].get(j, 0) for j in self._res_cols] for i in self._residual]
+        self._H = [[left[i].get(j, 0) for j in self._res_cols] for i in self._residual]
         self._V = [[int(i == j) for j in range(n)] for i in range(n)]
         k = _hermite(self._H, self._V)
         self._pivot_rows = [next(i for i, row in enumerate(self._H) if row[t]) for t in range(k)]
-        self.rank = len(pivots) + k
-        self._E = {}  # E by columns: row of b -> [(row of y, entry)]
-        for i, row in enumerate(E):
-            for j, e in row.items():
-                self._E.setdefault(j, []).append((i, e))
-        bound = set(pivots.values()) | set(self._res_cols)
+        self.rank = len(self._steps) + k
+        bound = {c for _, c, *_ in self._steps} | set(self._res_cols)
         self.kernel = [self._lift({}, {j: ring.one}) for j in range(cols) if j not in bound]
-        for t in range(k, n):
-            self.kernel.append(self._lift({}, {j: V[t] for j, V in zip(self._res_cols, self._V)
-                                               if V[t]}))
+        self.kernel += [self._lift({}, {j: V[t] for j, V in zip(self._res_cols, self._V) if V[t]})
+                        for t in range(k, n)]
 
     def _lift(self, y: dict, free: dict) -> list:
-        """The x equal to ``free`` off the pivot columns with (E A x)_k = y_k
-        on every pivot row k: back-substitution through the reduced rows."""
-        p, zero = self._p, self.ring.zero
-        x = [zero] * self.cols
-        for k, c in self._pivots.items():
-            x[c] = y.get(k, zero)
-        for j, a in free.items():
-            x[j] = a
-            for k in self._index.get(j, ()):
-                c = self._pivots.get(k)
-                if c is not None:
-                    v = x[c] - self._rows[k][j] * a
-                    x[c] = v % p if p else v
-        return x
+        """The x equal to ``free`` off the pivot columns whose pivot rows
+        satisfy row_k . x = y_k: back-substitution in reverse step order,
+        through only the steps that a nonzero y_k or free entry reaches."""
+        p, zero, steps = self._p, self.ring.zero, self._steps
+        stack = [self._step_of[k] for k in y if k in self._step_of]
+        stack += [s for j in free for s in self._uses.get(j, ())]
+        reach = set()
+        while stack:
+            s = stack.pop()
+            if s not in reach:
+                reach.add(s)
+                stack += self._uses.get(steps[s][1], ())
+        x = dict(free)  # the nonzero coordinates so far
+        for s in sorted(reach, reverse=True):
+            k, c, row_k, inv, _ = steps[s]
+            v = y.get(k, zero)
+            for j, a in row_k.items():
+                if j in x:
+                    v -= a * x[j]
+            v = v * inv % p if p else v * inv
+            if v:
+                x[c] = v
+        out = [zero] * self.cols
+        for j, a in x.items():
+            out[j] = a
+        return out
 
     def _reduce(self, b):
-        """(y, q, residue): y = E b by row, the multiples q_t of H's columns
-        taken off y on the residual rows, and what is left, which decides
-        solvability."""
+        """(y, q, residue): y, b after the recorded row operations, the
+        multiples q_t of H's columns taken off y on the residual rows, and
+        what is left, which decides solvability."""
         p, zero = self._p, self.ring.zero
-        y: dict = {}
-        for j, bj in enumerate(b):
-            if bj:
-                for i, e in self._E.get(j, ()):
-                    y[i] = y.get(i, zero) + e * bj
-        if p:
-            y = {i: v % p for i, v in y.items()}
+        y = {i: bi % p for i, bi in enumerate(b) if bi % p} if p else {
+            i: bi for i, bi in enumerate(b) if bi}
+        for k, _, _, _, ops in self._steps:
+            yk = y.get(k)
+            if yk:
+                for i, f in ops:
+                    v = y.get(i, zero) - f * yk
+                    y[i] = v % p if p else v
         r = [y.get(i, 0) for i in self._residual]
         q = []
         for t, i in enumerate(self._pivot_rows):

@@ -290,7 +290,8 @@ def triple_massey_decide(alpha1: CohomologyClass, alpha2: CohomologyClass,
 
 def enumerate_defining_systems(classes, budget: int = 20,
                                visit: Optional[Callable] = None) -> MasseyVerdict:
-    """Exhaustive Massey triviality over a prime field.
+    """Exhaustive Massey triviality over a prime field; a twofold product
+    has no stages to enumerate, so it is decided over any ring.
 
     Walks the triangular array in increasing k - i order (ties by i); each
     stage contributes its full cocycle space as free parameters.  When the
@@ -301,8 +302,6 @@ def enumerate_defining_systems(classes, budget: int = 20,
     if len(classes) < 2:
         raise InvalidDefiningSystem("a Massey product needs at least two classes")
     K, ring = _common_ambient(classes)
-    if ring.kind != "Fp":
-        raise RingNotFinite("exhaustive enumeration needs a prime field")
     n = len(classes)
     base = DefiningSystem(classes, {})
 
@@ -312,6 +311,8 @@ def enumerate_defining_systems(classes, budget: int = 20,
         for i in range(1, n - gap + 1)
         if (i, i + gap) != (1, n)
     ]
+    if stages and ring.kind != "Fp":
+        raise RingNotFinite("exhaustive enumeration needs a prime field")
 
     cohomology = {s: reduced_cohomology(K, base.J_block(*s), ring) for s in stages}
     kernels = {s: cohomology[s].cocycle_basis(base.p_block(*s)) for s in stages}
@@ -326,7 +327,6 @@ def enumerate_defining_systems(classes, budget: int = 20,
         return MasseyVerdict(defined=True, contains_zero=None, budget_exhausted=True)
 
     H_top = reduced_cohomology(K, base.J_block(1, n), ring)
-    residues = list(range(ring.p))
     found_zero = False
     any_leaf = False
     keys = {}
@@ -351,7 +351,7 @@ def enumerate_defining_systems(classes, budget: int = 20,
         particular = cohomology[(i, k)].primitive(ds.staircase(i, k))
         if particular is None:
             return
-        for coeffs in itertools.product(residues, repeat=len(kernels[(i, k)])):
+        for coeffs in itertools.product(range(ring.p), repeat=len(kernels[(i, k)])):
             a = particular
             for c, z in zip(coeffs, kernels[(i, k)]):
                 if c:

@@ -108,6 +108,21 @@ def test_massey_verdict_on_fig1(capsys):
     assert "witness" in blob
 
 
+@pytest.mark.parametrize("ring", ["Z", "Q", "F2"])
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2)])
+def test_twofold_massey_is_the_product(capsys, tmp_path, ring, pair):
+    # a twofold Massey product is the cup product, decided over every ring
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps([_fixture("fig1-classes.json")[i] for i in pair]))
+    argv = [str(FIX / "fig1.json"), "--classes", str(two), "--ring", ring]
+    code, product = run_json(capsys, "product", *argv)
+    assert code == 0
+    code, verdict = run_json(capsys, "massey", *argv)
+    assert code == 0 and verdict["order"] == 2 and verdict["defined"] is True
+    assert verdict["contains_zero"] == product["is_zero_class"]
+    assert verdict["contains_zero"] is (pair == (0, 1))
+
+
 def test_massey_four_fold_needs_prime_field(capsys):
     code, blob = run_json(capsys, "massey", str(FIX / "massey4.json"),
                           "--classes", str(FIX / "massey4-classes.json"), "--ring", "Z")
@@ -362,6 +377,15 @@ def _bad_inputs(root):
     blobs["member_float"]["sets"][4] = [1.9, 2]  # not read as {1, 2}
     blobs["spec_x"] = _fixture("joins-example.json")
     blobs["spec_x"]["support_order"] = {"x": []}
+    spec = _fixture("joins-example.json")
+    for name, key, value in (("spec_factors_5", "factors", 5), ("spec_cochains_5", "cochains", 5),
+                             ("spec_choice_5", "vertex_choice", 5),
+                             ("spec_orders_list", "support_order", []),
+                             ("spec_order_5", "support_order", {"0": 5}),
+                             ("spec_order_7", "support_order", {"7": []}),
+                             ("spec_extra_cochain", "cochains", spec["cochains"] * 2),
+                             ("spec_few_cochains", "cochains", spec["cochains"][:-1])):
+        blobs[name] = {**spec, key: value}
     blobs["one"] = classes[:1]
     # JSON values of the wrong shape: a string is not read as a list of
     # characters, and a non-list is not a TypeError
@@ -415,6 +439,14 @@ def _bad_inputs(root):
     (["nested-set", "{sets_5}"], "MalformedInput"),
     (["nested-set", "{member_5}"], "MalformedInput"),
     (["nested-set", "{ground_x}"], "MalformedInput"),
+    (["construct-join", "{spec_factors_5}"], "MalformedInput"),
+    (["construct-join", "{spec_cochains_5}"], "MalformedInput"),
+    (["construct-join", "{spec_choice_5}"], "MalformedInput"),
+    (["construct-join", "{spec_orders_list}"], "MalformedInput"),
+    (["construct-join", "{spec_order_5}"], "MalformedInput"),
+    (["construct-join", "{spec_order_7}"], "InvalidSpec"),
+    (["construct-join", "{spec_extra_cochain}"], "InvalidSpec"),
+    (["construct-join", "{spec_few_cochains}"], "InvalidSpec"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)

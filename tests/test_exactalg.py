@@ -504,6 +504,20 @@ def test_solver_on_unit_free_matrices(data):
         assert not any(mat_vec(A, v, ZZ))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solver_rank_is_the_count_of_invariant_factors(data):
+    # both callers of the one elimination agree, over Q too, where the
+    # invariant factors read the rank off an elimination over Z
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    entry = st.sampled_from(data.draw(st.sampled_from([
+        [0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 4, -6],
+        [0, 0, 0, 2, -2, 3, 4, -6, 5]])))  # the second has no units over Z
+    M = [{j: a for j in range(cols) if (a := data.draw(entry))} for _ in range(rows)]
+    assert Solver(M, ring, cols).rank == len(exactalg._invariant_factors(M, ring))
+
+
 def test_rank_over_q_scales_rows_to_integers():
     half, third = QQ.element_from_str("1/2"), QQ.element_from_str("1/3")
     for last, want in ((2, 1), (3, 2)):
