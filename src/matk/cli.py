@@ -2,10 +2,10 @@
 
 Every invocation reads JSON, writes one JSON object (stdout or --out) with
 sorted keys, and logs nothing to stdout.  Exit codes: 0 success, 1 bad input,
-2 usage error.  Bad input is a ``MatkError`` or an input file that cannot be
-read or is not JSON; it is reported as a JSON error object ``{"error":
-{"type", "message"}}`` on stdout.  Any other exception is an internal fault
-and ends in a traceback.
+2 usage error, 3 internal fault.  Bad input is a ``MatkError`` or an input
+file that cannot be read or is not JSON; it is reported as a JSON error
+object ``{"error": {"type", "message"}}`` on stdout.  Any other exception is
+an internal fault: its traceback goes to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import cochains, constructions, hochster, massey, nestohedra, simplicial
 from .errors import MatkError, parse_int
@@ -332,6 +333,9 @@ def main(argv=None) -> int:
     except (MatkError, OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         _emit({"error": {"type": type(err).__name__, "message": str(err)}}, None)
         return 1
+    except Exception:
+        traceback.print_exc()
+        return 3
     return 0
 
 

@@ -13,6 +13,7 @@ replaying the recorded row operations and back-substituting.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -357,13 +358,21 @@ class Solver:
         n = len(self._res_cols)
         self._H = [[left[i].get(j, 0) for j in self._res_cols] for i in self._residual]
         self._V = [[int(i == j) for j in range(n)] for i in range(n)]
-        k = _hermite(self._H, self._V)
-        self._pivot_rows = [next(i for i, row in enumerate(self._H) if row[t]) for t in range(k)]
-        self.rank = len(self._steps) + k
+        self._h_rank = _hermite(self._H, self._V)
+        self._pivot_rows = [next(i for i, row in enumerate(self._H) if row[t])
+                            for t in range(self._h_rank)]
+        self.rank = len(self._steps) + self._h_rank
+
+    @functools.cached_property
+    def kernel(self) -> list:
+        """A basis of the kernel, lifted on first use: callers that only
+        ask ``residue`` or ``solve`` never pay for it."""
         bound = {c for _, c, *_ in self._steps} | set(self._res_cols)
-        self.kernel = [self._lift({}, {j: ring.one}) for j in range(cols) if j not in bound]
-        self.kernel += [self._lift({}, {j: V[t] for j, V in zip(self._res_cols, self._V) if V[t]})
-                        for t in range(k, n)]
+        one, k = self.ring.one, self._h_rank
+        kernel = [self._lift({}, {j: one}) for j in range(self.cols) if j not in bound]
+        kernel += [self._lift({}, {j: V[t] for j, V in zip(self._res_cols, self._V) if V[t]})
+                   for t in range(k, len(self._res_cols))]
+        return kernel
 
     def _lift(self, y: dict, free: dict) -> list:
         """The x equal to ``free`` off the pivot columns whose pivot rows

@@ -2,12 +2,25 @@
 
 ``hochster_decompose`` assembles H^d(Z_K) from the reduced cohomology of all
 full subcomplexes K_J, one class of degree p + |J| + 1 per class of
-H-tilde^p(K_J).  ``moment_angle_cw_oracle`` computes the same groups from the
-cellular chain complex of the moment-angle complex itself (one cell per pair
-of a face sigma and a disjoint circle-coordinate set T, of dimension
-2|sigma| + |T|).  The two share the linear algebra (``exactalg``'s sparse
-elimination turns each cochain complex into its groups) but not the cell
-model, so they cross-validate each other.
+H-tilde^p(K_J) (Hochster's formula).  It builds no complex per subset.  One
+face table of K, built once per call, holds every face as an int bitmask
+(bit r for the vertex of rank r); the faces of K_J are those inside the
+mask of J.  For J nonempty it picks a vertex v of J and keeps only the faces
+of K_J whose union with v is no face: the basis of the relative cochains
+C*(K_J, st v), which is closed upward.  The closed star of v is a cone, so
+H*(K_J, st v) is H-tilde*(K_J) over any ring, torsion included, and when
+nothing is kept K_J is a cone and contributes nothing.  The coboundary row
+of a kept face depends on v only, so it is built once per vertex and shared
+by every J containing v; ``exactalg`` never writes to its input rows.  Only
+the empty subset carries H-tilde^{-1}.
+
+``moment_angle_cw_oracle`` computes the same groups from the cellular chain
+complex of the moment-angle complex itself (one cell per pair of a face
+sigma and a disjoint circle-coordinate set T, of dimension 2|sigma| + |T|).
+The two share only ``exactalg``'s elimination, which turns each cochain
+complex into its groups; neither goes through ``cochains``, and their
+complexes and sign rules are built independently, so they cross-validate
+each other.
 """
 
 from __future__ import annotations
@@ -107,26 +120,82 @@ class HochsterTable:
         }
 
 
+def _face_table(K: SimplicialComplex):
+    """(levels, gid, facets): the faces of K as int bitmasks, bit r for the
+    vertex of rank r.  ``levels[p]`` lists the p-faces in ``K.faces(p)``
+    order, ``gid`` maps a face to its index there, and ``facets`` maps each
+    face t of dimension >= 1 to its coboundary terms: the face t minus its
+    r-th lowest vertex, with the sign (-1)^r."""
+    rank = K._rank
+    levels, gid, facets = [], {}, {}
+    for p in range(K.dim + 1):
+        masks = []
+        for i, f in enumerate(K.faces(p)):
+            mask = 0
+            for v in f:
+                mask |= 1 << rank[v]
+            gid[mask] = i
+            masks.append(mask)
+        levels.append(masks)
+    for masks in levels[1:]:
+        for t in masks:
+            terms, rest, sign = [], t, 1
+            while rest:
+                bit = rest & -rest
+                terms.append((t ^ bit, sign))
+                rest ^= bit
+                sign = -sign
+            facets[t] = terms
+    return levels, gid, facets
+
+
 def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> HochsterTable:
-    """Groups of H^*(Z_K) per vertex subset J and in total per degree."""
+    """Groups of H^*(Z_K) per vertex subset J and in total per degree.
+
+    H-tilde^*(K_J) is read off the relative cochains of (K_J, st v) for a
+    vertex v of J, the vertex with the most neighbours in J: their basis is
+    the faces of K_J off the star of v.  See the module docstring.
+    """
     m = len(K.vertices)
     if m > cap:
         raise VertexCapExceeded(f"{m} vertices exceeds the 2^m subset cap {cap}")
-    subsets = [
-        K.sort_simplex(J)
-        for size in range(m + 1)
-        for J in itertools.combinations(K.vertices, size)
-    ]
+    levels, gid, facets = _face_table(K)
+    neighbours = [sum(1 << u for u in range(m) if u != v and 1 << u | 1 << v in gid)
+                  for v in range(m)]
+    # per vertex v: the faces off its closed star (their union with v is no
+    # face) by dimension, and the coboundary row of each such face t, on
+    # the faces of t off the star; every K_J with v in J shares these rows
+    off_star, off_rows = [], []
+    for v in range(m):
+        vbit = 1 << v
+        off = [[f for f in masks if f | vbit not in gid] for masks in levels]
+        off_star.append(off)
+        off_rows.append({t: {gid[s]: a for s, a in facets[t] if s | vbit not in gid}
+                         for masks in off[1:] for t in masks})
 
     table = HochsterTable(K, ring)
-    per_degree: dict[int, list] = {}
-    for J in subsets:
-        groups = {p: g for p, g in reduced_cohomology(K, J, ring).groups().items()
-                  if not g.is_trivial}
-        if groups:
-            table.by_J[J] = groups
-        for p, g in groups.items():
-            per_degree.setdefault(p + len(J) + 1, []).append(g)
+    per_degree: dict[int, list] = {0: [AbelianGroup(1)]}
+    table.by_J[()] = {-1: AbelianGroup(1)}  # K_J = {empty face}
+    everything = (1 << m) - 1
+    for size in range(1, m + 1):
+        for combo in itertools.combinations(range(m), size):
+            J = sum(1 << r for r in combo)
+            v = max(combo, key=lambda r: (neighbours[r] & J).bit_count())
+            outside = everything ^ J
+            kept = [[f for f in masks if not f & outside] for masks in off_star[v]]
+            if not any(kept):  # K_J is a cone on v
+                continue
+            rows = off_rows[v]
+            groups = exactalg.cohomology_groups(
+                {p: len(faces) for p, faces in enumerate(kept) if faces},
+                {p - 1: [rows[t] for t in faces] for p, faces in enumerate(kept)
+                 if p and faces and kept[p - 1]},
+                ring)
+            groups = {p: g for p, g in groups.items() if not g.is_trivial}
+            if groups:
+                table.by_J[tuple(K.vertices[r] for r in combo)] = groups
+            for p, g in groups.items():
+                per_degree.setdefault(p + size + 1, []).append(g)
     table.total = {
         d: AbelianGroup(0).direct_sum(*gs) for d, gs in sorted(per_degree.items())
     }

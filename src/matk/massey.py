@@ -39,10 +39,10 @@ from .cochains import (
     overline,
     reduced_cohomology,
 )
-from .errors import MatkError
+from .errors import MatkError, parse_int
 from .exactalg import Ring
 from .hochster import CohomologyClass
-from .simplicial import SimplicialComplex, json_field
+from .simplicial import SimplicialComplex, json_field, json_list
 
 
 class OverlappingSupports(MatkError):
@@ -124,11 +124,12 @@ class DefiningSystem:
     @staticmethod
     def from_json(obj, K: SimplicialComplex, ring: Ring) -> "DefiningSystem":
         classes = tuple(CohomologyClass(cochain_from_json(c, K, ring))
-                        for c in json_field(obj, "classes", "defining system"))
+                        for c in json_list(obj, "classes", "defining system"))
         entries = {
-            (json_field(e, "i", "entry"), json_field(e, "k", "entry")):
+            (parse_int(json_field(e, "i", "entry"), "entry index i"),
+             parse_int(json_field(e, "k", "entry"), "entry index k")):
                 cochain_from_json(json_field(e, "cochain", "entry"), K, ring)
-            for e in json_field(obj, "entries", "defining system")
+            for e in json_list(obj, "entries", "defining system")
         }
         return DefiningSystem(classes, entries)
 

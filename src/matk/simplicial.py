@@ -481,10 +481,11 @@ def json_field(obj, key: str, what: str):
 
 
 def json_list(obj, key, what: str) -> list:
-    """``json_field(obj, key, what)``, or the entry ``key`` of a JSON array
-    obj, which must itself be a JSON array; MalformedInput if it is not (so
-    the string "12" is not read as the list 1, 2)."""
-    value = obj[key] if isinstance(obj, list) else json_field(obj, key, what)
+    """``json_field(obj, key, what)``, or the entry ``key`` (an int) of a
+    JSON array obj, which must itself be a JSON array; MalformedInput if it
+    is not (so the string "12" is not read as the list 1, 2)."""
+    value = obj[key] if isinstance(obj, list) and isinstance(key, int) else \
+        json_field(obj, key, what)
     if not isinstance(value, list):
         raise MalformedInput(f"{what} {key!r} is not a JSON array: {value!r}")
     return value

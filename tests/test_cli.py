@@ -250,9 +250,11 @@ def test_internal_key_error_is_not_an_input_error(capsys, monkeypatch):
         raise KeyError("internal")
 
     monkeypatch.setattr(hochster, "hochster_decompose", broken)
-    with pytest.raises(KeyError):
-        main(["hochster", str(FIX / "fig1.json")])
-    assert capsys.readouterr().out == ""
+    assert main(["hochster", str(FIX / "fig1.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert "KeyError: 'internal'" in captured.err
 
 
 def test_out_into_missing_directory_fails_before_computing(capsys, monkeypatch, tmp_path):
@@ -325,9 +327,10 @@ def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
         raise ValueError("internal")
 
     monkeypatch.setattr(hochster, "hochster_decompose", broken)
-    with pytest.raises(ValueError, match="internal"):
-        main(["hochster", str(FIX / "fig1.json")])
-    assert capsys.readouterr().out == ""
+    assert main(["hochster", str(FIX / "fig1.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ValueError: internal" in captured.err
 
 
 def test_stretch_reports_a_contraction_failing_the_link_condition(capsys, tmp_path):
@@ -447,6 +450,7 @@ def _bad_inputs(root):
     (["construct-join", "{spec_order_7}"], "InvalidSpec"),
     (["construct-join", "{spec_extra_cochain}"], "InvalidSpec"),
     (["construct-join", "{spec_few_cochains}"], "InvalidSpec"),
+    (["hochster", "fig1-classes.json"], "MissingField"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)

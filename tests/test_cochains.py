@@ -299,6 +299,17 @@ def test_class_keys_separate_and_identify():
     assert H.class_key(w1) != H.class_key(w3)
 
 
+def test_class_key_leaves_the_kernel_unlifted():
+    K = fig1_complex()
+    H = ReducedCohomology(K, K.vertices, ZZ)  # not the memo: a fresh Solver
+    w = Cochain(K, ZZ, K.vertices, 1, {("1", "5"): 1})
+    H.class_key(w)
+    solver = H.solver(0)
+    assert "kernel" not in vars(solver)
+    assert len(solver.kernel) == len(H.simplices(0)) - solver.rank
+    assert "kernel" in vars(solver)
+
+
 def test_class_keys_on_mixed_free_and_torsion_group():
     # projective plane wedge a two-sphere: degree-two cohomology Z/2 + Z
     rp2 = rp2_six_vertices()

@@ -134,6 +134,21 @@ def test_snf_permutation_invariance(data):
     assert snf_diagonal(M) == snf_diagonal(P)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_elimination_never_writes_to_its_input_rows(data):
+    """Hochster's sum hands the same boundary rows to many eliminations."""
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    A = [[data.draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+    sparse = rows_of(A)
+    before = [dict(row) for row in sparse]
+    exactalg._eliminate(sparse, ring)
+    exactalg.cohomology_groups({0: cols, 1: rows}, {0: sparse}, ring)
+    Solver(sparse, ring, cols).kernel
+    assert sparse == before
+
+
 def test_solve_affine_identity():
     solver = Solver(rows_of(identity(3)), ZZ, 3)
     assert solver.solve([4, -1, 7]) == [4, -1, 7]

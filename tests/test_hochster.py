@@ -1,9 +1,10 @@
+import itertools
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from matk.cochains import Cochain, coboundary, evaluate, Chain, boundary
+from matk.cochains import Cochain, coboundary, evaluate, Chain, boundary, reduced_cohomology
 from matk.exactalg import GF, QQ, ZZ, AbelianGroup
 from matk.hochster import (
     CohomologyClass,
@@ -16,7 +17,7 @@ from matk.hochster import (
 )
 from matk.simplicial import SimplicialComplex
 
-from helpers import cycle_complex, fig1_complex, octahedron, two_points
+from helpers import cycle_complex, fig1_complex, octahedron, rp2_six_vertices, two_points
 from test_simplicial import small_complexes
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
@@ -190,3 +191,79 @@ def test_join_kunneth_convolution():
         for d2, b2 in t2.items():
             conv[d1 + d2] = conv.get(d1 + d2, 0) + b1 * b2
     assert t == conv
+
+
+@st.composite
+def complexes_with_planted_rp2(draw, max_vertices=8):
+    """Random complexes on up to max_vertices shuffled vertices; with a
+    planted RP^2 on six of them, no other facet meets those six in more than
+    two vertices, so the RP^2 stays a full subcomplex and its C2 torsion
+    reaches the Hochster table over Z."""
+    planted = draw(st.booleans())
+    n = draw(st.integers(6 if planted else 2, max_vertices))
+    labels = draw(st.permutations([str(i) for i in range(n)]))
+    facets = []
+    rp2 = set()
+    if planted:
+        rp2_labels = draw(st.permutations(labels))[:6]
+        rp2 = set(rp2_labels)
+        facets = [[rp2_labels[int(v)] for v in f] for f in rp2_six_vertices().facets]
+    for _ in range(draw(st.integers(1, 8))):
+        f = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=min(4, n), unique=True))
+        inside = [v for v in f if v in rp2]
+        facets.append([v for v in f if v not in rp2] + inside[:2])
+    return SimplicialComplex(labels, facets)
+
+
+# two disjoint hollow triangles: an odd cycle off the star of any vertex of
+# the other, which the relative cochains see only with the right signs
+TWO_TRIANGLES = SimplicialComplex(list("abcdef"), ["ab", "bc", "ac", "de", "ef", "df"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(complexes_with_planted_rp2(), st.sampled_from(RINGS))
+@example(TWO_TRIANGLES, QQ)
+def test_face_table_path_matches_per_subset_cohomology(K, ring):
+    """The cone-reduced face-table decomposition against the groups of one
+    ReducedCohomology per full subcomplex."""
+    table = hochster_decompose(K, ring)
+    for size in range(len(K.vertices) + 1):
+        for J in itertools.combinations(K.vertices, size):
+            groups = reduced_cohomology(K, J, ring).groups()
+            assert table.by_J.get(J, {}) == {p: g for p, g in groups.items()
+                                             if not g.is_trivial}
+
+
+def test_planted_rp2_keeps_its_torsion_through_the_cone_reduction():
+    rp2 = rp2_six_vertices()
+    K = SimplicialComplex(rp2.vertices + ("6", "7"),
+                          [list(f) for f in rp2.facets] + [["0", "6", "7"], ["3", "4", "7"]])
+    assert hochster_decompose(K, ZZ).slot(rp2.vertices, 2) == AbelianGroup(0, (2,))
+    assert hochster_decompose(K, GF(2)).slot(rp2.vertices, 2) == AbelianGroup(1)
+
+
+@pytest.mark.parametrize("kind, ring", [("stellohedron", ZZ), ("stellohedron", GF(2)),
+                                        ("permutahedron", GF(2))],
+                         ids=["stellohedron-Z", "stellohedron-F2", "permutahedron-F2"])
+def test_alexander_duality_on_nestohedra(kind, ring):
+    """Alexander duality on the (d-1)-sphere K on vertices V: for every J
+    and -1 <= i <= d-1, H~^i(K_J) and H~^(d-2-i)(K_(V-J)) have the same free
+    rank, and over Z H~^i(K_J) and H~^(d-1-i)(K_(V-J)) the same torsion."""
+    from matk.nestohedra import standard_polytope_complex
+
+    K = standard_polytope_complex(kind, 3)
+    table = hochster_decompose(K, ring)
+    V, d = K.vertices, K.dim + 1
+    bad, checks = [], 0
+    for size in range(len(V) + 1):
+        for J in itertools.combinations(V, size):
+            rest = tuple(v for v in V if v not in J)
+            for i in range(-1, d):
+                checks += 1
+                g = table.slot(J, i)
+                if g.free_rank != table.slot(rest, d - 2 - i).free_rank:
+                    bad.append((J, i, "free"))
+                if not ring.is_field and g.torsion != table.slot(rest, d - 1 - i).torsion:
+                    bad.append((J, i, "torsion"))
+    assert checks == 2 ** len(V) * (d + 1)
+    assert bad == []

@@ -14,6 +14,7 @@ from matk.cochains import (
     cup_multiply,
     reduced_cohomology,
 )
+from matk.errors import MalformedInput
 from matk.exactalg import GF, QQ, ZZ
 from matk.hochster import CohomologyClass, class_in_slot
 from matk.massey import (
@@ -268,6 +269,44 @@ def test_verdict_json_round_trips_witness():
     del blob["witness"]["defining_system"]["entries"][0]["k"]
     with pytest.raises(MissingField, match="'k'"):
         DefiningSystem.from_json(blob["witness"]["defining_system"], K, ring)
+
+
+def _witness_blob():
+    ring = GF(2)
+    blob = enumerate_defining_systems(fig1_classes(ring)).to_json()
+    return blob["witness"]["defining_system"], fig1_complex(), ring
+
+
+def test_defining_system_reader_takes_string_indices():
+    ds, K, ring = _witness_blob()
+    for e in ds["entries"]:
+        e["i"], e["k"] = str(e["i"]), str(e["k"])
+    assert check_defining_system(DefiningSystem.from_json(ds, K, ring)) == []
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda ds: ds["entries"][0].update(i="one"), MalformedInput),
+    (lambda ds: ds["entries"][0].update(k=1.5), MalformedInput),
+    (lambda ds: ds.update(entries=5), MalformedInput),
+    (lambda ds: ds.update(classes="abc"), MalformedInput),
+    (lambda ds: ds.update(classes={"0": ds["classes"][0]}), MalformedInput),
+    (lambda ds: ds.update(classes=[[1, 2]]), MissingField),
+    (lambda ds: ds.update(entries=[5]), MissingField),
+], ids=["i-word", "k-float", "entries-int", "classes-string", "classes-object",
+        "class-array", "entry-int"])
+def test_defining_system_reader_rejects_wrong_shapes(edit, error):
+    ds, K, ring = _witness_blob()
+    edit(ds)
+    with pytest.raises(error):
+        DefiningSystem.from_json(ds, K, ring)
+
+
+@pytest.mark.parametrize("field", ["classes", "entries"])
+def test_defining_system_reader_names_a_missing_field(field):
+    ds, K, ring = _witness_blob()
+    del ds[field]
+    with pytest.raises(MissingField, match=repr(field)):
+        DefiningSystem.from_json(ds, K, ring)
 
 
 def _triple_candidates(K):
