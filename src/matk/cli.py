@@ -120,6 +120,8 @@ def cmd_product(args):
 
 
 def cmd_massey(args):
+    if args.budget < 0:
+        raise DomainError(f"--budget {args.budget} is negative")
     K = _complex(args.input)
     ring = Ring.parse(args.ring)
     classes = _classes(args.classes, K, ring)
@@ -288,10 +290,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add("massey", cmd_massey, help="decide a Massey product")
     p.add_argument("input")
-    p.add_argument("--classes", required=True)
-    p.add_argument("--ring", default="Z")
-    p.add_argument("--order", type=int)
-    p.add_argument("--budget", type=int, default=20)
+    p.add_argument("--classes", required=True, help="JSON list of the classes, in order")
+    p.add_argument("--ring", default="Z", help="Z, Q or F<p>; four or more classes need F<p>")
+    p.add_argument("--order", type=int, help="the number of classes the file must hold")
+    p.add_argument("--budget", type=int, default=20,
+                   help="cap on the free parameters of the defining systems, summed over "
+                        "all stages; above it contains_zero is null")
 
     p = add("construct-join", cmd_construct_join,
             help="build a complex with a non-trivial product by star deletions")

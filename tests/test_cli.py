@@ -301,6 +301,8 @@ def test_out_flag_writes_stable_json(capsys, tmp_path):
     ("massey4-massey-F3.json", ["massey", "massey4.json", "--classes",
                                 "massey4-classes.json", "--ring", "F3"]),
     ("rp2-join-construct.json", ["construct-join", "rp2-join.json", "--certify"]),
+    ("massey4-massey-F5.json", ["massey", "massey4.json", "--classes",
+                                "massey4-classes.json", "--ring", "F5"]),
 ])
 def test_golden_outputs(capsys, name, argv):
     argv = [str(FIX / a) if a.endswith(".json") else a for a in argv]
@@ -451,6 +453,8 @@ def _bad_inputs(root):
     (["construct-join", "{spec_extra_cochain}"], "InvalidSpec"),
     (["construct-join", "{spec_few_cochains}"], "InvalidSpec"),
     (["hochster", "fig1-classes.json"], "MissingField"),
+    (["massey", "massey4.json", "--classes", "massey4-classes.json", "--ring", "F2",
+      "--budget", "-1"], "DomainError"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)
@@ -463,7 +467,8 @@ def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     if "--pairs" in argv:
         assert "1,2,3" in blob["error"]["message"]
     if argv[0] == "massey" and error == "DomainError":
-        assert "at least two classes" in blob["error"]["message"]
+        expected = "--budget -1" if "--budget" in argv else "at least two classes"
+        assert expected in blob["error"]["message"]
 
 
 def _run_quietly(argv):

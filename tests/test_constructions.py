@@ -51,6 +51,7 @@ from matk.simplicial import (
 from helpers import (
     contraction_example_source,
     contraction_example_target,
+    enumerate_reference,
     joins_example_complex,
     octahedron,
     reduced_betti,
@@ -443,7 +444,7 @@ def test_naturality_containment():
     down_classes = tuple(
         CohomologyClass(pullback_class(phi, c.representative)) for c in ds_hat.classes
     )
-    down_verdict = enumerate_defining_systems(down_classes, budget=16)
+    down_verdict = enumerate_reference(down_classes, budget=16)
     H = reduced_cohomology(K, K.sort_simplex("12345678"), ring)
     down_keys = set()
     for omega in down_verdict.class_representatives:

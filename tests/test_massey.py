@@ -1,9 +1,10 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from matk import cochains, exactalg
+from matk import cochains, exactalg, massey
 from matk.cochains import (
     AmbientMismatch,
     Chain,
@@ -33,6 +34,7 @@ from matk.simplicial import MissingField, SimplicialComplex
 
 from helpers import (
     cycle_complex,
+    enumerate_reference,
     fig1_complex,
     four_massey_complex,
     joins_example_complex,
@@ -165,7 +167,7 @@ def test_enumeration_needs_two_classes():
 def test_fig1_enumeration_class_set(p):
     ring = GF(p)
     K = fig1_complex()
-    verdict = enumerate_defining_systems(fig1_classes(ring))
+    verdict = enumerate_reference(fig1_classes(ring))
     assert verdict.defined and verdict.contains_zero is False
     H = reduced_cohomology(K, K.vertices, ring)
     targets = [
@@ -183,6 +185,191 @@ def test_budget_exhaustion_is_honest():
     assert verdict.budget_exhausted
     assert verdict.contains_zero is None
     assert verdict.defined  # the parameter-free branch completes
+
+
+def test_budget_verdict_is_unknown_when_the_probe_fails():
+    """Over F2 the parameter-free branch of stellohedron(4)'s fourfold
+    product fails, yet other branches complete: under budget the verdict
+    cannot say "not defined"."""
+    from matk.nestohedra import nestohedron_massey_input
+
+    _, classes, _ = nestohedron_massey_input("stellohedron", 4, 4, GF(2))
+    verdict = enumerate_defining_systems(classes, budget=0)
+    assert verdict.budget_exhausted
+    assert verdict.defined is None and verdict.contains_zero is None
+    assert verdict.to_json() == {"defined": None, "contains_zero": None,
+                                 "budget_exhausted": True}
+    assert enumerate_defining_systems(classes).defined is True
+
+
+def assert_matches_reference(classes, budget=20):
+    """The coset decision and the exhaustive walk agree byte for byte."""
+    fast = enumerate_defining_systems(classes, budget=budget)
+    slow = enumerate_reference(classes, budget=budget)
+    assert (json.dumps(fast.to_json(), sort_keys=True)
+            == json.dumps(slow.to_json(), sort_keys=True))
+    assert fast.distinct_class_count == slow.distinct_class_count
+    return fast
+
+
+def _shifted(classes, c):
+    """Each representative plus c d(b), b the sum of the basis one degree
+    down: the classes are unchanged."""
+    out = []
+    for cls in classes:
+        rep = cls.representative
+        H = reduced_cohomology(rep.complex, rep.J, rep.ring)
+        b = Cochain(rep.complex, rep.ring, rep.J, rep.p - 1,
+                    {s: rep.ring.of_int(c) for s in H.simplices(rep.p - 1)})
+        out.append(CohomologyClass(rep + coboundary(b)))
+    return tuple(out)
+
+
+def _massey4_fixture(ring):
+    import pathlib
+
+    from matk.cochains import cochain_from_json
+    from matk.simplicial import complex_from_json
+
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    K = complex_from_json(json.loads((fixtures / "massey4.json").read_text()))
+    blobs = json.loads((fixtures / "massey4-classes.json").read_text())
+    blobs = blobs["classes"] if isinstance(blobs, dict) else blobs
+    return tuple(CohomologyClass(cochain_from_json(b, K, ring)) for b in blobs)
+
+
+def _nestohedral(kind, n, k):
+    from matk.nestohedra import nestohedron_massey_input
+
+    return tuple(nestohedron_massey_input(kind, n, k, GF(2))[1])
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("make", [
+    lambda: _massey4_fixture(GF(2)),
+    lambda: _massey4_fixture(GF(3)),
+    lambda: _nestohedral("permutahedron", 4, 4),
+    lambda: _nestohedral("permutahedron", 5, 4),
+    lambda: _nestohedral("stellohedron", 4, 4),
+], ids=["massey4-F2", "massey4-F3", "permutahedron-4-4", "permutahedron-5-4",
+        "stellohedron-4-4"])
+def test_enumeration_matches_reference_on_benchmark_inputs(make, shift):
+    classes = make()
+    assert_matches_reference(_shifted(classes, shift) if shift else classes)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_enumeration_matches_reference_on_fig1(p):
+    verdict = assert_matches_reference(fig1_classes(GF(p)))
+    assert verdict.distinct_class_count == p
+
+
+def test_enumeration_matches_reference_on_moved_inputs():
+    """The inputs of the tests that read the walk's leaves or classes."""
+    from matk.constructions import canonical_defining_system_joins, pullback_class
+
+    from test_constructions import phi_and_complexes, target_spec
+
+    K = four_massey_complex()
+    ring = GF(2)
+    assert_matches_reference(tuple(
+        class_in_slot(K, ring, (str(i), str(i) + "'"), 0, {(str(i),): ring.one})
+        for i in range(1, 5)), budget=12)
+    assert_matches_reference(fig1_classes(GF(3)))
+    K, Khat, phi, _ = phi_and_complexes()
+    ds_hat = canonical_defining_system_joins(target_spec(ring), Khat)
+    assert_matches_reference(ds_hat.classes, budget=16)
+    assert_matches_reference(tuple(
+        CohomologyClass(pullback_class(phi, c.representative)) for c in ds_hat.classes),
+        budget=16)
+
+
+def _products_stay_affine(n, params, E):
+    """No product in a staircase or in the associated cochain multiplies two
+    factors that vary with the parameters outside E."""
+    varies = {(i, i): False for i in range(1, n + 1)}
+    for (i, k) in massey._stages(n) + [(1, n)]:
+        factors = [(varies[(i, r)], varies[(r + 1, k)]) for r in range(i, k)]
+        if any(u and v for u, v in factors):
+            return False
+        own = (i, k) not in E and params.get((i, k), 0) > 0
+        varies[(i, k)] = own or any(u or v for u, v in factors)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.integers(0, 3), min_size=len(massey._stages(n)), max_size=len(massey._stages(n))))))
+def test_enumerated_stages_are_a_cheapest_affine_choice(case):
+    n, counts = case
+    params = dict(zip(massey._stages(n), counts))
+    E = massey._enumerated_stages(n, params)
+    assert _products_stay_affine(n, params, set(E))
+    cheapest = min(sum(params[s] for s in subset)
+                   for r in range(len(params) + 1)
+                   for subset in itertools.combinations(params, r)
+                   if _products_stay_affine(n, params, set(subset)))
+    assert sum(params[s] for s in E) == cheapest
+
+
+def test_twofold_enumeration_matches_reference_over_z():
+    """With no stages to solve a product is decided over Z; the class keys
+    of the last pair carry a Hermite residual, as their slot is C2."""
+    from matk.constructions import canonical_defining_system_joins, construct_massey_complex
+
+    from helpers import rp2_join_spec
+
+    spec = rp2_join_spec()
+    K, _ = construct_massey_complex(spec)
+    a1, a2, a3 = canonical_defining_system_joins(spec, K).classes
+    verdicts = [assert_matches_reference(pair) for pair in ((a1, a2), (a2, a3), (a1, a3))]
+    assert [v.contains_zero for v in verdicts] == [True, True, False]
+
+
+@st.composite
+def s0_join_products(draw, n):
+    """n classes on the slots {i, i'} of a join of n copies of S0 with some
+    cross pairs star-deleted, over F2, F3 or F5: each representative is c
+    chi_v for a slot vertex v, shifted by a multiple of d(chi_empty).  One
+    deletion between each two neighbouring slots makes their product zero,
+    so that most of the drawn Massey products are defined."""
+    from matk.simplicial import join, star_delete
+
+    ring = draw(st.sampled_from([GF(2), GF(3), GF(5)]))
+    K = two_points("1", "1'")
+    for i in range(2, n + 1):
+        K = join(K, two_points(str(i), f"{i}'"))
+    cross = [(u, v) for u, v in itertools.combinations(K.vertices, 2)
+             if u.rstrip("'") != v.rstrip("'")]
+    neighbours = [draw(st.sampled_from([(u, v) for u in (str(i), f"{i}'")
+                                        for v in (str(i + 1), f"{i + 1}'")]))
+                  for i in range(1, n)]
+    # the deletions of the fourfold fixture, less at most two of them
+    fixture = [e for e in [("1", "2'"), ("1", "3'"), ("2", "3'"), ("2", "4'"), ("3", "4'"),
+                           ("1'", "2'"), ("1'", "3'")] if int(e[1][0]) <= n]
+    dropped = draw(st.lists(st.sampled_from(fixture), max_size=2, unique=True))
+    kept = [e for e in fixture if e not in dropped]
+    extra = draw(st.lists(st.sampled_from(cross), max_size=3, unique=True))
+    for pair in dict.fromkeys(neighbours + kept + extra):
+        K = star_delete(K, pair)
+    classes = []
+    for i in range(1, n + 1):
+        slot = (str(i), f"{i}'")
+        v = draw(st.sampled_from(slot))
+        c, shift = draw(st.integers(1, ring.p - 1)), draw(st.integers(0, ring.p - 1))
+        coeffs = {(u,): ring.of_int(shift + (c if u == v else 0)) for u in slot}
+        classes.append(CohomologyClass(Cochain(K, ring, slot, 0, coeffs)))
+    return tuple(classes)
+
+
+# budgets that keep the walk of the reference to a few hundred leaves
+WALK_BUDGET = {2: 10, 3: 6, 5: 4}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(s0_join_products))
+def test_enumeration_matches_reference_on_random_products(classes):
+    assert_matches_reference(classes, budget=WALK_BUDGET[classes[0].ring.p])
 
 
 def test_four_massey_enumeration_shape_and_nontriviality():
@@ -213,7 +400,7 @@ def test_four_massey_enumeration_shape_and_nontriviality():
         assert ring.sub(e3, e2) == ring.sub(b1, b2)
         seen.append(omega)
 
-    verdict = enumerate_defining_systems(classes, budget=12, visit=visit)
+    verdict = enumerate_reference(classes, budget=12, visit=visit)
     assert verdict.defined
     assert verdict.contains_zero is False
     assert verdict.distinct_class_count >= 2
@@ -230,20 +417,27 @@ def test_four_massey_enumeration_shape_and_nontriviality():
 
 
 def test_enumeration_factors_each_coboundary_once(monkeypatch):
-    """Every stage solve and class key of one fourfold enumeration reuses the
-    factorization of its (K_J, p) coboundary."""
-    factored, solves = [], []
+    """Every stage lift, class key and primitive of one fourfold enumeration
+    reuses the factorization of its (K_J, p) coboundary: the coboundaries are
+    factored exactly as often as there are distinct (J, p) pairs."""
+    built, factored, pairs = [], [], set()
 
     class CountingSolver(exactalg.Solver):
         def __init__(self, A, ring, cols=None):
-            factored.append(A)  # kept alive, so ids stay distinct
+            built.append(A)
             super().__init__(A, ring, cols)
 
-        def _reduce(self, b):
-            solves.append(b)
-            return super()._reduce(b)
+    solver = cochains.ReducedCohomology.solver
+
+    def counting_solver(self, p):
+        pairs.add((self.J, p))
+        before = len(built)
+        out = solver(self, p)
+        factored.extend(built[before:])
+        return out
 
     monkeypatch.setattr(exactalg, "Solver", CountingSolver)
+    monkeypatch.setattr(cochains.ReducedCohomology, "solver", counting_solver)
     cochains._cached_cohomology.cache_clear()
     K = four_massey_complex()
     ring = GF(2)
@@ -254,8 +448,7 @@ def test_enumeration_factors_each_coboundary_once(monkeypatch):
     verdict = enumerate_defining_systems(classes, budget=12)
     cochains._cached_cohomology.cache_clear()
     assert verdict.contains_zero is False
-    assert len({id(A) for A in factored}) == len(factored)
-    assert len(solves) > 10 * len(factored)
+    assert pairs and len(factored) == len(pairs)
 
 
 def test_verdict_json_round_trips_witness():
@@ -363,7 +556,7 @@ def test_triple_coset_law():
     H23 = reduced_cohomology(K, ("3", "4", "5", "6"), ring)
     gens = [cup_multiply(overline(a1), z) for z in H23.cocycle_basis(0)]
     gens += [cup_multiply(overline(z), a3) for z in H12.cocycle_basis(0)]
-    verdict = enumerate_defining_systems(classes)
+    verdict = enumerate_reference(classes)
     omegas = verdict.class_representatives
     base = omegas[0]
     # columns: the generators, then d: C^0 -> C^1
