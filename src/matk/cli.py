@@ -234,8 +234,12 @@ def _parse_pairs(arg: str):
 
 
 def cmd_nestohedron(args):
+    if args.dim < 0:
+        raise DomainError(f"--dim {args.dim} is negative")
     if args.kind == "cube_truncation":
         K = nestohedra.cube_truncation(args.dim, _parse_pairs(args.pairs or ""))
+    elif args.pairs is not None:
+        raise DomainError(f"--pairs {args.pairs!r} applies only to --kind cube_truncation")
     else:
         K = nestohedra.standard_polytope_complex(args.kind, args.dim)
     _emit(simplicial.complex_to_json(K), args.out)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MatkError, parse_int
-from .simplicial import (SimplicialComplex, full_subcomplex, join, json_field, json_list,
-                         stellar_subdivide)
+from .simplicial import (SimplicialComplex, UnknownVertex, full_subcomplex, join, json_field,
+                         json_list, reorder_vertices, stellar_subdivide)
 
 
 class MissingSingleton(MatkError):
@@ -112,7 +112,7 @@ def _extends(current: Sequence, cand: int, sets: set) -> bool:
     return True
 
 
-def nested_set_complex(B: BuildingSet) -> SimplicialComplex:
+def nested_set_complex(B: BuildingSet, vertices: Optional[Iterable[str]] = None) -> SimplicialComplex:
     """Vertices are the non-maximal members; faces are the nested families.
 
     A depth-first search adds members in label order, each tested against
@@ -121,10 +121,23 @@ def nested_set_complex(B: BuildingSet) -> SimplicialComplex:
     member extends) include every maximal nested family, and each dead end
     lies in one.  ``SimplicialComplex`` keeps the inclusion-maximal dead
     ends, which are the facets, in canonical order.
+
+    Given vertex labels, the search runs over those members only and yields
+    ``full_subcomplex(nested_set_complex(B), vertices)``: whether a family
+    is nested depends on its members and ``B.sets`` alone, which
+    ``_extends`` still tests unions against.  A label that is no vertex
+    raises ``UnknownVertex``.
     """
     maximal = set(B.maximal())
     members = [S for S in B.members() if S not in maximal]
     members.sort(key=lambda S: tuple(sorted(S)))
+    if vertices is not None:
+        by_label = {subset_label(S): S for S in members}
+        try:
+            wanted = {by_label[v] for v in vertices}
+        except KeyError as err:
+            raise UnknownVertex(f"vertex {err.args[0]!r} not in complex") from None
+        members = [S for S in members if S in wanted]
     labels = [subset_label(S) for S in members]
     masks = [_mask(S) for S in members]
     sets = {_mask(S) for S in B.sets}
@@ -215,14 +228,19 @@ def cube_truncation(n: int, pairs: Sequence, allow_full: bool = False) -> Simpli
     return full_subcomplex(K, original)
 
 
-def standard_polytope_complex(kind: str, n: int, pairs: Optional[Sequence] = None) -> SimplicialComplex:
+def _polytope_building_set(kind: str, n: int) -> BuildingSet:
+    """The building set of the permutahedron or stellohedron of dimension n."""
     if kind == "permutahedron":
-        return nested_set_complex(permutahedron_building_set(n))
+        return permutahedron_building_set(n)
     if kind == "stellohedron":
-        return nested_set_complex(stellohedron_building_set(n))
+        return stellohedron_building_set(n)
+    raise ValueError(f"unknown polytope kind {kind!r}")
+
+
+def standard_polytope_complex(kind: str, n: int, pairs: Optional[Sequence] = None) -> SimplicialComplex:
     if kind == "cube_truncation":
         return cube_truncation(n, pairs or [])
-    raise ValueError(f"unknown polytope kind {kind!r}")
+    return nested_set_complex(_polytope_building_set(kind, n))
 
 
 # -- the Massey configurations carried by these families ----------------------
@@ -280,14 +298,15 @@ def nestohedron_massey_input(kind: str, n: int, k: int, ring):
     """The full subcomplex, classes and contraction list realizing the k-fold
     configuration on the nestohedral complex.
 
-    The subcomplex is re-ordered so each J_i block is contiguous (with the
-    contracted pairs adjacent), which is what the pullback calculus needs.
+    The subcomplex is the nested set complex searched over the slot
+    vertices alone, never the whole ambient complex.  It is re-ordered so
+    each J_i block is contiguous (with the contracted pairs adjacent),
+    which is what the pullback calculus needs.
     Each class is the indicator cochain of the connected component of the
     first slot vertex inside K_{J_i}.
     """
     from .cochains import Cochain
     from .hochster import CohomologyClass
-    from .simplicial import full_subcomplex, reorder_vertices
 
     if kind == "permutahedron":
         slots, contractions = permutahedron_massey_slots(n, k)
@@ -297,9 +316,8 @@ def nestohedron_massey_input(kind: str, n: int, k: int, ring):
         slots, contractions = stellohedron_massey_slots(n)
     else:
         raise ValueError(f"no Massey configuration for {kind!r}")
-    ambient = standard_polytope_complex(kind, n)
     order = [v for Ji in slots for v in Ji]
-    sub = reorder_vertices(full_subcomplex(ambient, order), order)
+    sub = reorder_vertices(nested_set_complex(_polytope_building_set(kind, n), order), order)
     classes = []
     for Ji in slots:
         KJ = full_subcomplex(sub, Ji)

@@ -417,3 +417,14 @@ def test_criterion_9_fourfold_decisions_over_larger_fields():
         assert verdict.distinct_class_count == classes
         report(9, elapsed, limit,
                f"fourfold fixture over F{p}: defined, non-trivial, {classes} classes")
+
+
+def test_criterion_10_nestohedral_input_from_its_slot_vertices():
+    """permutahedron(7) has 254 vertices; the fourfold input keeps 8 of them
+    and searches nested families over those alone."""
+    t0 = time.monotonic()
+    sub, classes, contractions = nestohedron_massey_input("permutahedron", 7, 4, GF(2))
+    elapsed = time.monotonic() - t0
+    assert len(sub.vertices) == 8 and len(classes) == 4 and contractions == []
+    report(10, elapsed, 2.0,
+           "fourfold input on permutahedron(7): an 8-vertex complex from its slot vertices")

@@ -455,6 +455,11 @@ def _bad_inputs(root):
     (["hochster", "fig1-classes.json"], "MissingField"),
     (["massey", "massey4.json", "--classes", "massey4-classes.json", "--ring", "F2",
       "--budget", "-1"], "DomainError"),
+    (["nestohedron", "--kind", "permutahedron", "--dim", "-1"], "DomainError"),
+    (["nestohedron", "--kind", "permutahedron", "--dim", "3", "--pairs", "1,2,3"],
+     "DomainError"),
+    (["nestohedron", "--kind", "stellohedron", "--dim", "3", "--pairs", "1,2,3"],
+     "DomainError"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)
@@ -466,6 +471,8 @@ def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     assert error in INPUT_ERRORS
     if "--pairs" in argv:
         assert "1,2,3" in blob["error"]["message"]
+    if argv[0] == "nestohedron" and "-1" in argv:
+        assert "--dim -1" in blob["error"]["message"]
     if argv[0] == "massey" and error == "DomainError":
         expected = "--budget -1" if "--budget" in argv else "at least two classes"
         assert expected in blob["error"]["message"]

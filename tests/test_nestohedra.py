@@ -1,9 +1,13 @@
+import functools
 import itertools
+import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matk.exactalg import QQ, ZZ
+from matk.cochains import Cochain, cochain_to_json
+from matk.exactalg import GF, QQ, ZZ
 from matk.nestohedra import (
     BuildingSet,
     InvalidTruncationPair,
@@ -13,6 +17,7 @@ from matk.nestohedra import (
     cube_truncation,
     graphical_building_set,
     nested_set_complex,
+    nestohedron_massey_input,
     permutahedron_building_set,
     permutahedron_massey_slots,
     standard_polytope_complex,
@@ -21,7 +26,14 @@ from matk.nestohedra import (
     subset_label,
     validate_building_set,
 )
-from matk.simplicial import SimplicialComplex, full_subcomplex, star_delete
+from matk.simplicial import (
+    SimplicialComplex,
+    UnknownVertex,
+    complex_to_json,
+    full_subcomplex,
+    reorder_vertices,
+    star_delete,
+)
 
 from helpers import reduced_betti, simplex_boundary
 
@@ -122,6 +134,73 @@ def graphical_building_sets(draw, max_ground=5):
 @given(graphical_building_sets())
 def test_nested_set_complex_matches_the_definition_on_graphs(B):
     assert_matches_definition(B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphical_building_sets(), st.data())
+def test_restricted_search_is_the_full_subcomplex(B, data):
+    K = nested_set_complex(B)
+    W = data.draw(st.lists(st.sampled_from(K.vertices), unique=True)) if K.vertices else []
+    restricted = nested_set_complex(B, W)
+    reference = full_subcomplex(K, W)
+    assert restricted.vertices == reference.vertices
+    assert restricted.facets == reference.facets
+
+
+@pytest.mark.parametrize("label", ["v{1,2,3,4}", "v{5}", "x"])
+def test_restricted_search_rejects_unknown_labels(label):
+    B = permutahedron_building_set(3)  # v{1,2,3,4} is its maximal member, no vertex
+    with pytest.raises(UnknownVertex, match=re.escape(repr(label))):
+        nested_set_complex(B, ["v{1}", label])
+    with pytest.raises(UnknownVertex):
+        full_subcomplex(nested_set_complex(B), ["v{1}", label])
+
+
+def _component(K, v):
+    """The vertices joined to v by a path of edges of K."""
+    seen, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for e in K.faces(1):
+            if u in e:
+                w = e[1] if e[0] == u else e[0]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return seen
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_complex(kind, n):
+    return standard_polytope_complex(kind, n)
+
+
+def _massey_input_from_the_whole_complex(kind, n, k, ring):
+    """The recipe that builds every nested family, then restricts."""
+    if kind == "permutahedron":
+        slots, contractions = permutahedron_massey_slots(n, k)
+    else:
+        slots, contractions = stellohedron_massey_slots(n)
+    order = [v for Ji in slots for v in Ji]
+    sub = reorder_vertices(full_subcomplex(_whole_complex(kind, n), order), order)
+    reps = [Cochain(sub, ring, Ji, 0,
+                    {(v,): ring.one for v in _component(full_subcomplex(sub, Ji), Ji[0])})
+            for Ji in slots]
+    return sub, reps, contractions
+
+
+@pytest.mark.parametrize("kind,n,k", [
+    ("permutahedron", n, k) for n in range(2, 6) for k in range(2, n + 1)
+] + [("stellohedron", n, n) for n in range(2, 6)])
+def test_massey_input_matches_the_whole_complex_recipe(kind, n, k):
+    for ring in (GF(2), GF(3), ZZ):
+        sub, classes, contractions = nestohedron_massey_input(kind, n, k, ring)
+        ref_sub, ref_reps, ref_contractions = _massey_input_from_the_whole_complex(
+            kind, n, k, ring)
+        assert json.dumps(complex_to_json(sub)) == json.dumps(complex_to_json(ref_sub))
+        assert [json.dumps(cochain_to_json(c.representative)) for c in classes] == [
+            json.dumps(cochain_to_json(a)) for a in ref_reps]
+        assert contractions == ref_contractions
 
 
 def test_permutahedron3_is_a_small_sphere():
