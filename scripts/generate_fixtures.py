@@ -64,11 +64,13 @@ def fig1():
     for pair in (("1", "2"), ("3", "4"), ("5", "6")):
         assert not K.has_face(pair)
     dump("fig1.json", complex_to_json(K))
-    dump("fig1-classes.json", [
+    classes = [
         class_blob(K, ("1",), ("1", "2")),
         class_blob(K, ("3",), ("3", "4")),
         class_blob(K, ("5",), ("5", "6")),
-    ])
+    ]
+    dump("fig1-classes.json", classes)
+    dump("fig1-two-classes.json", classes[:2])  # the README's `matk product` input
 
 
 def joins_example():

@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from . import cochains, constructions, hochster, massey, nestohedra, simplicial
-from .errors import MatkError, parse_int
+from .errors import MalformedInput, MatkError, parse_int
 from .exactalg import Ring
 
 
@@ -49,8 +49,8 @@ def _complex(path: str) -> simplicial.SimplicialComplex:
 
 def _classes(path: str, K, ring):
     blobs = _load(path)
-    if isinstance(blobs, dict):
-        blobs = simplicial.json_field(blobs, "classes", "class file")
+    if not isinstance(blobs, list):
+        blobs = simplicial.json_list(blobs, "classes", "class file")
     out = []
     for blob in blobs:
         rep = cochains.cochain_from_json(blob, K, ring)
@@ -187,7 +187,11 @@ def cmd_stretch(args):
     Khat = _complex(args.input)
     blob = _load(args.map)
     source = simplicial.complex_from_json(simplicial.json_field(blob, "source", "map"))
-    phi = simplicial.VertexMap(source, Khat, simplicial.json_field(blob, "assignment", "map"))
+    assignment = simplicial.json_field(blob, "assignment", "map")
+    if not isinstance(assignment, dict):
+        raise MalformedInput(f"map 'assignment' is not a JSON object: {assignment!r}")
+    phi = simplicial.VertexMap(source, Khat, {v: simplicial.json_label(w, "map target")
+                                              for v, w in assignment.items()})
     problems = []
     if not phi.is_simplicial():
         problems.append("map is not simplicial")

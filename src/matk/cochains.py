@@ -24,12 +24,12 @@ Sign conventions, fixed once here and used everywhere:
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import exactalg
 from .errors import MatkError, parse_int
 from .exactalg import Ring
-from .simplicial import SimplicialComplex, full_subcomplex, json_field, json_list
+from .simplicial import SimplicialComplex, full_subcomplex, json_field, json_labels, json_list
 
 
 class GradingMismatch(MatkError):
@@ -271,14 +271,6 @@ def overline(a: Cochain) -> Cochain:
     return a if sign == 1 else -a
 
 
-class CohomologyBasis(NamedTuple):
-    J: tuple
-    p: int
-    cocycle_basis: list
-    coboundary_basis: list
-    group: exactalg.AbelianGroup
-
-
 class ReducedCohomology:
     """All reduced cohomology data of one full subcomplex K_J over one ring.
 
@@ -357,13 +349,6 @@ class ReducedCohomology:
     def cocycle_basis(self, p: int) -> list:
         return [self.cochain(v, p) for v in self.solver(p).kernel]
 
-    def coboundary_basis(self, p: int) -> list:
-        """The nonzero images d(chi_s) of the (p-1)-simplices s, in order."""
-        basis, of_int = self.simplices(p), self.ring.of_int
-        return [Cochain._trusted(self.complex, self.ring, self.J, p,
-                                 {basis[j]: of_int(a) for j, a in row.items()})
-                for row in self._boundary_rows(p) if row]
-
     def cycle_basis(self, q: int) -> list:
         """A basis of the q-cycles as vectors: the kernel of the boundary
         C_q -> C_{q-1}; found once per degree."""
@@ -371,10 +356,6 @@ class ReducedCohomology:
             self._cycles[q] = exactalg.Solver(self._boundary_rows(q), self.ring,
                                               len(self.simplices(q))).kernel
         return self._cycles[q]
-
-    def degree_data(self, p: int) -> CohomologyBasis:
-        return CohomologyBasis(self.J, p, self.cocycle_basis(p),
-                               self.coboundary_basis(p), self.group(p))
 
     def is_cocycle(self, a: Cochain) -> bool:
         return coboundary(a).is_zero()
@@ -433,7 +414,7 @@ def cochain_to_json(a: Cochain) -> dict:
 def cochain_from_json(obj: Mapping, K: SimplicialComplex, ring: Ring) -> Cochain:
     coeffs = {}
     for term in json_list(obj, "terms", "cochain"):
-        s = K.sort_simplex(json_list(term, "simplex", "cochain term"))
+        s = K.sort_simplex(json_labels(term, "simplex", "cochain term"))
         coeffs[s] = ring.element_from_str(json_field(term, "coeff", "cochain term"))
-    return Cochain(K, ring, json_list(obj, "J", "cochain"),
+    return Cochain(K, ring, json_labels(obj, "J", "cochain"),
                    parse_int(json_field(obj, "p", "cochain"), "cochain degree"), coeffs)

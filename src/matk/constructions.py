@@ -37,6 +37,7 @@ from .exactalg import GF, Ring
 from .hochster import CohomologyClass
 from .massey import (
     DefiningSystem,
+    _stages,
     check_defining_system,
     associated_cocycle,
     enumerate_defining_systems,
@@ -52,6 +53,8 @@ from .simplicial import (
     contract_edge,
     join,
     json_field,
+    json_label,
+    json_labels,
     json_list,
     star_delete,
 )
@@ -84,12 +87,19 @@ class InvalidUpstairsSystem(MatkError):
 class JoinMasseySpec:
     """Factors with one chosen cocycle each, plus the two free choices the
     construction depends on: the distinguished vertex of each support simplex
-    and the order of each support."""
+    (by default its first) and the order of each support.  Both are resolved
+    once, here, into each factor's ordered ``supports``, deletion set ``P``
+    and ``survivors`` (``compute_P_sets``); the deletions, the canonical
+    system and the witness cycle are read off those.  A vertex choice that
+    names no support simplex is an ``InvalidSpec``."""
 
     factors: tuple
     cochains: tuple  # a_i, a Cochain on factors[i] with its own J_i
     vertex_choice: dict = field(default_factory=dict)  # simplex -> vertex
     support_order: dict = field(default_factory=dict)  # factor index -> sequence
+    supports: tuple = field(init=False)
+    P: tuple = field(init=False)
+    survivors: tuple = field(init=False)
 
     def __post_init__(self):
         self.factors = tuple(self.factors)
@@ -102,6 +112,20 @@ class JoinMasseySpec:
         rings = {a.ring for a in self.cochains}
         if len(rings) != 1:
             raise InvalidSpec("all cochains must share one ring")
+        if self.n < 2:
+            raise InvalidSpec("need at least two factors")
+        known = {s for a in self.cochains for s in a.support}
+        for s in self.vertex_choice:
+            if s not in known:
+                raise InvalidSpec(f"vertex choice for {list(s)}, which is no support "
+                                  "simplex of any factor")
+        resolved = []
+        for i, (K_i, a_i) in enumerate(zip(self.factors, self.cochains)):
+            order = self.support_order.get(i)
+            P_i, survivors_i = compute_P_sets(K_i, a_i, self.vertex_choice, order)
+            resolved.append((a_i.support if order is None else
+                             tuple(K_i.sort_simplex(s) for s in order), P_i, survivors_i))
+        self.supports, self.P, self.survivors = zip(*resolved)
 
     @property
     def n(self) -> int:
@@ -111,20 +135,14 @@ class JoinMasseySpec:
     def ring(self) -> Ring:
         return self.cochains[0].ring
 
-    def ordered_support(self, i: int) -> tuple:
-        a = self.cochains[i]
-        default = a.support
-        order = self.support_order.get(i)
-        if order is None:
-            return default
-        order = tuple(self.factors[i].sort_simplex(s) for s in order)
-        if sorted(order) != sorted(default):
-            raise InvalidSpec(f"support order for factor {i} is not a permutation")
-        return order
 
-    def distinguished_vertex(self, i: int, simplex) -> str:
-        s = self.factors[i].sort_simplex(simplex)
-        return self.vertex_choice.get(s, s[0])
+def _distinguished(vertex_choice: Mapping, sigma) -> str:
+    """The distinguished vertex of a support simplex: the chosen one, by
+    default its first; InvalidSpec if the choice is not a vertex of sigma."""
+    v = vertex_choice.get(sigma, sigma[0])
+    if v not in sigma:
+        raise InvalidSpec(f"distinguished vertex {v} not in {sigma}")
+    return v
 
 
 def compute_P_sets(K_i: SimplicialComplex, a_i: Cochain,
@@ -133,8 +151,7 @@ def compute_P_sets(K_i: SimplicialComplex, a_i: Cochain,
     """The deletion set P_{a} and the surviving support, per the iterated
     subsequence rule: walk the ordered support, discard everything each
     chosen simplex sweeps out, continue from the next survivor."""
-    ring = a_i.ring
-    H = reduced_cohomology(K_i, a_i.J, ring)
+    H = reduced_cohomology(K_i, a_i.J, a_i.ring)
     if not H.is_cocycle(a_i):
         raise ZeroClass("construction input must be a cocycle")
     if H.is_coboundary(a_i):
@@ -149,10 +166,7 @@ def compute_P_sets(K_i: SimplicialComplex, a_i: Cochain,
     p = a_i.p
 
     def P_of(sigma):
-        v = vertex_choice.get(sigma, sigma[0])
-        if v not in sigma:
-            raise InvalidSpec(f"distinguished vertex {v} not in {sigma}")
-        core = set(sigma) - {v}
+        core = set(sigma) - {_distinguished(vertex_choice, sigma)}
         return [t for t in K_i.faces(p) if t != sigma and set(sigma) & set(t) == core]
 
     P_total: list = []
@@ -187,178 +201,68 @@ class DeletionLedger:
         return [{"i": i, "k": k, "simplex": list(s)} for i, k, s in self.deletions]
 
 
-def _spec_data(spec: JoinMasseySpec):
-    data = []
-    for idx in range(spec.n):
-        P, survivors = compute_P_sets(
-            spec.factors[idx], spec.cochains[idx],
-            vertex_choice=spec.vertex_choice,
-            support_order=spec.support_order.get(idx))
-        data.append({
-            "support": spec.ordered_support(idx),
-            "P": P,
-            "survivors": survivors,
-        })
-    return data
-
-
 def construct_massey_complex(spec: JoinMasseySpec):
     """Star delete the join at every sigma_i ∪ sigma_k; the result does not
     depend on the order the pairs are processed in."""
-    if spec.n < 2:
-        raise InvalidSpec("need at least two factors")
-    data = _spec_data(spec)
     K = spec.factors[0]
     for f in spec.factors[1:]:
         K = join(K, f)
-    deletions = []
-    for i in range(1, spec.n + 1):
-        for k in range(i + 1, spec.n + 1):
-            if (i, k) == (1, spec.n):
-                continue
-            for sigma_i in data[i - 1]["support"]:
-                for sigma_k in data[k - 1]["P"]:
-                    deletions.append((i, k, K.sort_simplex(sigma_i + sigma_k)))
+    deletions = [(i, k, K.sort_simplex(sigma_i + sigma_k))
+                 for i, k in sorted(_stages(spec.n))
+                 for sigma_i in spec.supports[i - 1]
+                 for sigma_k in spec.P[k - 1]]
     for _, _, simplex in deletions:
         K = star_delete(K, simplex)
     return K, DeletionLedger(tuple(deletions))
 
 
-def _theta_join(spec: JoinMasseySpec, K, i: int, k: int, sigmas) -> int:
-    """(-1)^(k-i+sum |J_l| (p_{l+1}+..+p_k)) times the distinguished-vertex
-    signs of the inner factors; 1 on the diagonal."""
-    if i == k:
-        return 1
-    ps = [a.p for a in spec.cochains]
-    Js = [a.J for a in spec.cochains]
-    exp = (k - i)
+def _theta_flat(sizes, ps, i, k) -> int:
+    """(-1)^(sum over l = i..k-1 of sizes_l (p_{l+1} + .. + p_k)), 1-based."""
+    exp = 0
     for l in range(i, k):
-        exp += len(Js[l - 1]) * sum(ps[l:k])
-    sign = (-1) ** exp
-    for l in range(i + 1, k + 1):
-        sigma = sigmas[l - 1]
-        v = spec.distinguished_vertex(l - 1, sigma)
-        sign *= epsilon(K, v, sigma)
+        exp += sizes[l - 1] * sum(ps[l:k])
+    return (-1) ** exp
+
+
+def _theta_join(spec: JoinMasseySpec, K, i: int, k: int, inner) -> int:
+    """(-1)^(k-i) theta_flat(i, k) times epsilon(v_l, sigma_l) for the inner
+    simplices sigma_l, l = i+1..k, and their distinguished vertices v_l."""
+    sign = (-1) ** (k - i) * _theta_flat([len(a.J) for a in spec.cochains],
+                                         [a.p for a in spec.cochains], i, k)
+    for sigma in inner:
+        sign *= epsilon(K, _distinguished(spec.vertex_choice, sigma), sigma)
     return sign
+
+
+def _on(K: SimplicialComplex, a: Cochain) -> Cochain:
+    """A factor's cochain read on the complex K built from the factors."""
+    return Cochain(K, a.ring, a.J, a.p, dict(a.coeffs))
 
 
 def canonical_defining_system_joins(spec: JoinMasseySpec, K: SimplicialComplex) -> DefiningSystem:
     """The defining system attached to the construction: entry (i,k) sums over
     the support at position i and the survivors at positions i+1..k, removing
     the distinguished vertices of the inner simplices."""
-    data = _spec_data(spec)
     ring = spec.ring
-    classes = []
-    for a in spec.cochains:
-        lifted = Cochain(K, ring, a.J, a.p, dict(a.coeffs))
-        classes.append(CohomologyClass(lifted))
+    classes = [CohomologyClass(_on(K, a)) for a in spec.cochains]
     entries = {}
-    n = spec.n
-    for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            if (i, k) == (1, n):
-                continue
-            Jblock = []
-            for l in range(i, k + 1):
-                Jblock.extend(spec.cochains[l - 1].J)
-            pblock = sum(spec.cochains[l - 1].p for l in range(i, k + 1))
-            coeffs: dict = {}
-            ranges = [data[i - 1]["support"]]
-            ranges += [data[l - 1]["survivors"] for l in range(i + 1, k + 1)]
-            for sigmas_tail in itertools.product(*ranges):
-                sigmas = [None] * n
-                for offset, s in enumerate(sigmas_tail):
-                    sigmas[i - 1 + offset] = s
-                coeff = ring.one
-                for l in range(i, k + 1):
-                    coeff = ring.mul(coeff, spec.cochains[l - 1].coeffs[sigmas[l - 1]])
-                theta = _theta_join(spec, K, i, k, sigmas)
-                drop = {spec.distinguished_vertex(l - 1, sigmas[l - 1])
-                        for l in range(i + 1, k + 1)}
-                verts = [v for l in range(i, k + 1) for v in sigmas[l - 1] if v not in drop]
-                simplex = K.sort_simplex(verts)
-                if not K.has_face(simplex):
-                    raise InvalidSpec(f"canonical entry hits a deleted simplex {simplex}")
-                term = ring.mul(coeff, ring.of_int(theta))
-                coeffs[simplex] = ring.add(coeffs.get(simplex, ring.zero), term)
-            entries[(i, k)] = Cochain(K, ring, Jblock, pblock, coeffs)
+    for i, k in _stages(spec.n):
+        block = spec.cochains[i - 1:k]
+        coeffs: dict = {}
+        for sigmas in itertools.product(spec.supports[i - 1], *spec.survivors[i:k]):
+            coeff = ring.one
+            for a, sigma in zip(block, sigmas):
+                coeff = ring.mul(coeff, a.coeffs[sigma])
+            theta = _theta_join(spec, K, i, k, sigmas[1:])
+            drop = {_distinguished(spec.vertex_choice, sigma) for sigma in sigmas[1:]}
+            simplex = K.sort_simplex([v for sigma in sigmas for v in sigma if v not in drop])
+            if not K.has_face(simplex):
+                raise InvalidSpec(f"canonical entry hits a deleted simplex {simplex}")
+            term = ring.mul(coeff, ring.of_int(theta))
+            coeffs[simplex] = ring.add(coeffs.get(simplex, ring.zero), term)
+        entries[(i, k)] = Cochain(K, ring, [v for a in block for v in a.J],
+                                  sum(a.p for a in block), coeffs)
     return DefiningSystem(tuple(classes), entries)
-
-
-def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
-    """The explicit cycle certifying non-triviality: a pairing cycle for a_1
-    joined with boundary spheres of sigma_2 ∪ sigma_n and of the inner
-    simplices.  Over Z a torsion first class forces prime-field coefficients;
-    the returned chain's ring records that.
-    """
-    data = _spec_data(spec)
-    n = spec.n
-    ring = spec.ring
-    a1 = Cochain(K, ring, spec.cochains[0].J, spec.cochains[0].p,
-                 dict(spec.cochains[0].coeffs))
-    x1 = find_evaluating_cycle(a1, prefer_small=True)
-    if x1 is None and ring.kind == "Z":
-        for p in (2, 3, 5, 7, 11, 13):
-            modp = GF(p)
-            reduced = Cochain(K, modp, a1.J, a1.p,
-                              {s: modp.of_int(c) for s, c in a1.coeffs.items()})
-            if not reduced.is_zero():
-                x1 = find_evaluating_cycle(reduced, prefer_small=True)
-                if x1 is not None:
-                    ring = modp
-                    break
-    if x1 is None:
-        raise InvalidSpec("no cycle pairs nontrivially with the first class")
-
-    sigma = [None] * (n + 1)
-    for l in range(2, n):
-        sigma[l] = data[l - 1]["survivors"][0]
-    sigma[n] = data[n - 1]["P"][0]
-
-    coeffs: dict = {}
-    if n == 2:
-        # nothing is deleted for n = 2, so a product of pairing cycles works
-        a2 = _as_ring(Cochain(K, spec.ring, spec.cochains[1].J, spec.cochains[1].p,
-                              dict(spec.cochains[1].coeffs)), ring)
-        x2 = find_evaluating_cycle(a2, prefer_small=True)
-        if x2 is None:
-            raise InvalidSpec("no cycle pairs nontrivially with the second class")
-        for s1, c1 in x1.coeffs.items():
-            for s2, c2 in x2.coeffs.items():
-                simplex = K.sort_simplex(s1 + s2)
-                term = ring.mul(c1, c2)
-                coeffs[simplex] = ring.add(coeffs.get(simplex, ring.zero), term)
-    else:
-        pair = K.sort_simplex(sigma[2] + sigma[n])
-        inner = list(range(3, n))
-        for s1, c1 in x1.coeffs.items():
-            for w2 in pair:
-                c = ring.mul(c1, ring.of_int(epsilon(K, w2, pair)))
-                for ws in itertools.product(*[sigma[l] for l in inner]):
-                    cc = c
-                    for l, w in zip(inner, ws):
-                        cc = ring.mul(cc, ring.of_int(epsilon(K, w, sigma[l])))
-                    dropped = {w2, *ws}
-                    verts = [v for v in s1]
-                    for l in range(2, n + 1):
-                        verts.extend(sigma[l])
-                    simplex = K.sort_simplex([v for v in verts if v not in dropped])
-                    coeffs[simplex] = ring.add(coeffs.get(simplex, ring.zero), cc)
-    Jall = K.sort_simplex([v for a in spec.cochains for v in a.J])
-    p_total = sum(a.p for a in spec.cochains) + 1
-    x = Chain(K, ring, Jall, p_total, coeffs)
-    if not boundary(x).is_zero():
-        raise InvalidSpec("constructed witness chain is not a cycle")
-    return x
-
-
-@dataclass
-class JoinCertificate:
-    method: str  # "pairing" or "enumeration-F2"
-    omega: Cochain
-    cycle: Optional[Chain]
-    value: Optional[object]
-    moves: int = 0  # no rewriting moves are made; kept in the certificate JSON
 
 
 def _as_ring(a: Cochain, ring: Ring) -> Cochain:
@@ -375,6 +279,72 @@ def _as_ring(a: Cochain, ring: Ring) -> Cochain:
 
     return Cochain(a.complex, ring, a.J, a.p,
                    {s: reduce_coeff(c) for s, c in a.coeffs.items()})
+
+
+def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
+    """The explicit cycle certifying non-triviality: a pairing cycle for a_1
+    joined with boundary spheres of sigma_2 ∪ sigma_n and of the inner
+    simplices.  Over Z a torsion first class forces prime-field coefficients;
+    the returned chain's ring records that.
+    """
+    n = spec.n
+    ring = spec.ring
+    a1 = _on(K, spec.cochains[0])
+    x1 = find_evaluating_cycle(a1, prefer_small=True)
+    if x1 is None and ring.kind == "Z":
+        for p in (2, 3, 5, 7, 11, 13):
+            reduced = _as_ring(a1, GF(p))
+            if not reduced.is_zero():
+                x1 = find_evaluating_cycle(reduced, prefer_small=True)
+                if x1 is not None:
+                    ring = reduced.ring
+                    break
+    if x1 is None:
+        raise InvalidSpec("no cycle pairs nontrivially with the first class")
+
+    sigma = {l: spec.survivors[l - 1][0] for l in range(2, n)}
+    sigma[n] = spec.P[n - 1][0]
+
+    coeffs: dict = {}
+    if n == 2:
+        # nothing is deleted for n = 2, so a product of pairing cycles works
+        x2 = find_evaluating_cycle(_as_ring(_on(K, spec.cochains[1]), ring), prefer_small=True)
+        if x2 is None:
+            raise InvalidSpec("no cycle pairs nontrivially with the second class")
+        for s1, c1 in x1.coeffs.items():
+            for s2, c2 in x2.coeffs.items():
+                simplex = K.sort_simplex(s1 + s2)
+                term = ring.mul(c1, c2)
+                coeffs[simplex] = ring.add(coeffs.get(simplex, ring.zero), term)
+    else:
+        pair = K.sort_simplex(sigma[2] + sigma[n])
+        inner = list(range(3, n))
+        tail = [v for l in range(2, n + 1) for v in sigma[l]]
+        for s1, c1 in x1.coeffs.items():
+            for w2 in pair:
+                c = ring.mul(c1, ring.of_int(epsilon(K, w2, pair)))
+                for ws in itertools.product(*[sigma[l] for l in inner]):
+                    cc = c
+                    for l, w in zip(inner, ws):
+                        cc = ring.mul(cc, ring.of_int(epsilon(K, w, sigma[l])))
+                    dropped = {w2, *ws}
+                    simplex = K.sort_simplex([v for v in (*s1, *tail) if v not in dropped])
+                    coeffs[simplex] = ring.add(coeffs.get(simplex, ring.zero), cc)
+    Jall = K.sort_simplex([v for a in spec.cochains for v in a.J])
+    p_total = sum(a.p for a in spec.cochains) + 1
+    x = Chain(K, ring, Jall, p_total, coeffs)
+    if not boundary(x).is_zero():
+        raise InvalidSpec("constructed witness chain is not a cycle")
+    return x
+
+
+@dataclass
+class JoinCertificate:
+    method: str  # "pairing" or "enumeration-F2"
+    omega: Cochain
+    cycle: Optional[Chain]
+    value: Optional[object]
+    moves: int = 0  # no rewriting moves are made; kept in the certificate JSON
 
 
 def certify_join_nontrivial(spec: JoinMasseySpec, K: Optional[SimplicialComplex] = None,
@@ -417,27 +387,34 @@ def _require_contraction_map(phi: VertexMap):
         raise InvalidUpstairsSystem("map is not simplicial")
 
 
+def _pull(phi: VertexMap, a_hat: Cochain, sign: int) -> Cochain:
+    """sign times a_hat with each support simplex replaced by the sum of its
+    same-dimension preimages."""
+    ring = a_hat.ring
+    coeffs: dict = {}
+    for s_hat, c in a_hat.coeffs.items():
+        term = ring.mul(c, ring.of_int(sign))
+        for s in phi.preimages(s_hat, a_hat.p):
+            coeffs[s] = ring.add(coeffs.get(s, ring.zero), term)
+    return Cochain(phi.source, ring, phi.preimage_vertices(a_hat.J), a_hat.p, coeffs)
+
+
+def _checked(ds: DefiningSystem, error: type, what: str) -> DefiningSystem:
+    """ds, or ``error`` naming the stages whose staircase equations fail."""
+    bad = check_defining_system(ds)
+    if bad:
+        raise error(f"{what} fails at " + ", ".join(f"({i},{k})" for i, k, _ in bad))
+    return ds
+
+
 def pullback_class(phi: VertexMap, a_hat: Cochain) -> Cochain:
     """Pull a cocycle back along a contraction: each support simplex is
     replaced by the sum of its same-dimension preimages."""
     _require_contraction_map(phi)
-    ring = a_hat.ring
-    J = phi.preimage_vertices(a_hat.J)
-    coeffs: dict = {}
-    for s_hat, c in a_hat.coeffs.items():
-        for s in phi.preimages(s_hat, a_hat.p):
-            coeffs[s] = ring.add(coeffs.get(s, ring.zero), c)
-    a = Cochain(phi.source, ring, J, a_hat.p, coeffs)
+    a = _pull(phi, a_hat, 1)
     if not coboundary(a).is_zero():
         raise InvalidUpstairsSystem("pullback of the given cochain is not a cocycle")
     return a
-
-
-def _theta_flat(sizes, ps, i, k) -> int:
-    exp = 0
-    for l in range(i, k):
-        exp += sizes[l - 1] * sum(ps[l:k])
-    return (-1) ** exp
 
 
 def pullback_defining_system(phi: VertexMap, ds_hat: DefiningSystem) -> DefiningSystem:
@@ -445,8 +422,6 @@ def pullback_defining_system(phi: VertexMap, ds_hat: DefiningSystem) -> Defining
     entry (i,k) is theta * theta-hat, built from the block sizes upstairs and
     downstairs."""
     _require_contraction_map(phi)
-    ring = ds_hat.ring
-    n = ds_hat.n
     ps = [c.p for c in ds_hat.classes]
     sizes_down = [len(c.J) for c in ds_hat.classes]
     classes = tuple(CohomologyClass(pullback_class(phi, c.representative))
@@ -457,20 +432,9 @@ def pullback_defining_system(phi: VertexMap, ds_hat: DefiningSystem) -> Defining
         if i == k:
             continue
         sign = _theta_flat(sizes_up, ps, i, k) * _theta_flat(sizes_down, ps, i, k)
-        J = phi.preimage_vertices(a_hat.J)
-        p = a_hat.p
-        coeffs: dict = {}
-        for s_hat, c in a_hat.coeffs.items():
-            term = ring.mul(c, ring.of_int(sign))
-            for s in phi.preimages(s_hat, p):
-                coeffs[s] = ring.add(coeffs.get(s, ring.zero), term)
-        entries[(i, k)] = Cochain(phi.source, ring, J, p, coeffs)
-    ds = DefiningSystem(classes, entries)
-    bad = check_defining_system(ds)
-    if bad:
-        stages = ", ".join(f"({i},{k})" for i, k, _ in bad)
-        raise InvalidUpstairsSystem(f"pulled-back system fails at {stages}")
-    return ds
+        entries[(i, k)] = _pull(phi, a_hat, sign)
+    return _checked(DefiningSystem(classes, entries), InvalidUpstairsSystem,
+                    "pulled-back system")
 
 
 def phi_star_sign(phi: VertexMap, ds: DefiningSystem, i: int, k: int) -> int:
@@ -535,23 +499,12 @@ def disjointify_defining_system(ds: DefiningSystem, edge: Iterable[str]) -> Defi
     def total_offense(system):
         return sum(len(offending(a)) for a in system.entries.values())
 
-    guard = total_offense(ds) + 1
-    while guard >= 0:
-        target = None
-        for gap in range(1, n):
-            for i in range(1, n - gap + 1):
-                k = i + gap
-                if (i, k) == (1, n):
-                    continue
-                bad = offending(ds.a(i, k))
-                if bad:
-                    target = (i, k, bad[0])
-                    break
-            if target:
-                break
-        if target is None:
+    while True:
+        stage = next((s for s in _stages(n) if offending(ds.a(*s))), None)
+        if stage is None:
             break
-        i, k, sigma = target
+        i, k = stage
+        sigma = offending(ds.a(i, k))[0]
         c_sigma = ds.a(i, k).coeffs[sigma]
         eps = epsilon(K, u_hi, sigma)
         factor = ring.mul(c_sigma, ring.of_int(eps))
@@ -575,12 +528,7 @@ def disjointify_defining_system(ds: DefiningSystem, edge: Iterable[str]) -> Defi
         if total_offense(new_ds) >= total_offense(ds):
             raise InvalidSpec("support rewriting failed to make progress")
         ds = new_ds
-        guard -= 1
-    bad = check_defining_system(ds)
-    if bad:
-        stages = ", ".join(f"({i},{k})" for i, k, _ in bad)
-        raise InvalidSpec(f"rewritten system fails at {stages}")
-    return ds
+    return _checked(ds, InvalidSpec, "rewritten system")
 
 
 def spec_to_json(spec: JoinMasseySpec) -> dict:
@@ -607,12 +555,13 @@ def spec_from_json(obj: Mapping) -> JoinMasseySpec:
     cochains = tuple(cochain_from_json(c, K, ring) for K, c in zip(factors, blobs))
     vertex_choice = {}
     for entry in json_list(obj, "vertex_choice", "spec") if "vertex_choice" in obj else []:
-        s = tuple(json_list(entry, "simplex", "vertex choice"))
+        s = tuple(json_labels(entry, "simplex", "vertex choice"))
         for K in factors:
             if all(v in K.vertices for v in s):
                 s = K.sort_simplex(s)
                 break
-        vertex_choice[s] = json_field(entry, "vertex", "vertex choice")
+        vertex_choice[s] = json_label(json_field(entry, "vertex", "vertex choice"),
+                                      "vertex choice 'vertex'")
     orders = obj.get("support_order", {})
     if not isinstance(orders, Mapping):
         raise MalformedInput(f"spec 'support_order' is not a JSON object: {orders!r}")
@@ -623,7 +572,7 @@ def spec_from_json(obj: Mapping) -> JoinMasseySpec:
             raise InvalidSpec(f"support order for factor {i}, but the factors are "
                               f"0..{len(factors) - 1}")
         order = json_list(orders, key, "support order")
-        support_order[i] = [tuple(json_list(order, t, "support simplex"))
+        support_order[i] = [tuple(json_labels(order, t, "support simplex"))
                             for t in range(len(order))]
     return JoinMasseySpec(factors, cochains, vertex_choice, support_order)
 

@@ -159,7 +159,11 @@ def nested_set_complex(B: BuildingSet, vertices: Optional[Iterable[str]] = None)
 
 
 def graphical_building_set(n_vertices: int, edges: Iterable) -> BuildingSet:
-    """Subsets inducing connected subgraphs of a simple graph on [1..n]."""
+    """Subsets inducing connected subgraphs of a simple graph on [1..n].
+
+    The family is a building set by construction, so it is not validated:
+    every singleton is connected, and two intersecting connected sets have a
+    connected union."""
     adj = {i: set() for i in range(1, n_vertices + 1)}
     for (u, v) in edges:
         u, v = int(u), int(v)
@@ -179,8 +183,8 @@ def graphical_building_set(n_vertices: int, edges: Iterable) -> BuildingSet:
                     seen.add(y)
                     stack.append(y)
             if seen == Sset:
-                family.append(Sset)
-    return validate_building_set(n_vertices, family)
+                family.append(frozenset(S))
+    return BuildingSet(n_vertices, frozenset(family))
 
 
 def permutahedron_building_set(n: int) -> BuildingSet:

@@ -398,13 +398,6 @@ class VertexMap:
                 out.append(s)
         return sorted(set(out), key=lambda s: tuple(self.source.rank(v) for v in s))
 
-    def compose(self, inner: "VertexMap") -> "VertexMap":
-        """self ∘ inner, for inner: K -> L and self: L -> M."""
-        if inner.target != self.source:
-            raise SimplicialError("composition mismatch")
-        return VertexMap(inner.source, self.target,
-                         {v: self.assignment[inner.assignment[v]] for v in inner.source.vertices})
-
 
 def link_condition(K: SimplicialComplex, u: str, w: str) -> bool:
     """link(u) ∩ link(w) = link({u,w}), compared as face sets."""
@@ -491,7 +484,20 @@ def json_list(obj, key, what: str) -> list:
     return value
 
 
+def json_label(value, what: str):
+    """A vertex label read from JSON, which every label read passes through;
+    MalformedInput for a JSON array or object, which no label can be."""
+    if isinstance(value, (list, Mapping)):
+        raise MalformedInput(f"{what} {value!r} is not a vertex label")
+    return value
+
+
+def json_labels(obj, key, what: str) -> list:
+    """``json_list(obj, key, what)`` of vertex labels, each a ``json_label``."""
+    return [json_label(v, f"{what} {key!r} entry") for v in json_list(obj, key, what)]
+
+
 def complex_from_json(obj: Mapping) -> SimplicialComplex:
     facets = json_list(obj, "facets", "complex")
-    return SimplicialComplex(json_list(obj, "vertices", "complex"),
-                             [json_list(facets, i, "facet") for i in range(len(facets))])
+    return SimplicialComplex(json_labels(obj, "vertices", "complex"),
+                             [json_labels(facets, i, "facet") for i in range(len(facets))])

@@ -405,6 +405,24 @@ def _bad_inputs(root):
     for name, key, value in (("sets_5", "sets", 5), ("member_5", "sets", [5]),
                              ("ground_x", "ground", "x")):
         blobs[name] = {**_fixture("stellohedron3-building-set.json"), key: value}
+    # a vertex choice naming no support simplex, and JSON arrays where a
+    # vertex label belongs
+    blobs["spec_choice_99"] = {**spec, "vertex_choice": [{"simplex": ["99", "98"],
+                                                          "vertex": "99"}]}
+    blobs["simplex_nested"] = json.loads(json.dumps(classes))
+    blobs["simplex_nested"][0]["terms"][0]["simplex"] = [["1"]]
+    blobs["J_nested"] = json.loads(json.dumps(classes))
+    blobs["J_nested"][0]["J"] = [["1"], "2"]
+    blobs["spec_order_nested"] = {**spec, "support_order": {"1": [[["3"]], ["4"], ["5"]]}}
+    blobs["spec_choice_nested"] = {**spec, "vertex_choice": [{"simplex": [["1"]],
+                                                              "vertex": "1"}]}
+    blobs["vertices_nested"] = {**_fixture("fig1.json"),
+                                "vertices": [["1"], "2", "3", "4", "5", "6"]}
+    blobs["map_target_list"] = _fixture("contraction-map.json")
+    blobs["map_target_list"]["assignment"]["1"] = ["1h"]
+    blobs["map_list"] = {**_fixture("contraction-map.json"), "assignment": ["1", "2"]}
+    blobs["classes_5"] = 5
+    blobs["classes_field_5"] = {"classes": 5}
     paths = {}
     for name, blob in blobs.items():
         paths[name] = root / f"{name}.json"
@@ -460,6 +478,16 @@ def _bad_inputs(root):
      "DomainError"),
     (["nestohedron", "--kind", "stellohedron", "--dim", "3", "--pairs", "1,2,3"],
      "DomainError"),
+    (["construct-join", "{spec_choice_99}"], "InvalidSpec"),
+    (["massey", "fig1.json", "--classes", "{simplex_nested}", "--ring", "F2"], "MalformedInput"),
+    (["massey", "fig1.json", "--classes", "{J_nested}", "--ring", "F2"], "MalformedInput"),
+    (["construct-join", "{spec_order_nested}"], "MalformedInput"),
+    (["construct-join", "{spec_choice_nested}"], "MalformedInput"),
+    (["build", "{vertices_nested}"], "MalformedInput"),
+    (["stretch", "contraction-target.json", "--map", "{map_target_list}"], "MalformedInput"),
+    (["stretch", "contraction-target.json", "--map", "{map_list}"], "MalformedInput"),
+    (["massey", "fig1.json", "--classes", "{classes_5}"], "MissingField"),
+    (["massey", "fig1.json", "--classes", "{classes_field_5}"], "MalformedInput"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)
@@ -476,6 +504,12 @@ def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     if argv[0] == "massey" and error == "DomainError":
         expected = "--budget -1" if "--budget" in argv else "at least two classes"
         assert expected in blob["error"]["message"]
+    names = {pathlib.Path(a).stem for a in argv}
+    if names & {"simplex_nested", "J_nested", "spec_order_nested", "spec_choice_nested",
+                "vertices_nested", "map_target_list"}:
+        assert "is not a vertex label" in blob["error"]["message"]
+    if "spec_choice_99" in names:
+        assert "no support simplex" in blob["error"]["message"]
 
 
 def _run_quietly(argv):

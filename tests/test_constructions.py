@@ -12,6 +12,7 @@ from matk.cochains import (
     evaluate,
     reduced_cohomology,
 )
+from matk import constructions
 from matk.constructions import (
     DiagonalTouchesEdge,
     InvalidSpec,
@@ -116,6 +117,8 @@ def test_p_set_vertex_choice_changes_deletion_count():
         support_order=order)
     assert set(P_more) == {("1", "2", "4"), ("1", "3", "4")}
     assert len(P_more) > len(P_few)
+    # by default the distinguished vertex is the first one
+    assert compute_P_sets(K, a2, support_order=order) == (P_few, surv_few)
 
 
 # -- the join construction ----------------------------------------------------
@@ -269,6 +272,57 @@ def test_spec_json_round_trip():
     back = spec_from_json(blob)
     assert back.factors == spec.factors
     assert back.cochains == spec.cochains
+
+
+def test_spec_resolves_its_choices_once(monkeypatch):
+    spec = joins_example_spec()
+    for K_i, a_i, support, P, survivors in zip(spec.factors, spec.cochains, spec.supports,
+                                               spec.P, spec.survivors):
+        assert support == a_i.support
+        assert (P, survivors) == compute_P_sets(K_i, a_i)
+    assert spec.P[1] == (("4",), ("5",), ("6",)) and spec.survivors[1] == (("3",),)
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("P sets recomputed after the spec was built")
+
+    monkeypatch.setattr(constructions, "compute_P_sets", recomputed)
+    K, _ = construct_massey_complex(spec)
+    assert certify_join_nontrivial(spec, K).method == "pairing"
+
+
+def test_the_ledger_lists_the_stages_i_major():
+    factors = tuple(two_points(f"{i}", f"{i}'") for i in (1, 2, 3, 4))
+    spec = JoinMasseySpec(factors, tuple(Cochain.chi(Ki, ZZ, (f"{i}",), J=(f"{i}", f"{i}'"))
+                                         for i, Ki in zip((1, 2, 3, 4), factors)))
+    _, ledger = construct_massey_complex(spec)
+    assert [(i, k) for i, k, _ in ledger.deletions] == [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+    assert ledger.simplices() == (("1", "2'"), ("1", "3'"), ("2", "3'"), ("2", "4'"),
+                                  ("3", "4'"))
+
+
+def test_support_order_is_resolved_into_the_spec():
+    base = joins_example_spec()
+    spec = JoinMasseySpec(base.factors, base.cochains,
+                          support_order={1: [("5",), ("3",), ("4",)]})
+    assert spec.supports[1] == (("5",), ("3",), ("4",))
+    assert spec.P[1] == (("3",), ("4",), ("6",)) and spec.survivors[1] == (("5",),)
+    K, ledger = construct_massey_complex(spec)
+    assert check_defining_system(canonical_defining_system_joins(spec, K)) == []
+    assert boundary(witness_cycle(spec, K)).is_zero()
+
+
+@pytest.mark.parametrize("choice", [{("99", "98"): "99"}, {("6",): "6"}, {("1", "3"): "1"}])
+def test_a_vertex_choice_must_name_a_support_simplex(choice):
+    # ("6",) is a face of the second factor but not in its cochain's support
+    base = joins_example_spec()
+    with pytest.raises(InvalidSpec, match="no support simplex"):
+        JoinMasseySpec(base.factors, base.cochains, vertex_choice=choice)
+
+
+def test_a_spec_needs_two_factors():
+    base = joins_example_spec()
+    with pytest.raises(InvalidSpec, match="at least two factors"):
+        JoinMasseySpec(base.factors[:1], base.cochains[:1])
 
 
 # -- contraction calculus -----------------------------------------------------

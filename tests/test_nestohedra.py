@@ -130,6 +130,12 @@ def graphical_building_sets(draw, max_ground=5):
     return graphical_building_set(n, edges)
 
 
+@settings(max_examples=60, deadline=None)
+@given(graphical_building_sets(max_ground=7))
+def test_graphical_building_sets_pass_validation(B):
+    assert validate_building_set(B.ground, B.sets) == B
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphical_building_sets())
 def test_nested_set_complex_matches_the_definition_on_graphs(B):
