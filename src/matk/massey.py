@@ -142,14 +142,10 @@ def check_defining_system(ds: DefiningSystem) -> list:
     The diagonal equations say the representatives are cocycles.
     """
     bad = []
-    for k_minus_i in range(0, ds.n):
-        for i in range(1, ds.n - k_minus_i + 1):
-            k = i + k_minus_i
-            if (i, k) == (1, ds.n):
-                continue
-            residual = coboundary(ds.a(i, k)) - ds.staircase(i, k)
-            if not residual.is_zero():
-                bad.append((i, k, residual))
+    for i, k in [(i, i) for i in range(1, ds.n + 1)] + _stages(ds.n):
+        residual = coboundary(ds.a(i, k)) - ds.staircase(i, k)
+        if not residual.is_zero():
+            bad.append((i, k, residual))
     return bad
 
 

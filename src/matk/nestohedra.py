@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MatkError, parse_int
 from .simplicial import (SimplicialComplex, UnknownVertex, full_subcomplex, join, json_field,
-                         json_list, reorder_vertices, stellar_subdivide)
+                         json_list, reorder_vertices, star_delete)
 
 
 class MissingSingleton(MatkError):
@@ -209,8 +209,8 @@ def cube_dual_complex(n: int) -> SimplicialComplex:
 
 
 def cube_truncation(n: int, pairs: Sequence, allow_full: bool = False) -> SimplicialComplex:
-    """Stellar subdivisions of the cube dual at the edges {i, k'}, restricted
-    back to the original 2n vertices; equivalently star deletions there."""
+    """Star deletions of the cube dual at the edges {i, k'}; equivalently
+    stellar subdivisions there, restricted back to the original 2n vertices."""
     if n < 2:
         raise InvalidTruncationPair("need n >= 2")
     seen = set()
@@ -226,10 +226,9 @@ def cube_truncation(n: int, pairs: Sequence, allow_full: bool = False) -> Simpli
         seen.add((i, k))
         cleaned.append((i, k))
     K = cube_dual_complex(n)
-    original = set(K.vertices)
-    for idx, (i, k) in enumerate(cleaned):
-        K = stellar_subdivide(K, (str(i), str(k) + "'"), f"c{idx}")
-    return full_subcomplex(K, original)
+    for i, k in cleaned:
+        K = star_delete(K, (str(i), str(k) + "'"))
+    return K
 
 
 def _polytope_building_set(kind: str, n: int) -> BuildingSet:

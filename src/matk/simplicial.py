@@ -11,7 +11,9 @@ bitmask of the facets that contain it.  The facets containing a simplex are
 the AND of its vertices' masks, so ``has_face`` costs O(|s|) big-int ANDs
 instead of a scan over all facets, and the same masks reduce the input to
 its maximal facets.  The index holds one int per vertex, where a set of all
-faces would hold 2^(dim+1) entries per facet.
+faces would hold 2^(dim+1) entries per facet.  Stars, links, star deletions,
+subdivisions and the checks on vertex maps are built from facets and this
+index; only ``faces(p)`` and ``link_condition`` enumerate faces.
 """
 
 from __future__ import annotations
@@ -230,34 +232,35 @@ def _require_face(K: SimplicialComplex, I: Iterable[str]) -> Simplex:
     return s
 
 
-def star(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
-    """st_K(I): all faces J with I ∪ J a face of K."""
-    s = _require_face(K, I)
-    facets = K._facets_in(K._containing(s))
-    verts = sorted({v for f in facets for v in f}, key=K.rank)
-    return SimplicialComplex(verts, facets)
-
-
-def link(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
-    """link_K(I): faces J disjoint from I with I ∪ J a face of K."""
-    s = _require_face(K, I)
-    facets = {tuple(v for v in f if v not in s) for f in K._facets_in(K._containing(s))}
+def _on_own_vertices(K: SimplicialComplex, facets) -> SimplicialComplex:
+    """The complex of these faces of K less (), on the vertices they use in K's order."""
+    facets = set(facets)
     facets.discard(())
     verts = sorted({v for f in facets for v in f}, key=K.rank)
     return SimplicialComplex(verts, facets)
 
 
+def _boundary_star_faces(K: SimplicialComplex, s: Simplex) -> set:
+    """Faces spanning ∂st_K(s): each facet containing s less one vertex of s."""
+    return {tuple(w for w in f if w != v) for f in K._facets_in(K._containing(s)) for v in s}
+
+
+def star(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
+    """st_K(I): all faces J with I ∪ J a face of K."""
+    s = _require_face(K, I)
+    return _on_own_vertices(K, K._facets_in(K._containing(s)))
+
+
+def link(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
+    """link_K(I): faces J disjoint from I with I ∪ J a face of K."""
+    s = _require_face(K, I)
+    return _on_own_vertices(
+        K, (tuple(v for v in f if v not in s) for f in K._facets_in(K._containing(s))))
+
+
 def boundary_star(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
     """∂st_K(I): faces J with I ∪ J in K but I not contained in J."""
-    s = _require_face(K, I)
-    st = star(K, I)
-    facets = set()
-    for p in range(st.dim + 1):
-        for f in st.faces(p):
-            if not set(s) <= set(f):
-                facets.add(f)
-    verts = sorted({v for f in facets for v in f}, key=K.rank)
-    return SimplicialComplex(verts, facets)
+    return _on_own_vertices(K, _boundary_star_faces(K, _require_face(K, I)))
 
 
 def star_delete(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
@@ -270,17 +273,9 @@ def star_delete(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
     if len(s) == 0:
         # deleting the cofaces of the empty simplex removes everything
         return SimplicialComplex((), ())
-    inside = K._facets_in(K._containing(s))
-    facets = set(K.facets).difference(inside)
-    for f in inside:
-        # keep the maximal proper faces not containing I: drop one vertex of I
-        for v in s:
-            facets.add(tuple(w for w in f if w != v))
-    verts = list(K.vertices)
-    if len(s) == 1:
-        verts.remove(s[0])
-        facets = {f for f in facets if s[0] not in f}
-    return SimplicialComplex(verts, facets)
+    verts = [v for v in K.vertices if (v,) != s]
+    kept = set(K.facets).difference(K._facets_in(K._containing(s)))
+    return SimplicialComplex(verts, kept | _boundary_star_faces(K, s))
 
 
 def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
@@ -304,13 +299,8 @@ def stellar_subdivide(K: SimplicialComplex, I: Iterable[str], new_label: str) ->
         raise SimplicialError("stellar subdivision needs a simplex with at least 2 vertices")
     if new_label in K.vertices:
         raise LabelCollision(f"label {new_label!r} already used")
-    deleted = star_delete(K, s)
-    bstar = boundary_star(K, s)
-    verts = K.vertices + (new_label,)
-    facets = set(deleted.facets)
-    for f in bstar.facets:
-        facets.add(f + (new_label,))
-    return SimplicialComplex(verts, facets)
+    cone = [f + (new_label,) for f in _boundary_star_faces(K, s)]
+    return SimplicialComplex(K.vertices + (new_label,), star_delete(K, s).facets + tuple(cone))
 
 
 class VertexMap:
@@ -328,6 +318,9 @@ class VertexMap:
         missing = set(source.vertices) - set(assignment)
         if missing:
             raise SimplicialError(f"assignment misses source vertices {sorted(missing)}")
+        extra = set(assignment) - set(source.vertices)
+        if extra:
+            raise SimplicialError(f"assignment names non-source vertices {sorted(extra)}")
         for v, w in assignment.items():
             if w not in target._rank:
                 raise SimplicialError(f"assignment target {w!r} not a vertex of the target")
@@ -356,14 +349,17 @@ class VertexMap:
         return all(self.target.has_face(self.image_simplex(f)) for f in self.source.facets)
 
     def is_surjective(self) -> bool:
-        images = set()
-        for p in range(self.source.dim + 1):
-            for f in self.source.faces(p):
-                images.add(self.image_simplex(f))
-        for p in range(self.target.dim + 1):
-            for f in self.target.faces(p):
-                if f not in images:
-                    return False
+        # a target facet is an image exactly when some source facet meets the
+        # fiber of each of its vertices
+        meets = dict.fromkeys(self.target.vertices, 0)
+        for v, w in self.assignment.items():
+            meets[w] |= self.source._cofacets[v]
+        for f in self.target.facets:
+            mask = -1
+            for w in f:
+                mask &= meets[w]
+            if not mask:
+                return False
         return True
 
     def is_order_compatible(self) -> bool:
@@ -375,28 +371,10 @@ class VertexMap:
     def preimages(self, target_simplex: Iterable[str], p: int) -> list:
         """All p-simplices of the source mapping onto the given target simplex."""
         ts = self.target.sort_simplex(target_simplex)
-        fibers = [self.fiber(w) for w in ts]
-        if any(not f for f in fibers):
+        if p + 1 < len(ts):
             return []
-        out = []
-        need = p + 1 - len(ts)
-        if need < 0:
-            return []
-        # choose a nonempty subset of each fiber with total size p+1
-        choices = []
-        for fib in fibers:
-            subs = []
-            for r in range(1, len(fib) + 1):
-                subs.extend(itertools.combinations(fib, r))
-            choices.append(subs)
-        for combo in itertools.product(*choices):
-            vs = [v for sub in combo for v in sub]
-            if len(vs) != p + 1:
-                continue
-            s = self.source.sort_simplex(vs)
-            if self.source.has_face(s):
-                out.append(s)
-        return sorted(set(out), key=lambda s: tuple(self.source.rank(v) for v in s))
+        return [s for s in itertools.combinations(self.preimage_vertices(ts), p + 1)
+                if self.image_simplex(s) == ts and self.source.has_face(s)]
 
 
 def link_condition(K: SimplicialComplex, u: str, w: str) -> bool:

@@ -14,8 +14,15 @@ only the Hermite form of a unit-free residual).
 ``enumerate_reference`` decides a Massey product by the exhaustive walk:
 one class key per valid defining system.  It shares with the library only
 the walk itself (``massey._walk``), not the coset argument under test.
+
+The simplicial references enumerate faces where the library reads facets
+and the face index: the boundary of a star as the faces of the star that
+miss the simplex, surjectivity as the image of every source face,
+preimages over products of fiber subsets, and cube truncations as stellar
+subdivisions restricted back to the cube's vertices.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -23,7 +30,8 @@ from math import lcm
 from matk import exactalg, massey
 from matk.cochains import AmbientMismatch, Cochain, _zeta, epsilon_set, reduced_cohomology
 from matk.exactalg import ZZ, QQ, AbelianGroup
-from matk.simplicial import SimplicialComplex
+from matk.nestohedra import cube_dual_complex
+from matk.simplicial import SimplicialComplex, full_subcomplex, star, stellar_subdivide
 
 
 # -- dense references ----------------------------------------------------------
@@ -345,6 +353,49 @@ def det(M):
                 f = A[r][c] * inv
                 A[r] = [x - f * y for x, y in zip(A[r], A[c])]
     return d
+
+
+# -- face-enumerating simplicial references ------------------------------------
+
+def boundary_star_reference(K: SimplicialComplex, I) -> SimplicialComplex:
+    """∂st_K(I): the faces of st_K(I) that do not contain I."""
+    s = K.sort_simplex(I)
+    facets = {f for f in star(K, s).all_faces() if not set(s) <= set(f)}
+    verts = sorted({v for f in facets for v in f}, key=K.rank)
+    return SimplicialComplex(verts, facets)
+
+
+def is_surjective_reference(phi) -> bool:
+    """Every nonempty target face is the image of a source face."""
+    images = {phi.image_simplex(f) for f in phi.source.all_faces()}
+    return all(f in images for f in phi.target.all_faces())
+
+
+def preimages_reference(phi, target_simplex, p) -> list:
+    """The p-faces of the source made of a nonempty subset of each fiber of
+    the target simplex, sorted by rank sequence."""
+    ts = phi.target.sort_simplex(target_simplex)
+    fibers = [phi.fiber(w) for w in ts]
+    if any(not f for f in fibers) or p + 1 < len(ts):
+        return []
+    choices = [[sub for r in range(1, len(fib) + 1) for sub in itertools.combinations(fib, r)]
+               for fib in fibers]
+    out = set()
+    for combo in itertools.product(*choices):
+        vs = [v for sub in combo for v in sub]
+        if len(vs) == p + 1 and phi.source.has_face(vs):
+            out.add(phi.source.sort_simplex(vs))
+    return sorted(out, key=lambda s: [phi.source.rank(v) for v in s])
+
+
+def cube_truncation_reference(n, pairs) -> SimplicialComplex:
+    """Stellar subdivisions of the cube dual at the edges {i, k'}, restricted
+    back to its 2n vertices."""
+    K = cube_dual_complex(n)
+    original = set(K.vertices)
+    for idx, (i, k) in enumerate(pairs):
+        K = stellar_subdivide(K, (str(i), f"{k}'"), f"c{idx}")
+    return full_subcomplex(K, original)
 
 
 # -- small standard complexes ----------------------------------------------

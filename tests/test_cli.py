@@ -421,6 +421,8 @@ def _bad_inputs(root):
     blobs["map_target_list"] = _fixture("contraction-map.json")
     blobs["map_target_list"]["assignment"]["1"] = ["1h"]
     blobs["map_list"] = {**_fixture("contraction-map.json"), "assignment": ["1", "2"]}
+    blobs["map_extra_key"] = _fixture("contraction-map.json")
+    blobs["map_extra_key"]["assignment"]["zz"] = "1h"
     blobs["classes_5"] = 5
     blobs["classes_field_5"] = {"classes": 5}
     paths = {}
@@ -486,6 +488,7 @@ def _bad_inputs(root):
     (["build", "{vertices_nested}"], "MalformedInput"),
     (["stretch", "contraction-target.json", "--map", "{map_target_list}"], "MalformedInput"),
     (["stretch", "contraction-target.json", "--map", "{map_list}"], "MalformedInput"),
+    (["stretch", "contraction-target.json", "--map", "{map_extra_key}"], "SimplicialError"),
     (["massey", "fig1.json", "--classes", "{classes_5}"], "MissingField"),
     (["massey", "fig1.json", "--classes", "{classes_field_5}"], "MalformedInput"),
 ])
@@ -510,6 +513,8 @@ def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
         assert "is not a vertex label" in blob["error"]["message"]
     if "spec_choice_99" in names:
         assert "no support simplex" in blob["error"]["message"]
+    if "map_extra_key" in names:
+        assert "non-source vertices ['zz']" in blob["error"]["message"]
 
 
 def _run_quietly(argv):

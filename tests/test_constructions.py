@@ -46,12 +46,15 @@ from matk.simplicial import (
     SimplicialComplex,
     contract_edge,
     join,
+    reorder_vertices,
     star_delete,
+    stellar_subdivide,
 )
 
 from helpers import (
     contraction_example_source,
     contraction_example_target,
+    cycle_complex,
     enumerate_reference,
     joins_example_complex,
     octahedron,
@@ -386,6 +389,28 @@ def test_pullback_of_path_alternative_entry():
     assert ds_alt.a(1, 2) == Cochain(
         K, ZZ, ("1", "4", "2", "3", "5", "6"), 1,
         {("1", "6"): 1, ("4", "6"): 1, ("2", "4"): 1, ("4", "5"): 1, ("1", "5"): 1})
+
+
+def test_pullback_sign_is_needed_after_an_odd_class():
+    # the contracted vertex 1b lies in J_1 and the class after it has p = 1,
+    # so theta * theta-hat is -1 on entry (1,2): without it the pulled-back
+    # staircase equation fails there
+    K1, K3 = two_points("1", "2"), two_points("7", "8")
+    K2 = cycle_complex(4, ["3", "4", "5", "6"])
+    spec = JoinMasseySpec((K1, K2, K3), (
+        Cochain.chi(K1, ZZ, ("1",), J=("1", "2")),
+        Cochain.chi(K2, ZZ, ("3", "4"), J=K2.vertices),
+        Cochain.chi(K3, ZZ, ("7",), J=("7", "8"))))
+    Khat, _ = construct_massey_complex(spec)
+    ds_hat = canonical_defining_system_joins(spec, Khat)
+    order = ["1", "1b"] + list(Khat.vertices[1:])
+    K = reorder_vertices(stellar_subdivide(Khat, ("1", "3"), "1b"), order)
+    contracted, phi, ok = contract_edge(K, ("1", "1b"), new_label="1")
+    assert ok and contracted == Khat
+    ds = pullback_defining_system(phi, ds_hat)
+    assert check_defining_system(ds) == []
+    unsigned = constructions._pull(phi, ds_hat.a(1, 2), 1)
+    assert ds.a(1, 2) == -unsigned and not unsigned.is_zero()
 
 
 def test_identity_pullback_is_trivial():

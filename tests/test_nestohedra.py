@@ -35,7 +35,7 @@ from matk.simplicial import (
     star_delete,
 )
 
-from helpers import reduced_betti, simplex_boundary
+from helpers import cube_truncation_reference, reduced_betti, simplex_boundary
 
 
 def test_simplex_building_set_is_valid():
@@ -271,13 +271,22 @@ def test_nested_set_complexes_are_spheres(kind, n):
 
 
 def test_cube_truncation_equals_star_deletion():
-    stellar_route = cube_truncation(3, [(1, 2), (2, 3)])
+    truncated = cube_truncation(3, [(1, 2), (2, 3)])
     deletion_route = cube_dual_complex(3)
     for e in (("1", "2'"), ("2", "3'")):
         deletion_route = star_delete(deletion_route, e)
-    assert stellar_route == deletion_route
+    assert truncated == deletion_route
     # order of the truncation pairs does not matter
-    assert cube_truncation(3, [(2, 3), (1, 2)]) == stellar_route
+    assert cube_truncation(3, [(2, 3), (1, 2)]) == truncated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cube_truncation_matches_stellar_subdivision(data):
+    n = data.draw(st.integers(2, 6))
+    pairs = data.draw(st.lists(st.sampled_from(
+        [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)]), unique=True))
+    assert cube_truncation(n, pairs, allow_full=True) == cube_truncation_reference(n, pairs)
 
 
 def test_cube_truncation_validation():

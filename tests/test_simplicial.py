@@ -11,6 +11,7 @@ from matk.simplicial import (
     SimplexNotInComplex,
     SimplicialComplex,
     UnknownVertex,
+    VertexMap,
     boundary_star,
     complex_from_json,
     complex_to_json,
@@ -26,7 +27,16 @@ from matk.simplicial import (
 )
 from matk.exactalg import GF, QQ
 
-from helpers import cycle_complex, octahedron, reduced_betti, simplex_boundary, two_points
+from helpers import (
+    boundary_star_reference,
+    cycle_complex,
+    is_surjective_reference,
+    octahedron,
+    preimages_reference,
+    reduced_betti,
+    simplex_boundary,
+    two_points,
+)
 
 
 def test_build_two_point_complex():
@@ -382,3 +392,32 @@ def test_star_link_and_deletion_read_the_index(K, data):
     J = data.draw(st.sets(st.sampled_from(K.vertices)))
     assert set(full_subcomplex(K, J).all_faces()) == {
         f for f in K.all_faces() if set(f) <= J}
+
+
+def _assert_map_matches_references(phi):
+    assert phi.is_surjective() == is_surjective_reference(phi)
+    for ts in phi.target.all_faces(include_empty=True):
+        for p in range(-2, phi.source.dim + 2):
+            assert phi.preimages(ts, p) == preimages_reference(phi, ts, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes(), st.data())
+def test_facet_built_operations_match_face_enumeration(K, data):
+    s = data.draw(st.sampled_from(K.all_faces(include_empty=True)[::-1]))
+    bstar = boundary_star_reference(K, s)
+    assert boundary_star(K, s) == bstar
+    if len(s) >= 2:
+        kept = {f for f in K.all_faces() if not set(s) <= set(f)}
+        cone = {f + ("new",) for f in bstar.all_faces(include_empty=True)}
+        assert set(stellar_subdivide(K, s, "new").all_faces()) == kept | cone
+    # a random vertex map onto a target spanned by some facet images and some
+    # other simplices, so it may be neither simplicial nor surjective
+    labels = ["a", "b", "c", "d"][:data.draw(st.integers(1, 4))]
+    assignment = {v: data.draw(st.sampled_from(labels)) for v in K.vertices}
+    facets = [{assignment[v] for v in f} for f in K.facets if data.draw(st.booleans())]
+    facets += data.draw(st.lists(st.sets(st.sampled_from(labels), min_size=1), max_size=2))
+    _assert_map_matches_references(VertexMap(K, SimplicialComplex(labels, facets), assignment))
+    if K.faces(1):
+        edge = data.draw(st.sampled_from(K.faces(1)))
+        _assert_map_matches_references(contract_edge(K, edge).map)
