@@ -488,9 +488,9 @@ def _bad_inputs(root):
     (["build", "{vertices_nested}"], "MalformedInput"),
     (["stretch", "contraction-target.json", "--map", "{map_target_list}"], "MalformedInput"),
     (["stretch", "contraction-target.json", "--map", "{map_list}"], "MalformedInput"),
-    (["stretch", "contraction-target.json", "--map", "{map_extra_key}"], "SimplicialError"),
     (["massey", "fig1.json", "--classes", "{classes_5}"], "MissingField"),
     (["massey", "fig1.json", "--classes", "{classes_field_5}"], "MalformedInput"),
+    (["stretch", "contraction-target.json", "--map", "{map_extra_key}"], "SimplicialError"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)
