@@ -10,15 +10,17 @@ Sign conventions, fixed once here and used everywhere:
 * epsilon(j, J) = (-1)^(r-1) when j is the r-th element of J in the vertex
   order, extended multiplicatively over subsets.
 * coboundary: d(chi_sigma) = sum over j with j ∪ sigma a face of K_J of
-  epsilon(j, j ∪ sigma) chi_{j ∪ sigma}; in degree -1,
-  d(chi_empty) = sum of chi_v over vertices of K_J.
+  epsilon(j, j ∪ sigma) chi_{j ∪ sigma}; in degree -1 that is
+  d(chi_empty) = sum of chi_v over the vertices v of K_J.
 * boundary is the adjoint under the evaluation pairing.
-* product: chi_L . chi_M = epsilon(L,I) epsilon(M,J) zeta epsilon(L∪M, I∪J)
-  chi_{L∪M} when the ambient subsets I, J are disjoint and L∪M is a face,
-  with zeta the product of epsilon(k, {k} ∪ (J minus M)) over k in I minus L;
-  otherwise the product is zero.  When every vertex of I precedes every
-  vertex of J the coefficient collapses to (-1)^{|I| (q+1)} for q = deg of
-  the right factor; that fast path is validated against the general formula.
+* product: for disjoint I, J and faces L ⊆ I, M ⊆ J with L∪M a face,
+  chi_L . chi_M = (-1)^(|I||M| + c(J,I) + c(M,L)) chi_{L∪M}, c(X,Y) the
+  number of pairs x in X, y in Y with x before y; else the product is 0.
+  This is the paper's epsilon(L,I) epsilon(M,J) zeta epsilon(L∪M, I∪J):
+  zeta = prod over k in I-L of epsilon(k, {k} ∪ (J-M)) = (-1)^c(J-M, I-L)
+  and epsilon(L∪M, I∪J) = epsilon(L,I) epsilon(M,J) (-1)^(c(J,L) + c(I,M));
+  expand c(J-M, I-L) by inclusion-exclusion, use c(I,M) + c(M,I) = |I||M|.
+  When I precedes J the sign is (-1)^(|I| (q+1)), q the right factor's degree.
 """
 
 from __future__ import annotations
@@ -59,13 +61,6 @@ def epsilon(K: SimplicialComplex, j: str, J: Iterable[str]) -> int:
     return -1 if below % 2 else 1
 
 
-def epsilon_set(K: SimplicialComplex, L: Iterable[str], J: Iterable[str]) -> int:
-    s = 1
-    for j in set(L):
-        s *= epsilon(K, j, J)
-    return s
-
-
 class _Graded:
     """Common machinery of Cochain and Chain: a finitely supported
     coefficient map on the p-simplices of K_J."""
@@ -91,7 +86,7 @@ class _Graded:
                 raise GradingMismatch(f"simplex {s} not inside J={list(J)}")
             if not complex.has_face(s):
                 raise GradingMismatch(f"{s} is not a face of the complex")
-            clean[s] = ring.add(clean.get(s, ring.zero), c) if s in clean else c
+            clean[s] = ring.add(clean.get(s, 0), c)
         self.coeffs = {s: c for s, c in clean.items() if not ring.is_zero(c)}
 
     @property
@@ -178,12 +173,6 @@ def coboundary(a: Cochain) -> Cochain:
     """d: C^p(K_J) -> C^{p+1}(K_J) with the augmented degree -1 convention."""
     K, ring = a.complex, a.ring
     out: dict = {}
-    if a.p == -1:
-        c = a.coeffs.get((), ring.zero)
-        if not ring.is_zero(c):
-            for v in a.J:
-                out[(v,)] = c
-        return Cochain(K, ring, a.J, 0, out)
     Jset = set(a.J)
     for s, c in a.coeffs.items():
         for j in Jset - set(s):
@@ -221,11 +210,14 @@ def evaluate(a: Cochain, x: Chain):
     return total
 
 
-def _zeta(K: SimplicialComplex, I, L, J, M) -> int:
-    z = 1
-    for k in set(I) - set(L):
-        z *= epsilon(K, k, {k} | (set(J) - set(M)))
-    return z
+def _crossings(K: SimplicialComplex, X, Y) -> int:
+    """c(X, Y), by merging X and Y (both sorted by rank) from the back."""
+    rank, count, i = K._rank, 0, len(X)
+    for y in reversed(Y):
+        while i and rank[X[i - 1]] > rank[y]:
+            i -= 1
+        count += i
+    return count
 
 
 def cup_multiply(a: Cochain, b: Cochain) -> Cochain:
@@ -242,20 +234,16 @@ def cup_multiply(a: Cochain, b: Cochain) -> Cochain:
     p_out = a.p + b.p + 1
     if set(I) & set(J):
         return Cochain.zero(K, ring, union, p_out)
-    ordered = bool(I) and bool(J) and K.rank(I[-1]) < K.rank(J[0])
-    lemma_sign = (-1) ** (len(I) * (b.p + 1)) if ordered else 0
+    crossed = _crossings(K, J, I)
+    base = len(I) * (b.p + 1) + crossed
     out: dict = {}
     for L, ca in a.coeffs.items():
         for M, cb in b.coeffs.items():
             s = K.sort_simplex(L + M)
             if not K.has_face(s):
                 continue
-            if ordered:
-                sign = lemma_sign
-            else:
-                sign = (epsilon_set(K, L, I) * epsilon_set(K, M, J)
-                        * _zeta(K, I, L, J, M) * epsilon_set(K, s, union))
-            term = ring.mul(ring.mul(ca, cb), ring.of_int(sign))
+            e = base + (_crossings(K, M, L) if crossed else 0)
+            term = ring.mul(ring.mul(ca, cb), ring.of_int(-1 if e % 2 else 1))
             out[s] = ring.add(out.get(s, ring.zero), term)
     return Cochain(K, ring, union, p_out, out)
 
@@ -403,11 +391,8 @@ def cochain_to_json(a: Cochain) -> dict:
     return {
         "J": list(a.J),
         "p": a.p,
-        "terms": [
-            {"simplex": list(s), "coeff": a.ring.element_to_str(c)}
-            for s, c in sorted(a.coeffs.items(),
-                               key=lambda kv: tuple(a.complex.rank(v) for v in kv[0]))
-        ],
+        "terms": [{"simplex": list(s), "coeff": a.ring.element_to_str(a.coeffs[s])}
+                  for s in a.support],
     }
 
 

@@ -66,6 +66,7 @@ class DefiningSystem:
 
     def __post_init__(self):
         self.classes = tuple(self.classes)
+        self.entries = dict(self.entries)
         n = self.n
         for i, cls in enumerate(self.classes, start=1):
             self.entries.setdefault((i, i), cls.representative)
@@ -102,9 +103,7 @@ class DefiningSystem:
         return self.entries[(i, k)]
 
     def with_entry(self, i: int, k: int, a: Cochain) -> "DefiningSystem":
-        entries = dict(self.entries)
-        entries[(i, k)] = a
-        return DefiningSystem(self.classes, entries)
+        return DefiningSystem(self.classes, {**self.entries, (i, k): a})
 
     def staircase(self, i: int, k: int) -> Cochain:
         """sum over r of overline(a_{i,r}) . a_{r+1,k}."""
@@ -171,12 +170,6 @@ class MasseyVerdict:
     witness_cycle: Optional[Chain] = None
     obstruction_stage: Optional[tuple] = None
     distinct_class_count: Optional[int] = None
-
-    @property
-    def nontrivial(self) -> Optional[bool]:
-        if self.contains_zero is None:
-            return None
-        return self.defined and not self.contains_zero
 
     def to_json(self) -> dict:
         out = {

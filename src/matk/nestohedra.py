@@ -17,7 +17,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .cochains import Cochain
 from .errors import MatkError, parse_int
+from .hochster import CohomologyClass
 from .simplicial import (SimplicialComplex, UnknownVertex, full_subcomplex, join, json_field,
                          json_list, reorder_vertices, star_delete)
 
@@ -240,9 +242,7 @@ def _polytope_building_set(kind: str, n: int) -> BuildingSet:
     raise ValueError(f"unknown polytope kind {kind!r}")
 
 
-def standard_polytope_complex(kind: str, n: int, pairs: Optional[Sequence] = None) -> SimplicialComplex:
-    if kind == "cube_truncation":
-        return cube_truncation(n, pairs or [])
+def standard_polytope_complex(kind: str, n: int) -> SimplicialComplex:
     return nested_set_complex(_polytope_building_set(kind, n))
 
 
@@ -308,9 +308,6 @@ def nestohedron_massey_input(kind: str, n: int, k: int, ring):
     Each class is the indicator cochain of the connected component of the
     first slot vertex inside K_{J_i}.
     """
-    from .cochains import Cochain
-    from .hochster import CohomologyClass
-
     if kind == "permutahedron":
         slots, contractions = permutahedron_massey_slots(n, k)
     elif kind == "stellohedron":

@@ -11,6 +11,10 @@ transforms, matrix products) share no code with the library;
 through the library's group kernel, which no ``Solver`` uses (the two share
 only the Hermite form of a unit-free residual).
 
+``cup_multiply_reference`` is the paper's product sign
+epsilon(L,I) epsilon(M,J) zeta epsilon(L∪M, I∪J), with its own epsilon; the
+library's closed form shares no sign code with it.
+
 ``enumerate_reference`` decides a Massey product by the exhaustive walk:
 one class key per valid defining system.  It shares with the library only
 the walk itself (``massey._walk``), not the coset argument under test.
@@ -28,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from matk import exactalg, massey
-from matk.cochains import AmbientMismatch, Cochain, _zeta, epsilon_set, reduced_cohomology
+from matk.cochains import AmbientMismatch, Cochain, reduced_cohomology
 from matk.exactalg import ZZ, QQ, AbelianGroup
 from matk.nestohedra import cube_dual_complex
 from matk.simplicial import SimplicialComplex, full_subcomplex, star, stellar_subdivide
@@ -207,9 +211,25 @@ def cokernel_invariants(M, ambient_rank, ring):
     return exactalg.cohomology_groups({0: ambient_rank}, {-1: sparse_rows(M, ring)}, ring)[0]
 
 
+def epsilon_set(K: SimplicialComplex, L, J) -> int:
+    """The product over j in L of (-1)^(r-1), j the r-th element of J in
+    K's vertex order."""
+    order = sorted(J, key=K.vertices.index)
+    return (-1) ** sum(order.index(j) for j in set(L))
+
+
+def zeta(K: SimplicialComplex, I, L, J, M) -> int:
+    """The product of epsilon(k, {k} ∪ (J minus M)) over k in I minus L."""
+    rest = set(J) - set(M)
+    z = 1
+    for k in set(I) - set(L):
+        z *= epsilon_set(K, {k}, rest | {k})
+    return z
+
+
 def cup_multiply_reference(a: Cochain, b: Cochain) -> Cochain:
-    """The general-zeta formula with no fast path; used to validate the
-    ordered-blocks shortcut."""
+    """The product with the paper's sign
+    epsilon(L,I) epsilon(M,J) zeta epsilon(L∪M, I∪J) on every term."""
     if a.complex != b.complex or a.ring != b.ring:
         raise AmbientMismatch("product needs one ambient complex and one ring")
     K, ring = a.complex, a.ring
@@ -225,7 +245,7 @@ def cup_multiply_reference(a: Cochain, b: Cochain) -> Cochain:
             if not K.has_face(s):
                 continue
             sign = (epsilon_set(K, L, I) * epsilon_set(K, M, J)
-                    * _zeta(K, I, L, J, M) * epsilon_set(K, s, union))
+                    * zeta(K, I, L, J, M) * epsilon_set(K, s, union))
             term = ring.mul(ring.mul(ca, cb), ring.of_int(sign))
             out[s] = ring.add(out.get(s, ring.zero), term)
     return Cochain(K, ring, union, p_out, out)

@@ -88,7 +88,7 @@ def test_zk_oracle_agrees_with_hochster_totals(capsys):
 
 
 def test_product_command(capsys, tmp_path):
-    classes = json.load(open(FIX / "fig1-classes.json"))
+    classes = json.loads((FIX / "fig1-classes.json").read_text())
     two = tmp_path / "two.json"
     two.write_text(json.dumps(classes[:2]))
     code, blob = run_json(capsys, "product", str(FIX / "fig1.json"),
@@ -155,7 +155,7 @@ def test_contract_command_and_link_flag(capsys):
     assert code == 0
     assert blob["link_condition"] is True
     assert blob["map"]["1"] == blob["map"]["4"] == "1h"
-    target = json.load(open(FIX / "contraction-target.json"))
+    target = json.loads((FIX / "contraction-target.json").read_text())
     assert blob["complex"] == target
 
 

@@ -16,7 +16,6 @@ from matk.cochains import (
     cochain_to_json,
     cup_multiply,
     epsilon,
-    epsilon_set,
     evaluate,
     overline,
     reduced_cohomology,
@@ -28,6 +27,7 @@ from matk.simplicial import SimplicialComplex
 from helpers import (
     contraction_example_source,
     cup_multiply_reference,
+    epsilon_set,
     fig1_complex,
     joins_example_complex,
     octahedron,
@@ -177,49 +177,77 @@ def test_unit_cochain_multiplies_trivially():
     assert cup_multiply(a, unit) == a
 
 
+def random_cochains(data, K, parts):
+    """One cochain of degree -1..1, coefficients in -2..2, over Z, Q, F2 or
+    F3, on each of `parts` disjoint vertex sets of K; the sets interleave in
+    any way (consecutive blocks are one case), may be empty and may leave
+    vertices out.  None when some set has no faces in its drawn degree."""
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+    n = len(K.vertices)
+    labels = data.draw(st.lists(st.integers(0, parts), min_size=n, max_size=n))
+    out = []
+    for i in range(parts):
+        J = tuple(v for v, part in zip(K.vertices, labels) if part == i)
+        p = data.draw(st.integers(-1, 1))
+        faces = [s for s in K.faces(p) if set(s) <= set(J)]
+        if not faces:
+            return None
+        out.append(Cochain(K, ring, J, p,
+                           {s: ring.of_int(data.draw(st.integers(-2, 2))) for s in faces}))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes(), st.data())
+def test_cup_agrees_with_paper_formula(K, data):
+    cochains = random_cochains(data, K, 2)
+    if cochains is not None:
+        a, b = cochains
+        assert cup_multiply(a, b) == cup_multiply_reference(a, b)
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_complexes(), st.data())
-def test_cup_fast_path_agrees_with_reference(K, data):
-    ring = data.draw(st.sampled_from([ZZ, GF(2), GF(3)]))
-    n = len(K.vertices)
-    if n < 2:
-        return
-    cut = data.draw(st.integers(1, n - 1))
-    I, J = K.vertices[:cut], K.vertices[cut:]
-    pa = data.draw(st.integers(0, 1))
-    pb = data.draw(st.integers(0, 1))
-    fa = [s for s in K.faces(pa) if set(s) <= set(I)]
-    fb = [s for s in K.faces(pb) if set(s) <= set(J)]
-    if not fa or not fb:
-        return
-    a = Cochain(K, ring, I, pa,
-                {s: ring.of_int(data.draw(st.integers(-2, 2))) for s in fa})
-    b = Cochain(K, ring, J, pb,
-                {s: ring.of_int(data.draw(st.integers(-2, 2))) for s in fb})
-    assert cup_multiply(a, b) == cup_multiply_reference(a, b)
+def test_cup_graded_commutative(K, data):
+    cochains = random_cochains(data, K, 2)
+    if cochains is not None:
+        a, b = cochains
+        sign = a.ring.of_int((-1) ** (total_degree(a) * total_degree(b)))
+        assert cup_multiply(a, b) == cup_multiply(b, a).scale(sign)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
+@given(small_complexes(), st.data())
+def test_cup_associative(K, data):
+    cochains = random_cochains(data, K, 3)
+    if cochains is not None:
+        a, b, c = cochains
+        assert cup_multiply(cup_multiply(a, b), c) == cup_multiply(a, cup_multiply(b, c))
+
+
+@settings(max_examples=150, deadline=None)
 @given(small_complexes(), st.data())
 def test_leibniz_rule(K, data):
-    ring = data.draw(st.sampled_from([ZZ, GF(2), GF(3)]))
-    n = len(K.vertices)
-    if n < 2:
+    cochains = random_cochains(data, K, 2)
+    if cochains is None:
         return
-    cut = data.draw(st.integers(1, n - 1))
-    I, J = K.vertices[:cut], K.vertices[cut:]
-    fa = [s for s in K.faces(0) if set(s) <= set(I)]
-    fb = [s for s in K.faces(0) if set(s) <= set(J)]
-    if not fa or not fb:
-        return
-    a = Cochain(K, ring, I, 0,
-                {s: ring.of_int(data.draw(st.integers(-2, 2))) for s in fa})
-    b = Cochain(K, ring, J, 0,
-                {s: ring.of_int(data.draw(st.integers(-2, 2))) for s in fb})
+    a, b = cochains
+    ring = a.ring
     lhs = coboundary(cup_multiply(a, b))
     sign = ring.of_int((-1) ** total_degree(a))
     rhs = cup_multiply(coboundary(a), b) + cup_multiply(a, coboundary(b)).scale(sign)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("ring,c,reduced", [(GF(2), 2, 0), (GF(2), 3, 1), (GF(3), 3, 0),
+                                            (GF(3), 4, 1), (GF(3), -1, 2)])
+def test_cochain_reduces_its_coefficients(ring, c, reduced):
+    K = two_points()
+    a = Cochain(K, ring, ("1", "2"), 0, {("1",): c})
+    assert a.is_zero() == (reduced == 0)
+    assert a == Cochain(K, ring, ("1", "2"), 0, {("1",): reduced})
+    expected = [{"simplex": ["1"], "coeff": str(reduced)}] if reduced else []
+    assert cochain_to_json(a)["terms"] == expected
 
 
 def test_support_bookkeeping():

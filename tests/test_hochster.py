@@ -169,7 +169,7 @@ def test_oracle_equivalence_nine_vertex_fixture():
     from matk.simplicial import complex_from_json
 
     path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "truncated-octahedron.json"
-    K = complex_from_json(json.load(open(path)))
+    K = complex_from_json(json.loads(path.read_text()))
     assert len(K.vertices) == 9
     for ring in (ZZ, GF(2)):
         table = hochster_decompose(K, ring)

@@ -68,6 +68,13 @@ def fig1_system(ring, c1, c2, c3):
     return DefiningSystem(classes, {(1, 2): a12, (2, 3): a23})
 
 
+def test_defining_system_leaves_the_callers_entries_alone():
+    entries = {}
+    ds = DefiningSystem(fig1_classes(ZZ), entries)
+    assert entries == {}
+    assert sorted(ds.entries) == [(1, 1), (2, 2), (3, 3)]
+
+
 def test_fig1_defining_system_is_valid():
     ds = fig1_system(ZZ, 2, 3, 5)
     assert check_defining_system(ds) == []

@@ -357,10 +357,10 @@ def test_truncated_octahedron_subcomplex_triple_product():
     from matk.simplicial import complex_from_json
 
     fixdir = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    K = complex_from_json(json.load(open(fixdir / "truncated-octahedron.json")))
+    K = complex_from_json(json.loads((fixdir / "truncated-octahedron.json").read_text()))
     classes = tuple(
         CohomologyClass(cochain_from_json(blob, K, ZZ))
-        for blob in json.load(open(fixdir / "truncated-octahedron-classes.json"))
+        for blob in json.loads((fixdir / "truncated-octahedron-classes.json").read_text())
     )
     verdict = triple_massey_decide(*classes)
     assert verdict.defined and verdict.contains_zero is False
