@@ -17,10 +17,12 @@ the empty subset carries H-tilde^{-1}.
 ``moment_angle_cw_oracle`` computes the same groups from the cellular chain
 complex of the moment-angle complex itself (one cell per pair of a face
 sigma and a disjoint circle-coordinate set T, of dimension 2|sigma| + |T|).
-The two share only ``exactalg``'s elimination, which turns each cochain
-complex into its groups; neither goes through ``cochains``, and their
-complexes and sign rules are built independently, so they cross-validate
-each other.
+sigma and T are int bitmasks over the vertex ranks; the boundary term of a
+bit b of sigma is (sigma ^ b, T | b), with sign (-1)^popcount(T & (b - 1)).
+The oracle reads only ``K.faces`` and the vertex ranks.  The two share only
+``exactalg``'s elimination, which turns each cochain complex into its
+groups; neither goes through ``cochains``, and their complexes and sign
+rules are built independently, so they cross-validate each other.
 """
 
 from __future__ import annotations
@@ -216,51 +218,48 @@ def product_in_hochster(a: CohomologyClass, b: CohomologyClass) -> CohomologyCla
     return CohomologyClass(cup_multiply(a.representative, b.representative))
 
 
-def _cw_cells(K: SimplicialComplex):
-    """Cells (sigma, T) of the moment-angle complex, grouped by dimension."""
-    verts = K.vertices
-    cells: dict[int, list] = {}
-    for p in range(-1, K.dim + 1):
-        for sigma in K.faces(p):
-            rest = [v for v in verts if v not in sigma]
-            for size in range(len(rest) + 1):
-                for T in itertools.combinations(rest, size):
-                    dim = 2 * len(sigma) + len(T)
-                    cells.setdefault(dim, []).append((sigma, T))
-    for dim in cells:
-        cells[dim].sort(key=lambda cell: (
-            tuple(K.rank(v) for v in cell[0]), tuple(K.rank(v) for v in cell[1])))
-    return cells
+def _cw_complex(K: SimplicialComplex):
+    """(sizes, deltas) of the cellular cochain complex of Z_K.  A cell
+    (sigma, T) is the int sigma << m | T, bit r for the vertex of rank r.
+    Taking the faces in rank-tuple order, and each one's sets T of one size
+    in lexicographic order, lists each degree's cells sorted by the rank
+    tuples of sigma and then of T."""
+    m, rank = len(K.vertices), K._rank
+    faces = sorted(tuple(rank[v] for v in f) for p in range(-1, K.dim + 1) for f in K.faces(p))
+    cells = [[] for _ in range(m + K.dim + 2)]
+    for sigma in faces:
+        high = sum(1 << r for r in sigma)
+        rest = [1 << r for r in range(m) if not high >> r & 1]
+        high <<= m
+        for size in range(len(rest) + 1):
+            cells[2 * len(sigma) + size].extend(
+                high | sum(T) for T in itertools.combinations(rest, size))
+    index = {cell: i for level in cells for i, cell in enumerate(level)}
+    full, deltas = (1 << m) - 1, {}
+    for d in range(1, len(cells)):
+        rows = []
+        for cell in cells[d]:
+            T, rest, row = cell & full, cell >> m, {}
+            while rest:
+                b = rest & -rest
+                row[index[cell - (b << m) + b]] = -1 if (T & (b - 1)).bit_count() & 1 else 1
+                rest ^= b
+            rows.append(row)
+        deltas[d - 1] = rows
+    return {d: len(level) for d, level in enumerate(cells)}, deltas
 
 
 def moment_angle_cw_oracle(K: SimplicialComplex, ring: Ring, cap: int = 12) -> dict:
     """Cohomology of Z_K per degree from its cellular chain complex.
 
     The disc factor contributes cells 1, t, D with dD = t and dt = 0; a cell
-    (sigma, T) is the product of D-cells over sigma and t-cells over T.  The
-    boundary sign of replacing D by t in coordinate i is (-1)^(number of
-    t-coordinates before i), following the vertex order.
+    (sigma, T) is the product of D-cells over sigma and t-cells over T, with
+    sigma and T int bitmasks over the vertex ranks.  The boundary sign of
+    replacing D by t in the coordinate of bit b is (-1)^(number of
+    t-coordinates before it) = (-1)^popcount(T & (b - 1)), following the
+    vertex order.
     """
     if len(K.vertices) > cap:
         raise VertexCapExceeded(f"{len(K.vertices)} vertices exceeds the 3^m cell cap {cap}")
-    cells = _cw_cells(K)
-    index = {d: {cell: i for i, cell in enumerate(cells[d])} for d in cells}
-
-    def coboundary_rows(d):
-        """C^d -> C^{d+1}: the row of each (d+1)-cell is its boundary."""
-        rows = []
-        for sigma, T in cells[d + 1]:
-            row = {}
-            for v in sigma:
-                sign = (-1) ** sum(1 for t in T if K.rank(t) < K.rank(v))
-                tgt = (tuple(x for x in sigma if x != v),
-                       tuple(sorted(T + (v,), key=K.rank)))
-                row[index[d][tgt]] = sign
-            rows.append(row)
-        return rows
-
-    groups = exactalg.cohomology_groups(
-        {d: len(c) for d, c in cells.items()},
-        {d: coboundary_rows(d) for d in cells if d + 1 in cells},
-        ring)
+    groups = exactalg.cohomology_groups(*_cw_complex(K), ring)
     return {d: g for d, g in sorted(groups.items()) if not g.is_trivial}

@@ -15,6 +15,9 @@ only the Hermite form of a unit-free residual).
 epsilon(L,I) epsilon(M,J) zeta epsilon(L∪M, I∪J), with its own epsilon; the
 library's closed form shares no sign code with it.
 
+``cw_complex_reference`` builds the cellular cochain complex of Z_K from
+vertex-label tuples, cell by cell; the library builds it from bitmasks.
+
 ``enumerate_reference`` decides a Massey product by the exhaustive walk:
 one class key per valid defining system.  It shares with the library only
 the walk itself (``massey._walk``), not the coset argument under test.
@@ -305,6 +308,44 @@ def enumerate_reference(classes, budget=20, visit=None) -> ReferenceVerdict:
         verdict.witness_cocycle = omega
         verdict.witness_cycle = massey.find_evaluating_cycle(omega)
     return verdict
+
+
+# -- the cell model of Z_K, cell by cell -------------------------------------
+
+def cw_complex_reference(K: SimplicialComplex):
+    """(sizes, deltas) of the cellular cochain complex of Z_K, built from
+    vertex-label tuples: cells (sigma, T) sorted by their rank tuples, and
+    the sign (-1)^(number of t-coordinates before i) for replacing the
+    D-cell of coordinate i by its t-cell."""
+    verts = K.vertices
+    cells: dict[int, list] = {}
+    for p in range(-1, K.dim + 1):
+        for sigma in K.faces(p):
+            rest = [v for v in verts if v not in sigma]
+            for size in range(len(rest) + 1):
+                for T in itertools.combinations(rest, size):
+                    dim = 2 * len(sigma) + len(T)
+                    cells.setdefault(dim, []).append((sigma, T))
+    for dim in cells:
+        cells[dim].sort(key=lambda cell: (
+            tuple(K.rank(v) for v in cell[0]), tuple(K.rank(v) for v in cell[1])))
+    index = {d: {cell: i for i, cell in enumerate(cells[d])} for d in cells}
+
+    def coboundary_rows(d):
+        """C^d -> C^{d+1}: the row of each (d+1)-cell is its boundary."""
+        rows = []
+        for sigma, T in cells[d + 1]:
+            row = {}
+            for v in sigma:
+                sign = (-1) ** sum(1 for t in T if K.rank(t) < K.rank(v))
+                tgt = (tuple(x for x in sigma if x != v),
+                       tuple(sorted(T + (v,), key=K.rank)))
+                row[index[d][tgt]] = sign
+            rows.append(row)
+        return rows
+
+    return ({d: len(c) for d, c in cells.items()},
+            {d: coboundary_rows(d) for d in cells if d + 1 in cells})
 
 
 # -- homology from scratch -----------------------------------------------------

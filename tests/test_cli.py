@@ -303,6 +303,10 @@ def test_out_flag_writes_stable_json(capsys, tmp_path):
     ("rp2-join-construct.json", ["construct-join", "rp2-join.json", "--certify"]),
     ("massey4-massey-F5.json", ["massey", "massey4.json", "--classes",
                                 "massey4-classes.json", "--ring", "F5"]),
+    ("truncated-octahedron-zk-oracle-Z.json",
+     ["zk-oracle", "truncated-octahedron.json", "--ring", "Z"]),
+    ("truncated-octahedron-zk-oracle-F2.json",
+     ["zk-oracle", "truncated-octahedron.json", "--ring", "F2"]),
 ])
 def test_golden_outputs(capsys, name, argv):
     argv = [str(FIX / a) if a.endswith(".json") else a for a in argv]

@@ -1,4 +1,7 @@
 import itertools
+import json
+import math
+import pathlib
 import time
 
 import pytest
@@ -9,18 +12,31 @@ from matk.exactalg import GF, QQ, ZZ, AbelianGroup
 from matk.hochster import (
     CohomologyClass,
     VertexCapExceeded,
+    _cw_complex,
     class_in_slot,
     hochster_decompose,
     moment_angle_cw_oracle,
     product_in_hochster,
     unit_class,
 )
-from matk.simplicial import SimplicialComplex
+from matk.simplicial import SimplicialComplex, complex_from_json
 
-from helpers import cycle_complex, fig1_complex, octahedron, rp2_six_vertices, two_points
+from helpers import (
+    cw_complex_reference,
+    cycle_complex,
+    fig1_complex,
+    octahedron,
+    rp2_six_vertices,
+    two_points,
+)
 from test_simplicial import small_complexes
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
+FIX = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def truncated_octahedron():
+    return complex_from_json(json.loads((FIX / "truncated-octahedron.json").read_text()))
 
 
 def total_betti(table):
@@ -163,18 +179,63 @@ def test_oracle_equivalence_on_fixtures_all_rings():
 
 
 def test_oracle_equivalence_nine_vertex_fixture():
-    import json
-    import pathlib
-
-    from matk.simplicial import complex_from_json
-
-    path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "truncated-octahedron.json"
-    K = complex_from_json(json.loads(path.read_text()))
+    K = truncated_octahedron()
     assert len(K.vertices) == 9
     for ring in (ZZ, GF(2)):
         table = hochster_decompose(K, ring)
         oracle = moment_angle_cw_oracle(K, ring)
         assert {d: g for d, g in table.total.items() if not g.is_trivial} == oracle
+
+
+def _cw_items(sizes, deltas):
+    """A cochain complex as nested item lists, so that comparing two also
+    compares the order of degrees, rows and row entries."""
+    return (list(sizes.items()),
+            [(d, [list(row.items()) for row in rows]) for d, rows in deltas.items()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(max_vertices=7))
+@example(fig1_complex())
+@example(truncated_octahedron())
+def test_cw_complex_equals_label_tuple_reference(K):
+    """The bitmask cells hand exactalg the rows of the cells built from
+    vertex-label tuples: the same sizes, rows, row order and entry order."""
+    assert _cw_items(*_cw_complex(K)) == _cw_items(*cw_complex_reference(K))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(max_vertices=7))
+def test_cw_coboundary_squares_to_zero(K):
+    """delta o delta = 0 over Z for every pair of consecutive coboundaries:
+    a check of the popcount sign rule that needs no Hochster decomposition."""
+    _, deltas = _cw_complex(K)
+    for d, rows in deltas.items():
+        for row in deltas.get(d + 1, ()):
+            composed = {}
+            for j, a in row.items():
+                for i, b in rows[j].items():
+                    composed[i] = composed.get(i, 0) + a * b
+            assert not any(composed.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(max_vertices=7))
+@example(SimplicialComplex([], []))
+@example(SimplicialComplex([], [[]]))
+@example(SimplicialComplex(["1"], [["1"]]))
+@example(SimplicialComplex(["1", "2", "3"], [["2"]]))
+def test_cw_cell_count(K):
+    """One cell (sigma, T) per face sigma and subset T of the other
+    vertices: sum over faces of 2^(m - |sigma|), C(m - |sigma|, d - 2|sigma|)
+    of them in degree d."""
+    m = len(K.vertices)
+    faces = [s for p in range(-1, K.dim + 1) for s in K.faces(p)]
+    sizes, _ = _cw_complex(K)
+    assert sum(sizes.values()) == sum(2 ** (m - len(s)) for s in faces)
+    assert sizes == {d: sum(math.comb(m - len(s), d - 2 * len(s)) for s in faces
+                            if d >= 2 * len(s))
+                     for d in sizes}
 
 
 def test_join_kunneth_convolution():
