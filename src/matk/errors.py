@@ -3,8 +3,10 @@
 Each module's own exception classes derive from ``MatkError``, so a caller
 (the CLI above all) tells bad input from an internal fault by one
 ``except MatkError``.  It is a ``ValueError`` so that code catching the old
-per-module ``ValueError`` subclasses keeps working.  Internal invariant
-checks raise plain ``ValueError`` and stay outside the hierarchy.
+per-module ``ValueError`` subclasses keeps working.  A library call with
+arguments outside its domain (an unknown ring kind, division in Z, a bad
+slot recipe) raises a ``MatkError`` too; any other exception, a plain
+``ValueError`` included, is an internal fault.
 """
 
 

@@ -34,6 +34,18 @@ class DivisionByZero(MatkError, ZeroDivisionError):
     """Division by an element that is zero in the ring (such as 2 in F2)."""
 
 
+class UnknownRingKind(MatkError):
+    """A ring kind other than Z, Q and Fp."""
+
+
+class NotAField(MatkError):
+    """Division asked of Z."""
+
+
+class InvalidAbelianGroup(MatkError):
+    """Torsion factors that are not a divisibility chain of integers above 1."""
+
+
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
 # 86, 2017).
@@ -76,7 +88,7 @@ class Ring:
 
     def __post_init__(self):
         if self.kind not in ("Z", "Q", "Fp"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise UnknownRingKind(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
             if self.p is not None and self.p >= PRIMALITY_BOUND:
                 raise ModulusTooLarge(f"modulus {self.p} is not below {PRIMALITY_BOUND}, "
@@ -122,7 +134,7 @@ class Ring:
             return 1 / Fraction(a)
         if self.kind == "Fp":
             return pow(a, self.p - 2, self.p)
-        raise ValueError("Z is not a field")
+        raise NotAField("Z is not a field")
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -457,9 +469,9 @@ class AbelianGroup:
     def __post_init__(self):
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"invariant factors {self.torsion} violate divisibility")
+                raise InvalidAbelianGroup(f"invariant factors {self.torsion} violate divisibility")
         if any(d <= 1 for d in self.torsion):
-            raise ValueError("torsion factors must exceed 1")
+            raise InvalidAbelianGroup("torsion factors must exceed 1")
 
     @property
     def is_trivial(self) -> bool:

@@ -17,12 +17,15 @@ class set need not be a coset.  Over a prime field every stage solve is
 linear in its right-hand side, so once a few stages are fixed the associated
 class is affine in the other parameters (Kraines 1966, May 1969): only those
 stages are enumerated, each branch is one solve, and a budget caps the free
-parameters.  Representatives a_{i,i} stay fixed; the class set of a Massey
-product does not depend on that choice.
+parameters.  Entry a_{i,k} depends only on the parameters of the stages
+inside [i, k], so the branches and the points that span them share their
+stage entries within one enumeration.  Representatives a_{i,i} stay fixed;
+the class set of a Massey product does not depend on that choice.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -67,16 +70,27 @@ class DefiningSystem:
     def __post_init__(self):
         self.classes = tuple(self.classes)
         self.entries = dict(self.entries)
-        n = self.n
+        # (i, k) -> (J_i ∪ ... ∪ J_k sorted, p_i + ... + p_k), for every block
+        self._blocks = {}
+        for i in range(1, self.n + 1):
+            J, p = [], 0
+            for k, cls in enumerate(self.classes[i - 1:], start=i):
+                J.extend(cls.J)
+                p += cls.p
+                self._blocks[(i, k)] = (self.complex.sort_simplex(J), p)
         for i, cls in enumerate(self.classes, start=1):
             self.entries.setdefault((i, i), cls.representative)
         for (i, k), a in self.entries.items():
-            if not (1 <= i <= k <= n) or (i, k) == (1, n):
-                raise GradingMismatch(f"entry ({i},{k}) is outside the triangular array")
-            if a.J != self.J_block(i, k) or a.p != self.p_block(i, k):
-                raise GradingMismatch(
-                    f"entry ({i},{k}) graded (J={list(a.J)}, p={a.p}); expected "
-                    f"(J={list(self.J_block(i, k))}, p={self.p_block(i, k)})")
+            self._check_entry(i, k, a)
+
+    def _check_entry(self, i: int, k: int, a: Cochain):
+        if not (1 <= i <= k <= self.n) or (i, k) == (1, self.n):
+            raise GradingMismatch(f"entry ({i},{k}) is outside the triangular array")
+        J, p = self._blocks[(i, k)]
+        if a.J != J or a.p != p:
+            raise GradingMismatch(
+                f"entry ({i},{k}) graded (J={list(a.J)}, p={a.p}); expected "
+                f"(J={list(J)}, p={p})")
 
     @property
     def n(self) -> int:
@@ -91,19 +105,21 @@ class DefiningSystem:
         return self.classes[0].ring
 
     def J_block(self, i: int, k: int) -> tuple:
-        out = []
-        for cls in self.classes[i - 1:k]:
-            out.extend(cls.J)
-        return self.complex.sort_simplex(out)
+        return self._blocks[(i, k)][0]
 
     def p_block(self, i: int, k: int) -> int:
-        return sum(cls.p for cls in self.classes[i - 1:k])
+        return self._blocks[(i, k)][1]
 
     def a(self, i: int, k: int) -> Cochain:
         return self.entries[(i, k)]
 
     def with_entry(self, i: int, k: int, a: Cochain) -> "DefiningSystem":
-        return DefiningSystem(self.classes, {**self.entries, (i, k): a})
+        """A copy with entry (i, k) set to ``a``; only ``a`` is checked, as
+        the other entries were checked when this system was built."""
+        self._check_entry(i, k, a)
+        out = copy.copy(self)
+        out.entries = {**self.entries, (i, k): a}
+        return out
 
     def staircase(self, i: int, k: int) -> Cochain:
         """sum over r of overline(a_{i,r}) . a_{r+1,k}."""
@@ -321,14 +337,17 @@ def _enumerated_stages(n: int, params: dict) -> list:
     inside [r + 1, n]: the first for r up to some a, the second beyond.
     Then every entry is affine in the parameters outside E.
     """
-    def inside(i, k):
-        return [s for s in _stages(n) if i <= s[0] and s[1] <= k]
-
-    return min((inside(1, a) + inside(a + 2, n) for a in range(1, n - 1)),
+    return min((_inside(n, 1, a) + _inside(n, a + 2, n) for a in range(1, n - 1)),
                key=lambda E: sum(params[s] for s in E), default=[])
 
 
-def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict):
+def _inside(n: int, i: int, k: int) -> list:
+    """The stages (r, s) with i <= r <= s <= k, in walk order."""
+    return [s for s in _stages(n) if i <= s[0] and s[1] <= k]
+
+
+def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict,
+                  lifts: dict):
     """The class keys of the branch whose enumerated stages take the values
     ``t``, as the affine subspace {x : A x = s} of ring^dim, or None.
 
@@ -337,17 +356,29 @@ def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict):
     read off u = 0 and the unit vectors; one solve finds where R(u) = 0.  A
     is the canonical kernel basis of the class directions, so (A, s, dim)
     depends on the class set only.
+
+    The lift of stage (i, k) and its residue depend only on the parameters
+    of the stages strictly inside [i, k], so ``lifts`` keeps them under
+    (stage, those parameters), and u = 0, the unit vectors and the other
+    branches of one enumeration share them: a point lifts again only the
+    stages that strictly contain a stage whose parameters it changes.
     """
     ring = base.ring
     free = [(s, m) for s in stages if s not in t for m in range(len(kernels[s]))]
+    inner = {s: [r for r in _inside(base.n, *s) if r != s] for s in stages}
 
     def at(unit):
-        ds, residues = base, []
+        ds, residues, params = base, [], {}
         for s in stages:
-            H, p = reduced_cohomology(base.complex, base.J_block(*s), ring), base.p_block(*s)
-            x, r = H.solver(p).lift(H.vector(ds.staircase(*s)))
-            u = t[s] if s in t else [int((s, m) == unit) for m in range(len(kernels[s]))]
-            ds = ds.with_entry(*s, _combine(H.cochain(x, p), zip(u, kernels[s])))
+            params[s] = t[s] if s in t else tuple(int((s, m) == unit)
+                                                  for m in range(len(kernels[s])))
+            key = (s, tuple(params[r] for r in inner[s]))
+            if key not in lifts:
+                H, p = reduced_cohomology(base.complex, base.J_block(*s), ring), base.p_block(*s)
+                x, r = H.solver(p).lift(H.vector(ds.staircase(*s)))
+                lifts[key] = (H.cochain(x, p), r)
+            particular, r = lifts[key]
+            ds = ds.with_entry(*s, _combine(particular, zip(params[s], kernels[s])))
             residues += r
         return ds.staircase(1, ds.n), residues
 
@@ -414,10 +445,10 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
                              budget_exhausted=True)
 
     E = _enumerated_stages(n, {s: len(z) for s, z in kernels.items()})
-    cosets = {}
+    cosets, lifts = {}, {}
     for choice in itertools.product(*(itertools.product(range(ring.p), repeat=len(kernels[s]))
                                       for s in E)):
-        coset = _branch_coset(base, stages, kernels, dict(zip(E, choice)))
+        coset = _branch_coset(base, stages, kernels, dict(zip(E, choice)), lifts)
         if coset is not None:
             cosets[coset] = None
 

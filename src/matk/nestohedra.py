@@ -36,6 +36,22 @@ class InvalidTruncationPair(MatkError):
     pass
 
 
+class NotSimpleGraph(MatkError):
+    pass
+
+
+class UnknownPolytopeKind(MatkError):
+    pass
+
+
+class InvalidSlotParameters(MatkError):
+    """A (kind, n, k) with no Massey slot recipe."""
+
+
+class ConnectedSlot(MatkError):
+    """A slot whose full subcomplex is connected, so it has no degree-zero class."""
+
+
 @dataclass(frozen=True)
 class BuildingSet:
     ground: int  # the ground set is [1 .. ground]
@@ -170,7 +186,7 @@ def graphical_building_set(n_vertices: int, edges: Iterable) -> BuildingSet:
     for (u, v) in edges:
         u, v = int(u), int(v)
         if u == v:
-            raise ValueError("graph must be simple")
+            raise NotSimpleGraph("graph must be simple")
         adj[u].add(v)
         adj[v].add(u)
     family = []
@@ -239,7 +255,7 @@ def _polytope_building_set(kind: str, n: int) -> BuildingSet:
         return permutahedron_building_set(n)
     if kind == "stellohedron":
         return stellohedron_building_set(n)
-    raise ValueError(f"unknown polytope kind {kind!r}")
+    raise UnknownPolytopeKind(f"unknown polytope kind {kind!r}")
 
 
 def standard_polytope_complex(kind: str, n: int) -> SimplicialComplex:
@@ -261,7 +277,7 @@ def permutahedron_massey_slots(n: int, k: int):
     when re-ordering the ambient full subcomplex.
     """
     if not 2 <= k <= n:
-        raise ValueError("need 2 <= k <= n")
+        raise InvalidSlotParameters("need 2 <= k <= n")
     if k < n:
         J = [[{1}, {2}]]
         for i in range(2, k):
@@ -284,7 +300,7 @@ def stellohedron_massey_slots(n: int):
     """Vertex subsets J_1..J_n of the stellohedral complex carrying an n-fold
     product, with the edges to contract."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InvalidSlotParameters("need n >= 2")
     J = [[{2}, {1}]]
     contractions = []
     for i in range(2, n):
@@ -312,10 +328,10 @@ def nestohedron_massey_input(kind: str, n: int, k: int, ring):
         slots, contractions = permutahedron_massey_slots(n, k)
     elif kind == "stellohedron":
         if k != n:
-            raise ValueError("the stellohedron configuration has k = n")
+            raise InvalidSlotParameters("the stellohedron configuration has k = n")
         slots, contractions = stellohedron_massey_slots(n)
     else:
-        raise ValueError(f"no Massey configuration for {kind!r}")
+        raise UnknownPolytopeKind(f"no Massey configuration for {kind!r}")
     order = [v for Ji in slots for v in Ji]
     sub = reorder_vertices(nested_set_complex(_polytope_building_set(kind, n), order), order)
     classes = []
@@ -330,7 +346,7 @@ def nestohedron_massey_input(kind: str, n: int, k: int, ring):
                     component |= set(e)
                     grew = True
         if component == set(Ji):
-            raise ValueError(f"K_J on {Ji} is connected; no degree-zero class")
+            raise ConnectedSlot(f"K_J on {Ji} is connected; no degree-zero class")
         rep = Cochain(sub, ring, Ji, 0, {(v,): ring.one for v in component})
         classes.append(CohomologyClass(rep))
     return sub, tuple(classes), contractions

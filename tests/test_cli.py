@@ -307,6 +307,9 @@ def test_out_flag_writes_stable_json(capsys, tmp_path):
      ["zk-oracle", "truncated-octahedron.json", "--ring", "Z"]),
     ("truncated-octahedron-zk-oracle-F2.json",
      ["zk-oracle", "truncated-octahedron.json", "--ring", "F2"]),
+    # the fourfold path the massey benchmark runs (appended to keep test ids)
+    ("massey4-massey-F2.json", ["massey", "massey4.json", "--classes",
+                                "massey4-classes.json", "--ring", "F2"]),
 ])
 def test_golden_outputs(capsys, name, argv):
     argv = [str(FIX / a) if a.endswith(".json") else a for a in argv]
