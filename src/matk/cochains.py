@@ -5,6 +5,12 @@ A cochain knows three gradings: the ambient complex K, the vertex subset J
 with different (J, p) never mix silently; that bookkeeping is what makes the
 bigraded product and the defining-system equations meaningful.
 
+The coboundary is written once, in ``_face_table``: the faces of K as int
+bitmasks with their signed coboundary terms, memoized per complex.  The
+rows of ``ReducedCohomology.delta_matrix`` on K_J are read from it, and
+``coboundary``, ``boundary`` and ``is_cocycle`` are sparse products with
+those rows; ``hochster.hochster_decompose`` reads the same table.
+
 Sign conventions, fixed once here and used everywhere:
 
 * epsilon(j, J) = (-1)^(r-1) when j is the r-th element of J in the vertex
@@ -29,9 +35,9 @@ import functools
 from typing import Iterable, Mapping, Optional
 
 from . import exactalg
-from .errors import MatkError, parse_int
+from .errors import MalformedInput, MatkError, parse_int
 from .exactalg import Ring
-from .simplicial import SimplicialComplex, full_subcomplex, json_field, json_labels, json_list
+from .simplicial import SimplicialComplex, json_field, json_labels, json_list
 
 
 class GradingMismatch(MatkError):
@@ -170,30 +176,17 @@ class Chain(_Graded):
 
 
 def coboundary(a: Cochain) -> Cochain:
-    """d: C^p(K_J) -> C^{p+1}(K_J) with the augmented degree -1 convention."""
-    K, ring = a.complex, a.ring
-    out: dict = {}
-    Jset = set(a.J)
-    for s, c in a.coeffs.items():
-        for j in Jset - set(s):
-            t = K.sort_simplex(s + (j,))
-            if not K.has_face(t):
-                continue
-            term = ring.mul(c, ring.of_int(epsilon(K, j, t)))
-            out[t] = ring.add(out.get(t, ring.zero), term)
-    return Cochain(K, ring, a.J, a.p + 1, out)
+    """d: C^p(K_J) -> C^{p+1}(K_J) with the augmented degree -1 convention:
+    the rows of ``ReducedCohomology.delta_matrix(p)`` applied to a."""
+    H = reduced_cohomology(a.complex, a.J, a.ring)
+    return H.cochain(H._apply(H.delta_matrix(a.p), H.vector(a)), a.p + 1)
 
 
 def boundary(x: Chain) -> Chain:
-    """The boundary map, adjoint to the coboundary under evaluation."""
-    K, ring = x.complex, x.ring
-    out: dict = {}
-    for s, c in x.coeffs.items():
-        for v in s:
-            t = tuple(w for w in s if w != v)
-            term = ring.mul(c, ring.of_int(epsilon(K, v, s)))
-            out[t] = ring.add(out.get(t, ring.zero), term)
-    return Chain(K, ring, x.J, x.p - 1, out)
+    """The boundary map, adjoint to the coboundary: the same rows transposed."""
+    H = reduced_cohomology(x.complex, x.J, x.ring)
+    return Chain._trusted(x.complex, x.ring, x.J, x.p - 1, dict(zip(
+        H._position(x.p - 1), H._apply(H._boundary_rows(x.p), H.vector(x)))))
 
 
 def evaluate(a: Cochain, x: Chain):
@@ -259,56 +252,93 @@ def overline(a: Cochain) -> Cochain:
     return a if sign == 1 else -a
 
 
+@functools.lru_cache(maxsize=256)
+def _face_table(K: SimplicialComplex):
+    """(levels, gid, terms): the faces of K as int bitmasks, bit r for the
+    vertex of rank r, memoized like ``_cached_cohomology``.  ``levels[p]``
+    lists the p-faces (p = -1 .. dim K, the empty face 0 in degree -1) in
+    ``K.faces(p)`` order, ``gid`` maps each face to its index there, and
+    ``terms`` maps each face t to its coboundary terms: t minus its r-th
+    lowest vertex, with the sign (-1)^r, the epsilon sign of that vertex."""
+    levels, gid, terms = {-1: [0]}, {0: 0}, {0: ()}
+    for p in range(K.dim + 1):
+        bits = [[1 << K._rank[v] for v in f] for f in K.faces(p)]
+        levels[p] = [sum(b) for b in bits]
+        for i, (t, b) in enumerate(zip(levels[p], bits)):
+            gid[t], terms[t] = i, [(t ^ x, (-1) ** r) for r, x in enumerate(b)]
+    return levels, gid, terms
+
+
 class ReducedCohomology:
     """All reduced cohomology data of one full subcomplex K_J over one ring.
 
-    Matrices are sparse rows in the simplex bases of K_J, built when needed
-    and not kept.  Each coboundary d: C^p -> C^{p+1} is factored once into an
-    ``exactalg.Solver``, kept per degree: its kernel is the cocycle basis,
-    and every solve against it (a primitive of a coboundary, coboundary
-    membership, the class key of a cocycle) replays the recorded row
-    operations and back-substitutes.  Only the groups are computed without a
-    ``Solver``.
+    No complex is built for J: the faces of K_J are those of K's
+    ``_face_table`` inside the mask of J, in ``K.faces`` order.  Each
+    coboundary d: C^p -> C^{p+1} is a list of sparse integer rows, built on
+    first use from the table's terms and kept per degree; ``coboundary``,
+    ``boundary`` and ``is_cocycle`` are sparse products with them.  Each is
+    factored once into an ``exactalg.Solver``, kept per degree: its kernel
+    is the cocycle basis, and every solve against it (a primitive of a
+    coboundary, coboundary membership, the class key of a cocycle) replays
+    the recorded row operations and back-substitutes.  Only the groups are
+    computed without a ``Solver``.
     """
 
     def __init__(self, K: SimplicialComplex, J, ring: Ring):
         self.complex = K
         self.ring = ring
         self.J = K.sort_simplex(J)
-        self.KJ = full_subcomplex(K, self.J)
-        self.max_p = self.KJ.dim
+        levels, self._gid, self._terms = _face_table(K)
+        outside = ~sum(1 << K._rank[v] for v in self.J)
+        self._levels = {p: [f for f in masks if not f & outside] for p, masks in levels.items()}
+        self.max_p = max(p for p, masks in self._levels.items() if masks)
+        self._index: dict[int, dict] = {}  # degree -> {simplex: its position}
+        self._delta: dict[int, list] = {}
         self._groups: dict[int, exactalg.AbelianGroup] = {}
         self._solvers: dict[int, exactalg.Solver] = {}
         self._cycles: dict[int, list] = {}
 
+    def _position(self, p: int) -> dict:
+        """The p-faces of K_J as label tuples, in order, each to its index."""
+        if p not in self._index:
+            masks = self._levels.get(p, ())
+            faces, gid = self.complex.faces(p) if masks else (), self._gid
+            self._index[p] = {faces[gid[f]]: i for i, f in enumerate(masks)}
+        return self._index[p]
+
     def simplices(self, p: int) -> tuple:
-        if p < -1 or p > self.max_p:
-            return ()
-        return self.KJ.faces(p)
+        return tuple(self._position(p))
 
     def vector(self, a: Cochain) -> list:
-        basis = self.simplices(a.p)
-        idx = {s: i for i, s in enumerate(basis)}
-        v = [self.ring.zero] * len(basis)
+        idx = self._position(a.p)
+        v = [self.ring.zero] * len(idx)
         for s, c in a.coeffs.items():
             v[idx[s]] = c
         return v
 
     def cochain(self, vec, p: int) -> Cochain:
         return Cochain._trusted(self.complex, self.ring, self.J, p,
-                                dict(zip(self.simplices(p), vec)))
+                                dict(zip(self._position(p), vec)))
 
     def delta_matrix(self, p: int) -> list:
-        """d: C^p -> C^{p+1} as integer rows, one per (p+1)-simplex t:
-        chi_{t minus t_r} maps to (-1)^r chi_t, the epsilon sign of t_r."""
-        idx = {s: i for i, s in enumerate(self.simplices(p))}
-        return [{idx[t[:r] + t[r + 1:]]: -1 if r % 2 else 1 for r in range(len(t))}
-                for t in self.simplices(p + 1)]
+        """d: C^p -> C^{p+1} as integer rows, one per (p+1)-face t of K_J,
+        from the face table's terms: chi_{t minus t_r} maps to (-1)^r chi_t.
+        Kept per degree; no caller writes to the rows."""
+        if p not in self._delta:
+            pos, terms = {f: i for i, f in enumerate(self._levels.get(p, ()))}, self._terms
+            self._delta[p] = [{pos[s]: sign for s, sign in terms[t]}
+                              for t in self._levels.get(p + 1, ())]
+        return self._delta[p]
+
+    def _apply(self, rows: list, v: list) -> list:
+        """The integer rows times the vector v, in the ring."""
+        ring, zero = self.ring, self.ring.zero
+        return [ring.add(zero, sum(a * v[j] for j, a in row.items())) for row in rows]
 
     def _boundary_rows(self, q: int) -> list:
         """d: C^{q-1} -> C^q transposed, the boundary C_q -> C_{q-1}: one row
         per (q-1)-simplex s, holding the coefficients of d(chi_s)."""
-        rows = [{} for _ in self.simplices(q - 1)]
+        rows = [{} for _ in self._position(q - 1)]
         for i, row in enumerate(self.delta_matrix(q - 1)):
             for j, a in row.items():
                 rows[j][i] = a
@@ -318,7 +348,7 @@ class ReducedCohomology:
         """d: C^p -> C^{p+1}, factored on first use."""
         if p not in self._solvers:
             self._solvers[p] = exactalg.Solver(self.delta_matrix(p), self.ring,
-                                               len(self.simplices(p)))
+                                               len(self._position(p)))
         return self._solvers[p]
 
     def group(self, p: int) -> exactalg.AbelianGroup:
@@ -329,7 +359,7 @@ class ReducedCohomology:
         if not self._groups:
             degrees = range(-1, self.max_p + 1)
             self._groups = exactalg.cohomology_groups(
-                {p: len(self.simplices(p)) for p in degrees},
+                {p: len(self._position(p)) for p in degrees},
                 {p: self.delta_matrix(p) for p in degrees[:-1]},
                 self.ring)
         return dict(self._groups)
@@ -342,11 +372,12 @@ class ReducedCohomology:
         C_q -> C_{q-1}; found once per degree."""
         if q not in self._cycles:
             self._cycles[q] = exactalg.Solver(self._boundary_rows(q), self.ring,
-                                              len(self.simplices(q))).kernel
+                                              len(self._position(q))).kernel
         return self._cycles[q]
 
     def is_cocycle(self, a: Cochain) -> bool:
-        return coboundary(a).is_zero()
+        self._check(a)
+        return not any(self._apply(self.delta_matrix(a.p), self.vector(a)))
 
     def primitive(self, b: Cochain) -> Optional[Cochain]:
         """A cochain a with d(a) = b, its free coordinates zero; None if b is
@@ -399,7 +430,11 @@ def cochain_to_json(a: Cochain) -> dict:
 def cochain_from_json(obj: Mapping, K: SimplicialComplex, ring: Ring) -> Cochain:
     coeffs = {}
     for term in json_list(obj, "terms", "cochain"):
-        s = K.sort_simplex(json_labels(term, "simplex", "cochain term"))
+        labels = json_labels(term, "simplex", "cochain term")
+        s = K.sort_simplex(labels)
+        if len(s) != len(labels) or s in coeffs:
+            raise MalformedInput(f"cochain term simplex {labels!r} repeats a vertex "
+                                 "or an earlier term's simplex")
         coeffs[s] = ring.element_from_str(json_field(term, "coeff", "cochain term"))
     return Cochain(K, ring, json_labels(obj, "J", "cochain"),
                    parse_int(json_field(obj, "p", "cochain"), "cochain degree"), coeffs)

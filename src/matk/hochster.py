@@ -2,27 +2,28 @@
 
 ``hochster_decompose`` assembles H^d(Z_K) from the reduced cohomology of all
 full subcomplexes K_J, one class of degree p + |J| + 1 per class of
-H-tilde^p(K_J) (Hochster's formula).  It builds no complex per subset.  One
-face table of K, built once per call, holds every face as an int bitmask
-(bit r for the vertex of rank r); the faces of K_J are those inside the
-mask of J.  For J nonempty it picks a vertex v of J and keeps only the faces
-of K_J whose union with v is no face: the basis of the relative cochains
-C*(K_J, st v), which is closed upward.  The closed star of v is a cone, so
-H*(K_J, st v) is H-tilde*(K_J) over any ring, torsion included, and when
-nothing is kept K_J is a cone and contributes nothing.  The coboundary row
-of a kept face depends on v only, so it is built once per vertex and shared
-by every J containing v; ``exactalg`` never writes to its input rows.  Only
-the empty subset carries H-tilde^{-1}.
+H-tilde^p(K_J) (Hochster's formula).  It builds no complex per subset: it
+reads the face table of ``cochains``, every face of K as an int bitmask (bit
+r for the vertex of rank r) with its coboundary terms, and the faces of K_J
+are those inside the mask of J.  For J nonempty it picks a vertex v of J
+and keeps only the faces of K_J whose union with v is no face: the basis of
+the relative cochains C*(K_J, st v), which is closed upward.  The closed
+star of v is a cone, so H*(K_J, st v) is H-tilde*(K_J) over any ring,
+torsion included, and when nothing is kept K_J is a cone and contributes
+nothing.  The coboundary row of a kept face depends on v only, so it is
+built once per vertex and shared by every J containing v; ``exactalg``
+never writes to its input rows.  Only the empty subset carries
+H-tilde^{-1}.
 
 ``moment_angle_cw_oracle`` computes the same groups from the cellular chain
 complex of the moment-angle complex itself (one cell per pair of a face
 sigma and a disjoint circle-coordinate set T, of dimension 2|sigma| + |T|).
 sigma and T are int bitmasks over the vertex ranks; the boundary term of a
 bit b of sigma is (sigma ^ b, T | b), with sign (-1)^popcount(T & (b - 1)).
-The oracle reads only ``K.faces`` and the vertex ranks.  The two share only
-``exactalg``'s elimination, which turns each cochain complex into its
-groups; neither goes through ``cochains``, and their complexes and sign
-rules are built independently, so they cross-validate each other.
+The oracle reads only ``K.faces`` and the vertex ranks, never ``cochains``.
+The two share only ``exactalg``'s elimination, which turns each cochain
+complex into its groups; their complexes and sign rules are built
+independently, so they cross-validate each other.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import exactalg
-from .cochains import (
-    Cochain,
-    coboundary,
-    cup_multiply,
-    reduced_cohomology,
-    total_degree,
-)
+from .cochains import Cochain, _face_table, cup_multiply, reduced_cohomology, total_degree
 from .errors import MatkError
 from .exactalg import AbelianGroup, Ring
 from .simplicial import SimplicialComplex
@@ -58,7 +53,7 @@ class CohomologyClass:
     representative: Cochain
 
     def __post_init__(self):
-        if not coboundary(self.representative).is_zero():
+        if not self.cohomology().is_cocycle(self.representative):
             raise NotACocycle("representative must be a cocycle")
 
     @property
@@ -121,35 +116,6 @@ class HochsterTable:
         }
 
 
-def _face_table(K: SimplicialComplex):
-    """(levels, gid, facets): the faces of K as int bitmasks, bit r for the
-    vertex of rank r.  ``levels[p]`` lists the p-faces in ``K.faces(p)``
-    order, ``gid`` maps a face to its index there, and ``facets`` maps each
-    face t of dimension >= 1 to its coboundary terms: the face t minus its
-    r-th lowest vertex, with the sign (-1)^r."""
-    rank = K._rank
-    levels, gid, facets = [], {}, {}
-    for p in range(K.dim + 1):
-        masks = []
-        for i, f in enumerate(K.faces(p)):
-            mask = 0
-            for v in f:
-                mask |= 1 << rank[v]
-            gid[mask] = i
-            masks.append(mask)
-        levels.append(masks)
-    for masks in levels[1:]:
-        for t in masks:
-            terms, rest, sign = [], t, 1
-            while rest:
-                bit = rest & -rest
-                terms.append((t ^ bit, sign))
-                rest ^= bit
-                sign = -sign
-            facets[t] = terms
-    return levels, gid, facets
-
-
 def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> HochsterTable:
     """Groups of H^*(Z_K) per vertex subset J and in total per degree.
 
@@ -160,7 +126,8 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     m = len(K.vertices)
     if m > cap:
         raise VertexCapExceeded(f"{m} vertices exceeds the 2^m subset cap {cap}")
-    levels, gid, facets = _face_table(K)
+    levels, gid, terms = _face_table(K)
+    levels = [levels[p] for p in range(K.dim + 1)]  # the nonempty faces
     neighbours = [sum(1 << u for u in range(m) if u != v and 1 << u | 1 << v in gid)
                   for v in range(m)]
     # per vertex v: the faces off its closed star (their union with v is no
@@ -171,7 +138,7 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
         vbit = 1 << v
         off = [[f for f in masks if f | vbit not in gid] for masks in levels]
         off_star.append(off)
-        off_rows.append({t: {gid[s]: a for s, a in facets[t] if s | vbit not in gid}
+        off_rows.append({t: {gid[s]: a for s, a in terms[t] if s | vbit not in gid}
                          for masks in off[1:] for t in masks})
 
     table = HochsterTable(K, ring)

@@ -67,7 +67,7 @@ class SimplicialComplex:
     """An abstract simplicial complex with a total order on its vertices.
 
     ``vertices`` is the ordered vertex list (position = rank); ``facets`` are
-    the inclusion-maximal faces, each a tuple of labels sorted by rank.  Every
+    the nonempty maximal faces, each a tuple of labels sorted by rank.  Every
     listed vertex is a face: there are no ghost vertices.  The empty simplex
     is a face of every complex, including the empty complex.
 
@@ -96,11 +96,11 @@ class SimplicialComplex:
                 cleaned.add((v,))
         # by decreasing size: a facet is dropped when a facet kept so far
         # contains it (the AND of its vertices' masks is nonzero); () is
-        # dropped once any facet is kept
+        # always dropped, so {empty face} has one form, no facets
         kept_masks = dict.fromkeys(vertices, 0)
         maximal = []
         for f in sorted(cleaned, key=len, reverse=True):
-            inside = -1 if maximal else 0
+            inside = -1
             for v in f:
                 inside &= kept_masks[v]
             if inside:
@@ -233,9 +233,8 @@ def _require_face(K: SimplicialComplex, I: Iterable[str]) -> Simplex:
 
 
 def _on_own_vertices(K: SimplicialComplex, facets) -> SimplicialComplex:
-    """The complex of these faces of K less (), on the vertices they use in K's order."""
+    """The complex of these faces of K, on the vertices they use in K's order."""
     facets = set(facets)
-    facets.discard(())
     verts = sorted({v for f in facets for v in f}, key=K.rank)
     return SimplicialComplex(verts, facets)
 
@@ -283,13 +282,9 @@ def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     overlap = set(K1.vertices) & set(K2.vertices)
     if overlap:
         raise LabelCollision(f"join factors share labels {sorted(overlap)}")
-    verts = K1.vertices + K2.vertices
-    if K1.is_empty():
-        return SimplicialComplex(verts, K2.facets)
-    if K2.is_empty():
-        return SimplicialComplex(verts, K1.facets)
-    facets = [f1 + f2 for f1 in K1.facets for f2 in K2.facets]
-    return SimplicialComplex(verts, facets)
+    # a complex without facets is {empty face}, the unit of the join
+    return SimplicialComplex(K1.vertices + K2.vertices,
+                             [f1 + f2 for f1 in K1.facets or [()] for f2 in K2.facets or [()]])
 
 
 def stellar_subdivide(K: SimplicialComplex, I: Iterable[str], new_label: str) -> SimplicialComplex:

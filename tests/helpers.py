@@ -13,7 +13,10 @@ only the Hermite form of a unit-free residual).
 
 ``cup_multiply_reference`` is the paper's product sign
 epsilon(L,I) epsilon(M,J) zeta epsilon(L∪M, I∪J), with its own epsilon; the
-library's closed form shares no sign code with it.
+library's closed form shares no sign code with it.  ``coboundary_reference``
+and ``boundary_reference`` sum the signed terms simplex by simplex on vertex
+labels, with the same epsilon; the library reads rows of a bitmask face
+table.
 
 ``cw_complex_reference`` builds the cellular cochain complex of Z_K from
 vertex-label tuples, cell by cell; the library builds it from bitmasks.
@@ -35,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 
 from matk import exactalg, massey
-from matk.cochains import AmbientMismatch, Cochain, reduced_cohomology
+from matk.cochains import AmbientMismatch, Chain, Cochain, reduced_cohomology
 from matk.exactalg import ZZ, QQ, AbelianGroup
 from matk.nestohedra import cube_dual_complex
 from matk.simplicial import SimplicialComplex, full_subcomplex, star, stellar_subdivide
@@ -252,6 +255,34 @@ def cup_multiply_reference(a: Cochain, b: Cochain) -> Cochain:
             term = ring.mul(ring.mul(ca, cb), ring.of_int(sign))
             out[s] = ring.add(out.get(s, ring.zero), term)
     return Cochain(K, ring, union, p_out, out)
+
+
+def coboundary_reference(a: Cochain) -> Cochain:
+    """d(chi_s) = sum over j in J with j ∪ s a face of epsilon(j, j ∪ s)
+    chi_{j ∪ s}, term by term on vertex labels, with the epsilon above."""
+    K, ring = a.complex, a.ring
+    out: dict = {}
+    for s, c in a.coeffs.items():
+        for j in set(a.J) - set(s):
+            t = K.sort_simplex(s + (j,))
+            if not K.has_face(t):
+                continue
+            term = ring.mul(c, ring.of_int(epsilon_set(K, {j}, t)))
+            out[t] = ring.add(out.get(t, ring.zero), term)
+    return Cochain(K, ring, a.J, a.p + 1, out)
+
+
+def boundary_reference(x: Chain) -> Chain:
+    """The adjoint of ``coboundary_reference``: each s maps to the sum over
+    v in s of epsilon(v, s) times s minus v."""
+    K, ring = x.complex, x.ring
+    out: dict = {}
+    for s, c in x.coeffs.items():
+        for v in s:
+            t = tuple(w for w in s if w != v)
+            term = ring.mul(c, ring.of_int(epsilon_set(K, {v}, s)))
+            out[t] = ring.add(out.get(t, ring.zero), term)
+    return Chain(K, ring, x.J, x.p - 1, out)
 
 
 # -- Massey products by exhaustive enumeration -------------------------------

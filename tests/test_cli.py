@@ -430,6 +430,10 @@ def _bad_inputs(root):
     blobs["map_list"] = {**_fixture("contraction-map.json"), "assignment": ["1", "2"]}
     blobs["map_extra_key"] = _fixture("contraction-map.json")
     blobs["map_extra_key"]["assignment"]["zz"] = "1h"
+    blobs["simplex_repeat"] = json.loads(json.dumps(classes))
+    blobs["simplex_repeat"][0]["terms"][0]["simplex"] = ["1", "1"]
+    blobs["terms_repeat"] = json.loads(json.dumps(classes))
+    blobs["terms_repeat"][0]["terms"].append({"simplex": ["1"], "coeff": "5"})
     blobs["classes_5"] = 5
     blobs["classes_field_5"] = {"classes": 5}
     paths = {}
@@ -498,6 +502,8 @@ def _bad_inputs(root):
     (["massey", "fig1.json", "--classes", "{classes_5}"], "MissingField"),
     (["massey", "fig1.json", "--classes", "{classes_field_5}"], "MalformedInput"),
     (["stretch", "contraction-target.json", "--map", "{map_extra_key}"], "SimplicialError"),
+    (["product", "fig1.json", "--classes", "{simplex_repeat}"], "MalformedInput"),
+    (["product", "fig1.json", "--classes", "{terms_repeat}"], "MalformedInput"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)
@@ -522,6 +528,8 @@ def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
         assert "no support simplex" in blob["error"]["message"]
     if "map_extra_key" in names:
         assert "non-source vertices ['zz']" in blob["error"]["message"]
+    if names & {"simplex_repeat", "terms_repeat"}:
+        assert "repeats a vertex or an earlier term's simplex" in blob["error"]["message"]
 
 
 def _run_quietly(argv):

@@ -1,8 +1,12 @@
+import functools
 import itertools
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matk import cochains
 from matk.cochains import (
     AmbientMismatch,
     Chain,
@@ -21,10 +25,13 @@ from matk.cochains import (
     reduced_cohomology,
     total_degree,
 )
+from matk.errors import MalformedInput
 from matk.exactalg import GF, QQ, ZZ, AbelianGroup
-from matk.simplicial import SimplicialComplex
+from matk.simplicial import SimplicialComplex, complex_from_json
 
 from helpers import (
+    boundary_reference,
+    coboundary_reference,
     contraction_example_source,
     cup_multiply_reference,
     epsilon_set,
@@ -368,6 +375,16 @@ def test_json_round_trip():
     assert cochain_from_json(blob, K, QQ) == a
 
 
+@pytest.mark.parametrize("terms", [
+    [{"simplex": ["1"], "coeff": "1"}, {"simplex": ["1"], "coeff": "5"}],  # not read as 5*1
+    [{"simplex": ["1", "1"], "coeff": "1"}],
+])
+def test_json_cochain_with_a_repeated_simplex_raises(terms):
+    blob = {"J": ["1", "2"], "p": 0, "terms": terms}
+    with pytest.raises(MalformedInput):
+        cochain_from_json(blob, fig1_complex(), ZZ)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_complexes(), st.data())
 def test_trusted_arithmetic_equals_validated_construction(K, data):
@@ -414,22 +431,60 @@ def test_ambient_mismatch_raises():
         cup_multiply(a, b)
 
 
+def _random_graded(cls, K, ring, J, p, data):
+    """A random cochain or chain on K_J in degree p, from the faces of K (no
+    ``ReducedCohomology`` basis): empty beyond the degrees that K_J has."""
+    faces = [s for s in K.faces(p) if set(s) <= set(J)]
+    coefficient = st.integers(-3, 3).map(ring.of_int)
+    return cls(K, ring, J, p, {s: data.draw(coefficient) for s in faces
+                               if data.draw(st.booleans())})
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_complexes(), st.data())
-def test_coboundary_rows_match_coboundary_of_basis_cochains(K, data):
-    # the rows handed to the elimination kernels carry exactly the signs of
-    # coboundary(), the convention of this module
-    J = data.draw(st.sets(st.sampled_from(K.vertices), min_size=1))
+def test_coboundary_matches_the_label_reference(K, data):
+    # the rows of the face table against the term-by-term sum on labels,
+    # degrees -1 .. dim + 1 included
+    J = K.sort_simplex(data.draw(st.sets(st.sampled_from(K.vertices), min_size=1)))
     ring = data.draw(st.sampled_from([ZZ, QQ, GF(3)]))
-    H = ReducedCohomology(K, J, ring)
-    for p in range(-1, H.max_p + 1):
-        dom, cod = H.simplices(p), H.simplices(p + 1)
-        rows = [{} for _ in cod]
-        for j, s in enumerate(dom):
-            image = coboundary(Cochain(K, ring, H.J, p, {s: ring.one}))
-            for i, t in enumerate(cod):
-                c = image.coefficient(t)
-                if not ring.is_zero(c):
-                    rows[i][j] = c
-        assert [{j: ring.of_int(a) for j, a in row.items()}
-                for row in H.delta_matrix(p)] == rows
+    for p in range(-1, K.dim + 2):
+        a = _random_graded(Cochain, K, ring, J, p, data)
+        assert coboundary(a) == coboundary_reference(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(), st.data())
+def test_boundary_matches_the_label_reference(K, data):
+    J = K.sort_simplex(data.draw(st.sets(st.sampled_from(K.vertices), min_size=1)))
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(3)]))
+    for p in range(-1, K.dim + 2):
+        x = _random_graded(Chain, K, ring, J, p, data)
+        assert boundary(x) == boundary_reference(x)
+
+
+def test_cochain_layer_builds_no_complex_and_one_face_table(monkeypatch):
+    # every K_J reads the face table of K; none builds a full subcomplex
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    K = complex_from_json(json.loads((fixtures / "truncated-octahedron.json").read_text()))
+    Js = [J for size in (3, 4, 5) for J in itertools.combinations(K.vertices, size)][:20]
+    complexes, tables = [], []
+    init, build = SimplicialComplex.__init__, cochains._face_table.__wrapped__
+
+    def counting_init(self, *args):
+        complexes.append(args)
+        init(self, *args)
+
+    def counting_build(K):
+        tables.append(K)
+        return build(K)
+
+    cochains._cached_cohomology.cache_clear()
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    monkeypatch.setattr(cochains, "_face_table", functools.lru_cache(counting_build))
+    for J in Js:
+        H = reduced_cohomology(K, J, ZZ)
+        H.class_key(H.cocycle_basis(0)[0])
+        coboundary(Cochain.chi(K, ZZ, J[:1], J=J))
+    cochains._cached_cohomology.cache_clear()
+    assert complexes == []
+    assert tables == [K]

@@ -327,7 +327,7 @@ def raw_complexes(draw, max_vertices=6):
 
 
 def _maximal_family(labels, facets):
-    family = {frozenset(f) for f in facets} | {frozenset((v,)) for v in labels}
+    family = {frozenset(f) for f in facets if f} | {frozenset((v,)) for v in labels}
     return {f for f in family if not any(f < g for g in family)}
 
 
@@ -358,9 +358,12 @@ def test_has_face_is_containment_in_some_facet(raw, data):
     assert not K.has_face(("?",))
 
 
-def test_empty_facet_survives_only_alone():
+def test_empty_facet_is_never_kept():
+    # {empty face} has one form: no facets, however it is written
     assert SimplicialComplex([], []).facets == ()
-    assert SimplicialComplex([], [[]]).facets == ((),)
+    assert SimplicialComplex([], [[]]).facets == ()
+    assert SimplicialComplex([], [[]]) == SimplicialComplex([], [])
+    assert hash(SimplicialComplex([], [[]])) == hash(SimplicialComplex([], []))
     assert SimplicialComplex(["a"], [[]]).facets == (("a",),)
     assert SimplicialComplex(["a", "b"], [[], ["b", "a"]]).facets == (("a", "b"),)
     for K in (SimplicialComplex([], []), SimplicialComplex([], [[]])):
