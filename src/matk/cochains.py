@@ -11,6 +11,11 @@ rows of ``ReducedCohomology.delta_matrix`` on K_J are read from it, and
 ``coboundary``, ``boundary`` and ``is_cocycle`` are sparse products with
 those rows; ``hochster.hochster_decompose`` reads the same table.
 
+A cochain keys its terms by the masks of that table, which depend on K's
+vertex order alone; validation, arithmetic and the product (union L | M,
+crossings by popcount) work on masks, and labels appear only at input, in
+``coeffs``, ``support``, ``coefficient``, ``repr`` and JSON.
+
 Sign conventions, fixed once here and used everywhere:
 
 * epsilon(j, J) = (-1)^(r-1) when j is the r-th element of J in the vertex
@@ -69,9 +74,11 @@ def epsilon(K: SimplicialComplex, j: str, J: Iterable[str]) -> int:
 
 class _Graded:
     """Common machinery of Cochain and Chain: a finitely supported
-    coefficient map on the p-simplices of K_J."""
+    coefficient map on the p-simplices of K_J, kept as ``_by_mask``:
+    {face mask: coefficient}, bit r for the vertex of rank r.  The
+    constructor takes label-tuple keys and turns each into its mask once."""
 
-    __slots__ = ("complex", "ring", "J", "p", "coeffs")
+    __slots__ = ("complex", "ring", "J", "p", "_by_mask")
 
     def __init__(self, complex: SimplicialComplex, ring: Ring, J: Iterable[str],
                  p: int, coeffs: Optional[Mapping] = None):
@@ -80,46 +87,56 @@ class _Graded:
         self.ring = ring
         self.J = J
         self.p = p
+        gid, outside = _face_table(complex)[1], ~_mask_of(complex, J)
         clean = {}
-        Jset = set(J)
         for s, c in (coeffs or {}).items():
-            s = complex.sort_simplex(s)
+            m = _mask_of(complex, s)
             if ring.is_zero(c):
                 continue
-            if len(s) != p + 1:
-                raise GradingMismatch(f"simplex {s} is not {p}-dimensional")
-            if not set(s) <= Jset:
-                raise GradingMismatch(f"simplex {s} not inside J={list(J)}")
-            if not complex.has_face(s):
+            if m.bit_count() != p + 1 or m & outside or m not in gid:
+                s = complex.sort_simplex(s)
+                if len(s) != p + 1:
+                    raise GradingMismatch(f"simplex {s} is not {p}-dimensional")
+                if m & outside:
+                    raise GradingMismatch(f"simplex {s} not inside J={list(J)}")
                 raise GradingMismatch(f"{s} is not a face of the complex")
-            clean[s] = ring.add(clean.get(s, 0), c)
-        self.coeffs = {s: c for s, c in clean.items() if not ring.is_zero(c)}
+            clean[m] = ring.add(clean.get(m, 0), c)
+        self._by_mask = {m: c for m, c in clean.items() if not ring.is_zero(c)}
+
+    @property
+    def coeffs(self) -> dict:
+        """The terms keyed by label tuple, in ``support`` order; a new dict
+        on every access, so writing to it changes nothing."""
+        faces, gid = self.complex.faces(self.p), _face_table(self.complex)[1]
+        return {faces[gid[m]]: self._by_mask[m]
+                for m in sorted(self._by_mask, key=gid.__getitem__)}
 
     @property
     def support(self) -> tuple:
-        return tuple(sorted(self.coeffs, key=lambda s: tuple(self.complex.rank(v) for v in s)))
+        """The support simplices in ``K.faces`` order (by rank sequence)."""
+        return tuple(self.coeffs)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._by_mask
 
     def coefficient(self, simplex):
-        return self.coeffs.get(self.complex.sort_simplex(simplex), self.ring.zero)
+        return self._by_mask.get(_mask_of(self.complex, simplex), self.ring.zero)
 
     @classmethod
     def zero(cls, K: SimplicialComplex, ring: Ring, J, p: int):
         return cls(K, ring, J, p, {})
 
     @classmethod
-    def _trusted(cls, complex: SimplicialComplex, ring: Ring, J: tuple, p: int, coeffs: Mapping):
-        """An instance from terms known valid (J sorted, keys sorted p-faces
-        of K_J, ring elements as values); only zero terms are dropped."""
+    def _trusted(cls, complex: SimplicialComplex, ring: Ring, J: tuple, p: int, terms: Mapping):
+        """An instance from terms known valid (J sorted, keys masks of
+        p-faces of K_J, ring elements as values); zero terms are dropped."""
         out = cls.__new__(cls)
         out.complex, out.ring, out.J, out.p = complex, ring, J, p
-        out.coeffs = {s: c for s, c in coeffs.items() if c}
+        out._by_mask = {m: c for m, c in terms.items() if c}
         return out
 
-    def _like(self, coeffs):
-        return self._trusted(self.complex, self.ring, self.J, self.p, coeffs)
+    def _like(self, terms):
+        return self._trusted(self.complex, self.ring, self.J, self.p, terms)
 
     def _check_compatible(self, other):
         if self.complex != other.complex or self.ring != other.ring:
@@ -131,25 +148,26 @@ class _Graded:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = self.ring.add(out.get(s, self.ring.zero), c)
+        out = dict(self._by_mask)
+        for m, c in other._by_mask.items():
+            out[m] = self.ring.add(out.get(m, self.ring.zero), c)
         return self._like(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({s: self.ring.neg(c) for s, c in self.coeffs.items()})
+        return self._like({m: self.ring.neg(c) for m, c in self._by_mask.items()})
 
     def scale(self, c):
-        return self._like({s: self.ring.mul(c, x) for s, x in self.coeffs.items()})
+        return self._like({m: self.ring.mul(c, x) for m, x in self._by_mask.items()})
 
     def __eq__(self, other):
         if not isinstance(other, _Graded) or type(self) is not type(other):
             return NotImplemented
         return (self.complex == other.complex and self.ring == other.ring
-                and self.J == other.J and self.p == other.p and self.coeffs == other.coeffs)
+                and self.J == other.J and self.p == other.p
+                and self._by_mask == other._by_mask)
 
     def __repr__(self):
         kind = type(self).__name__
@@ -178,13 +196,13 @@ class Chain(_Graded):
 def coboundary(a: Cochain) -> Cochain:
     """d: C^p(K_J) -> C^{p+1}(K_J) with the augmented degree -1 convention:
     the rows of ``ReducedCohomology.delta_matrix(p)`` applied to a."""
-    H = reduced_cohomology(a.complex, a.J, a.ring)
+    H = _cached_cohomology(a.complex, a.J, a.ring)
     return H.cochain(H._apply(H.delta_matrix(a.p), H.vector(a)), a.p + 1)
 
 
 def boundary(x: Chain) -> Chain:
     """The boundary map, adjoint to the coboundary: the same rows transposed."""
-    H = reduced_cohomology(x.complex, x.J, x.ring)
+    H = _cached_cohomology(x.complex, x.J, x.ring)
     return Chain._trusted(x.complex, x.ring, x.J, x.p - 1, dict(zip(
         H._position(x.p - 1), H._apply(H._boundary_rows(x.p), H.vector(x)))))
 
@@ -195,21 +213,35 @@ def evaluate(a: Cochain, x: Chain):
         raise AmbientMismatch("pairing needs one complex and one ring")
     if a.J != x.J or a.p != x.p:
         raise GradingMismatch("pairing needs matching (J, p)")
-    ring = a.ring
+    ring, terms = a.ring, x._by_mask
     total = ring.zero
-    for s, c in a.coeffs.items():
-        if s in x.coeffs:
-            total = ring.add(total, ring.mul(c, x.coeffs[s]))
+    for m, c in a._by_mask.items():
+        if m in terms:
+            total = ring.add(total, ring.mul(c, terms[m]))
     return total
 
 
-def _crossings(K: SimplicialComplex, X, Y) -> int:
-    """c(X, Y), by merging X and Y (both sorted by rank) from the back."""
-    rank, count, i = K._rank, 0, len(X)
-    for y in reversed(Y):
-        while i and rank[X[i - 1]] > rank[y]:
-            i -= 1
-        count += i
+def _mask_of(K: SimplicialComplex, simplex) -> int:
+    """The face mask of a collection of labels (repeats collapse): bit r for
+    the vertex of rank r.  An unknown label raises ``UnknownVertex``."""
+    rank, mask = K._rank, 0
+    try:
+        for v in simplex:
+            mask |= 1 << rank[v]
+    except KeyError:
+        K.sort_simplex(simplex)  # raises UnknownVertex naming the label
+        raise
+    return mask
+
+
+def _crossings(X: int, Y: int) -> int:
+    """c(X, Y) for masks X and Y: for each y in Y, the popcount of the
+    members of X below it."""
+    count = 0
+    while Y:
+        low = Y & -Y
+        count += (X & (low - 1)).bit_count()
+        Y ^= low
     return count
 
 
@@ -222,23 +254,25 @@ def cup_multiply(a: Cochain, b: Cochain) -> Cochain:
     if a.complex != b.complex or a.ring != b.ring:
         raise AmbientMismatch("product needs one ambient complex and one ring")
     K, ring = a.complex, a.ring
-    I, J = a.J, b.J
-    union = K.sort_simplex(I + J)
+    I, J = _mask_of(K, a.J), _mask_of(K, b.J)
+    union = tuple(sorted({*a.J, *b.J}, key=K._rank.__getitem__))
     p_out = a.p + b.p + 1
-    if set(I) & set(J):
-        return Cochain.zero(K, ring, union, p_out)
-    crossed = _crossings(K, J, I)
-    base = len(I) * (b.p + 1) + crossed
+    if I & J:
+        return Cochain._trusted(K, ring, union, p_out, {})
+    gid = _face_table(K)[1]
+    crossed = _crossings(J, I)
+    base = len(a.J) * (b.p + 1) + crossed
     out: dict = {}
-    for L, ca in a.coeffs.items():
-        for M, cb in b.coeffs.items():
-            s = K.sort_simplex(L + M)
-            if not K.has_face(s):
+    for L, ca in a._by_mask.items():
+        for M, cb in b._by_mask.items():
+            s = L | M
+            if s not in gid:
                 continue
-            e = base + (_crossings(K, M, L) if crossed else 0)
-            term = ring.mul(ring.mul(ca, cb), ring.of_int(-1 if e % 2 else 1))
+            term = ring.mul(ca, cb)
+            if (base + (_crossings(M, L) if crossed else 0)) & 1:
+                term = ring.neg(term)
             out[s] = ring.add(out.get(s, ring.zero), term)
-    return Cochain(K, ring, union, p_out, out)
+    return Cochain._trusted(K, ring, union, p_out, out)
 
 
 def total_degree(a: Cochain) -> int:
@@ -289,31 +323,31 @@ class ReducedCohomology:
         self.ring = ring
         self.J = K.sort_simplex(J)
         levels, self._gid, self._terms = _face_table(K)
-        outside = ~sum(1 << K._rank[v] for v in self.J)
+        outside = ~_mask_of(K, self.J)
         self._levels = {p: [f for f in masks if not f & outside] for p, masks in levels.items()}
         self.max_p = max(p for p, masks in self._levels.items() if masks)
-        self._index: dict[int, dict] = {}  # degree -> {simplex: its position}
+        self._index: dict[int, dict] = {}  # degree -> {face mask: its position}
         self._delta: dict[int, list] = {}
         self._groups: dict[int, exactalg.AbelianGroup] = {}
         self._solvers: dict[int, exactalg.Solver] = {}
         self._cycles: dict[int, list] = {}
 
     def _position(self, p: int) -> dict:
-        """The p-faces of K_J as label tuples, in order, each to its index."""
+        """The masks of the p-faces of K_J, in order, each to its index."""
         if p not in self._index:
-            masks = self._levels.get(p, ())
-            faces, gid = self.complex.faces(p) if masks else (), self._gid
-            self._index[p] = {faces[gid[f]]: i for i, f in enumerate(masks)}
+            self._index[p] = {f: i for i, f in enumerate(self._levels.get(p, ()))}
         return self._index[p]
 
     def simplices(self, p: int) -> tuple:
-        return tuple(self._position(p))
+        """The p-faces of K_J as label tuples, in ``K.faces(p)`` order."""
+        faces, gid = self.complex.faces(p), self._gid
+        return tuple(faces[gid[f]] for f in self._levels.get(p, ()))
 
     def vector(self, a: Cochain) -> list:
         idx = self._position(a.p)
         v = [self.ring.zero] * len(idx)
-        for s, c in a.coeffs.items():
-            v[idx[s]] = c
+        for m, c in a._by_mask.items():
+            v[idx[m]] = c
         return v
 
     def cochain(self, vec, p: int) -> Cochain:
@@ -325,7 +359,7 @@ class ReducedCohomology:
         from the face table's terms: chi_{t minus t_r} maps to (-1)^r chi_t.
         Kept per degree; no caller writes to the rows."""
         if p not in self._delta:
-            pos, terms = {f: i for i, f in enumerate(self._levels.get(p, ()))}, self._terms
+            pos, terms = self._position(p), self._terms
             self._delta[p] = [{pos[s]: sign for s, sign in terms[t]}
                               for t in self._levels.get(p + 1, ())]
         return self._delta[p]
@@ -422,8 +456,8 @@ def cochain_to_json(a: Cochain) -> dict:
     return {
         "J": list(a.J),
         "p": a.p,
-        "terms": [{"simplex": list(s), "coeff": a.ring.element_to_str(a.coeffs[s])}
-                  for s in a.support],
+        "terms": [{"simplex": list(s), "coeff": a.ring.element_to_str(c)}
+                  for s, c in a.coeffs.items()],
     }
 
 

@@ -252,7 +252,7 @@ def canonical_defining_system_joins(spec: JoinMasseySpec, K: SimplicialComplex) 
         for sigmas in itertools.product(spec.supports[i - 1], *spec.survivors[i:k]):
             coeff = ring.one
             for a, sigma in zip(block, sigmas):
-                coeff = ring.mul(coeff, a.coeffs[sigma])
+                coeff = ring.mul(coeff, a.coefficient(sigma))
             theta = _theta_join(spec, K, i, k, sigmas[1:])
             drop = {_distinguished(spec.vertex_choice, sigma) for sigma in sigmas[1:]}
             simplex = K.sort_simplex([v for sigma in sigmas for v in sigma if v not in drop])
@@ -505,7 +505,7 @@ def disjointify_defining_system(ds: DefiningSystem, edge: Iterable[str]) -> Defi
             break
         i, k = stage
         sigma = offending(ds.a(i, k))[0]
-        c_sigma = ds.a(i, k).coeffs[sigma]
+        c_sigma = ds.a(i, k).coefficient(sigma)
         eps = epsilon(K, u_hi, sigma)
         factor = ring.mul(c_sigma, ring.of_int(eps))
         stub = Cochain(K, ring, ds.J_block(i, k), ds.p_block(i, k) - 1,

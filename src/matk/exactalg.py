@@ -107,11 +107,11 @@ class Ring:
             return Fraction(n)
         return n % self.p
 
-    @property
+    @functools.cached_property
     def zero(self):
         return self.of_int(0)
 
-    @property
+    @functools.cached_property
     def one(self):
         return self.of_int(1)
 

@@ -25,7 +25,6 @@ the class set of a Massey product does not depend on that choice.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -117,14 +116,14 @@ class DefiningSystem:
         """A copy with entry (i, k) set to ``a``; only ``a`` is checked, as
         the other entries were checked when this system was built."""
         self._check_entry(i, k, a)
-        out = copy.copy(self)
-        out.entries = {**self.entries, (i, k): a}
+        out = object.__new__(type(self))
+        vars(out).update(vars(self), entries={**self.entries, (i, k): a})
         return out
 
     def staircase(self, i: int, k: int) -> Cochain:
         """sum over r of overline(a_{i,r}) . a_{r+1,k}."""
-        total = Cochain.zero(self.complex, self.ring, self.J_block(i, k),
-                             self.p_block(i, k) + 1)
+        total = Cochain._trusted(self.complex, self.ring, self.J_block(i, k),
+                                 self.p_block(i, k) + 1, {})
         for r in range(i, k):
             total = total + cup_multiply(overline(self.a(i, r)), self.a(r + 1, k))
         return total
@@ -235,11 +234,11 @@ def find_evaluating_cycle(omega: Cochain, prefer_small: bool = False) -> Optiona
     q = omega.p
     best = None
     for v in H.cycle_basis(q):
-        x = Chain(K, ring, omega.J, q, dict(zip(H.simplices(q), v)))
+        x = Chain._trusted(K, ring, omega.J, q, dict(zip(H._position(q), v)))
         if not ring.is_zero(evaluate(omega, x)):
             if not prefer_small:
                 return x
-            if best is None or len(x.coeffs) < len(best.coeffs):
+            if best is None or len(x._by_mask) < len(best._by_mask):
                 best = x
     return best
 
@@ -277,12 +276,12 @@ def triple_massey_decide(alpha1: CohomologyClass, alpha2: CohomologyClass,
     generators = [cup_multiply(overline(a1), z) for z in H23.cocycle_basis(p2 + p3)]
     generators += [cup_multiply(overline(z), a3) for z in H12.cocycle_basis(p1 + p2)]
     g = len(generators)
-    row_of = {t: i for i, t in enumerate(H.simplices(q))}
+    row_of = H._position(q)
     system = [{g + j: a for j, a in row.items()} for row in H.delta_matrix(q - 1)]
     for k, gen in enumerate(generators):
-        for t, c in gen.coeffs.items():
+        for t, c in gen._by_mask.items():
             system[row_of[t]][k] = c
-    solver = exactalg.Solver(system, ring, g + len(H.simplices(q - 1)))
+    solver = exactalg.Solver(system, ring, g + len(H._position(q - 1)))
     contains_zero = solver.solve(H.vector(omega)) is not None
     indeterminacy_rank = solver.rank - H.solver(q - 1).rank
 

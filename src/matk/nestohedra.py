@@ -297,8 +297,10 @@ def permutahedron_massey_slots(n: int, k: int):
 
 
 def stellohedron_massey_slots(n: int):
-    """Vertex subsets J_1..J_n of the stellohedral complex carrying an n-fold
-    product, with the edges to contract."""
+    """Vertex subsets J_1..J_n of the stellohedral complex for an n-fold
+    product, with the edges to contract.  The product they carry is
+    non-trivial for n <= 3 only: for n = 4 and 5 it contains zero over F2
+    and F3, with one class, so this recipe is no n-fold example there."""
     if n < 2:
         raise InvalidSlotParameters("need n >= 2")
     J = [[{2}, {1}]]

@@ -213,6 +213,29 @@ def test_cup_agrees_with_paper_formula(K, data):
         assert cup_multiply(a, b) == cup_multiply_reference(a, b)
 
 
+def full_simplex(n):
+    return SimplicialComplex([str(i) for i in range(1, n + 1)], [[str(i) for i in range(1, n + 1)]])
+
+
+@pytest.mark.parametrize("I,a,J,b,product", [
+    # I = {1,3} and J = {2} interleave: chi_3 . chi_2 has c(M, L) = 1
+    (("1", "3"), {("1",): 1, ("3",): 1}, ("2",), {("2",): 1},
+     {("1", "2"): -1, ("2", "3"): 1}),
+    (("2",), {("2",): 1}, ("1", "3"), {("1",): 1, ("3",): 1},
+     {("1", "2"): -1, ("2", "3"): 1}),
+    # I = {1,3}, J = {2,4}: c(J, I) = c(M, L) = 1 on the top simplex
+    (("1", "3"), {("1", "3"): 1}, ("2", "4"), {("2", "4"): 1}, {("1", "2", "3", "4"): 1}),
+    (("1", "3"), {("1",): 2, ("3",): 1}, ("2", "4"), {("2", "4"): 1},
+     {("1", "2", "4"): -2, ("2", "3", "4"): 1}),
+])
+def test_cup_sign_on_interleaved_supports(I, a, J, b, product):
+    # the popcount crossings against the paper's formula, and by hand
+    K = full_simplex(4)
+    a, b = (Cochain(K, ZZ, X, len(next(iter(t))) - 1, t) for X, t in ((I, a), (J, b)))
+    expected = Cochain(K, ZZ, I + J, a.p + b.p + 1, product)
+    assert cup_multiply(a, b) == cup_multiply_reference(a, b) == expected
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_complexes(), st.data())
 def test_cup_graded_commutative(K, data):
@@ -417,6 +440,7 @@ def test_trusted_arithmetic_equals_validated_construction(K, data):
     (["1", "2", "3", "4"], 0, ["1", "2"]),  # not 0-dimensional
     (["1", "2", "3", "4"], 0, ["5"]),  # not inside J
     (["1", "2"], 1, ["1", "2"]),  # not a face of fig1
+    (["1", "2", "3", "4"], 0, ["1", "4"]),  # an edge of fig1 inside J, not 0-dimensional
 ])
 def test_malformed_json_cochain_still_raises(J, p, simplex):
     blob = {"J": J, "p": p, "terms": [{"simplex": simplex, "coeff": "1"}]}
@@ -488,3 +512,37 @@ def test_cochain_layer_builds_no_complex_and_one_face_table(monkeypatch):
     cochains._cached_cohomology.cache_clear()
     assert complexes == []
     assert tables == [K]
+
+
+def test_cochain_arithmetic_reads_no_labels(monkeypatch):
+    # terms are keyed by face mask: products, sums, coordinate vectors,
+    # class keys and pairings neither sort a simplex nor look one up
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    K = complex_from_json(json.loads((fixtures / "truncated-octahedron.json").read_text()))
+    ring = GF(3)
+    I, J = K.vertices[0::2], K.vertices[1::2]  # interleaved
+    HI, HJ, H = (reduced_cohomology(K, X, ring) for X in (I, J, K.vertices))
+    a = Cochain(K, ring, I, 0, {s: ring.one for s in HI.simplices(0)})
+    b = Cochain(K, ring, J, 1, {s: ring.of_int(2) for s in HJ.simplices(1)})
+    x = Chain(K, ring, I, 0, {s: ring.one for s in HI.simplices(0)})
+    z = H.cocycle_basis(2)[0]
+    calls = []
+
+    def counting(name):
+        method = getattr(SimplicialComplex, name)
+
+        def wrapper(self, simplex):
+            calls.append((name, simplex))
+            return method(self, simplex)
+        return wrapper
+
+    for name in ("sort_simplex", "has_face"):
+        monkeypatch.setattr(SimplicialComplex, name, counting(name))
+    ab, ba = cup_multiply(a, b), cup_multiply(b, a)
+    total = ab + ba.scale(ring.of_int(2)) - ab
+    H.vector(total)
+    H.class_key(z)
+    H.class_key(ab)
+    evaluate(a, x)
+    assert calls == []
+    assert len(ab.support) == 3 and len(set(ab.coeffs.values())) == 2  # both signs occur

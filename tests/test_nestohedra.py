@@ -344,6 +344,28 @@ def test_stellohedron_massey_slot_shapes():
             assert v in K.vertices
 
 
+@pytest.mark.parametrize("ring", [GF(2), GF(3)], ids=["F2", "F3"])
+@pytest.mark.parametrize("kind,n,k,contains_zero", [
+    ("permutahedron", 3, 3, False),
+    ("permutahedron", 4, 3, False),
+    ("permutahedron", 4, 4, False),
+    ("permutahedron", 5, 3, False),
+    ("permutahedron", 5, 4, False),
+    ("permutahedron", 5, 5, False),
+    ("stellohedron", 3, 3, False),
+    # the stellohedral slots carry no non-trivial product for n >= 4
+    ("stellohedron", 4, 4, True),
+    ("stellohedron", 5, 5, True),
+])
+def test_nestohedral_massey_verdict_table(kind, n, k, contains_zero, ring):
+    from matk.massey import enumerate_defining_systems
+
+    _, classes, _ = nestohedron_massey_input(kind, n, k, ring)
+    verdict = enumerate_defining_systems(classes)
+    assert (verdict.defined, verdict.contains_zero, verdict.distinct_class_count,
+            verdict.budget_exhausted) == (True, contains_zero, 1, False)
+
+
 def test_truncated_octahedron_subcomplex_triple_product():
     """The nine-vertex full subcomplex of the permutahedral sphere carries a
     triple product in degree 11 with rank-one indeterminacy; its three classes
