@@ -203,7 +203,7 @@ def cmd_stretch(args):
     if not problems:
         fibers = [phi.fiber(w) for w in Khat.vertices]
         _, _, links_ok = constructions.contract_edges(
-            source, [(f[0], v) for f in fibers for v in f[1:]], require_link=False)
+            source, [(f[0], v) for f in fibers for v in f[1:]])
     out = {
         "valid": not problems,
         "problems": problems,

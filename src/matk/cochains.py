@@ -16,6 +16,10 @@ vertex order alone; validation, arithmetic and the product (union L | M,
 crossings by popcount) work on masks, and labels appear only at input, in
 ``coeffs``, ``support``, ``coefficient``, ``repr`` and JSON.
 
+Sums happen in ``combine`` (``+``, ``-``, ``scale``, Massey staircases and
+branch points) and in the constructor, which sums repeated simplices of its
+terms (how the constructions assemble their cochains).
+
 Sign conventions, fixed once here and used everywhere:
 
 * epsilon(j, J) = (-1)^(r-1) when j is the r-th element of J in the vertex
@@ -76,12 +80,13 @@ class _Graded:
     """Common machinery of Cochain and Chain: a finitely supported
     coefficient map on the p-simplices of K_J, kept as ``_by_mask``:
     {face mask: coefficient}, bit r for the vertex of rank r.  The
-    constructor takes label-tuple keys and turns each into its mask once."""
+    constructor takes a mapping or (simplex, coefficient) pairs keyed by
+    label tuples, turns each key into its mask once and sums repeats."""
 
     __slots__ = ("complex", "ring", "J", "p", "_by_mask")
 
     def __init__(self, complex: SimplicialComplex, ring: Ring, J: Iterable[str],
-                 p: int, coeffs: Optional[Mapping] = None):
+                 p: int, coeffs: Optional[Mapping | Iterable] = None):
         J = complex.sort_simplex(J)
         self.complex = complex
         self.ring = ring
@@ -89,7 +94,7 @@ class _Graded:
         self.p = p
         gid, outside = _face_table(complex)[1], ~_mask_of(complex, J)
         clean = {}
-        for s, c in (coeffs or {}).items():
+        for s, c in coeffs.items() if isinstance(coeffs, Mapping) else coeffs or ():
             m = _mask_of(complex, s)
             if ring.is_zero(c):
                 continue
@@ -138,29 +143,17 @@ class _Graded:
     def _like(self, terms):
         return self._trusted(self.complex, self.ring, self.J, self.p, terms)
 
-    def _check_compatible(self, other):
-        if self.complex != other.complex or self.ring != other.ring:
-            raise AmbientMismatch("operands live on different complexes or rings")
-        if self.J != other.J or self.p != other.p:
-            raise GradingMismatch(
-                f"gradings differ: (J={list(self.J)}, p={self.p}) vs (J={list(other.J)}, p={other.p})"
-            )
-
     def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self._by_mask)
-        for m, c in other._by_mask.items():
-            out[m] = self.ring.add(out.get(m, self.ring.zero), c)
-        return self._like(out)
+        return combine(self, [(1, other)])
 
     def __sub__(self, other):
-        return self + (-other)
+        return combine(self, [(-1, other)])
 
     def __neg__(self):
-        return self._like({m: self.ring.neg(c) for m, c in self._by_mask.items()})
+        return combine(self._like({}), [(-1, self)])
 
     def scale(self, c):
-        return self._like({m: self.ring.mul(c, x) for m, x in self._by_mask.items()})
+        return combine(self._like({}), [(c, self)])
 
     def __eq__(self, other):
         if not isinstance(other, _Graded) or type(self) is not type(other):
@@ -191,6 +184,23 @@ class Chain(_Graded):
     def delta(K: SimplicialComplex, ring: Ring, simplex, J=None) -> "Chain":
         s = K.sort_simplex(simplex)
         return Chain(K, ring, s if J is None else J, len(s) - 1, {s: ring.one})
+
+
+def combine(a, terms):
+    """a plus c x for each pair (c, x) of ``terms``, c an int or an element
+    of a's ring: each x is checked once against a's grading, zero c is
+    skipped, and every term is summed into one dict."""
+    ring, out = a.ring, dict(a._by_mask)
+    for c, x in terms:
+        if a.complex != x.complex or ring != x.ring:
+            raise AmbientMismatch("operands live on different complexes or rings")
+        if a.J != x.J or a.p != x.p:
+            raise GradingMismatch(
+                f"gradings differ: (J={list(a.J)}, p={a.p}) vs (J={list(x.J)}, p={x.p})")
+        if c:
+            for m, v in x._by_mask.items():
+                out[m] = ring.add(out.get(m, 0), ring.mul(c, v))
+    return a._like(out)
 
 
 def coboundary(a: Cochain) -> Cochain:

@@ -27,6 +27,7 @@ from .cochains import (
     coboundary,
     cochain_from_json,
     cochain_to_json,
+    combine,
     cup_multiply,
     epsilon,
     evaluate,
@@ -138,7 +139,10 @@ class JoinMasseySpec:
 
 def _distinguished(vertex_choice: Mapping, sigma) -> str:
     """The distinguished vertex of a support simplex: the chosen one, by
-    default its first; InvalidSpec if the choice is not a vertex of sigma."""
+    default its first; InvalidSpec if sigma is empty or lacks the choice."""
+    if not sigma:
+        raise InvalidSpec("the empty simplex has no distinguished vertex; "
+                          "a degree -1 class cannot enter the join construction")
     v = vertex_choice.get(sigma, sigma[0])
     if v not in sigma:
         raise InvalidSpec(f"distinguished vertex {v} not in {sigma}")
@@ -248,20 +252,18 @@ def canonical_defining_system_joins(spec: JoinMasseySpec, K: SimplicialComplex) 
     entries = {}
     for i, k in _stages(spec.n):
         block = spec.cochains[i - 1:k]
-        coeffs: dict = {}
+        terms = []
         for sigmas in itertools.product(spec.supports[i - 1], *spec.survivors[i:k]):
-            coeff = ring.one
+            coeff = _theta_join(spec, K, i, k, sigmas[1:])
             for a, sigma in zip(block, sigmas):
                 coeff = ring.mul(coeff, a.coefficient(sigma))
-            theta = _theta_join(spec, K, i, k, sigmas[1:])
             drop = {_distinguished(spec.vertex_choice, sigma) for sigma in sigmas[1:]}
             simplex = K.sort_simplex([v for sigma in sigmas for v in sigma if v not in drop])
             if not K.has_face(simplex):
                 raise InvalidSpec(f"canonical entry hits a deleted simplex {simplex}")
-            term = ring.mul(coeff, ring.of_int(theta))
-            coeffs[simplex] = ring.add(coeffs.get(simplex, ring.zero), term)
+            terms.append((simplex, coeff))
         entries[(i, k)] = Cochain(K, ring, [v for a in block for v in a.J],
-                                  sum(a.p for a in block), coeffs)
+                                  sum(a.p for a in block), terms)
     return DefiningSystem(tuple(classes), entries)
 
 
@@ -305,21 +307,18 @@ def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
     sigma = {l: spec.survivors[l - 1][0] for l in range(2, n)}
     sigma[n] = spec.P[n - 1][0]
 
-    coeffs: dict = {}
     if n == 2:
         # nothing is deleted for n = 2, so a product of pairing cycles works
         x2 = find_evaluating_cycle(_as_ring(_on(K, spec.cochains[1]), ring), prefer_small=True)
         if x2 is None:
             raise InvalidSpec("no cycle pairs nontrivially with the second class")
-        for s1, c1 in x1.coeffs.items():
-            for s2, c2 in x2.coeffs.items():
-                simplex = K.sort_simplex(s1 + s2)
-                term = ring.mul(c1, c2)
-                coeffs[simplex] = ring.add(coeffs.get(simplex, ring.zero), term)
+        terms = [(s1 + s2, ring.mul(c1, c2))
+                 for s1, c1 in x1.coeffs.items() for s2, c2 in x2.coeffs.items()]
     else:
         pair = K.sort_simplex(sigma[2] + sigma[n])
         inner = list(range(3, n))
         tail = [v for l in range(2, n + 1) for v in sigma[l]]
+        terms = []
         for s1, c1 in x1.coeffs.items():
             for w2 in pair:
                 c = ring.mul(c1, ring.of_int(epsilon(K, w2, pair)))
@@ -328,11 +327,10 @@ def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
                     for l, w in zip(inner, ws):
                         cc = ring.mul(cc, ring.of_int(epsilon(K, w, sigma[l])))
                     dropped = {w2, *ws}
-                    simplex = K.sort_simplex([v for v in (*s1, *tail) if v not in dropped])
-                    coeffs[simplex] = ring.add(coeffs.get(simplex, ring.zero), cc)
+                    terms.append(([v for v in (*s1, *tail) if v not in dropped], cc))
     Jall = K.sort_simplex([v for a in spec.cochains for v in a.J])
     p_total = sum(a.p for a in spec.cochains) + 1
-    x = Chain(K, ring, Jall, p_total, coeffs)
+    x = Chain(K, ring, Jall, p_total, terms)
     if not boundary(x).is_zero():
         raise InvalidSpec("constructed witness chain is not a cycle")
     return x
@@ -391,12 +389,9 @@ def _pull(phi: VertexMap, a_hat: Cochain, sign: int) -> Cochain:
     """sign times a_hat with each support simplex replaced by the sum of its
     same-dimension preimages."""
     ring = a_hat.ring
-    coeffs: dict = {}
-    for s_hat, c in a_hat.coeffs.items():
-        term = ring.mul(c, ring.of_int(sign))
-        for s in phi.preimages(s_hat, a_hat.p):
-            coeffs[s] = ring.add(coeffs.get(s, ring.zero), term)
-    return Cochain(phi.source, ring, phi.preimage_vertices(a_hat.J), a_hat.p, coeffs)
+    return Cochain(phi.source, ring, phi.preimage_vertices(a_hat.J), a_hat.p,
+                   [(s, ring.mul(c, sign)) for s_hat, c in a_hat.coeffs.items()
+                    for s in phi.preimages(s_hat, a_hat.p)])
 
 
 def _checked(ds: DefiningSystem, error: type, what: str) -> DefiningSystem:
@@ -511,19 +506,19 @@ def disjointify_defining_system(ds: DefiningSystem, edge: Iterable[str]) -> Defi
         stub = Cochain(K, ring, ds.J_block(i, k), ds.p_block(i, k) - 1,
                        {tuple(v for v in sigma if v != u_hi): ring.one})
         entries = dict(ds.entries)
-        entries[(i, k)] = ds.a(i, k) - coboundary(stub).scale(factor)
+        entries[(i, k)] = combine(ds.a(i, k), [(ring.neg(factor), coboundary(stub))])
         for i2 in range(1, i):
             if (i2, k) == (1, n) or (i2, k) not in ds.entries:
                 continue
             left = ds.a(i2, i - 1)
-            entries[(i2, k)] = ds.a(i2, k) + cup_multiply(left, stub).scale(factor)
+            entries[(i2, k)] = combine(ds.a(i2, k), [(factor, cup_multiply(left, stub))])
         mydeg = ds.p_block(i, k) + len(ds.J_block(i, k)) + 1
         cfac = ring.mul(factor, ring.of_int((-1) ** mydeg))
         for k2 in range(k + 1, n + 1):
             if (i, k2) == (1, n) or (i, k2) not in ds.entries:
                 continue
             right = ds.a(k + 1, k2)
-            entries[(i, k2)] = ds.a(i, k2) + cup_multiply(stub, right).scale(cfac)
+            entries[(i, k2)] = combine(ds.a(i, k2), [(cfac, cup_multiply(stub, right))])
         new_ds = DefiningSystem(ds.classes, entries)
         if total_offense(new_ds) >= total_offense(ds):
             raise InvalidSpec("support rewriting failed to make progress")
@@ -577,11 +572,12 @@ def spec_from_json(obj: Mapping) -> JoinMasseySpec:
     return JoinMasseySpec(factors, cochains, vertex_choice, support_order)
 
 
-def contract_edges(K: SimplicialComplex, edges: Sequence, require_link: bool = True):
+def contract_edges(K: SimplicialComplex, edges: Sequence):
     """Contract a sequence of edges (named in K's labels) and compose the maps.
 
-    Returns (K-hat, phi, all_links_ok).  Later edges may name vertices that an
-    earlier contraction already merged; they are followed through the maps.
+    Returns (K-hat, phi, all_links_ok); as in ``contract_edge``, a failed link
+    condition is reported, never raised.  Later edges may name vertices that
+    an earlier contraction already merged; they are followed through the maps.
     """
     current = K
     assignment = {v: v for v in K.vertices}
@@ -592,8 +588,6 @@ def contract_edges(K: SimplicialComplex, edges: Sequence, require_link: bool = T
             raise SimplicialError(f"edge {u},{w} already collapsed")
         contracted = contract_edge(current, (uu, ww))
         all_ok = all_ok and contracted.link_condition
-        if require_link and not contracted.link_condition:
-            raise SimplicialError(f"edge {u},{w} fails the link condition")
         step = contracted.map
         assignment = {v: step.assignment[assignment[v]] for v in K.vertices}
         current = contracted.complex

@@ -38,6 +38,7 @@ from .cochains import (
     coboundary,
     cochain_from_json,
     cochain_to_json,
+    combine,
     cup_multiply,
     evaluate,
     overline,
@@ -121,12 +122,13 @@ class DefiningSystem:
         return out
 
     def staircase(self, i: int, k: int) -> Cochain:
-        """sum over r of overline(a_{i,r}) . a_{r+1,k}."""
-        total = Cochain._trusted(self.complex, self.ring, self.J_block(i, k),
-                                 self.p_block(i, k) + 1, {})
-        for r in range(i, k):
-            total = total + cup_multiply(overline(self.a(i, r)), self.a(r + 1, k))
-        return total
+        """sum over r of overline(a_{i,r}) . a_{r+1,k}, in one ``combine``
+        with the overline sign (-1)^(p + |J|) of block (i, r) as coefficient."""
+        zero = Cochain._trusted(self.complex, self.ring, self.J_block(i, k),
+                                self.p_block(i, k) + 1, {})
+        return combine(zero, [((-1) ** (self.p_block(i, r) + len(self.J_block(i, r))),
+                               cup_multiply(self.a(i, r), self.a(r + 1, k)))
+                              for r in range(i, k)])
 
     def to_json(self) -> dict:
         return {
@@ -300,14 +302,6 @@ def _stages(n: int) -> list:
             if (i, i + gap) != (1, n)]
 
 
-def _combine(a: Cochain, terms) -> Cochain:
-    """a plus c d for each pair (c, d) of ``terms`` with c nonzero."""
-    for c, d in terms:
-        if c:
-            a = a + d.scale(c)
-    return a
-
-
 def _walk(base: DefiningSystem, stages: list, kernels: dict):
     """Every valid complete defining system extending ``base``, with its
     associated cochain, lazily and in walk order: stage by stage, each entry
@@ -321,7 +315,7 @@ def _walk(base: DefiningSystem, stages: list, kernels: dict):
     particular = H.primitive(base.staircase(i, k))
     if particular is not None:
         for coeffs in itertools.product(range(ring.p), repeat=len(kernels[(i, k)])):
-            entry = _combine(particular, zip(coeffs, kernels[(i, k)]))
+            entry = combine(particular, zip(coeffs, kernels[(i, k)]))
             yield from _walk(base.with_entry(i, k, entry), stages[1:], kernels)
 
 
@@ -377,7 +371,7 @@ def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict,
                 x, r = H.solver(p).lift(H.vector(ds.staircase(*s)))
                 lifts[key] = (H.cochain(x, p), r)
             particular, r = lifts[key]
-            ds = ds.with_entry(*s, _combine(particular, zip(params[s], kernels[s])))
+            ds = ds.with_entry(*s, combine(particular, zip(params[s], kernels[s])))
             residues += r
         return ds.staircase(1, ds.n), residues
 
@@ -390,8 +384,8 @@ def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict,
     if u0 is None:
         return None
     dirs = [w - omega for w, _ in units]
-    point = _combine(omega, zip(u0, dirs))
-    directions = [_combine(omega - omega, zip(v, dirs)) for v in feasible.kernel]
+    point = combine(omega, zip(u0, dirs))
+    directions = [combine(omega._like({}), zip(v, dirs)) for v in feasible.kernel]
     H = reduced_cohomology(base.complex, omega.J, ring)
     c = H.class_key(point)  # each class key checks that its cochain is a cocycle
     A = exactalg.Solver([dict(enumerate(H.class_key(w))) for w in directions],

@@ -434,6 +434,9 @@ def _bad_inputs(root):
     blobs["simplex_repeat"][0]["terms"][0]["simplex"] = ["1", "1"]
     blobs["terms_repeat"] = json.loads(json.dumps(classes))
     blobs["terms_repeat"][0]["terms"].append({"simplex": ["1"], "coeff": "5"})
+    blobs["spec_empty_class"] = json.loads(json.dumps(spec))  # a degree -1 class
+    blobs["spec_empty_class"]["cochains"][1] = {"J": [], "p": -1,
+                                                "terms": [{"simplex": [], "coeff": "1"}]}
     blobs["classes_5"] = 5
     blobs["classes_field_5"] = {"classes": 5}
     paths = {}
@@ -504,6 +507,7 @@ def _bad_inputs(root):
     (["stretch", "contraction-target.json", "--map", "{map_extra_key}"], "SimplicialError"),
     (["product", "fig1.json", "--classes", "{simplex_repeat}"], "MalformedInput"),
     (["product", "fig1.json", "--classes", "{terms_repeat}"], "MalformedInput"),
+    (["construct-join", "{spec_empty_class}"], "InvalidSpec"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)
@@ -530,6 +534,8 @@ def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
         assert "non-source vertices ['zz']" in blob["error"]["message"]
     if names & {"simplex_repeat", "terms_repeat"}:
         assert "repeats a vertex or an earlier term's simplex" in blob["error"]["message"]
+    if "spec_empty_class" in names:
+        assert "a degree -1 class" in blob["error"]["message"]
 
 
 def _run_quietly(argv):

@@ -18,6 +18,7 @@ from matk.cochains import (
     coboundary,
     cochain_from_json,
     cochain_to_json,
+    combine,
     cup_multiply,
     epsilon,
     evaluate,
@@ -184,37 +185,42 @@ def test_unit_cochain_multiplies_trivially():
     assert cup_multiply(a, unit) == a
 
 
-def random_cochains(data, K, parts):
-    """One cochain of degree -1..1, coefficients in -2..2, over Z, Q, F2 or
-    F3, on each of `parts` disjoint vertex sets of K; the sets interleave in
-    any way (consecutive blocks are one case), may be empty and may leave
-    vertices out.  None when some set has no faces in its drawn degree."""
+def random_cochains(data, K, parts, max_p=1):
+    """One cochain of degree -1..max_p (and below the size of its set),
+    coefficients in -2..2 (drawn from a list, as integers would favour 0 and
+    with it zero cochains), over Z, Q, F2 or F3, on each of `parts` disjoint
+    vertex sets of K; the sets interleave in any way (consecutive blocks are
+    one case), may be empty and may leave vertices out.  None when some set
+    has no faces in its drawn degree."""
     ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
     n = len(K.vertices)
     labels = data.draw(st.lists(st.integers(0, parts), min_size=n, max_size=n))
     out = []
     for i in range(parts):
         J = tuple(v for v, part in zip(K.vertices, labels) if part == i)
-        p = data.draw(st.integers(-1, 1))
+        p = data.draw(st.integers(-1, min(max_p, len(J) - 1)))
         faces = [s for s in K.faces(p) if set(s) <= set(J)]
         if not faces:
             return None
         out.append(Cochain(K, ring, J, p,
-                           {s: ring.of_int(data.draw(st.integers(-2, 2))) for s in faces}))
+                           {s: ring.of_int(data.draw(st.sampled_from([1, -1, 2, -2, 0])))
+                            for s in faces}))
     return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_complexes(), st.data())
-def test_cup_agrees_with_paper_formula(K, data):
-    cochains = random_cochains(data, K, 2)
-    if cochains is not None:
-        a, b = cochains
-        assert cup_multiply(a, b) == cup_multiply_reference(a, b)
 
 
 def full_simplex(n):
     return SimplicialComplex([str(i) for i in range(1, n + 1)], [[str(i) for i in range(1, n + 1)]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_complexes(), st.integers(2, 6).map(full_simplex)), st.data())
+def test_cup_agrees_with_paper_formula(K, data):
+    # on a full simplex every union L ∪ M is a face, so interleaved supports
+    # reach the c(M, L) term of the sign
+    cochains = random_cochains(data, K, 2, max_p=2)
+    if cochains is not None:
+        a, b = cochains
+        assert cup_multiply(a, b) == cup_multiply_reference(a, b)
 
 
 @pytest.mark.parametrize("I,a,J,b,product", [
@@ -462,6 +468,34 @@ def _random_graded(cls, K, ring, J, p, data):
     coefficient = st.integers(-3, 3).map(ring.of_int)
     return cls(K, ring, J, p, {s: data.draw(coefficient) for s in faces
                                if data.draw(st.booleans())})
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_complexes(), st.data())
+def test_combine_is_the_term_by_term_sum(K, data):
+    # int and ring-element coefficients, zero and negative ones, and the
+    # same x twice, against a sum on label-keyed dicts
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+    cls = data.draw(st.sampled_from([Cochain, Chain]))
+    J = K.sort_simplex(data.draw(st.sets(st.sampled_from(K.vertices), min_size=1)))
+    p = data.draw(st.integers(-1, K.dim))
+    a, x, y = (_random_graded(cls, K, ring, J, p, data) for _ in range(3))
+    coefficient = st.integers(-3, 3).flatmap(lambda c: st.sampled_from([c, ring.of_int(c)]))
+    terms = [(data.draw(coefficient), data.draw(st.sampled_from([x, y])))
+             for _ in range(data.draw(st.integers(0, 3)))]
+    terms += [(0, x), (-1, y), (ring.of_int(2), y)]
+    expected = dict(a.coeffs)
+    for c, z in terms:
+        c = ring.of_int(c) if isinstance(c, int) else c
+        for s, v in z.coeffs.items():
+            expected[s] = ring.add(expected.get(s, ring.zero), ring.mul(c, v))
+    assert combine(a, terms) == cls(K, ring, J, p, expected)
+    assert combine(a, []) == a
+    for c in (0, 1):
+        with pytest.raises(GradingMismatch):
+            combine(a, [(1, x), (c, cls.zero(K, ring, J, p + 1))])
+        with pytest.raises(AmbientMismatch):
+            combine(a, [(c, cls.zero(K, GF(5), J, p))])
 
 
 @settings(max_examples=60, deadline=None)

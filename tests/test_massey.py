@@ -245,6 +245,29 @@ def _massey4_fixture(ring):
     return tuple(CohomologyClass(cochain_from_json(b, K, ring)) for b in blobs)
 
 
+def test_staircase_builds_its_products_and_one_sum(monkeypatch):
+    # the staircase of (1, 4) has three splits: it builds their three
+    # products, the zero it starts from and one sum, with no negated copy
+    # and no running sum per split
+    base = DefiningSystem(_massey4_fixture(GF(2)), {})
+    ds, omega = next(massey._walk(base, massey._stages(4), {s: [] for s in massey._stages(4)}))
+    built = []  # every cochain comes from the constructor or from _trusted
+    init, trusted = Cochain.__init__, Cochain._trusted.__func__
+
+    def counting_init(self, *args):
+        built.append("validated")
+        init(self, *args)
+
+    def counting_trusted(cls, *args):
+        built.append("trusted")
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Cochain, "__init__", counting_init)
+    monkeypatch.setattr(Cochain, "_trusted", classmethod(counting_trusted))
+    assert ds.staircase(1, 4) == omega
+    assert built == ["trusted"] * 5
+
+
 def _nestohedral(kind, n, k):
     from matk.nestohedra import nestohedron_massey_input
 
