@@ -5,7 +5,9 @@ sorted keys, and logs nothing to stdout.  Exit codes: 0 success, 1 bad input,
 2 usage error, 3 internal fault.  Bad input is a ``MatkError`` or an input
 file that cannot be read or is not JSON; it is reported as a JSON error
 object ``{"error": {"type", "message"}}`` on stdout.  Any other exception is
-an internal fault: its traceback goes to stderr and nothing to stdout.
+an internal fault: its traceback goes to stderr and nothing to stdout.  A
+stdout closed by its reader before the output is written (``matk ... |
+head``) is neither: it exits 1 with one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -339,16 +341,27 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-            raise OutputDirectoryMissing(f"no directory for --out {args.out!r}")
-        args.fn(args)
-    except (MatkError, OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
-        _emit({"error": {"type": type(err).__name__, "message": str(err)}}, None)
+        try:
+            if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+                raise OutputDirectoryMissing(f"no directory for --out {args.out!r}")
+            args.fn(args)
+            code = 0
+        except BrokenPipeError:
+            raise
+        except (MatkError, OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+            _emit({"error": {"type": type(err).__name__, "message": str(err)}}, None)
+            code = 1
+        except Exception:
+            traceback.print_exc()
+            code = 3
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone (say `| head`); the interpreter's
+        # last flush of what is still buffered goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("matk: stdout was closed before the output was written", file=sys.stderr)
         return 1
-    except Exception:
-        traceback.print_exc()
-        return 3
-    return 0
 
 
 if __name__ == "__main__":

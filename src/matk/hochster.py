@@ -5,14 +5,20 @@ full subcomplexes K_J, one class of degree p + |J| + 1 per class of
 H-tilde^p(K_J) (Hochster's formula).  It builds no complex per subset: it
 reads the face table of ``cochains``, every face of K as an int bitmask (bit
 r for the vertex of rank r) with its coboundary terms, and the faces of K_J
-are those inside the mask of J.  For J nonempty it picks a vertex v of J
-and keeps only the faces of K_J whose union with v is no face: the basis of
-the relative cochains C*(K_J, st v), which is closed upward.  The closed
-star of v is a cone, so H*(K_J, st v) is H-tilde*(K_J) over any ring,
-torsion included, and when nothing is kept K_J is a cone and contributes
-nothing.  The coboundary row of a kept face depends on v only, so it is
-built once per vertex and shared by every J containing v; ``exactalg``
-never writes to its input rows.  Only the empty subset carries
+are those inside the mask of J.  It visits J in increasing mask order and
+first splits K_J into its connected components by a flood fill over the
+neighbour masks of its vertices.  A disconnected K_J with c components has
+H-tilde^0 = Z^(c-1), free over every ring, and in each degree p >= 1 the
+direct sum of its components' groups; each component has a smaller mask
+than J, so its groups are already known, and torsion adds up through
+``AbelianGroup.direct_sum``.  Only a connected K_J is eliminated: for a
+vertex v of J it keeps the faces of K_J whose union with v is no face: the
+basis of the relative cochains C*(K_J, st v), which is closed upward.  The
+closed star of v is a cone, so H*(K_J, st v) is H-tilde*(K_J) over any
+ring, torsion included, and when nothing is kept K_J is a cone and
+contributes nothing.  The coboundary row of a kept face depends on v only,
+so it is built once per vertex and shared by every J containing v;
+``exactalg`` never writes to its input rows.  Only the empty subset carries
 H-tilde^{-1}.
 
 ``moment_angle_cw_oracle`` computes the same groups from the cellular chain
@@ -119,9 +125,13 @@ class HochsterTable:
 def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> HochsterTable:
     """Groups of H^*(Z_K) per vertex subset J and in total per degree.
 
-    H-tilde^*(K_J) is read off the relative cochains of (K_J, st v) for a
-    vertex v of J, the vertex with the most neighbours in J: their basis is
-    the faces of K_J off the star of v.  See the module docstring.
+    J runs over the vertex subsets in increasing mask order.  A disconnected
+    K_J takes Z^(c-1) in degree 0 for its c components and the direct sum
+    of their groups, read from the earlier, smaller masks, in every other
+    degree.  A connected K_J has H-tilde^*(K_J) read off the relative
+    cochains of (K_J, st v) for a vertex v of J, the vertex with the most
+    neighbours in J: their basis is the faces of K_J off the star of v.
+    See the module docstring.
     """
     m = len(K.vertices)
     if m > cap:
@@ -145,10 +155,39 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     per_degree: dict[int, list] = {0: [AbelianGroup(1)]}
     table.by_J[()] = {-1: AbelianGroup(1)}  # K_J = {empty face}
     everything = (1 << m) - 1
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(m), size):
-            J = sum(1 << r for r in combo)
-            v = max(combo, key=lambda r: (neighbours[r] & J).bit_count())
+    adjacent = {1 << v: neighbours[v] for v in range(m)}
+    free = [AbelianGroup(c) for c in range(m)]  # Z^c, built once for every K_J
+
+    def labels(shift, width):  # the label tuple of every mask of `width` ranks from `shift`
+        return [tuple(K.vertices[shift + r] for r in range(width) if j >> r & 1)
+                for j in range(1 << width)]
+
+    # the labels of J are low[J & low_ranks] + high[J >> half]: one tuple
+    # concatenation per subset, from 2 * 2^(m/2) tuples built up front
+    half = m // 2
+    low_ranks, low, high = (1 << half) - 1, labels(0, half), labels(half, m - half)
+    connected: dict[int, dict] = {}  # mask of a connected K_J -> its nontrivial groups
+    for J in range(1, 1 << m):  # each component of K_J has a smaller mask than J
+        components, rest = [], J
+        while rest:  # flood fill over the edges inside J
+            component = frontier = rest & -rest
+            rest ^= component
+            while frontier:
+                u = frontier & -frontier
+                new = adjacent[u] & rest
+                rest ^= new
+                component |= new
+                frontier ^= u | new
+            components.append(component)
+        if len(components) > 1:  # H~*(K_J) = Z^(c-1) in degree 0 + the components' groups
+            groups = {0: free[len(components) - 1]}
+            for part in components:
+                if part in connected:
+                    for p, g in connected[part].items():
+                        groups[p] = groups[p].direct_sum(g) if p in groups else g
+        else:
+            v = max((r for r in range(m) if J >> r & 1),
+                    key=lambda r: (neighbours[r] & J).bit_count())
             outside = everything ^ J
             kept = [[f for f in masks if not f & outside] for masks in off_star[v]]
             if not any(kept):  # K_J is a cone on v
@@ -160,10 +199,12 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                  if p and faces and kept[p - 1]},
                 ring)
             groups = {p: g for p, g in groups.items() if not g.is_trivial}
-            if groups:
-                table.by_J[tuple(K.vertices[r] for r in combo)] = groups
-            for p, g in groups.items():
-                per_degree.setdefault(p + size + 1, []).append(g)
+            if not groups:
+                continue
+            connected[J] = groups
+        table.by_J[low[J & low_ranks] + high[J >> half]] = groups
+        for p, g in groups.items():
+            per_degree.setdefault(p + J.bit_count() + 1, []).append(g)
     table.total = {
         d: AbelianGroup(0).direct_sum(*gs) for d, gs in sorted(per_degree.items())
     }

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -327,6 +328,26 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["vertices"]) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["hochster", "truncated-octahedron.json"],  # more than a pipe buffer: print fails
+    ["build", "fig1.json"],  # a few lines: the flush fails
+    ["build", "missing.json"],  # the error object's flush fails
+], ids=["large", "small", "error"])
+def test_closed_stdout_is_neither_bad_input_nor_a_crash(argv):
+    argv = [str(FIX / a) if a.endswith(".json") else a for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader left: the child's first write to stdout fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "matk.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, cwd=ROOT)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1
 
 
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from matk import exactalg
 from matk.cochains import Cochain, coboundary, evaluate, Chain, boundary, reduced_cohomology
 from matk.exactalg import GF, QQ, ZZ, AbelianGroup
 from matk.hochster import (
@@ -281,9 +282,24 @@ def complexes_with_planted_rp2(draw, max_vertices=8):
 TWO_TRIANGLES = SimplicialComplex(list("abcdef"), ["ab", "bc", "ac", "de", "ef", "df"])
 
 
+def disjoint_union(*complexes):
+    """The disjoint union, each complex's vertices renamed to the next
+    unused numbers in their order."""
+    vertices, facets = [], []
+    for L in complexes:
+        rename = {v: str(len(vertices) + i) for i, v in enumerate(L.vertices)}
+        facets += [[rename[v] for v in f] for f in L.facets]
+        vertices += rename.values()
+    return SimplicialComplex(vertices, facets)
+
+
+RP2_AND_EDGE = disjoint_union(rp2_six_vertices(), SimplicialComplex(["a", "b"], ["ab"]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(complexes_with_planted_rp2(), st.sampled_from(RINGS))
 @example(TWO_TRIANGLES, QQ)
+@example(RP2_AND_EDGE, ZZ)
 def test_face_table_path_matches_per_subset_cohomology(K, ring):
     """The cone-reduced face-table decomposition against the groups of one
     ReducedCohomology per full subcomplex."""
@@ -293,6 +309,35 @@ def test_face_table_path_matches_per_subset_cohomology(K, ring):
             groups = reduced_cohomology(K, J, ring).groups()
             assert table.by_J.get(J, {}) == {p: g for p, g in groups.items()
                                              if not g.is_trivial}
+
+
+def test_disjoint_union_adds_up_its_components_torsion():
+    K = disjoint_union(rp2_six_vertices(), rp2_six_vertices(), SimplicialComplex(["a"], ["a"]))
+    J = K.vertices
+    assert len(J) == 13
+    z, f2 = hochster_decompose(K, ZZ), hochster_decompose(K, GF(2))
+    assert z.slot(J, 2) == AbelianGroup(0, (2, 2))
+    assert z.slot(J, 0) == AbelianGroup(2)
+    assert f2.slot(J, 1) == f2.slot(J, 2) == AbelianGroup(2)
+    for table, ring in ((z, ZZ), (f2, GF(2))):
+        groups = reduced_cohomology(K, J, ring).groups()
+        for p in range(-1, K.dim + 1):
+            assert table.slot(J, p) == groups.get(p, AbelianGroup(0))
+
+
+def test_only_connected_full_subcomplexes_are_eliminated(monkeypatch):
+    """Every K_J of two hollow triangles but the two triangles themselves is
+    a cone or disconnected, so two eliminations give the whole table."""
+    calls = []
+    real = exactalg.cohomology_groups
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactalg, "cohomology_groups", counted)
+    hochster_decompose(TWO_TRIANGLES, ZZ)
+    assert len(calls) == 2
 
 
 def test_planted_rp2_keeps_its_torsion_through_the_cone_reduction():
