@@ -11,15 +11,28 @@ neighbour masks of its vertices.  A disconnected K_J with c components has
 H-tilde^0 = Z^(c-1), free over every ring, and in each degree p >= 1 the
 direct sum of its components' groups; each component has a smaller mask
 than J, so its groups are already known, and torsion adds up through
-``AbelianGroup.direct_sum``.  Only a connected K_J is eliminated: for a
-vertex v of J it keeps the faces of K_J whose union with v is no face: the
-basis of the relative cochains C*(K_J, st v), which is closed upward.  The
-closed star of v is a cone, so H*(K_J, st v) is H-tilde*(K_J) over any
-ring, torsion included, and when nothing is kept K_J is a cone and
-contributes nothing.  The coboundary row of a kept face depends on v only,
-so it is built once per vertex and shared by every J containing v;
-``exactalg`` never writes to its input rows.  Only the empty subset carries
-H-tilde^{-1}.
+``AbelianGroup.direct_sum``.
+
+A connected K_J is next searched for a vertex v dominated by a neighbour w:
+every face of K_J through v stays a face with w added, so lk v is a cone on
+w.  Then K_J strong-collapses to K_(J-v) (Barmak-Minian, "Strong homotopy
+types, nerves and collapses", 2012), a homotopy equivalence, so
+H-tilde^*(K_J) is that of the smaller mask J - v over any ring, torsion
+included.  The test reads masks built once per call: per ordered edge
+(v, w), the minimal faces sigma through v, off w, with sigma + w no face.
+v is dominated by w in K_J exactly when w is in J and none of them lies
+inside J; the edges {v, u} among them are one guard mask per (v, w), so
+most tests are one AND, and on a flag complex all of them.  A leaf is
+dominated by its neighbour, and every other vertex of a cone by its apex.
+
+Only a connected core, a K_J on two or more vertices with no dominated
+vertex, is eliminated: for a vertex v of J it keeps the faces of K_J whose
+union with v is no face: the basis of the relative cochains C*(K_J, st v),
+which is closed upward.  The closed star of v is a cone, so H*(K_J, st v)
+is H-tilde*(K_J) over any ring, torsion included.  The coboundary row of a
+kept face depends on v only, so it is built once per vertex and shared by
+every J containing v; ``exactalg`` never writes to its input rows.  A point
+contributes nothing, and only the empty subset carries H-tilde^{-1}.
 
 ``moment_angle_cw_oracle`` computes the same groups from the cellular chain
 complex of the moment-angle complex itself (one cell per pair of a face
@@ -88,11 +101,6 @@ class CohomologyClass:
     def is_zero(self) -> bool:
         return self.cohomology().is_coboundary(self.representative)
 
-    def same_class(self, other: "CohomologyClass") -> bool:
-        if (self.complex, self.ring, self.J, self.p) != (other.complex, other.ring, other.J, other.p):
-            return False
-        return self.cohomology().are_cohomologous(self.representative, other.representative)
-
 
 @dataclass
 class HochsterTable:
@@ -128,10 +136,12 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     J runs over the vertex subsets in increasing mask order.  A disconnected
     K_J takes Z^(c-1) in degree 0 for its c components and the direct sum
     of their groups, read from the earlier, smaller masks, in every other
-    degree.  A connected K_J has H-tilde^*(K_J) read off the relative
-    cochains of (K_J, st v) for a vertex v of J, the vertex with the most
-    neighbours in J: their basis is the faces of K_J off the star of v.
-    See the module docstring.
+    degree.  A connected K_J with a vertex v dominated by another vertex w
+    (lk v a cone on w) strong-collapses to K_(J-v), whose groups it takes.
+    Only a connected core, a K_J with no dominated vertex, has H-tilde^*(K_J)
+    read off the relative cochains of (K_J, st v) for a vertex v of J, the
+    vertex with the most neighbours in J: their basis is the faces of K_J
+    off the star of v.  See the module docstring.
     """
     m = len(K.vertices)
     if m > cap:
@@ -140,6 +150,7 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     levels = [levels[p] for p in range(K.dim + 1)]  # the nonempty faces
     neighbours = [sum(1 << u for u in range(m) if u != v and 1 << u | 1 << v in gid)
                   for v in range(m)]
+    dominators = _dominators(m, levels, gid, neighbours)
     # per vertex v: the faces off its closed star (their union with v is no
     # face) by dimension, and the coboundary row of each such face t, on
     # the faces of t off the star; every K_J with v in J shares these rows
@@ -166,8 +177,12 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     # concatenation per subset, from 2 * 2^(m/2) tuples built up front
     half = m // 2
     low_ranks, low, high = (1 << half) - 1, labels(0, half), labels(half, m - half)
-    connected: dict[int, dict] = {}  # mask of a connected K_J -> its nontrivial groups
+    # mask of a connected K_J -> its nontrivial groups; a K_J that collapses
+    # shares the dict of the smaller mask, and no entry is written to later
+    connected: dict[int, dict] = {}
     for J in range(1, 1 << m):  # each component of K_J has a smaller mask than J
+        if not J & (J - 1):  # a point
+            continue
         components, rest = [], J
         while rest:  # flood fill over the edges inside J
             component = frontier = rest & -rest
@@ -186,21 +201,30 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                     for p, g in connected[part].items():
                         groups[p] = groups[p].direct_sum(g) if p in groups else g
         else:
-            v = max((r for r in range(m) if J >> r & 1),
-                    key=lambda r: (neighbours[r] & J).bit_count())
-            outside = everything ^ J
-            kept = [[f for f in masks if not f & outside] for masks in off_star[v]]
-            if not any(kept):  # K_J is a cone on v
-                continue
-            rows = off_rows[v]
-            groups = exactalg.cohomology_groups(
-                {p: len(faces) for p, faces in enumerate(kept) if faces},
-                {p - 1: [rows[t] for t in faces] for p, faces in enumerate(kept)
-                 if p and faces and kept[p - 1]},
-                ring)
-            groups = {p: g for p, g in groups.items() if not g.is_trivial}
-            if not groups:
-                continue
+            outside, rest = everything ^ J, J
+            while rest:  # look for a dominated vertex
+                vbit = rest & -rest
+                if any(J & guard == wbit and all(s & outside for s in larger)
+                       for wbit, guard, larger in dominators[vbit]):
+                    break
+                rest ^= vbit
+            if rest:  # K_J strong-collapses to K_(J-v)
+                if J ^ vbit not in connected:
+                    continue
+                groups = connected[J ^ vbit]
+            else:  # a core
+                v = max((r for r in range(m) if J >> r & 1),
+                        key=lambda r: (neighbours[r] & J).bit_count())
+                kept = [[f for f in masks if not f & outside] for masks in off_star[v]]
+                rows = off_rows[v]
+                groups = exactalg.cohomology_groups(
+                    {p: len(faces) for p, faces in enumerate(kept) if faces},
+                    {p - 1: [rows[t] for t in faces] for p, faces in enumerate(kept)
+                     if p and faces and kept[p - 1]},
+                    ring)
+                groups = {p: g for p, g in groups.items() if not g.is_trivial}
+                if not groups:
+                    continue
             connected[J] = groups
         table.by_J[low[J & low_ranks] + high[J >> half]] = groups
         for p, g in groups.items():
@@ -211,13 +235,37 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     return table
 
 
+def _dominators(m, levels, gid, neighbours) -> dict:
+    """Per vertex bit v, one (w bit, guard, larger) triple per neighbour w,
+    from the minimal faces sigma with v in sigma, w not in sigma and
+    sigma + w no face: guard is the w bit and the other vertex of every such
+    edge, larger the masks of the ones with three or more vertices.  v is
+    dominated by w in K_J exactly when J & guard is the w bit and no mask of
+    larger lies inside J; on a flag complex larger is always empty."""
+    dominators = {}
+    for v in range(m):
+        vbit = 1 << v
+        through_v = [s for masks in levels[1:] for s in masks if s & vbit]
+        triples = []
+        for w in range(m):
+            wbit = 1 << w
+            if not neighbours[v] & wbit:
+                continue
+            guard, larger = wbit, []
+            for s in through_v:
+                if s & wbit or s | wbit in gid:
+                    continue
+                if s.bit_count() == 2:
+                    guard |= s ^ vbit
+                elif all((s ^ 1 << u | wbit) in gid for u in range(m) if s >> u & 1 and u != v):
+                    larger.append(s)  # every smaller face through v stays a face with w
+            triples.append((wbit, guard, tuple(larger)))
+        dominators[vbit] = triples
+    return dominators
+
+
 def class_in_slot(K: SimplicialComplex, ring: Ring, J, p: int, coeffs) -> CohomologyClass:
     return CohomologyClass(Cochain(K, ring, J, p, coeffs))
-
-
-def unit_class(K: SimplicialComplex, ring: Ring) -> CohomologyClass:
-    """The degree-0 unit, carried by the empty subset in degree -1."""
-    return CohomologyClass(Cochain(K, ring, (), -1, {(): ring.one}))
 
 
 def product_in_hochster(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:

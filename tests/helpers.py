@@ -30,6 +30,11 @@ and the face index: the boundary of a star as the faces of the star that
 miss the simplex, surjectivity as the image of every source face,
 preimages over products of fiber subsets, and cube truncations as stellar
 subdivisions restricted back to the cube's vertices.
+
+The Hochster references work on labels: ``is_core`` reads links of the full
+subcomplex where the library tests bitmask obstructions, the reduced Euler
+characteristic counts faces, and ``uct_mismatches`` predicts an F_q table
+from the Z table by universal coefficients.
 """
 
 import itertools
@@ -40,8 +45,9 @@ from math import lcm
 from matk import exactalg, massey
 from matk.cochains import AmbientMismatch, Chain, Cochain, reduced_cohomology
 from matk.exactalg import ZZ, QQ, AbelianGroup
+from matk.hochster import CohomologyClass
 from matk.nestohedra import cube_dual_complex
-from matk.simplicial import SimplicialComplex, full_subcomplex, star, stellar_subdivide
+from matk.simplicial import SimplicialComplex, full_subcomplex, link, star, stellar_subdivide
 
 
 # -- dense references ----------------------------------------------------------
@@ -377,6 +383,64 @@ def cw_complex_reference(K: SimplicialComplex):
 
     return ({d: len(c) for d, c in cells.items()},
             {d: coboundary_rows(d) for d in cells if d + 1 in cells})
+
+
+# -- Hochster references on labels -------------------------------------------
+
+def unit_class(K: SimplicialComplex, ring) -> CohomologyClass:
+    """The degree-0 unit, carried by the empty subset in degree -1."""
+    return CohomologyClass(Cochain(K, ring, (), -1, {(): ring.one}))
+
+
+def same_class(a: CohomologyClass, b: CohomologyClass) -> bool:
+    if (a.complex, a.ring, a.J, a.p) != (b.complex, b.ring, b.J, b.p):
+        return False
+    return a.cohomology().are_cohomologous(a.representative, b.representative)
+
+
+def is_connected(L: SimplicialComplex) -> bool:
+    """Whether L is nonempty and its 1-skeleton connected."""
+    seen, todo = set(), list(L.vertices[:1])
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(u for f in L.facets if v in f for u in f)
+    return bool(seen) and len(seen) == len(L.vertices)
+
+
+def is_core(K: SimplicialComplex, J) -> bool:
+    """Whether no vertex v of K_J has a link that is a cone on a neighbour
+    w, every facet of lk v containing w: then K_J has no strong collapse."""
+    L = full_subcomplex(K, J)
+    for v in L.vertices:
+        lk = link(L, [v])
+        if any(all(w in f for f in lk.facets) for w in lk.vertices):
+            return False
+    return True
+
+
+def reduced_euler_characteristic(L: SimplicialComplex) -> int:
+    """The sum of (-1)^p f_p over p >= -1, the empty face counted once."""
+    return L.euler_characteristic() - 1
+
+
+def uct_mismatches(tz, tq, q: int) -> list:
+    """The slots (J, p) where dim H~^p(K_J; F_q) differs from rank
+    H~^p(K_J; Z) + e(p) + e(p + 1), e(k) counting the invariant factors of
+    H~^k(K_J; Z) divisible by q; tz and tq are Hochster tables over Z and F_q."""
+    def e(groups, k):
+        return sum(1 for d in groups[k].torsion if d % q == 0) if k in groups else 0
+
+    bad = []
+    for J in sorted(set(tz.by_J) | set(tq.by_J)):
+        gz, gq = tz.by_J.get(J, {}), tq.by_J.get(J, {})
+        for p in sorted(set(gz) | set(gq) | {k - 1 for k in gz}):
+            rank = gz[p].free_rank if p in gz else 0
+            dim = gq[p].free_rank if p in gq else 0
+            if dim != rank + e(gz, p) + e(gz, p + 1):
+                bad.append((J, p))
+    return bad
 
 
 # -- homology from scratch -----------------------------------------------------

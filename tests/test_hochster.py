@@ -18,17 +18,24 @@ from matk.hochster import (
     hochster_decompose,
     moment_angle_cw_oracle,
     product_in_hochster,
-    unit_class,
 )
-from matk.simplicial import SimplicialComplex, complex_from_json
+from matk.nestohedra import standard_polytope_complex
+from matk.simplicial import SimplicialComplex, complex_from_json, full_subcomplex
 
 from helpers import (
     cw_complex_reference,
     cycle_complex,
     fig1_complex,
+    is_connected,
+    is_core,
     octahedron,
+    reduced_euler_characteristic,
     rp2_six_vertices,
+    same_class,
+    simplex_boundary,
     two_points,
+    uct_mismatches,
+    unit_class,
 )
 from test_simplicial import small_complexes
 
@@ -100,7 +107,7 @@ def test_unit_class_is_identity():
     assert unit.total_degree == 0
     alpha = class_in_slot(K, ZZ, ("3", "4"), 0, {("3",): 1})
     prod = product_in_hochster(unit, alpha)
-    assert prod.same_class(alpha)
+    assert same_class(prod, alpha)
 
 
 def test_fig1_pairwise_products_vanish():
@@ -149,7 +156,7 @@ def test_product_independent_of_representative():
         a1.representative
         + coboundary(Cochain(K, ZZ, ("1", "2"), -1, {(): 3}))
     )
-    assert shifted.same_class(a1)
+    assert same_class(shifted, a1)
     p1 = product_in_hochster(a1, a3)
     p2 = product_in_hochster(shifted, a3)
     assert p1.cohomology().are_cohomologous(p1.representative, p2.representative)
@@ -295,14 +302,29 @@ def disjoint_union(*complexes):
 
 RP2_AND_EDGE = disjoint_union(rp2_six_vertices(), SimplicialComplex(["a", "b"], ["ab"]))
 
+# non-flag complexes with vertices v, w where N[v] lies inside N[w] but lk v
+# is no cone on w, so a test on neighbourhoods alone would collapse them: in
+# the hollow triangle the edge ac keeps a from being dominated by b, and in
+# the boundary of the tetrahedron the triangle bcd keeps d from being
+# dominated by a; coned over abc, that boundary first collapses through the
+# apex e and then is a core
+HOLLOW_TRIANGLE = simplex_boundary("abc")
+TETRAHEDRON_BOUNDARY = simplex_boundary("abcd")
+CONED_TETRAHEDRON_BOUNDARY = SimplicialComplex(
+    list("abcde"), [list(f) for f in TETRAHEDRON_BOUNDARY.facets] + [list("abce")])
+PERMUTAHEDRON3 = standard_polytope_complex("permutahedron", 3)
+
 
 @settings(max_examples=30, deadline=None)
 @given(complexes_with_planted_rp2(), st.sampled_from(RINGS))
 @example(TWO_TRIANGLES, QQ)
 @example(RP2_AND_EDGE, ZZ)
+@example(HOLLOW_TRIANGLE, ZZ)
+@example(TETRAHEDRON_BOUNDARY, ZZ)
+@example(CONED_TETRAHEDRON_BOUNDARY, ZZ)
 def test_face_table_path_matches_per_subset_cohomology(K, ring):
-    """The cone-reduced face-table decomposition against the groups of one
-    ReducedCohomology per full subcomplex."""
+    """The strong-collapse face-table decomposition against the groups of
+    one ReducedCohomology per full subcomplex."""
     table = hochster_decompose(K, ring)
     for size in range(len(K.vertices) + 1):
         for J in itertools.combinations(K.vertices, size):
@@ -338,6 +360,59 @@ def test_only_connected_full_subcomplexes_are_eliminated(monkeypatch):
     monkeypatch.setattr(exactalg, "cohomology_groups", counted)
     hochster_decompose(TWO_TRIANGLES, ZZ)
     assert len(calls) == 2
+
+
+def count_eliminations(monkeypatch, K, ring=ZZ):
+    calls = []
+    real = exactalg.cohomology_groups
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactalg, "cohomology_groups", counted)
+    hochster_decompose(K, ring)
+    return len(calls)
+
+
+def test_only_connected_cores_are_eliminated(monkeypatch):
+    """A K_J with a dominated vertex takes the groups of the smaller K_J it
+    collapses to, so on permutahedron(3) only the connected cores on two or
+    more vertices are eliminated."""
+    cores = sum(1 for size in range(2, len(PERMUTAHEDRON3.vertices) + 1)
+                for J in itertools.combinations(PERMUTAHEDRON3.vertices, size)
+                if is_connected(full_subcomplex(PERMUTAHEDRON3, J)) and is_core(PERMUTAHEDRON3, J))
+    assert cores == 196
+    assert count_eliminations(monkeypatch, PERMUTAHEDRON3) == cores
+
+
+def test_a_path_needs_no_elimination(monkeypatch):
+    """Every connected K_J of a path has a leaf, dominated by its one neighbour."""
+    path = SimplicialComplex(list("abcd"), ["ab", "bc", "cd"])
+    assert count_eliminations(monkeypatch, path) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(complexes_with_planted_rp2(), st.sampled_from(RINGS))
+@example(PERMUTAHEDRON3, ZZ)
+def test_slot_ranks_sum_to_the_reduced_euler_characteristic(K, ring):
+    """Per slot, the alternating sum of the ranks of H~^p(K_J) is the
+    reduced Euler characteristic of K_J from its face counts: an oracle
+    with no elimination, past the cell oracle's vertex cap."""
+    table = hochster_decompose(K, ring)
+    for size in range(len(K.vertices) + 1):
+        for J in itertools.combinations(K.vertices, size):
+            groups = table.by_J.get(J, {})
+            assert sum((-1) ** p * g.free_rank for p, g in groups.items()) == \
+                reduced_euler_characteristic(full_subcomplex(K, J))
+
+
+@settings(max_examples=30, deadline=None)
+@given(complexes_with_planted_rp2(), st.sampled_from((2, 3)))
+@example(RP2_AND_EDGE, 2)
+def test_universal_coefficients_per_slot(K, q):
+    """The F_q table follows slot by slot from the Z table."""
+    assert uct_mismatches(hochster_decompose(K, ZZ), hochster_decompose(K, GF(q)), q) == []
 
 
 def test_planted_rp2_keeps_its_torsion_through_the_cone_reduction():
