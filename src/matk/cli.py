@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from . import cochains, constructions, hochster, massey, nestohedra, simplicial
 from .errors import MalformedInput, MatkError, parse_int
@@ -352,6 +351,8 @@ def main(argv=None) -> int:
             _emit({"error": {"type": type(err).__name__, "message": str(err)}}, None)
             code = 1
         except Exception:
+            import traceback  # only here: an internal fault is the rare path
+
             traceback.print_exc()
             code = 3
         sys.stdout.flush()

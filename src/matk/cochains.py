@@ -180,10 +180,7 @@ class Cochain(_Graded):
 
 
 class Chain(_Graded):
-    @staticmethod
-    def delta(K: SimplicialComplex, ring: Ring, simplex, J=None) -> "Chain":
-        s = K.sort_simplex(simplex)
-        return Chain(K, ring, s if J is None else J, len(s) - 1, {s: ring.one})
+    """A p-chain on K_J, paired with the p-cochains by ``evaluate``."""
 
 
 def combine(a, terms):

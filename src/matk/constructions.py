@@ -15,10 +15,7 @@ the contracted edge) maps the downstairs Massey set into the upstairs one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
-
-from fractions import Fraction
 
 from .cochains import (
     Chain,
@@ -34,7 +31,7 @@ from .cochains import (
     reduced_cohomology,
 )
 from .errors import MalformedInput, MatkError, parse_int
-from .exactalg import GF, Ring
+from .exactalg import GF, Frozen, Ring
 from .hochster import CohomologyClass
 from .massey import (
     DefiningSystem,
@@ -84,7 +81,6 @@ class InvalidUpstairsSystem(MatkError):
 # -- the join + star deletion construction -----------------------------------
 
 
-@dataclass
 class JoinMasseySpec:
     """Factors with one chosen cocycle each, plus the two free choices the
     construction depends on: the distinguished vertex of each support simplex
@@ -94,17 +90,12 @@ class JoinMasseySpec:
     system and the witness cycle are read off those.  A vertex choice that
     names no support simplex is an ``InvalidSpec``."""
 
-    factors: tuple
-    cochains: tuple  # a_i, a Cochain on factors[i] with its own J_i
-    vertex_choice: dict = field(default_factory=dict)  # simplex -> vertex
-    support_order: dict = field(default_factory=dict)  # factor index -> sequence
-    supports: tuple = field(init=False)
-    P: tuple = field(init=False)
-    survivors: tuple = field(init=False)
-
-    def __post_init__(self):
-        self.factors = tuple(self.factors)
-        self.cochains = tuple(self.cochains)
+    def __init__(self, factors, cochains, vertex_choice: Optional[dict] = None,
+                 support_order: Optional[dict] = None):
+        self.factors = tuple(factors)
+        self.cochains = tuple(cochains)  # a_i, a Cochain on factors[i] with its own J_i
+        self.vertex_choice = {} if vertex_choice is None else vertex_choice  # simplex -> vertex
+        self.support_order = {} if support_order is None else support_order  # factor -> order
         if len(self.factors) != len(self.cochains):
             raise InvalidSpec("one cochain per factor")
         for K_i, a_i in zip(self.factors, self.cochains):
@@ -194,9 +185,11 @@ def compute_P_sets(K_i: SimplicialComplex, a_i: Cochain,
     return tuple(sorted(P_total, key=lambda s: tuple(K_i.rank(v) for v in s))), survivors
 
 
-@dataclass(frozen=True)
-class DeletionLedger:
-    deletions: tuple  # (i, k, simplex) with 1-based factor indices
+class DeletionLedger(Frozen):
+    _fields = ("deletions",)
+
+    def __init__(self, deletions: tuple):  # (i, k, simplex) with 1-based factor indices
+        vars(self).update(deletions=deletions)
 
     def simplices(self) -> tuple:
         return tuple(s for _, _, s in self.deletions)
@@ -273,8 +266,7 @@ def _as_ring(a: Cochain, ring: Ring) -> Cochain:
     if ring.kind != "Fp":
         raise InvalidSpec("can only reduce to a prime field")
 
-    def reduce_coeff(c):
-        c = Fraction(c)
+    def reduce_coeff(c):  # an int or a Fraction: both have numerator and denominator
         if c.denominator % ring.p == 0:
             raise InvalidSpec(f"coefficient {c} has no reduction mod {ring.p}")
         return ring.div(ring.of_int(c.numerator), ring.of_int(c.denominator))
@@ -336,13 +328,14 @@ def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
     return x
 
 
-@dataclass
 class JoinCertificate:
-    method: str  # "pairing" or "enumeration-F2"
-    omega: Cochain
-    cycle: Optional[Chain]
-    value: Optional[object]
-    moves: int = 0  # no rewriting moves are made; kept in the certificate JSON
+    def __init__(self, method: str, omega: Cochain, cycle: Optional[Chain],
+                 value: Optional[object]):
+        self.method = method  # "pairing" or "enumeration-F2"
+        self.omega = omega
+        self.cycle = cycle
+        self.value = value
+        self.moves = 0  # no rewriting moves are made; kept in the certificate JSON
 
 
 def certify_join_nontrivial(spec: JoinMasseySpec, K: Optional[SimplicialComplex] = None,
@@ -430,21 +423,6 @@ def pullback_defining_system(phi: VertexMap, ds_hat: DefiningSystem) -> Defining
         entries[(i, k)] = _pull(phi, a_hat, sign)
     return _checked(DefiningSystem(classes, entries), InvalidUpstairsSystem,
                     "pulled-back system")
-
-
-def phi_star_sign(phi: VertexMap, ds: DefiningSystem, i: int, k: int) -> int:
-    """The sign c_{i,k} carried by the pushforward of an (i,k)-block cochain."""
-    if i == k:
-        return 1
-    ps = [c.p for c in ds.classes]
-    exp = 0
-    up: set = set()
-    down: set = set()
-    for l in range(i, k):
-        up |= set(ds.classes[l - 1].J)
-        down |= {phi.assignment[v] for v in ds.classes[l - 1].J}
-        exp += (len(up) - len(down)) * ps[l]
-    return (-1) ** exp
 
 
 def pushforward_phi_star(phi: VertexMap, a: Cochain, sign: int = 1) -> Cochain:

@@ -14,8 +14,7 @@ replaying the recorded row operations and back-substituting.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
 from math import gcd
 from typing import Mapping, Optional
 
@@ -76,25 +75,55 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Ring:
+class Frozen:
+    """An immutable value: equal and hashed by the tuple of the attributes
+    named in ``_fields``, between instances of one class only, with a repr
+    that lists them.  ``__init__`` stores them with ``vars(self).update``, as
+    any assignment raises."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        # the fields as a tuple (one field alone: its value), read in C
+        cls._values = property(operator.attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ring(Frozen):
     """One of Z, Q or F_p, with element arithmetic.
 
     Elements are ints for Z and F_p (residues in [0, p)) and Fractions for Q.
     """
 
-    kind: str  # "Z" | "Q" | "Fp"
-    p: Optional[int] = None
+    _fields = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Fp"):
-            raise UnknownRingKind(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Fp":
-            if self.p is not None and self.p >= PRIMALITY_BOUND:
-                raise ModulusTooLarge(f"modulus {self.p} is not below {PRIMALITY_BOUND}, "
+    def __init__(self, kind: str, p: Optional[int] = None):  # kind: "Z" | "Q" | "Fp"
+        if kind not in ("Z", "Q", "Fp"):
+            raise UnknownRingKind(f"unknown ring kind {kind!r}")
+        if kind == "Fp":
+            if p is not None and p >= PRIMALITY_BOUND:
+                raise ModulusTooLarge(f"modulus {p} is not below {PRIMALITY_BOUND}, "
                                       "up to which primality is decided exactly")
-            if self.p is None or not _is_prime(self.p):
-                raise NotPrime(f"modulus {self.p!r} is not prime")
+            if p is None or not _is_prime(p):
+                raise NotPrime(f"modulus {p!r} is not prime")
+        vars(self).update(kind=kind, p=p)
 
     @property
     def is_field(self) -> bool:
@@ -104,6 +133,8 @@ class Ring:
         if self.kind == "Z":
             return int(n)
         if self.kind == "Q":
+            from fractions import Fraction
+
             return Fraction(n)
         return n % self.p
 
@@ -131,6 +162,8 @@ class Ring:
         if (a % self.p if self.kind == "Fp" else a) == 0:
             raise DivisionByZero(f"division by zero in {self.name()}")
         if self.kind == "Q":
+            from fractions import Fraction
+
             return 1 / Fraction(a)
         if self.kind == "Fp":
             return pow(a, self.p - 2, self.p)
@@ -143,8 +176,7 @@ class Ring:
         return a == 0
 
     def element_to_str(self, a) -> str:
-        if self.kind == "Q":
-            a = Fraction(a)
+        if self.kind == "Q":  # an int element of Q has numerator and denominator too
             return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
         return str(a)
 
@@ -459,19 +491,18 @@ class Solver:
 # -- finitely generated abelian groups ---------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """free_rank copies of Z plus cyclic factors with d1 | d2 | ... (each > 1)."""
 
-    free_rank: int
-    torsion: tuple = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __init__(self, free_rank: int, torsion: tuple = ()):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise InvalidAbelianGroup(f"invariant factors {self.torsion} violate divisibility")
-        if any(d <= 1 for d in self.torsion):
+                raise InvalidAbelianGroup(f"invariant factors {torsion} violate divisibility")
+        if any(d <= 1 for d in torsion):
             raise InvalidAbelianGroup("torsion factors must exceed 1")
+        vars(self).update(free_rank=free_rank, torsion=torsion)
 
     @property
     def is_trivial(self) -> bool:

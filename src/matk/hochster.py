@@ -48,12 +48,11 @@ independently, so they cross-validate each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import exactalg
 from .cochains import Cochain, _face_table, cup_multiply, reduced_cohomology, total_degree
 from .errors import MatkError
-from .exactalg import AbelianGroup, Ring
+from .exactalg import AbelianGroup, Frozen, Ring
 from .simplicial import SimplicialComplex
 
 
@@ -65,14 +64,14 @@ class NotACocycle(MatkError):
     """A class representative whose coboundary is not zero."""
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Frozen):
     """A class of H^*(Z_K) in its bigraded slot: a cocycle on K_J in degree p."""
 
-    representative: Cochain
+    _fields = ("representative",)
 
-    def __post_init__(self):
-        if not self.cohomology().is_cocycle(self.representative):
+    def __init__(self, representative: Cochain):
+        vars(self).update(representative=representative)
+        if not self.cohomology().is_cocycle(representative):
             raise NotACocycle("representative must be a cocycle")
 
     @property
@@ -102,12 +101,12 @@ class CohomologyClass:
         return self.cohomology().is_coboundary(self.representative)
 
 
-@dataclass
 class HochsterTable:
-    complex: SimplicialComplex
-    ring: Ring
-    by_J: dict = field(default_factory=dict)  # J tuple -> {p: AbelianGroup}
-    total: dict = field(default_factory=dict)  # degree -> AbelianGroup
+    def __init__(self, complex: SimplicialComplex, ring: Ring):
+        self.complex = complex
+        self.ring = ring
+        self.by_J: dict = {}  # J tuple -> {p: AbelianGroup}
+        self.total: dict = {}  # degree -> AbelianGroup
 
     def group(self, degree: int) -> AbelianGroup:
         return self.total.get(degree, AbelianGroup(0))

@@ -26,7 +26,6 @@ the class set of a Massey product does not depend on that choice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import exactalg
@@ -62,14 +61,10 @@ class InvalidDefiningSystem(MatkError):
     pass
 
 
-@dataclass
 class DefiningSystem:
-    classes: tuple
-    entries: dict  # (i, k), 1-based, i <= k, (i,k) != (1,n) -> Cochain
-
-    def __post_init__(self):
-        self.classes = tuple(self.classes)
-        self.entries = dict(self.entries)
+    def __init__(self, classes, entries):
+        self.classes = tuple(classes)
+        self.entries = dict(entries)  # (i, k), 1-based, i <= k, (i,k) != (1,n) -> Cochain
         # (i, k) -> (J_i ∪ ... ∪ J_k sorted, p_i + ... + p_k), for every block
         self._blocks = {}
         for i in range(1, self.n + 1):
@@ -176,17 +171,23 @@ def associated_cocycle(ds: DefiningSystem) -> Cochain:
     return omega
 
 
-@dataclass
 class MasseyVerdict:
-    defined: Optional[bool]  # None = unknown
-    contains_zero: Optional[bool] = None  # None = unknown
-    budget_exhausted: bool = False
-    indeterminacy_rank: Optional[int] = None
-    witness_system: Optional[DefiningSystem] = None
-    witness_cocycle: Optional[Cochain] = None
-    witness_cycle: Optional[Chain] = None
-    obstruction_stage: Optional[tuple] = None
-    distinct_class_count: Optional[int] = None
+    def __init__(self, defined: Optional[bool], contains_zero: Optional[bool] = None,
+                 budget_exhausted: bool = False, indeterminacy_rank: Optional[int] = None,
+                 witness_system: Optional[DefiningSystem] = None,
+                 witness_cocycle: Optional[Cochain] = None,
+                 witness_cycle: Optional[Chain] = None,
+                 obstruction_stage: Optional[tuple] = None,
+                 distinct_class_count: Optional[int] = None):
+        self.defined = defined  # None = unknown
+        self.contains_zero = contains_zero  # None = unknown
+        self.budget_exhausted = budget_exhausted
+        self.indeterminacy_rank = indeterminacy_rank
+        self.witness_system = witness_system
+        self.witness_cocycle = witness_cocycle
+        self.witness_cycle = witness_cycle
+        self.obstruction_stage = obstruction_stage
+        self.distinct_class_count = distinct_class_count
 
     def to_json(self) -> dict:
         out = {

@@ -14,11 +14,11 @@ inherit that order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cochains import Cochain
 from .errors import MatkError, parse_int
+from .exactalg import Frozen
 from .hochster import CohomologyClass
 from .simplicial import (SimplicialComplex, UnknownVertex, full_subcomplex, join, json_field,
                          json_list, reorder_vertices, star_delete)
@@ -52,10 +52,12 @@ class ConnectedSlot(MatkError):
     """A slot whose full subcomplex is connected, so it has no degree-zero class."""
 
 
-@dataclass(frozen=True)
-class BuildingSet:
-    ground: int  # the ground set is [1 .. ground]
-    sets: frozenset  # of frozensets
+class BuildingSet(Frozen):
+    _fields = ("ground", "sets")
+
+    def __init__(self, ground: int, sets: frozenset):
+        # the ground set is [1 .. ground]; sets is a frozenset of frozensets
+        vars(self).update(ground=ground, sets=sets)
 
     def members(self) -> list:
         return sorted(self.sets, key=lambda S: (len(S), sorted(S)))

@@ -190,15 +190,6 @@ class SimplicialComplex:
             out.extend(self.faces(p))
         return out
 
-    def f_vector(self) -> tuple:
-        return tuple(len(self.faces(p)) for p in range(self.dim + 1))
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** p * len(self.faces(p)) for p in range(self.dim + 1))
-
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     # -- equality / hashing ----------------------------------------------
 
     def __eq__(self, other):
@@ -255,11 +246,6 @@ def link(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
     s = _require_face(K, I)
     return _on_own_vertices(
         K, (tuple(v for v in f if v not in s) for f in K._facets_in(K._containing(s))))
-
-
-def boundary_star(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:
-    """∂st_K(I): faces J with I ∪ J in K but I not contained in J."""
-    return _on_own_vertices(K, _boundary_star_faces(K, _require_face(K, I)))
 
 
 def star_delete(K: SimplicialComplex, I: Iterable[str]) -> SimplicialComplex:

@@ -35,14 +35,22 @@ The Hochster references work on labels: ``is_core`` reads links of the full
 subcomplex where the library tests bitmask obstructions, the reduced Euler
 characteristic counts faces, and ``uct_mismatches`` predicts an F_q table
 from the Z table by universal coefficients.
+
+The last conveniences are library-style functions that only tests call:
+basis chains, f-vectors, ∂st on the library's own faces, and the sign a
+pushforward carries; ``modules_imported_by`` runs an import in a fresh
+interpreter.
 """
 
 import itertools
-from dataclasses import dataclass, field
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
-from matk import exactalg, massey
+from matk import exactalg, massey, simplicial
 from matk.cochains import AmbientMismatch, Chain, Cochain, reduced_cohomology
 from matk.exactalg import ZZ, QQ, AbelianGroup
 from matk.hochster import CohomologyClass
@@ -293,9 +301,12 @@ def boundary_reference(x: Chain) -> Chain:
 
 # -- Massey products by exhaustive enumeration -------------------------------
 
-@dataclass
 class ReferenceVerdict(massey.MasseyVerdict):
-    class_representatives: list = field(default_factory=list)
+    """A verdict that also carries one representative cocycle per distinct class."""
+
+    def __init__(self, *args, class_representatives=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.class_representatives = list(class_representatives)
 
 
 def enumerate_reference(classes, budget=20, visit=None) -> ReferenceVerdict:
@@ -422,7 +433,7 @@ def is_core(K: SimplicialComplex, J) -> bool:
 
 def reduced_euler_characteristic(L: SimplicialComplex) -> int:
     """The sum of (-1)^p f_p over p >= -1, the empty face counted once."""
-    return L.euler_characteristic() - 1
+    return euler_characteristic(L) - 1
 
 
 def uct_mismatches(tz, tq, q: int) -> list:
@@ -474,7 +485,7 @@ def reduced_homology(K: SimplicialComplex, ring=ZZ):
     """Reduced homology groups per degree -1..dim, computed from scratch with
     the dense Smith and row echelon forms, not the sparse elimination kernel
     that the library's groups come from."""
-    if K.is_empty():
+    if not K.vertices:
         return {-1: AbelianGroup(1)}
     out = {}
     for p in range(-1, K.dim + 1):
@@ -552,6 +563,60 @@ def cube_truncation_reference(n, pairs) -> SimplicialComplex:
     for idx, (i, k) in enumerate(pairs):
         K = stellar_subdivide(K, (str(i), f"{k}'"), f"c{idx}")
     return full_subcomplex(K, original)
+
+
+# -- conveniences that only tests use ----------------------------------------
+
+def delta(K: SimplicialComplex, ring, simplex, J=None) -> Chain:
+    """The basis chain of one simplex; J defaults to the simplex itself."""
+    s = K.sort_simplex(simplex)
+    return Chain(K, ring, s if J is None else J, len(s) - 1, {s: ring.one})
+
+
+def f_vector(K: SimplicialComplex) -> tuple:
+    return tuple(len(K.faces(p)) for p in range(K.dim + 1))
+
+
+def euler_characteristic(K: SimplicialComplex) -> int:
+    return sum((-1) ** p * f for p, f in enumerate(f_vector(K)))
+
+
+def boundary_star(K: SimplicialComplex, I) -> SimplicialComplex:
+    """∂st_K(I) from the faces that ``star_delete`` and
+    ``stellar_subdivide`` read, for comparison with the reference above."""
+    s = simplicial._require_face(K, I)
+    return simplicial._on_own_vertices(K, simplicial._boundary_star_faces(K, s))
+
+
+def phi_star_sign(phi, ds, i: int, k: int) -> int:
+    """The sign c_{i,k} carried by the pushforward of an (i,k)-block cochain."""
+    if i == k:
+        return 1
+    ps = [c.p for c in ds.classes]
+    exp = 0
+    up: set = set()
+    down: set = set()
+    for l in range(i, k):
+        up |= set(ds.classes[l - 1].J)
+        down |= {phi.assignment[v] for v in ds.classes[l - 1].J}
+        exp += (len(up) - len(down)) * ps[l]
+    return (-1) ** exp
+
+
+def modules_imported_by(statement: str) -> set:
+    """The modules that ``statement`` adds to ``sys.modules`` of a fresh
+    interpreter, beyond those loaded at its start-up.  The test process
+    cannot tell, as pytest has imported much of the standard library."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        return set(out.split())
+
+    return loaded(statement) - loaded("pass")
 
 
 # -- small standard complexes ----------------------------------------------

@@ -7,6 +7,8 @@ import sys
 
 import matk  # noqa: F401  (the tracer reads the matk modules from sys.modules)
 
+from helpers import modules_imported_by
+
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -24,3 +26,11 @@ def test_tracer_resolves_every_traced_method(monkeypatch):
     for short, cls_name, names in tracer.METHODS:
         for name in names:
             assert callable(traced[f"{short}.{name}"]), f"{cls_name}.{name}"
+
+
+def test_import_matk_loads_every_traced_module(monkeypatch):
+    """The tracer and the benchmark's memo reset look the matk modules up in
+    ``sys.modules``, and ``perfbench/cli_child.py`` installs the tracer right
+    after ``import matk.cli``: the package must load every one eagerly."""
+    tracer = _load_tracer(monkeypatch)
+    assert {f"matk.{short}" for short in tracer.MODULES} <= modules_imported_by("import matk")

@@ -35,6 +35,7 @@ from helpers import (
     coboundary_reference,
     contraction_example_source,
     cup_multiply_reference,
+    delta,
     epsilon_set,
     fig1_complex,
     joins_example_complex,
@@ -110,10 +111,10 @@ def test_boundary_boundary_is_zero(K, data):
 
 def test_boundary_expansion_and_augmentation():
     K = octahedron()
-    x = boundary(Chain.delta(K, ZZ, ("1", "3", "5"), J=K.vertices))
+    x = boundary(delta(K, ZZ, ("1", "3", "5"), J=K.vertices))
     assert x == Chain(K, ZZ, K.vertices, 1,
                       {("3", "5"): 1, ("1", "5"): -1, ("1", "3"): 1})
-    v = boundary(Chain.delta(K, ZZ, ("2",), J=K.vertices))
+    v = boundary(delta(K, ZZ, ("2",), J=K.vertices))
     assert v == Chain(K, ZZ, K.vertices, -1, {(): 1})
 
 
@@ -129,10 +130,10 @@ def test_witness_cycle_of_joins_example_is_closed():
 def test_evaluate_matches_kronecker():
     K = octahedron()
     a = Cochain.chi(K, ZZ, ("1", "3"), J=K.vertices)
-    x = Chain.delta(K, ZZ, ("1", "3"), J=K.vertices)
+    x = delta(K, ZZ, ("1", "3"), J=K.vertices)
     assert evaluate(a, x) == 1
     with pytest.raises(GradingMismatch):
-        evaluate(a, Chain.delta(K, ZZ, ("1",), J=K.vertices))
+        evaluate(a, delta(K, ZZ, ("1",), J=K.vertices))
 
 
 @settings(max_examples=80, deadline=None)

@@ -25,7 +25,6 @@ from matk.constructions import (
     construct_massey_complex,
     contract_edges,
     disjointify_defining_system,
-    phi_star_sign,
     pullback_class,
     pullback_defining_system,
     pushforward_phi_star,
@@ -55,9 +54,11 @@ from helpers import (
     contraction_example_source,
     contraction_example_target,
     cycle_complex,
+    delta,
     enumerate_reference,
     joins_example_complex,
     octahedron,
+    phi_star_sign,
     reduced_betti,
     rp2_join_spec,
     rp2_six_vertices,
@@ -568,7 +569,7 @@ def test_zero_pairing_witness_falls_back_to_f2_enumeration(monkeypatch):
     K, _ = construct_massey_complex(spec)
 
     def boundary_witness(spec, K):
-        return boundary(Chain.delta(K, ZZ, ("1", "3", "7"), J=K.vertices))
+        return boundary(delta(K, ZZ, ("1", "3", "7"), J=K.vertices))
 
     monkeypatch.setattr(constructions, "witness_cycle", boundary_witness)
     cert = certify_join_nontrivial(spec, K)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matk import exactalg
+from matk.cochains import Cochain
+from matk.constructions import DeletionLedger
 from matk.errors import MalformedInput
 from matk.exactalg import (
     GF,
@@ -14,11 +16,16 @@ from matk.exactalg import (
     ZZ,
     AbelianGroup,
     DivisionByZero,
+    InvalidAbelianGroup,
     ModulusTooLarge,
     NotPrime,
     Ring,
     Solver,
+    UnknownRingKind,
 )
+from matk.hochster import CohomologyClass
+from matk.nestohedra import BuildingSet
+from matk.simplicial import SimplicialComplex
 
 from helpers import (
     boundary_matrix,
@@ -342,6 +349,59 @@ def test_ring_parsing_and_element_strings():
     assert QQ.element_from_str("3/4") * 4 == 3
     assert QQ.element_to_str(QQ.element_from_str("-7/2")) == "-7/2"
     assert GF(5).element_from_str("7") == 2
+
+
+_TWO_POINTS = SimplicialComplex(["1", "2"], [["1"], ["2"]])
+
+
+@pytest.mark.parametrize("cls,fields", [
+    (Ring, {"kind": "Fp", "p": 5}),
+    (AbelianGroup, {"free_rank": 1, "torsion": (2, 4)}),
+    (CohomologyClass,
+     {"representative": Cochain.chi(_TWO_POINTS, ZZ, ("1",), J=("1", "2"))}),
+    (DeletionLedger, {"deletions": ((1, 2, ("1", "3")), (1, 3, ("2", "3")))}),
+    (BuildingSet, {"ground": 2, "sets": frozenset({frozenset({1}), frozenset({2})})}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "")
+def test_immutable_records_are_values(cls, fields):
+    values = tuple(fields.values())
+    a, b = cls(*values), cls(**fields)
+    assert a == b and not a != b
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{f}={v!r}' for f, v in fields.items())})"
+    # a Cochain is not hashable, and so neither is a class holding one
+    if cls is CohomologyClass:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and {a: "first"}[b] == "first"
+    assert a != values and values != a
+    twin = type("Twin", (cls,), {})(*values)
+    assert a != twin and twin != a
+    first = next(iter(fields))
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(a, first, values[0])
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(a, first)
+    assert a == b
+
+
+def test_parsed_and_built_rings_are_one_key():
+    assert Ring.parse("F5") == GF(5) == Ring(kind="Fp", p=5)
+    assert {Ring.parse("F5"): 1, GF(5): 2, ZZ: 3, Ring.parse("Q"): 4} == {GF(5): 2, ZZ: 3, QQ: 4}
+    assert len({GF(5), GF(7), Ring("Fp", 5)}) == 2
+    assert GF(5) != GF(7) and ZZ != QQ and ZZ != ("Z", None)
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: Ring("R"), UnknownRingKind),
+    (lambda: Ring("Fp"), NotPrime),
+    (lambda: Ring("Fp", 9), NotPrime),
+    (lambda: Ring("Fp", PRIMALITY_BOUND), ModulusTooLarge),
+    (lambda: AbelianGroup(0, (4, 2)), InvalidAbelianGroup),
+    (lambda: AbelianGroup(1, (1, 2)), InvalidAbelianGroup),
+])
+def test_bad_record_fields_raise_typed_errors(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_abelian_group_formatting():
