@@ -162,6 +162,9 @@ class _Graded:
                 and self.J == other.J and self.p == other.p
                 and self._by_mask == other._by_mask)
 
+    def __hash__(self):
+        return hash((self.complex, self.ring, self.J, self.p, frozenset(self._by_mask.items())))
+
     def __repr__(self):
         kind = type(self).__name__
         terms = ", ".join(

@@ -11,7 +11,9 @@ neighbour masks of its vertices.  A disconnected K_J with c components has
 H-tilde^0 = Z^(c-1), free over every ring, and in each degree p >= 1 the
 direct sum of its components' groups; each component has a smaller mask
 than J, so its groups are already known, and torsion adds up through
-``AbelianGroup.direct_sum``.
+``AbelianGroup.direct_sum``.  These lookups and the collapse ones below
+read the table's one slot dict ``by_J``, keyed by the mask of J; label
+tuples are built only for output, in ``HochsterTable.to_json``.
 
 A connected K_J is next searched for a vertex v dominated by a neighbour w:
 every face of K_J through v stays a face with w added, so lk v is a cone on
@@ -50,7 +52,7 @@ from __future__ import annotations
 import itertools
 
 from . import exactalg
-from .cochains import Cochain, _face_table, cup_multiply, reduced_cohomology, total_degree
+from .cochains import Cochain, _face_table, _mask_of, cup_multiply, reduced_cohomology, total_degree
 from .errors import MatkError
 from .exactalg import AbelianGroup, Frozen, Ring
 from .simplicial import SimplicialComplex
@@ -105,22 +107,24 @@ class HochsterTable:
     def __init__(self, complex: SimplicialComplex, ring: Ring):
         self.complex = complex
         self.ring = ring
-        self.by_J: dict = {}  # J tuple -> {p: AbelianGroup}
+        self.by_J: dict = {}  # mask of J (bit r for rank r) -> {p: nontrivial AbelianGroup}
         self.total: dict = {}  # degree -> AbelianGroup
 
     def group(self, degree: int) -> AbelianGroup:
         return self.total.get(degree, AbelianGroup(0))
 
     def slot(self, J, p: int) -> AbelianGroup:
-        J = self.complex.sort_simplex(J)
-        return self.by_J.get(J, {}).get(p, AbelianGroup(0))
+        return self.by_J.get(_mask_of(self.complex, J), {}).get(p, AbelianGroup(0))
 
     def to_json(self) -> dict:
+        vertices = self.complex.vertices
+        labelled = sorted((tuple(v for r, v in enumerate(vertices) if J >> r & 1), groups)
+                          for J, groups in self.by_J.items())
         return {
             "ring": self.ring.name(),
             "by_J": [
                 {"J": list(J), "p": p, **g.to_json()}
-                for J, groups in sorted(self.by_J.items())
+                for J, groups in labelled
                 for p, g in sorted(groups.items())
             ],
             "total": [
@@ -162,23 +166,14 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                          for masks in off[1:] for t in masks})
 
     table = HochsterTable(K, ring)
+    # a K_J that collapses shares the dict of the smaller mask J - v; no
+    # entry is written to after it is stored
+    by_J = table.by_J
+    by_J[0] = {-1: AbelianGroup(1)}  # K_J = {empty face}
     per_degree: dict[int, list] = {0: [AbelianGroup(1)]}
-    table.by_J[()] = {-1: AbelianGroup(1)}  # K_J = {empty face}
     everything = (1 << m) - 1
     adjacent = {1 << v: neighbours[v] for v in range(m)}
     free = [AbelianGroup(c) for c in range(m)]  # Z^c, built once for every K_J
-
-    def labels(shift, width):  # the label tuple of every mask of `width` ranks from `shift`
-        return [tuple(K.vertices[shift + r] for r in range(width) if j >> r & 1)
-                for j in range(1 << width)]
-
-    # the labels of J are low[J & low_ranks] + high[J >> half]: one tuple
-    # concatenation per subset, from 2 * 2^(m/2) tuples built up front
-    half = m // 2
-    low_ranks, low, high = (1 << half) - 1, labels(0, half), labels(half, m - half)
-    # mask of a connected K_J -> its nontrivial groups; a K_J that collapses
-    # shares the dict of the smaller mask, and no entry is written to later
-    connected: dict[int, dict] = {}
     for J in range(1, 1 << m):  # each component of K_J has a smaller mask than J
         if not J & (J - 1):  # a point
             continue
@@ -196,8 +191,8 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
         if len(components) > 1:  # H~*(K_J) = Z^(c-1) in degree 0 + the components' groups
             groups = {0: free[len(components) - 1]}
             for part in components:
-                if part in connected:
-                    for p, g in connected[part].items():
+                if part in by_J:
+                    for p, g in by_J[part].items():
                         groups[p] = groups[p].direct_sum(g) if p in groups else g
         else:
             outside, rest = everything ^ J, J
@@ -208,9 +203,9 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                     break
                 rest ^= vbit
             if rest:  # K_J strong-collapses to K_(J-v)
-                if J ^ vbit not in connected:
+                if J ^ vbit not in by_J:
                     continue
-                groups = connected[J ^ vbit]
+                groups = by_J[J ^ vbit]
             else:  # a core
                 v = max((r for r in range(m) if J >> r & 1),
                         key=lambda r: (neighbours[r] & J).bit_count())
@@ -224,8 +219,7 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                 groups = {p: g for p, g in groups.items() if not g.is_trivial}
                 if not groups:
                     continue
-            connected[J] = groups
-        table.by_J[low[J & low_ranks] + high[J >> half]] = groups
+        by_J[J] = groups
         for p, g in groups.items():
             per_degree.setdefault(p + J.bit_count() + 1, []).append(g)
     table.total = {

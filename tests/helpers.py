@@ -437,7 +437,7 @@ def reduced_euler_characteristic(L: SimplicialComplex) -> int:
 
 
 def uct_mismatches(tz, tq, q: int) -> list:
-    """The slots (J, p) where dim H~^p(K_J; F_q) differs from rank
+    """The slots (mask of J, p) where dim H~^p(K_J; F_q) differs from rank
     H~^p(K_J; Z) + e(p) + e(p + 1), e(k) counting the invariant factors of
     H~^k(K_J; Z) divisible by q; tz and tq are Hochster tables over Z and F_q."""
     def e(groups, k):

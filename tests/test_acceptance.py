@@ -5,11 +5,8 @@ stated runtime limit.  Everything here is exact arithmetic; the only
 tolerances are the time budgets.
 """
 
-import itertools
 import random
 import time
-
-import pytest
 
 from matk import cochains
 from matk.cochains import (
@@ -27,19 +24,16 @@ from matk.constructions import (
     construct_massey_complex,
     contract_edges,
     disjointify_defining_system,
-    pullback_class,
     pullback_defining_system,
     witness_cycle,
 )
 from matk.exactalg import GF, QQ, ZZ, AbelianGroup
 from matk.hochster import (
-    CohomologyClass,
     class_in_slot,
     hochster_decompose,
     moment_angle_cw_oracle,
 )
 from matk.massey import (
-    DefiningSystem,
     associated_cocycle,
     check_defining_system,
     enumerate_defining_systems,
@@ -49,7 +43,6 @@ from matk.nestohedra import nestohedron_massey_input, standard_polytope_complex
 from matk.simplicial import (
     SimplicialComplex,
     contract_edge,
-    link_condition,
     star_delete,
 )
 

@@ -433,8 +433,9 @@ def test_trusted_arithmetic_equals_validated_construction(K, data):
     a, b = draw_cochain(), draw_cochain()
     c = data.draw(coefficient)
     terms = set(a.coeffs) | set(b.coeffs)
-    assert a + b == Cochain(K, ring, J, p, {s: ring.add(a.coefficient(s), b.coefficient(s))
-                                             for s in terms})
+    total = Cochain(K, ring, J, p, {s: ring.add(a.coefficient(s), b.coefficient(s))
+                                    for s in terms})
+    assert a + b == total and hash(a + b) == hash(total)
     assert a - b == Cochain(K, ring, J, p, {s: ring.sub(a.coefficient(s), b.coefficient(s))
                                              for s in terms})
     assert -a == Cochain(K, ring, J, p, {s: ring.neg(x) for s, x in a.coeffs.items()})

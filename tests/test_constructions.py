@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +31,7 @@ from matk.constructions import (
     spec_to_json,
     witness_cycle,
 )
-from matk.exactalg import GF, QQ, ZZ
+from matk.exactalg import GF, ZZ
 from matk.hochster import CohomologyClass, class_in_slot
 from matk.massey import (
     DefiningSystem,
@@ -57,11 +56,9 @@ from helpers import (
     delta,
     enumerate_reference,
     joins_example_complex,
-    octahedron,
     phi_star_sign,
     reduced_betti,
     rp2_join_spec,
-    rp2_six_vertices,
     simplex_boundary,
     two_points,
 )

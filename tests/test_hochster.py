@@ -2,13 +2,12 @@ import itertools
 import json
 import math
 import pathlib
-import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matk import exactalg
-from matk.cochains import Cochain, coboundary, evaluate, Chain, boundary, reduced_cohomology
+from matk.cochains import Cochain, _mask_of, coboundary, evaluate, Chain, boundary, reduced_cohomology
 from matk.exactalg import GF, QQ, ZZ, AbelianGroup
 from matk.hochster import (
     CohomologyClass,
@@ -20,7 +19,7 @@ from matk.hochster import (
     product_in_hochster,
 )
 from matk.nestohedra import standard_polytope_complex
-from matk.simplicial import SimplicialComplex, complex_from_json, full_subcomplex
+from matk.simplicial import SimplicialComplex, UnknownVertex, complex_from_json, full_subcomplex
 
 from helpers import (
     cw_complex_reference,
@@ -133,12 +132,8 @@ def test_square_top_product_is_fundamental():
 
 
 def _cycle_space(K):
-    from matk import exactalg
-
     edges = K.faces(1)
     chains = []
-    import itertools
-
     for coeffs in itertools.product((-1, 0, 1), repeat=len(edges)):
         if all(c == 0 for c in coeffs):
             continue
@@ -329,8 +324,8 @@ def test_face_table_path_matches_per_subset_cohomology(K, ring):
     for size in range(len(K.vertices) + 1):
         for J in itertools.combinations(K.vertices, size):
             groups = reduced_cohomology(K, J, ring).groups()
-            assert table.by_J.get(J, {}) == {p: g for p, g in groups.items()
-                                             if not g.is_trivial}
+            assert table.by_J.get(_mask_of(K, J), {}) == {p: g for p, g in groups.items()
+                                                          if not g.is_trivial}
 
 
 def test_disjoint_union_adds_up_its_components_torsion():
@@ -345,6 +340,23 @@ def test_disjoint_union_adds_up_its_components_torsion():
         groups = reduced_cohomology(K, J, ring).groups()
         for p in range(-1, K.dim + 1):
             assert table.slot(J, p) == groups.get(p, AbelianGroup(0))
+
+
+def test_slots_are_keyed_by_mask_and_listed_by_label():
+    """by_J is keyed by the mask of J in rank order; to_json lists the slots
+    by label tuple, an order the masks do not follow when the labels sort
+    differently from their ranks."""
+    K = SimplicialComplex(["b", "a", "10", "9"], [["b", "10"], ["a", "9"]])
+    table = hochster_decompose(K, ZZ)
+    assert _mask_of(K, ("a", "b")) == 0b0011 and table.by_J[0b0011] == {0: AbelianGroup(1)}
+    assert table.slot(("a", "b"), 0) == AbelianGroup(1)
+    rows = table.to_json()["by_J"]
+    assert [(r["J"], r["p"]) for r in rows] == [
+        ([], -1), (["10", "9"], 0), (["a", "10"], 0), (["a", "10", "9"], 0),
+        (["b", "10", "9"], 0), (["b", "9"], 0), (["b", "a"], 0), (["b", "a", "10"], 0),
+        (["b", "a", "10", "9"], 0), (["b", "a", "9"], 0)]
+    with pytest.raises(UnknownVertex):
+        table.slot(("a", "c"), 0)
 
 
 def test_only_connected_full_subcomplexes_are_eliminated(monkeypatch):
@@ -402,7 +414,7 @@ def test_slot_ranks_sum_to_the_reduced_euler_characteristic(K, ring):
     table = hochster_decompose(K, ring)
     for size in range(len(K.vertices) + 1):
         for J in itertools.combinations(K.vertices, size):
-            groups = table.by_J.get(J, {})
+            groups = table.by_J.get(_mask_of(K, J), {})
             assert sum((-1) ** p * g.free_rank for p, g in groups.items()) == \
                 reduced_euler_characteristic(full_subcomplex(K, J))
 
@@ -430,8 +442,6 @@ def test_alexander_duality_on_nestohedra(kind, ring):
     """Alexander duality on the (d-1)-sphere K on vertices V: for every J
     and -1 <= i <= d-1, H~^i(K_J) and H~^(d-2-i)(K_(V-J)) have the same free
     rank, and over Z H~^i(K_J) and H~^(d-1-i)(K_(V-J)) the same torsion."""
-    from matk.nestohedra import standard_polytope_complex
-
     K = standard_polytope_complex(kind, 3)
     table = hochster_decompose(K, ring)
     V, d = K.vertices, K.dim + 1

@@ -21,7 +21,6 @@ from matk.hochster import CohomologyClass, class_in_slot
 from matk.massey import (
     DefiningSystem,
     InvalidDefiningSystem,
-    MasseyVerdict,
     OverlappingSupports,
     RingNotFinite,
     associated_cocycle,
@@ -30,7 +29,7 @@ from matk.massey import (
     find_evaluating_cycle,
     triple_massey_decide,
 )
-from matk.simplicial import MissingField, SimplicialComplex
+from matk.simplicial import MissingField
 
 from helpers import (
     cycle_complex,

@@ -27,7 +27,6 @@ from matk.nestohedra import (
     validate_building_set,
 )
 from matk.simplicial import (
-    SimplicialComplex,
     UnknownVertex,
     complex_to_json,
     full_subcomplex,
