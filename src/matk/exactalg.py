@@ -6,7 +6,8 @@ sparse rows, one ``{column: entry}`` dict per row.  One sparse Gaussian
 elimination, ``_eliminate``, serves every ring and records its steps; over Z
 it pivots on units only, and ``_hermite``, the one dense integer routine,
 handles the small residual left over.  ``cohomology_groups`` reads ranks
-and invariant factors off it, one reduction per coboundary matrix.
+and invariant factors off it, top degree first: the unit pivot columns of
+each coboundary name the rows it clears from the one below.
 ``Solver`` factors one matrix once and answers each right-hand side by
 replaying the recorded row operations and back-substituting.
 """
@@ -238,19 +239,26 @@ def _eliminate(rows, ring: Ring):
             live[i] = row
             for j in row:
                 index.setdefault(j, set()).add(i)
-    steps = []
+    steps, inverse = [], {}  # inverse: a field entry -> its inverse
     for c in sorted(index):
-        usable = [i for i in index[c] if field or live[i][c] in (1, -1)]
-        if not usable:
+        below, k = index.pop(c), None
+        for i in below:
+            row = live[i]
+            if (field or row[c] in (1, -1)) and (k is None or (len(row), i) < (n, k)):
+                k, n = i, len(row)
+        if k is None:
+            index[c] = below  # over Z, where no unit is: the residual keeps c
             continue
-        k = min(usable, key=lambda i: (len(live[i]), i))
+        below.discard(k)
         row_k = live.pop(k)
-        for j in row_k:
-            index[j].discard(k)
-        inv = ring.inv(row_k[c]) if field else row_k[c]
         rest = [(j, a) for j, a in row_k.items() if j != c]
+        for j, _ in rest:
+            index[j].discard(k)
+        inv = row_k[c]
+        if field:
+            inv = inverse.get(inv) or inverse.setdefault(inv, ring.inv(inv))
         ops = []
-        for i in index.pop(c):
+        for i in below:
             row = live[i]
             f = row.pop(c) * inv % p if p else row.pop(c) * inv
             for j, a in rest:
@@ -327,11 +335,12 @@ def _divisibility_chain(diag: list) -> list:
     return diag
 
 
-def _invariant_factors(rows, ring: Ring) -> list:
-    """The nonzero invariant factors of an integer matrix given by sparse
-    rows, from one ``_eliminate`` (over Z when the ring is Q: the rows are
-    integers).  Over a field only their count, the rank, means anything:
-    every factor is then 1.
+def _invariant_factors(rows, ring: Ring) -> tuple:
+    """(factors, pivots): the nonzero invariant factors of an integer matrix
+    given by sparse rows, from one ``_eliminate`` (over Z when the ring is
+    Q: the rows are integers), and the pivot columns of its unit steps.
+    Over a field only the count of factors, the rank, means anything: every
+    factor is then 1.
 
     Over Z the residual is made diagonal by Hermite forms of it and of its
     transpose in turn.  The corner entry's absolute value never grows, and
@@ -339,13 +348,14 @@ def _invariant_factors(rows, ring: Ring) -> list:
     form clears; the rest follows by induction.
     """
     steps, left = _eliminate(rows, ring if ring.kind == "Fp" else ZZ)
-    if not left:  # always over F_p, and for most matrices over Z
-        return [1] * len(steps)
-    cols = sorted({j for row in left.values() for j in row})
-    A = [[left[i].get(j, 0) for j in cols] for i in sorted(left)]
-    while _hermite(A) < sum(1 for row in A for a in row if a):
-        A = [list(col) for col in zip(*A)]
-    return [1] * len(steps) + _divisibility_chain([a for row in A for a in row if a])
+    factors = [1] * len(steps)
+    if left:  # never over F_p, and for few matrices over Z
+        cols = sorted({j for row in left.values() for j in row})
+        A = [[left[i].get(j, 0) for j in cols] for i in sorted(left)]
+        while _hermite(A) < sum(1 for row in A for a in row if a):
+            A = [list(col) for col in zip(*A)]
+        factors += _divisibility_chain([a for row in A for a in row if a])
+    return factors, {c for _, c, *_ in steps}
 
 
 def cohomology_groups(sizes: Mapping[int, int], deltas: Mapping[int, list],
@@ -354,11 +364,25 @@ def cohomology_groups(sizes: Mapping[int, int], deltas: Mapping[int, list],
 
     ``sizes[p]`` is the rank of C^p, and ``deltas[p]`` the coboundary
     C^p -> C^{p+1} as integer rows, one ``{column: entry}`` dict per basis
-    element of C^{p+1} (a missing degree is the zero map).  Each coboundary
-    is reduced once: the count of its nonzero invariant factors is its rank,
-    and over Z the factors above 1 are the torsion of H^{p+1}.
+    element of C^{p+1} (a missing degree is the zero map; empty rows of no
+    basis element may pad one), keyed alike in every degree: column j of
+    ``deltas[p]`` is row j of ``deltas[p-1]``.  The count of a coboundary's
+    nonzero invariant factors is its rank, and over Z the factors above 1
+    are the torsion of H^{p+1}.
+
+    The degrees are reduced top down, with clearing (Chen-Kerber,
+    "Persistent homology computation with a twist", 2011): the rows of
+    ``deltas[p]`` at the pivot columns of the unit steps of ``deltas[p+1]``
+    are dropped, which keeps its nonzero invariant factors.  On ker d^(p+1)
+    those coordinates are an integral function of the others (the steps
+    are unimodular), so dropping them maps the image of d^p injectively onto
+    a saturated lattice.  A residual's columns over Z have no such function.
     """
-    factors = {p: _invariant_factors(rows, ring) for p, rows in deltas.items()}
+    factors, pivots = {}, {}
+    for p in sorted(deltas, reverse=True):
+        drop = pivots.pop(p + 1, ())
+        rows = [row for i, row in enumerate(deltas[p]) if i not in drop] if drop else deltas[p]
+        factors[p], pivots[p] = _invariant_factors(rows, ring)
     out = {}
     for p, n in sizes.items():
         image = factors.get(p - 1, [])

@@ -32,8 +32,11 @@ vertex, is eliminated: for a vertex v of J it keeps the faces of K_J whose
 union with v is no face: the basis of the relative cochains C*(K_J, st v),
 which is closed upward.  The closed star of v is a cone, so H*(K_J, st v)
 is H-tilde*(K_J) over any ring, torsion included.  The coboundary row of a
-kept face depends on v only, so it is built once per vertex and shared by
-every J containing v; ``exactalg`` never writes to its input rows.  A point
+kept face depends on v only, so it is built once per vertex, for the first
+core that uses it, and shared by every J containing v; ``exactalg`` never
+writes to its input rows.  Its columns are the positions of the facets off
+the star of v, and the faces there outside J get empty rows, so columns
+name rows, as ``exactalg.cohomology_groups`` requires.  A point
 contributes nothing, and only the empty subset carries H-tilde^{-1}.
 
 ``moment_angle_cw_oracle`` computes the same groups from the cellular chain
@@ -42,9 +45,11 @@ sigma and a disjoint circle-coordinate set T, of dimension 2|sigma| + |T|).
 sigma and T are int bitmasks over the vertex ranks; the boundary term of a
 bit b of sigma is (sigma ^ b, T | b), with sign (-1)^popcount(T & (b - 1)).
 The oracle reads only ``K.faces`` and the vertex ranks, never ``cochains``.
-The two share only ``exactalg``'s elimination, which turns each cochain
-complex into its groups; their complexes and sign rules are built
-independently, so they cross-validate each other.
+The two share only ``exactalg.cohomology_groups``, which turns each cochain
+complex into its groups, top degree first, with clearing, and so the
+contract it sets on their rows: column j of ``deltas[p]`` is row j of
+``deltas[p-1]``.  Their complexes and sign rules are built independently,
+so they cross-validate each other.
 """
 
 from __future__ import annotations
@@ -154,16 +159,7 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     neighbours = [sum(1 << u for u in range(m) if u != v and 1 << u | 1 << v in gid)
                   for v in range(m)]
     dominators = _dominators(m, levels, gid, neighbours)
-    # per vertex v: the faces off its closed star (their union with v is no
-    # face) by dimension, and the coboundary row of each such face t, on
-    # the faces of t off the star; every K_J with v in J shares these rows
-    off_star, off_rows = [], []
-    for v in range(m):
-        vbit = 1 << v
-        off = [[f for f in masks if f | vbit not in gid] for masks in levels]
-        off_star.append(off)
-        off_rows.append({t: {gid[s]: a for s, a in terms[t] if s | vbit not in gid}
-                         for masks in off[1:] for t in masks})
+    off_star = {}  # vertex v -> _off_star(v), built for the first core that uses v
 
     table = HochsterTable(K, ring)
     # a K_J that collapses shares the dict of the smaller mask J - v; no
@@ -209,13 +205,13 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
             else:  # a core
                 v = max((r for r in range(m) if J >> r & 1),
                         key=lambda r: (neighbours[r] & J).bit_count())
-                kept = [[f for f in masks if not f & outside] for masks in off_star[v]]
-                rows = off_rows[v]
-                groups = exactalg.cohomology_groups(
-                    {p: len(faces) for p, faces in enumerate(kept) if faces},
-                    {p - 1: [rows[t] for t in faces] for p, faces in enumerate(kept)
-                     if p and faces and kept[p - 1]},
-                    ring)
+                faces, rows = off_star.get(v) or off_star.setdefault(
+                    v, _off_star(v, levels, gid, terms))
+                inside = [[not f & outside for f in masks] for masks in faces]
+                sizes = {p: n for p, flags in enumerate(inside) if (n := sum(flags))}
+                groups = exactalg.cohomology_groups(sizes, {
+                    p - 1: [row if ok else {} for row, ok in zip(rows[p], inside[p])]
+                    for p in sizes if p - 1 in sizes}, ring)
                 groups = {p: g for p, g in groups.items() if not g.is_trivial}
                 if not groups:
                     continue
@@ -226,6 +222,18 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
         d: AbelianGroup(0).direct_sum(*gs) for d, gs in sorted(per_degree.items())
     }
     return table
+
+
+def _off_star(v, levels, gid, terms) -> tuple:
+    """(faces, rows): the faces off the closed star of vertex v (their union
+    with v is no face) by dimension, and for p >= 1 the coboundary rows of
+    the p-faces there, each facet keyed by its position in ``faces[p - 1]``."""
+    vbit = 1 << v
+    faces = [[f for f in masks if f | vbit not in gid] for masks in levels]
+    at = [{f: i for i, f in enumerate(masks)} for masks in faces]
+    rows = [None] + [[{at[p - 1][s]: a for s, a in terms[t] if s in at[p - 1]} for t in faces[p]]
+                     for p in range(1, len(faces))]
+    return faces, rows
 
 
 def _dominators(m, levels, gid, neighbours) -> dict:

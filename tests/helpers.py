@@ -11,6 +11,12 @@ transforms, matrix products) share no code with the library;
 through the library's group kernel, which no ``Solver`` uses (the two share
 only the Hermite form of a unit-free residual).
 
+``eliminate_reference`` is the sparse elimination kernel written plainly;
+the library's must return the same steps.  ``groups_per_degree`` reduces
+every coboundary of a cochain complex whole, where ``cohomology_groups``
+clears rows, and ``keyed_alike`` checks the key contract that clearing
+rests on.
+
 ``cup_multiply_reference`` is the paper's product sign
 epsilon(L,I) epsilon(M,J) zeta epsilon(L∪M, I∪J), with its own epsilon; the
 library's closed form shares no sign code with it.  ``coboundary_reference``
@@ -218,17 +224,97 @@ def snf_diagonal(M):
     """Invariant factors of an integer matrix, padded with zeros to
     min(rows, cols), from the sparse group kernel."""
     k = min(len(M), len(M[0])) if M else 0
-    diag = exactalg._invariant_factors(sparse_rows(M), ZZ)
+    diag = exactalg._invariant_factors(sparse_rows(M), ZZ)[0]
     return diag + [0] * (k - len(diag))
 
 
 def rank(M, ring):
-    return len(exactalg._invariant_factors(sparse_rows(M, ring), ring))
+    return len(exactalg._invariant_factors(sparse_rows(M, ring), ring)[0])
 
 
 def cokernel_invariants(M, ambient_rank, ring):
     """The group (ambient space) / column-span(M)."""
     return exactalg.cohomology_groups({0: ambient_rank}, {-1: sparse_rows(M, ring)}, ring)[0]
+
+
+# -- the sparse kernel written plainly, and groups without clearing ----------
+
+def eliminate_reference(rows, ring):
+    """``exactalg._eliminate`` written plainly: the usable rows of a column
+    listed, the pivot taken by ``min``, and each inverse computed afresh.
+    The library's kernel must return equal (steps, left), row for row and
+    operation for operation, so that every ``Solver`` built on it (kernels,
+    witnesses, class keys) stays byte-identical."""
+    p, field = (ring.p if ring.kind == "Fp" else 0), ring.is_field
+    live, index = {}, {}
+    for i, row in enumerate(rows):
+        row = {j: a % p for j, a in row.items() if a % p} if p else {
+            j: a for j, a in row.items() if a}
+        if row:
+            live[i] = row
+            for j in row:
+                index.setdefault(j, set()).add(i)
+    steps = []
+    for c in sorted(index):
+        usable = [i for i in index[c] if field or live[i][c] in (1, -1)]
+        if not usable:
+            continue
+        k = min(usable, key=lambda i: (len(live[i]), i))
+        row_k = live.pop(k)
+        for j in row_k:
+            index[j].discard(k)
+        inv = ring.inv(row_k[c]) if field else row_k[c]
+        rest = [(j, a) for j, a in row_k.items() if j != c]
+        ops = []
+        for i in index.pop(c):
+            row = live[i]
+            f = row.pop(c) * inv % p if p else row.pop(c) * inv
+            for j, a in rest:
+                new = row.get(j, 0) - f * a
+                if p:
+                    new %= p
+                if new:
+                    row[j] = new
+                    index[j].add(i)
+                elif j in row:
+                    del row[j]
+                    index[j].discard(i)
+            if not row:
+                del live[i]
+            ops.append((i, f))
+        steps.append((k, c, row_k, inv, ops))
+    return steps, live
+
+
+def groups_per_degree(sizes, deltas, ring):
+    """``exactalg.cohomology_groups`` without clearing: every coboundary
+    reduced whole, on its own, by ``exactalg._invariant_factors``."""
+    factors = {p: exactalg._invariant_factors(rows, ring)[0] for p, rows in deltas.items()}
+    out = {}
+    for p, n in sizes.items():
+        image = factors.get(p - 1, [])
+        torsion = () if ring.is_field else tuple(d for d in image if d > 1)
+        out[p] = AbelianGroup(n - len(factors.get(p, [])) - len(image), torsion)
+    return out
+
+
+def keyed_alike(deltas) -> bool:
+    """Whether d^(p+1) d^p = 0 when column j of ``deltas[p+1]`` is read as
+    row j of ``deltas[p]``: the key contract of ``cohomology_groups``, on
+    which its clearing rests.  Rows keyed any other way compose to nonzero
+    or name rows that do not exist."""
+    for p, rows in deltas.items():
+        below = deltas.get(p - 1)
+        for row in rows if below is not None else ():
+            total = {}
+            for k, a in row.items():
+                if k >= len(below):
+                    return False
+                for j, b in below[k].items():
+                    total[j] = total.get(j, 0) + a * b
+            if any(total.values()):
+                return False
+    return True
 
 
 def epsilon_set(K: SimplicialComplex, L, J) -> int:
@@ -734,9 +820,7 @@ def contraction_example_source():
 def rp2_join_spec():
     """The torsion-class construction input: the six-vertex projective plane
     joined with two S0 factors, classes chi_{012}, chi_6, chi_8."""
-    from matk.cochains import Cochain
     from matk.constructions import JoinMasseySpec
-    from matk.exactalg import ZZ
 
     K1 = rp2_six_vertices()
     K2 = two_points("6", "7")

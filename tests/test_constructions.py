@@ -560,8 +560,6 @@ def test_disjointify_random_systems(data):
 def test_zero_pairing_witness_falls_back_to_f2_enumeration(monkeypatch):
     # a boundary pairs to zero with every cocycle, so the pairing proves
     # nothing and the certificate must come from the exact F2 enumeration
-    from matk import constructions
-
     spec = joins_example_spec()
     K, _ = construct_massey_complex(spec)
 

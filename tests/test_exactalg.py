@@ -31,6 +31,7 @@ from helpers import (
     boundary_matrix,
     cokernel_invariants,
     det,
+    eliminate_reference,
     identity,
     mat_mul,
     mat_vec,
@@ -480,12 +481,12 @@ def test_sparse_kernel_matches_dense_smith_form(data):
     M = _random_sparse_matrix(data, 6)
     rows = [{j: a for j, a in enumerate(row) if a} for row in M]
     factors = _dense_invariant_factors(M)
-    assert exactalg._invariant_factors(rows, ZZ) == factors
+    assert exactalg._invariant_factors(rows, ZZ)[0] == factors
     assert rank(M, ZZ) == rank(M, QQ) == len(factors)
     for p in (2, 3, 5):
         # rank over F_p counts the invariant factors that p does not divide
         want = sum(1 for d in factors if d % p)
-        assert len(exactalg._invariant_factors(rows, GF(p))) == want
+        assert len(exactalg._invariant_factors(rows, GF(p))[0]) == want
         assert rank([[a % p for a in row] for row in M], GF(p)) == want
     # a two-term complex Z^cols -> Z^rows: H^1 is the cokernel, H^0 the kernel
     groups = exactalg.cohomology_groups({0: len(M[0]), 1: len(M)}, {0: rows}, ZZ)
@@ -501,7 +502,7 @@ def test_sparse_kernel_matches_sympy_smith_form(data):
     S = sympy_smith_normal_form(Matrix(M), domain=SYMPY_ZZ)
     want = [abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i]]
     rows = [{j: a for j, a in enumerate(row) if a} for row in M]
-    assert exactalg._invariant_factors(rows, ZZ) == want
+    assert exactalg._invariant_factors(rows, ZZ)[0] == want
     assert snf_diagonal(M) == want + [0] * (min(len(M), len(M[0])) - len(want))
 
 
@@ -585,7 +586,29 @@ def test_solver_rank_is_the_count_of_invariant_factors(data):
         [0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 4, -6],
         [0, 0, 0, 2, -2, 3, 4, -6, 5]])))  # the second has no units over Z
     M = [{j: a for j in range(cols) if (a := data.draw(entry))} for _ in range(rows)]
-    assert Solver(M, ring, cols).rank == len(exactalg._invariant_factors(M, ring))
+    assert Solver(M, ring, cols).rank == len(exactalg._invariant_factors(M, ring)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_matches_the_reference_kernel(data):
+    """The elimination kernel returns the (steps, left) of the plain one in
+    helpers, pivot for pivot and operation for operation, on rows with
+    explicit zeros, entries that vanish mod p, non-units over Z, and most
+    entries in a few columns, so that pivots compete and fill in."""
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3), GF(7)]))
+    cols = data.draw(st.integers(1, 9))
+    crowded = st.integers(0, data.draw(st.integers(0, cols - 1)))  # the few columns
+    column = st.one_of(crowded, crowded, st.integers(0, cols - 1))
+    entry = st.sampled_from([0, 1, -1, 1, -1, 2, -2, 3, -6, 7, 14])
+    if ring == QQ:
+        entry = st.builds(lambda a, b: ring.div(ring.of_int(a), ring.of_int(b)),
+                          entry, st.sampled_from([1, 1, 2, 3]))
+    rows = [{j: data.draw(entry) for j in data.draw(st.lists(column, max_size=6))}
+            for _ in range(data.draw(st.integers(0, 12)))]
+    before = [dict(row) for row in rows]
+    assert exactalg._eliminate(rows, ring) == eliminate_reference(rows, ring)
+    assert rows == before
 
 
 def test_rank_over_q_scales_rows_to_integers():

@@ -24,9 +24,12 @@ from matk.simplicial import SimplicialComplex, UnknownVertex, complex_from_json,
 from helpers import (
     cw_complex_reference,
     cycle_complex,
+    eliminate_reference,
     fig1_complex,
+    groups_per_degree,
     is_connected,
     is_core,
+    keyed_alike,
     octahedron,
     reduced_euler_characteristic,
     rp2_six_vertices,
@@ -212,14 +215,7 @@ def test_cw_complex_equals_label_tuple_reference(K):
 def test_cw_coboundary_squares_to_zero(K):
     """delta o delta = 0 over Z for every pair of consecutive coboundaries:
     a check of the popcount sign rule that needs no Hochster decomposition."""
-    _, deltas = _cw_complex(K)
-    for d, rows in deltas.items():
-        for row in deltas.get(d + 1, ()):
-            composed = {}
-            for j, a in row.items():
-                for i, b in rows[j].items():
-                    composed[i] = composed.get(i, 0) + a * b
-            assert not any(composed.values())
+    assert keyed_alike(_cw_complex(K)[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,6 +235,39 @@ def test_cw_cell_count(K):
     assert sizes == {d: sum(math.comb(m - len(s), d - 2 * len(s)) for s in faces
                             if d >= 2 * len(s))
                      for d in sizes}
+
+
+@pytest.mark.parametrize("K", [fig1_complex(), truncated_octahedron(), rp2_six_vertices()],
+                         ids=["fig1", "truncated-octahedron", "rp2"])
+def test_kernel_matches_the_reference_on_cell_models(K):
+    """The elimination kernel against the plain one in helpers on every
+    coboundary of a cell model, whole, over Z, F2 and F3."""
+    _, deltas = _cw_complex(K)
+    for ring in (ZZ, GF(2), GF(3)):
+        for rows in deltas.values():
+            assert exactalg._eliminate(rows, ring) == eliminate_reference(rows, ring)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_complexes(max_vertices=6), st.sampled_from(RINGS))
+@example(rp2_six_vertices(), ZZ)
+def test_clearing_keeps_the_groups_of_cell_models(K, ring):
+    """``cohomology_groups`` reduces top-down and drops the rows at the unit
+    pivots of the degree above; every coboundary reduced whole gives the
+    same groups."""
+    sizes, deltas = _cw_complex(K)
+    assert keyed_alike(deltas)
+    assert exactalg.cohomology_groups(sizes, deltas, ring) == groups_per_degree(sizes, deltas, ring)
+
+
+def test_clearing_keeps_the_residual_columns():
+    """Over Z the cell model of RP^2 leaves a residual, whose C2 needs the
+    rows at the residual's columns one degree down: only unit pivots clear."""
+    sizes, deltas = _cw_complex(rp2_six_vertices())
+    assert any(exactalg._eliminate(rows, ZZ)[1] for rows in deltas.values())
+    groups = exactalg.cohomology_groups(sizes, deltas, ZZ)
+    assert groups == groups_per_degree(sizes, deltas, ZZ)
+    assert [g.torsion for g in groups.values() if g.torsion] == [(2,)]
 
 
 def test_join_kunneth_convolution():
@@ -308,6 +337,38 @@ TETRAHEDRON_BOUNDARY = simplex_boundary("abcd")
 CONED_TETRAHEDRON_BOUNDARY = SimplicialComplex(
     list("abcde"), [list(f) for f in TETRAHEDRON_BOUNDARY.facets] + [list("abce")])
 PERMUTAHEDRON3 = standard_polytope_complex("permutahedron", 3)
+# a core's rows keyed by face index instead of position here make clearing
+# drop rows that are no pivots: a wrong total in degrees 8 and 9 over every ring
+CLEARING_TRAP = SimplicialComplex(
+    [str(i) for i in range(6)],
+    ["312", "543", "234", "401", "3205", "152", "143", "402", "2134"])
+
+
+def core_inputs(K, ring) -> list:
+    """The (sizes, deltas, ring) of each core ``hochster_decompose`` hands
+    to ``exactalg.cohomology_groups``."""
+    calls, real = [], exactalg.cohomology_groups
+    exactalg.cohomology_groups = lambda *args: calls.append(args) or real(*args)
+    try:
+        hochster_decompose(K, ring)
+    finally:
+        exactalg.cohomology_groups = real
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(complexes_with_planted_rp2(), st.sampled_from(RINGS))
+@example(PERMUTAHEDRON3, ZZ)
+@example(RP2_AND_EDGE, ZZ)
+@example(CLEARING_TRAP, GF(2))
+def test_clearing_keeps_the_groups_of_hochster_cores(K, ring):
+    """A core's rows are keyed as ``cohomology_groups`` requires, column j of
+    one degree naming row j of the next one down, and its groups with
+    clearing are those of every coboundary reduced whole."""
+    for sizes, deltas, _ in core_inputs(K, ring):
+        assert keyed_alike(deltas)
+        assert exactalg.cohomology_groups(sizes, deltas, ring) == \
+            groups_per_degree(sizes, deltas, ring)
 
 
 @settings(max_examples=30, deadline=None)
@@ -317,6 +378,7 @@ PERMUTAHEDRON3 = standard_polytope_complex("permutahedron", 3)
 @example(HOLLOW_TRIANGLE, ZZ)
 @example(TETRAHEDRON_BOUNDARY, ZZ)
 @example(CONED_TETRAHEDRON_BOUNDARY, ZZ)
+@example(CLEARING_TRAP, ZZ)
 def test_face_table_path_matches_per_subset_cohomology(K, ring):
     """The strong-collapse face-table decomposition against the groups of
     one ReducedCohomology per full subcomplex."""

@@ -596,9 +596,6 @@ def test_random_fig1_systems_have_cocycle_associates(c1, c2, c3):
 def test_triple_coset_law():
     """Associated classes of two triple systems with the same representatives
     differ by an element of the indeterminacy subgroup."""
-    from matk import exactalg
-    from matk.cochains import cup_multiply
-
     ring = GF(3)
     K = fig1_complex()
     classes = fig1_classes(ring)

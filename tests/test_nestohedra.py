@@ -370,7 +370,6 @@ def test_truncated_octahedron_subcomplex_triple_product():
     """The nine-vertex full subcomplex of the permutahedral sphere carries a
     triple product in degree 11 with rank-one indeterminacy; its three classes
     pull back from the contracted six-vertex graph."""
-    import json
     import pathlib
 
     from matk.cochains import cochain_from_json
@@ -396,10 +395,9 @@ def test_five_permutahedron_carries_the_fourfold_indeterminacy_example():
     one link-checked edge at a time, onto the eight-vertex fourfold example,
     so its moment-angle manifold inherits the product with indeterminacy."""
     from matk.constructions import contract_edges
-    from matk.exactalg import GF
     from matk.hochster import class_in_slot
     from matk.massey import enumerate_defining_systems
-    from matk.simplicial import full_subcomplex, relabel, reorder_vertices
+    from matk.simplicial import relabel
 
     from helpers import four_massey_complex
 

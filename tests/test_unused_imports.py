@@ -1,4 +1,5 @@
-"""Every name that a matk source or test module imports is read in it."""
+"""Every name that a matk source or test module imports is read in it, and
+no function imports again a name that its module imports at top level."""
 
 import ast
 import pathlib
@@ -19,6 +20,11 @@ def _imports(scope):
             yield from _imports(child)
 
 
+def _binds(node) -> list:
+    """(line, name) of each name an import statement binds."""
+    return [(alias.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+
+
 def unused_imports(source: str) -> list:
     """(line, name) of each name an import binds that no expression of its
     module or function reads; ``from __future__`` imports and ``# noqa``
@@ -33,11 +39,20 @@ def unused_imports(source: str) -> list:
         for node in _imports(scope):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                if name not in read and "# noqa" not in lines[alias.lineno - 1]:
-                    unused.append((alias.lineno, name))
+            for line, name in _binds(node):
+                if name not in read and "# noqa" not in lines[line - 1]:
+                    unused.append((line, name))
     return sorted(unused)
+
+
+def shadowing_imports(source: str) -> list:
+    """(line, name) of each name a function imports that its module already
+    binds by an import at top level: the inner import only shadows it."""
+    tree = ast.parse(source)
+    top = {name for node in _imports(tree) for _, name in _binds(node)}
+    return sorted((line, name) for scope in ast.walk(tree)
+                  if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in _imports(scope) for line, name in _binds(node) if name in top)
 
 
 def test_the_check_finds_an_unused_import():
@@ -54,3 +69,17 @@ def test_no_module_imports_a_name_it_does_not_use():
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for path in MODULES for line, name in unused_imports(path.read_text())]
     assert unused == []
+
+
+def test_the_check_finds_a_shadowing_import():
+    source = ("import json\nfrom matk.exactalg import GF as F, ZZ\n"
+              "def f():\n    import json\n    from matk.exactalg import QQ, ZZ\n"
+              "    def g():\n        from matk.exactalg import GF as F\n        import re\n"
+              "        return F, re\n    return json, QQ, ZZ, g\n")
+    assert shadowing_imports(source) == [(4, "json"), (5, "ZZ"), (7, "F")]
+
+
+def test_no_function_imports_again_what_its_module_imports():
+    shadowing = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                 for path in MODULES for line, name in shadowing_imports(path.read_text())]
+    assert shadowing == []
