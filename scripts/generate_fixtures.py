@@ -100,6 +100,7 @@ def rp2_join():
     K1 = SimplicialComplex([str(i) for i in range(6)],
                            [[str(v) for v in f] for f in facets])
     assert reduced_cohomology(K1, K1.vertices, ZZ).group(2) == AbelianGroup(0, (2,))
+    dump("rp2.json", complex_to_json(K1))  # the C2 torsion of the zk-oracle golden
     K2 = two_points("6", "7")
     K3 = two_points("8", "9")
     spec = JoinMasseySpec(

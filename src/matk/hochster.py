@@ -44,6 +44,15 @@ complex of the moment-angle complex itself (one cell per pair of a face
 sigma and a disjoint circle-coordinate set T, of dimension 2|sigma| + |T|).
 sigma and T are int bitmasks over the vertex ranks; the boundary term of a
 bit b of sigma is (sigma ^ b, T | b), with sign (-1)^popcount(T & (b - 1)).
+It builds only the critical cells of an acyclic matching (Forman, "Morse
+theory for cell complexes", 1998): with v the lowest vertex of J = sigma +
+T, (sigma, T) is paired with (sigma + v, T - v) when v is in T and sigma +
+v is a face.  The critical cells, (empty, empty) and those with v in T and
+sigma + v no face, span a subcomplex: the coboundary moves a vertex of T
+into sigma, so v stays in T and sigma + v off K.  Per J they are the
+relative cochains C*(K_J, st v), and the matched cells the augmented
+cochains of the cone st v, acyclic over Z: the groups are unchanged over
+any ring, torsion included.
 The oracle reads only ``K.faces`` and the vertex ranks, never ``cochains``.
 The two share only ``exactalg.cohomology_groups``, which turns each cochain
 complex into its groups, top degree first, with clearing, and so the
@@ -53,8 +62,6 @@ so they cross-validate each other.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import exactalg
 from .cochains import Cochain, _face_table, _mask_of, cup_multiply, reduced_cohomology, total_degree
@@ -276,30 +283,37 @@ def product_in_hochster(a: CohomologyClass, b: CohomologyClass) -> CohomologyCla
 
 
 def _cw_complex(K: SimplicialComplex):
-    """(sizes, deltas) of the cellular cochain complex of Z_K.  A cell
-    (sigma, T) is the int sigma << m | T, bit r for the vertex of rank r.
-    Taking the faces in rank-tuple order, and each one's sets T of one size
-    in lexicographic order, lists each degree's cells sorted by the rank
-    tuples of sigma and then of T."""
+    """(sizes, deltas) of the critical cells of the cellular cochain complex
+    of Z_K (module docstring), a cell (sigma, T) as the int sigma << m | T.
+    Per face sigma by mask and vertex v below it with sigma + v no face, T
+    is v plus a subset of the vertices above v off sigma, by decreasing mask.
+    A row keeps its critical facets only: column j of ``deltas[p]`` is row j
+    of ``deltas[p - 1]``."""
     m, rank = len(K.vertices), K._rank
-    faces = sorted(tuple(rank[v] for v in f) for p in range(-1, K.dim + 1) for f in K.faces(p))
-    cells = [[] for _ in range(m + K.dim + 2)]
-    for sigma in faces:
-        high = sum(1 << r for r in sigma)
-        rest = [1 << r for r in range(m) if not high >> r & 1]
-        high <<= m
-        for size in range(len(rest) + 1):
-            cells[2 * len(sigma) + size].extend(
-                high | sum(T) for T in itertools.combinations(rest, size))
+    faces = {sum(1 << rank[v] for v in f) for p in range(-1, K.dim + 1) for f in K.faces(p)}
+    full, cells = (1 << m) - 1, [[0]] + [[] for _ in range(m + K.dim + 1)]
+    for sigma in sorted(faces):
+        low, size, v = sigma & -sigma or 1 << m, 2 * sigma.bit_count() + 1, 1
+        while v < low:
+            if sigma | v not in faces:
+                above = T = full & -(v << 1) & ~sigma
+                while True:  # every subset T of above, by decreasing mask
+                    cells[size + T.bit_count()].append(sigma << m | v | T)
+                    if not T:
+                        break
+                    T = T - 1 & above
+            v <<= 1
     index = {cell: i for level in cells for i, cell in enumerate(level)}
-    full, deltas = (1 << m) - 1, {}
+    deltas = {}
     for d in range(1, len(cells)):
         rows = []
         for cell in cells[d]:
             T, rest, row = cell & full, cell >> m, {}
             while rest:
                 b = rest & -rest
-                row[index[cell - (b << m) + b]] = -1 if (T & (b - 1)).bit_count() & 1 else 1
+                i = index.get(cell - (b << m) + b)  # None at a matched facet
+                if i is not None:
+                    row[i] = -1 if (T & (b - 1)).bit_count() & 1 else 1
                 rest ^= b
             rows.append(row)
         deltas[d - 1] = rows
@@ -314,7 +328,8 @@ def moment_angle_cw_oracle(K: SimplicialComplex, ring: Ring, cap: int = 12) -> d
     sigma and T int bitmasks over the vertex ranks.  The boundary sign of
     replacing D by t in the coordinate of bit b is (-1)^(number of
     t-coordinates before it) = (-1)^popcount(T & (b - 1)), following the
-    vertex order.
+    vertex order.  Only the critical cells of the lowest-vertex matching
+    enter (``_cw_complex``), with the groups of all the cells.
     """
     if len(K.vertices) > cap:
         raise VertexCapExceeded(f"{len(K.vertices)} vertices exceeds the 3^m cell cap {cap}")

@@ -24,8 +24,10 @@ and ``boundary_reference`` sum the signed terms simplex by simplex on vertex
 labels, with the same epsilon; the library reads rows of a bitmask face
 table.
 
-``cw_complex_reference`` builds the cellular cochain complex of Z_K from
-vertex-label tuples, cell by cell; the library builds it from bitmasks.
+``cw_complex_reference`` builds the whole cellular cochain complex of Z_K
+from vertex-label tuples, cell by cell; the library builds, from bitmasks,
+only the critical cells of a matching, which ``cw_is_critical`` names on
+labels.
 
 ``enumerate_reference`` decides a Massey product by the exhaustive walk:
 one class key per valid defining system.  It shares with the library only
@@ -446,11 +448,9 @@ def enumerate_reference(classes, budget=20, visit=None) -> ReferenceVerdict:
 
 # -- the cell model of Z_K, cell by cell -------------------------------------
 
-def cw_complex_reference(K: SimplicialComplex):
-    """(sizes, deltas) of the cellular cochain complex of Z_K, built from
-    vertex-label tuples: cells (sigma, T) sorted by their rank tuples, and
-    the sign (-1)^(number of t-coordinates before i) for replacing the
-    D-cell of coordinate i by its t-cell."""
+def cw_cells_reference(K: SimplicialComplex) -> dict:
+    """Every cell (sigma, T) of Z_K as a pair of vertex-label tuples, per
+    degree 2|sigma| + |T|, sorted by the rank tuples of sigma and then T."""
     verts = K.vertices
     cells: dict[int, list] = {}
     for p in range(-1, K.dim + 1):
@@ -463,6 +463,23 @@ def cw_complex_reference(K: SimplicialComplex):
     for dim in cells:
         cells[dim].sort(key=lambda cell: (
             tuple(K.rank(v) for v in cell[0]), tuple(K.rank(v) for v in cell[1])))
+    return cells
+
+
+def cw_is_critical(K: SimplicialComplex, sigma, T) -> bool:
+    """Whether the cell (sigma, T) is unmatched by the lowest-vertex
+    matching: J = sigma + T is empty, or its lowest vertex v lies in T and
+    sigma + v is no face."""
+    J = sorted(sigma + T, key=K.rank)
+    return not J or (J[0] in T and not K.has_face(sigma + (J[0],)))
+
+
+def cw_complex_reference(K: SimplicialComplex):
+    """(sizes, deltas) of the cellular cochain complex of Z_K, built from
+    vertex-label tuples: every cell, in the order of ``cw_cells_reference``,
+    and the sign (-1)^(number of t-coordinates before i) for replacing the
+    D-cell of coordinate i by its t-cell."""
+    cells = cw_cells_reference(K)
     index = {d: {cell: i for i, cell in enumerate(cells[d])} for d in cells}
 
     def coboundary_rows(d):

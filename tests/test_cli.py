@@ -82,10 +82,15 @@ def test_hochster_reports_degree_three_classes(capsys):
 
 
 def test_zk_oracle_agrees_with_hochster_totals(capsys):
-    code1, hoch = run_json(capsys, "hochster", str(FIX / "fig1.json"), "--ring", "F2")
-    code2, oracle = run_json(capsys, "zk-oracle", str(FIX / "fig1.json"), "--ring", "F2")
-    assert code1 == code2 == 0
-    assert hoch["total"] == oracle["total"]
+    complexes = [path for path in sorted(FIX.glob("*.json"))
+                 if "facets" in (blob := json.loads(path.read_text())) and len(blob["vertices"]) <= 12]
+    assert len(complexes) == 7  # every complex fixture is within the oracle's cap
+    for path in complexes:
+        for ring in ("Z", "F2", "F3"):
+            code1, hoch = run_json(capsys, "hochster", str(path), "--ring", ring)
+            code2, oracle = run_json(capsys, "zk-oracle", str(path), "--ring", ring)
+            assert code1 == code2 == 0
+            assert hoch["total"] == oracle["total"], (path.name, ring)
 
 
 def test_product_command(capsys, tmp_path):
@@ -311,6 +316,13 @@ def test_out_flag_writes_stable_json(capsys, tmp_path):
     # the fourfold path the massey benchmark runs (appended to keep test ids)
     ("massey4-massey-F2.json", ["massey", "massey4.json", "--classes",
                                 "massey4-classes.json", "--ring", "F2"]),
+    # the cell-model oracle; rp2 carries C2 torsion in degree 9
+    ("fig1-zk-oracle-Z.json", ["zk-oracle", "fig1.json", "--ring", "Z"]),
+    ("fig1-zk-oracle-F2.json", ["zk-oracle", "fig1.json", "--ring", "F2"]),
+    ("massey4-zk-oracle-Z.json", ["zk-oracle", "massey4.json", "--ring", "Z"]),
+    ("contraction-source-zk-oracle-F3.json",
+     ["zk-oracle", "contraction-source.json", "--ring", "F3"]),
+    ("rp2-zk-oracle-Z.json", ["zk-oracle", "rp2.json", "--ring", "Z"]),
 ])
 def test_golden_outputs(capsys, name, argv):
     argv = [str(FIX / a) if a.endswith(".json") else a for a in argv]

@@ -22,7 +22,9 @@ from matk.nestohedra import standard_polytope_complex
 from matk.simplicial import SimplicialComplex, UnknownVertex, complex_from_json, full_subcomplex
 
 from helpers import (
+    cw_cells_reference,
     cw_complex_reference,
+    cw_is_critical,
     cycle_complex,
     eliminate_reference,
     fig1_complex,
@@ -193,48 +195,150 @@ def test_oracle_equivalence_nine_vertex_fixture():
         assert {d: g for d, g in table.total.items() if not g.is_trivial} == oracle
 
 
-def _cw_items(sizes, deltas):
-    """A cochain complex as nested item lists, so that comparing two also
-    compares the order of degrees, rows and row entries."""
-    return (list(sizes.items()),
-            [(d, [list(row.items()) for row in rows]) for d, rows in deltas.items()])
+def _keyed_by_cell(cells, sizes, deltas) -> dict:
+    """A cochain complex given by positions, with each row and each entry
+    named by its cell from ``cells`` (per degree, in position order)."""
+    assert sizes == {d: len(level) for d, level in cells.items()}
+    return {cells[d + 1][i]: {cells[d][j]: a for j, a in row.items()}
+            for d, rows in deltas.items() for i, row in enumerate(rows)}
+
+
+def _critical_cells(K) -> dict:
+    """The critical cells of ``cw_cells_reference`` per degree, in the order
+    ``_cw_complex`` documents: by the mask of sigma, then by the lowest
+    vertex of T, then by the mask of T, decreasing."""
+    def mask(face):
+        return sum(1 << K.rank(v) for v in face)
+
+    return {d: sorted((c for c in cells if cw_is_critical(K, *c)),
+                      key=lambda c: (mask(c[0]), min(map(K.rank, c[1]), default=-1), -mask(c[1])))
+            for d, cells in cw_cells_reference(K).items()}
+
+
+class _WithGhosts:
+    """K with extra listed vertices that are no face, which a
+    SimplicialComplex never has; the cell models read only these."""
+
+    def __init__(self, K, vertices):
+        self.vertices, self.dim, self.faces = tuple(vertices), K.dim, K.faces
+        self._rank = {v: i for i, v in enumerate(self.vertices)}
+        self.rank = self._rank.__getitem__
+        self.has_face = lambda s: set(s) <= set(K.vertices) and K.has_face(s)
+
+
+EDGE_CASES = [SimplicialComplex([], []), SimplicialComplex([], [[]]),
+              SimplicialComplex(["1"], [["1"]]), SimplicialComplex(["1", "2", "3"], [["2"]]),
+              rp2_six_vertices()]
+
+
+def _with_examples(complexes):
+    def decorate(test):
+        for K in complexes:
+            test = example(K)(test)
+        return test
+    return decorate
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_complexes(max_vertices=7))
-@example(fig1_complex())
-@example(truncated_octahedron())
-def test_cw_complex_equals_label_tuple_reference(K):
-    """The bitmask cells hand exactalg the rows of the cells built from
-    vertex-label tuples: the same sizes, rows, row order and entry order."""
-    assert _cw_items(*_cw_complex(K)) == _cw_items(*cw_complex_reference(K))
+@_with_examples(EDGE_CASES + [fig1_complex(), truncated_octahedron()])
+def test_cw_complex_restricts_the_reference_to_critical_cells(K):
+    """The bitmask cells are the critical cells of the label-tuple cells,
+    and each row is the reference row of its cell with the matched facets
+    dropped; rows and entries compared by cell, not by position."""
+    full = _keyed_by_cell(cw_cells_reference(K), *cw_complex_reference(K))
+    restricted = {cell: {f: a for f, a in row.items() if cw_is_critical(K, *f)}
+                  for cell, row in full.items() if cw_is_critical(K, *cell)}
+    assert _keyed_by_cell(_critical_cells(K), *_cw_complex(K)) == restricted
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_complexes(max_vertices=7))
+@_with_examples(EDGE_CASES)
+def test_critical_cells_span_a_subcomplex(K):
+    """No row of a matched cell in the full model has an entry at a
+    critical cell: the coboundary of a critical cochain stays critical."""
+    rows = _keyed_by_cell(cw_cells_reference(K), *cw_complex_reference(K))
+    for cell, row in rows.items():
+        if not cw_is_critical(K, *cell):
+            assert not any(cw_is_critical(K, *f) for f in row), cell
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_complexes(max_vertices=7))
+@_with_examples(EDGE_CASES)
+def test_critical_cells_keep_the_groups(K):
+    """The critical cells, reduced with clearing, give the groups of every
+    cell, each coboundary reduced whole, over Z, Q, F2 and F3."""
+    reduced, full = _cw_complex(K), cw_complex_reference(K)
+    for ring in RINGS:
+        assert exactalg.cohomology_groups(*reduced, ring) == groups_per_degree(*full, ring)
+
+
+@pytest.mark.parametrize("K", [two_points(), fig1_complex(), rp2_six_vertices()],
+                         ids=["s0", "fig1", "rp2"])
+def test_critical_cells_with_ghost_vertices(K):
+    """A ghost vertex g (no face) puts the cells (empty, T) with g lowest in
+    T among the critical ones.  Z_K gains a circle factor per ghost, so the
+    groups are those of Z_K shifted by the Kunneth formula."""
+    ghosts = _WithGhosts(K, ["g0", *K.vertices[:2], "g1", *K.vertices[2:]])
+    sizes, deltas = _cw_complex(ghosts)
+    assert keyed_alike(deltas)
+    for ring in (ZZ, GF(2)):
+        groups = exactalg.cohomology_groups(sizes, deltas, ring)
+        assert groups == groups_per_degree(*cw_complex_reference(ghosts), ring)
+        expected = {}
+        for d, g in moment_angle_cw_oracle(K, ring).items():
+            for shift, copies in ((0, 1), (1, 2), (2, 1)):  # H*(T^2)
+                expected.setdefault(d + shift, []).extend([g] * copies)
+        assert {d: g for d, g in groups.items() if not g.is_trivial} == {
+            d: AbelianGroup(0).direct_sum(*gs) for d, gs in expected.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(max_vertices=7))
+@_with_examples(EDGE_CASES)
 def test_cw_coboundary_squares_to_zero(K):
-    """delta o delta = 0 over Z for every pair of consecutive coboundaries:
-    a check of the popcount sign rule that needs no Hochster decomposition."""
+    """delta o delta = 0 over Z for every pair of consecutive coboundaries,
+    on every cell and on the critical ones: a check of the popcount sign
+    rule, and of the key contract, that needs no Hochster decomposition."""
     assert keyed_alike(_cw_complex(K)[1])
+    assert keyed_alike(cw_complex_reference(K)[1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_complexes(max_vertices=7))
-@example(SimplicialComplex([], []))
-@example(SimplicialComplex([], [[]]))
-@example(SimplicialComplex(["1"], [["1"]]))
-@example(SimplicialComplex(["1", "2", "3"], [["2"]]))
+@_with_examples(EDGE_CASES)
 def test_cw_cell_count(K):
     """One cell (sigma, T) per face sigma and subset T of the other
     vertices: sum over faces of 2^(m - |sigma|), C(m - |sigma|, d - 2|sigma|)
     of them in degree d."""
     m = len(K.vertices)
     faces = [s for p in range(-1, K.dim + 1) for s in K.faces(p)]
-    sizes, _ = _cw_complex(K)
+    sizes, _ = cw_complex_reference(K)
     assert sum(sizes.values()) == sum(2 ** (m - len(s)) for s in faces)
     assert sizes == {d: sum(math.comb(m - len(s), d - 2 * len(s)) for s in faces
                             if d >= 2 * len(s))
                      for d in sizes}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(max_vertices=7))
+@_with_examples(EDGE_CASES)
+def test_cw_critical_cell_count(K):
+    """Per nonempty J with lowest vertex v, f(K_J) - f(st_v K_J) critical
+    cells, faces counted with the empty one and sigma in degree |sigma| +
+    |J|, plus the cell (empty, empty): brute force over subsets."""
+    want = {0: 1}
+    for n in range(1, len(K.vertices) + 1):
+        for J in itertools.combinations(K.vertices, n):  # J[0] is the lowest
+            for size in range(n + 1):
+                sigmas = list(itertools.combinations(J, size))
+                in_K_J = sum(K.has_face(s) for s in sigmas)
+                in_star = sum(K.has_face({*s, J[0]}) for s in sigmas)
+                if in_K_J - in_star:
+                    want[size + n] = want.get(size + n, 0) + in_K_J - in_star
+    assert {d: n for d, n in _cw_complex(K)[0].items() if n} == want
 
 
 @pytest.mark.parametrize("K", [fig1_complex(), truncated_octahedron(), rp2_six_vertices()],
@@ -242,7 +346,7 @@ def test_cw_cell_count(K):
 def test_kernel_matches_the_reference_on_cell_models(K):
     """The elimination kernel against the plain one in helpers on every
     coboundary of a cell model, whole, over Z, F2 and F3."""
-    _, deltas = _cw_complex(K)
+    _, deltas = cw_complex_reference(K)
     for ring in (ZZ, GF(2), GF(3)):
         for rows in deltas.values():
             assert exactalg._eliminate(rows, ring) == eliminate_reference(rows, ring)
@@ -255,19 +359,20 @@ def test_clearing_keeps_the_groups_of_cell_models(K, ring):
     """``cohomology_groups`` reduces top-down and drops the rows at the unit
     pivots of the degree above; every coboundary reduced whole gives the
     same groups."""
-    sizes, deltas = _cw_complex(K)
+    sizes, deltas = cw_complex_reference(K)
     assert keyed_alike(deltas)
     assert exactalg.cohomology_groups(sizes, deltas, ring) == groups_per_degree(sizes, deltas, ring)
 
 
 def test_clearing_keeps_the_residual_columns():
-    """Over Z the cell model of RP^2 leaves a residual, whose C2 needs the
-    rows at the residual's columns one degree down: only unit pivots clear."""
-    sizes, deltas = _cw_complex(rp2_six_vertices())
-    assert any(exactalg._eliminate(rows, ZZ)[1] for rows in deltas.values())
-    groups = exactalg.cohomology_groups(sizes, deltas, ZZ)
-    assert groups == groups_per_degree(sizes, deltas, ZZ)
-    assert [g.torsion for g in groups.values() if g.torsion] == [(2,)]
+    """Over Z the cell model of RP^2, of every cell or of the critical ones,
+    leaves a residual, whose C2 needs the rows at the residual's columns one
+    degree down: only unit pivots clear."""
+    for sizes, deltas in (cw_complex_reference(rp2_six_vertices()), _cw_complex(rp2_six_vertices())):
+        assert any(exactalg._eliminate(rows, ZZ)[1] for rows in deltas.values())
+        groups = exactalg.cohomology_groups(sizes, deltas, ZZ)
+        assert groups == groups_per_degree(sizes, deltas, ZZ)
+        assert [g.torsion for g in groups.values() if g.torsion] == [(2,)]
 
 
 def test_join_kunneth_convolution():
