@@ -275,37 +275,55 @@ def _as_ring(a: Cochain, ring: Ring) -> Cochain:
                    {s: reduce_coeff(c) for s, c in a.coeffs.items()})
 
 
+_PRIMES = (2, 3, 5, 7, 11, 13)  # the prime fields a torsion class is paired over
+
+
+def _pairing_cycles(classes, ring: Ring) -> tuple:
+    """(ring, cycles), one cycle per class that pairs nontrivially with it:
+    over ``ring``, or over Z, when a class is torsion, over the first prime
+    field in which every class has one.  The ring is chosen from every
+    class, so a torsion class after the first forces the field too."""
+    fields = [GF(p) for p in _PRIMES] if ring.kind == "Z" else []
+    for R in (ring, *fields):
+        cycles = []
+        for a in classes:
+            reduced = _as_ring(a, R)
+            x = None if reduced.is_zero() else find_evaluating_cycle(reduced, prefer_small=True)
+            if x is None:
+                break
+            cycles.append(x)
+        else:
+            return R, cycles
+    raise InvalidSpec(f"no cycle pairs nontrivially with the {('first', 'second')[len(cycles)]} "
+                      "class")
+
+
 def witness_cycle(spec: JoinMasseySpec, K: SimplicialComplex) -> Chain:
     """The explicit cycle certifying non-triviality: a pairing cycle for a_1
     joined with boundary spheres of sigma_2 ∪ sigma_n and of the inner
-    simplices.  Over Z a torsion first class forces prime-field coefficients;
-    the returned chain's ring records that.
+    simplices, sigma_n the first simplex of the deletion set P_n; for n = 2
+    the product of pairing cycles for a_1 and a_2.  Over Z a torsion class
+    among those forces prime-field coefficients; the returned chain's ring
+    records that.
     """
+    return _witness(spec, K, spec.P[spec.n - 1][0])
+
+
+def _witness(spec: JoinMasseySpec, K: SimplicialComplex, sigma_n) -> Chain:
+    """``witness_cycle`` with sigma_n, a simplex of P_n, given."""
     n = spec.n
-    ring = spec.ring
-    a1 = _on(K, spec.cochains[0])
-    x1 = find_evaluating_cycle(a1, prefer_small=True)
-    if x1 is None and ring.kind == "Z":
-        for p in (2, 3, 5, 7, 11, 13):
-            reduced = _as_ring(a1, GF(p))
-            if not reduced.is_zero():
-                x1 = find_evaluating_cycle(reduced, prefer_small=True)
-                if x1 is not None:
-                    ring = reduced.ring
-                    break
-    if x1 is None:
-        raise InvalidSpec("no cycle pairs nontrivially with the first class")
+    # the witness pairs a_1 with a cycle, and for n = 2 a_2 too
+    ring, cycles = _pairing_cycles([_on(K, a) for a in spec.cochains[:2 if n == 2 else 1]],
+                                   spec.ring)
+    x1 = cycles[0]
 
     sigma = {l: spec.survivors[l - 1][0] for l in range(2, n)}
-    sigma[n] = spec.P[n - 1][0]
+    sigma[n] = sigma_n
 
     if n == 2:
         # nothing is deleted for n = 2, so a product of pairing cycles works
-        x2 = find_evaluating_cycle(_as_ring(_on(K, spec.cochains[1]), ring), prefer_small=True)
-        if x2 is None:
-            raise InvalidSpec("no cycle pairs nontrivially with the second class")
         terms = [(s1 + s2, ring.mul(c1, c2))
-                 for s1, c1 in x1.coeffs.items() for s2, c2 in x2.coeffs.items()]
+                 for s1, c1 in x1.coeffs.items() for s2, c2 in cycles[1].coeffs.items()]
     else:
         pair = K.sort_simplex(sigma[2] + sigma[n])
         inner = list(range(3, n))
@@ -344,18 +362,22 @@ def certify_join_nontrivial(spec: JoinMasseySpec, K: Optional[SimplicialComplex]
 
     Pair the canonical associated cocycle against the witness cycle.  The
     pairing depends only on the two classes, so when it is zero no rewriting
-    of either representative can help: decide exactly over F_2 instead.
+    of either representative can help.  A witness whose sigma_n also lies in
+    the support of a_n can pair to zero over every ring, so the witnesses
+    through the other simplices of P_n are tried next; when every one pairs
+    to zero, decide exactly over F_2 instead.
     """
     if K is None:
         K, _ = construct_massey_complex(spec)
     if ds is None:
         ds = canonical_defining_system_joins(spec, K)
     omega = associated_cocycle(ds)
-    x = witness_cycle(spec, K)
-    paired = _as_ring(omega, x.ring)
-    value = evaluate(paired, x)
-    if not x.ring.is_zero(value):
-        return JoinCertificate("pairing", paired, x, value)
+    rest = spec.P[spec.n - 1][1:] if spec.n > 2 else ()  # n = 2 reads no sigma_n
+    for x in itertools.chain([witness_cycle(spec, K)], (_witness(spec, K, s) for s in rest)):
+        paired = _as_ring(omega, x.ring)
+        value = evaluate(paired, x)
+        if not x.ring.is_zero(value):
+            return JoinCertificate("pairing", paired, x, value)
 
     f2 = GF(2)
     classes = tuple(

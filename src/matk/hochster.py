@@ -6,11 +6,16 @@ H-tilde^p(K_J) (Hochster's formula).  It builds no complex per subset: it
 reads the face table of ``cochains``, every face of K as an int bitmask (bit
 r for the vertex of rank r) with its coboundary terms, and the faces of K_J
 are those inside the mask of J.  It visits J in increasing mask order and
-first splits K_J into its connected components by a flood fill over the
-neighbour masks of its vertices.  A disconnected K_J with c components has
-H-tilde^0 = Z^(c-1), free over every ring, and in each degree p >= 1 the
-direct sum of its components' groups; each component has a smaller mask
-than J, so its groups are already known, and torsion adds up through
+first splits K_J into its connected components, read from a table of
+smaller masks: ``low[J]``, an int array of 8 bytes per subset, holds the
+component of K_J through the lowest vertex l of J.  The components of
+K_(J-l) are ``low[rest]`` for rest = J - l, then rest minus that
+component, and so on, every one a smaller mask already filled in; those
+that meet a neighbour of l merge with l into ``low[J]``, and the others
+are the remaining components of K_J.  A disconnected K_J with c components
+has H-tilde^0 = Z^(c-1), free over every ring, and in each degree p >= 1
+the direct sum of its components' groups; each component has a smaller
+mask than J, so its groups are already known, and torsion adds up through
 ``AbelianGroup.direct_sum``.  These lookups and the collapse ones below
 read the table's one slot dict ``by_J``, keyed by the mask of J; label
 tuples are built only for output, in ``HochsterTable.to_json``.
@@ -26,6 +31,10 @@ v is dominated by w in K_J exactly when w is in J and none of them lies
 inside J; the edges {v, u} among them are one guard mask per (v, w), so
 most tests are one AND, and on a flag complex all of them.  A leaf is
 dominated by its neighbour, and every other vertex of a cone by its apex.
+Every mask the test reads is a neighbour w of v, an edge {v, u} or a face
+through v, so it reads J only through the neighbours of v in J: its answer
+is memoised per v and J & N(v), in a dict that lives for one call, and
+most subsets repeat an earlier one's test.
 
 Only a connected core, a K_J on two or more vertices with no dominated
 vertex, is eliminated: for a vertex v of J it keeps the faces of K_J whose
@@ -148,16 +157,26 @@ class HochsterTable:
 def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> HochsterTable:
     """Groups of H^*(Z_K) per vertex subset J and in total per degree.
 
-    J runs over the vertex subsets in increasing mask order.  A disconnected
-    K_J takes Z^(c-1) in degree 0 for its c components and the direct sum
-    of their groups, read from the earlier, smaller masks, in every other
-    degree.  A connected K_J with a vertex v dominated by another vertex w
-    (lk v a cone on w) strong-collapses to K_(J-v), whose groups it takes.
+    J runs over the vertex subsets in increasing mask order.  Its components
+    come from a table of 8 bytes per subset, the component of K_J through
+    its lowest vertex l, built from the components of K_(J-l).  A
+    disconnected K_J takes Z^(c-1) in degree 0 for its c components and the
+    direct sum of their groups, read from the earlier, smaller masks, in
+    every other degree.  A connected K_J with a vertex v dominated by another
+    vertex w (lk v a cone on w) strong-collapses to K_(J-v), whose groups it
+    takes; whether v is dominated is memoised per v and its neighbours in J.
     Only a connected core, a K_J with no dominated vertex, has H-tilde^*(K_J)
     read off the relative cochains of (K_J, st v) for a vertex v of J, the
     vertex with the most neighbours in J: their basis is the faces of K_J
     off the star of v.  See the module docstring.
+
+    ``cap`` bounds the vertices m, since the work and the memory grow as
+    2^m: the component table alone takes 8 * 2^m bytes (128 MiB at the
+    default 24), and ``by_J`` holds an entry per nontrivial slot, which on
+    a sparse complex is nearly every subset.
     """
+    from array import array  # here, not at the top: it would cost every import of matk
+
     m = len(K.vertices)
     if m > cap:
         raise VertexCapExceeded(f"{m} vertices exceeds the 2^m subset cap {cap}")
@@ -166,8 +185,12 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     neighbours = [sum(1 << u for u in range(m) if u != v and 1 << u | 1 << v in gid)
                   for v in range(m)]
     dominators = _dominators(m, levels, gid, neighbours)
+    dominated = {}  # J & N(v) | v << m -> whether v is dominated in K_J
     off_star = {}  # vertex v -> _off_star(v), built for the first core that uses v
 
+    # low[J]: the component of K_J through the lowest vertex of J, 8 bytes a
+    # subset; repeating a one-item array allocates no second buffer
+    low = array("q", [0]) * (1 << m)
     table = HochsterTable(K, ring)
     # a K_J that collapses shares the dict of the smaller mask J - v; no
     # entry is written to after it is stored
@@ -178,22 +201,25 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     adjacent = {1 << v: neighbours[v] for v in range(m)}
     free = [AbelianGroup(c) for c in range(m)]  # Z^c, built once for every K_J
     for J in range(1, 1 << m):  # each component of K_J has a smaller mask than J
-        if not J & (J - 1):  # a point
+        lbit = J & -J
+        rest = J ^ lbit
+        if not rest:  # a point
+            low[J] = J
             continue
-        components, rest = [], J
-        while rest:  # flood fill over the edges inside J
-            component = frontier = rest & -rest
-            rest ^= component
-            while frontier:
-                u = frontier & -frontier
-                new = adjacent[u] & rest
-                rest ^= new
-                component |= new
-                frontier ^= u | new
-            components.append(component)
-        if len(components) > 1:  # H~*(K_J) = Z^(c-1) in degree 0 + the components' groups
-            groups = {0: free[len(components) - 1]}
-            for part in components:
+        # the components of K_(J-l) are low[rest] for the shrinking rest;
+        # those that meet a neighbour of l join it, the others stay apart
+        component, reach, components = lbit, adjacent[lbit], []
+        while rest:
+            part = low[rest]
+            rest ^= part
+            if part & reach:
+                component |= part
+            else:
+                components.append(part)
+        low[J] = component
+        if components:  # H~*(K_J) = Z^(c-1) in degree 0 + the components' groups
+            groups = {0: free[len(components)]}
+            for part in (component, *components):
                 if part in by_J:
                     for p, g in by_J[part].items():
                         groups[p] = groups[p].direct_sum(g) if p in groups else g
@@ -201,8 +227,13 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
             outside, rest = everything ^ J, J
             while rest:  # look for a dominated vertex
                 vbit = rest & -rest
-                if any(J & guard == wbit and all(s & outside for s in larger)
-                       for wbit, guard, larger in dominators[vbit]):
+                key = J & adjacent[vbit] | vbit << m
+                hit = dominated.get(key)
+                if hit is None:
+                    hit = dominated[key] = any(
+                        J & guard == wbit and all(s & outside for s in larger)
+                        for wbit, guard, larger in dominators[vbit])
+                if hit:
                     break
                 rest ^= vbit
             if rest:  # K_J strong-collapses to K_(J-v)
@@ -249,7 +280,8 @@ def _dominators(m, levels, gid, neighbours) -> dict:
     sigma + w no face: guard is the w bit and the other vertex of every such
     edge, larger the masks of the ones with three or more vertices.  v is
     dominated by w in K_J exactly when J & guard is the w bit and no mask of
-    larger lies inside J; on a flag complex larger is always empty."""
+    larger lies inside J; on a flag complex larger is always empty.  Every
+    vertex of these masks but v is a neighbour of v."""
     dominators = {}
     for v in range(m):
         vbit = 1 << v

@@ -27,7 +27,9 @@ table.
 ``cw_complex_reference`` builds the whole cellular cochain complex of Z_K
 from vertex-label tuples, cell by cell; the library builds, from bitmasks,
 only the critical cells of a matching, which ``cw_is_critical`` names on
-labels.
+labels.  ``cw_slots_reference`` splits that complex by J = sigma ∪ T and
+reduces each block, so it gives the Hochster table slot by slot with no
+code of ``cochains`` or ``hochster``.
 
 ``enumerate_reference`` decides a Massey product by the exhaustive walk:
 one class key per valid defining system.  It shares with the library only
@@ -497,6 +499,32 @@ def cw_complex_reference(K: SimplicialComplex):
 
     return ({d: len(c) for d, c in cells.items()},
             {d: coboundary_rows(d) for d in cells if d + 1 in cells})
+
+
+def cw_slots_reference(K: SimplicialComplex, ring) -> dict:
+    """The groups of ``cw_complex_reference`` per vertex subset J, as
+    {J as a label tuple: {p: nontrivial group}}.  The coboundary keeps
+    J = sigma ∪ T, so the cells of each J span a direct summand, and
+    Hochster's formula puts its degree d at H~^p(K_J) with
+    d = p + |J| + 1.  Each block is reduced whole by ``groups_per_degree``."""
+    cells = cw_cells_reference(K)
+    _, deltas = cw_complex_reference(K)
+    blocks: dict = {}  # J -> {degree: positions of its cells there}
+    for d, level in cells.items():
+        for i, (sigma, T) in enumerate(level):
+            J = tuple(sorted(sigma + T, key=K.rank))
+            blocks.setdefault(J, {}).setdefault(d, []).append(i)
+    slots = {}
+    for J, at in blocks.items():
+        new = {d: {i: k for k, i in enumerate(positions)} for d, positions in at.items()}
+        block = {d: [{new[d][j]: a for j, a in deltas[d][i].items()} for i in at[d + 1]]
+                 for d in at if d + 1 in at}
+        groups = groups_per_degree({d: len(positions) for d, positions in at.items()},
+                                   block, ring)
+        groups = {d - len(J) - 1: g for d, g in groups.items() if not g.is_trivial}
+        if groups:
+            slots[J] = groups
+    return slots
 
 
 # -- Hochster references on labels -------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -330,6 +331,21 @@ def test_golden_outputs(capsys, name, argv):
     assert code == 0
     golden = (GOLDEN / name).read_text()
     assert out == golden
+
+
+def test_hochster_of_permutahedron3_matches_its_recorded_digest(capsys, tmp_path):
+    """``matk hochster`` on the 14 vertices of permutahedron(3), 2^14
+    subsets, byte for byte: the sha256 of its stdout as recorded before the
+    component table and the domination memo replaced the flood fill and the
+    per-subset domination scan."""
+    code, out = run_cli(capsys, "nestohedron", "--kind", "permutahedron", "--dim", "3")
+    assert code == 0
+    path = tmp_path / "permutahedron-3.json"
+    path.write_text(out)
+    code, out = run_cli(capsys, "hochster", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "78e9c9248b9740eb309dc4cebe08d211c0f04daf092a7a018b0649253ae3e397"
 
 
 def test_console_script_entry_point():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from matk.cochains import (
     reduced_cohomology,
 )
 from matk import constructions
+from matk.cli import main
 from matk.constructions import (
     DiagonalTouchesEdge,
     InvalidSpec,
@@ -59,6 +61,7 @@ from helpers import (
     phi_star_sign,
     reduced_betti,
     rp2_join_spec,
+    rp2_six_vertices,
     simplex_boundary,
     two_points,
 )
@@ -265,6 +268,63 @@ def test_rp2_witness_falls_back_to_f2():
     cert = certify_join_nontrivial(spec, K)
     assert cert.method == "pairing"
     assert cert.value == 1
+
+
+@pytest.mark.parametrize("rp2_first", [True, False], ids=["rp2-first", "rp2-second"])
+def test_product_with_a_torsion_class_is_paired_over_f2(rp2_first):
+    """For n = 2 the witness is the product of pairing cycles for both
+    classes, so both choose its ring: no Z cycle pairs with the RP^2 class,
+    in either position."""
+    rp2, S0 = rp2_six_vertices(), two_points("6", "7")
+    factors = [(rp2, Cochain.chi(rp2, ZZ, ("0", "1", "2"), J=rp2.vertices)),
+               (S0, Cochain.chi(S0, ZZ, ("6",), J=("6", "7")))]
+    if not rp2_first:
+        factors.reverse()
+    spec = JoinMasseySpec(*zip(*factors))
+    K, _ = construct_massey_complex(spec)
+    x = witness_cycle(spec, K)
+    assert x.ring == GF(2) and boundary(x).is_zero()
+    cert = certify_join_nontrivial(spec, K)
+    assert (cert.method, cert.value) == ("pairing", 1)
+
+
+def rp2_last_spec():
+    """``fixtures/rp2-join.json`` with the RP^2 factor moved last and its
+    class written as chi_012 + d chi_01 + d chi_34, its support ordered 012,
+    134, 015, 034.  The sweep from 134 deletes 034, a support simplex, and
+    P_3 starts with it."""
+    rp2 = rp2_six_vertices()
+    J = rp2.vertices
+    torsion = (Cochain.chi(rp2, ZZ, ("0", "1", "2"), J=J)
+               + coboundary(Cochain.chi(rp2, ZZ, ("0", "1"), J=J))
+               + coboundary(Cochain.chi(rp2, ZZ, ("3", "4"), J=J)))
+    K1, K2 = two_points("6", "7"), two_points("8", "9")
+    return JoinMasseySpec(
+        (K1, K2, rp2),
+        (Cochain.chi(K1, ZZ, ("6",), J=("6", "7")), Cochain.chi(K2, ZZ, ("8",), J=("8", "9")),
+         torsion),
+        support_order={2: [("0", "1", "2"), ("1", "3", "4"), ("0", "1", "5"), ("0", "3", "4")]})
+
+
+def test_torsion_class_last_is_certified_through_another_deletion_simplex(tmp_path, capsys):
+    """The witness through the first simplex of P_3, 034, pairs to zero:
+    034 carries a_3 too, and its two terms cancel over Z and so over every
+    field.  The witness through the next simplex, 124, pairs to -2, so the
+    certificate needs neither a prime field nor the F2 enumeration, whose
+    budget this product exhausts."""
+    spec = rp2_last_spec()
+    assert spec.P[2] == (("0", "3", "4"), ("1", "2", "4"), ("1", "3", "5"))
+    K, _ = construct_massey_complex(spec)
+    omega = associated_cocycle(canonical_defining_system_joins(spec, K))
+    assert evaluate(omega, witness_cycle(spec, K)) == 0
+    cert = certify_join_nontrivial(spec, K)
+    assert (cert.method, cert.value, cert.cycle.ring) == ("pairing", -2, ZZ)
+    assert boundary(cert.cycle).is_zero()
+    assert {v for s in cert.cycle.support for v in s} >= {"1", "2", "4"}
+    path = tmp_path / "rp2-last-join.json"
+    path.write_text(json.dumps(spec_to_json(spec)))
+    assert main(["construct-join", str(path), "--certify"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["evaluation"] == "-2"
 
 
 def test_spec_json_round_trip():
