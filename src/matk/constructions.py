@@ -275,15 +275,12 @@ def _as_ring(a: Cochain, ring: Ring) -> Cochain:
                    {s: reduce_coeff(c) for s, c in a.coeffs.items()})
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13)  # the prime fields a torsion class is paired over
-
-
 def _pairing_cycles(classes, ring: Ring) -> tuple:
     """(ring, cycles), one cycle per class that pairs nontrivially with it:
     over ``ring``, or over Z, when a class is torsion, over the first prime
     field in which every class has one.  The ring is chosen from every
     class, so a torsion class after the first forces the field too."""
-    fields = [GF(p) for p in _PRIMES] if ring.kind == "Z" else []
+    fields = [GF(p) for p in (2, 3, 5, 7, 11, 13)] if ring.kind == "Z" else []
     for R in (ring, *fields):
         cycles = []
         for a in classes:
