@@ -17,10 +17,12 @@ class set need not be a coset.  Over a prime field every stage solve is
 linear in its right-hand side, so once a few stages are fixed the associated
 class is affine in the other parameters (Kraines 1966, May 1969): only those
 stages are enumerated, each branch is one solve, and a budget caps the free
-parameters.  Entry a_{i,k} depends only on the parameters of the stages
-inside [i, k], so the branches and the points that span them share their
-stage entries within one enumeration.  Representatives a_{i,i} stay fixed;
-the class set of a Massey product does not depend on that choice.
+parameters.  Each entry a_{i,k} is then a constant plus one cochain per
+free parameter of the stages inside [i, k]: the branches of one enumeration
+share each stage's lift, kept under the enumerated values strictly inside
+the stage, and each staircase product, kept under those inside its two
+factors.  Representatives a_{i,i} stay fixed; the class set of a Massey
+product does not depend on that choice.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ class RingNotFinite(MatkError):
 
 class InvalidDefiningSystem(MatkError):
     pass
+
+
+class NonAffineSplit(MatkError):
+    """A staircase product whose two factors both vary with the free
+    parameters: the enumerated stages do not make the branch affine."""
 
 
 class DefiningSystem:
@@ -340,51 +347,104 @@ def _inside(n: int, i: int, k: int) -> list:
     return [s for s in _stages(n) if i <= s[0] and s[1] <= k]
 
 
+def _values(t: dict, i: int, k: int, strict: bool = False) -> tuple:
+    """The values of ``t`` at the stages inside [i, k], strictly if asked."""
+    return tuple(v for s, v in t.items()
+                 if i <= s[0] and s[1] <= k and not (strict and s == (i, k)))
+
+
+def _lifted(base: DefiningSystem, kernels: dict, t: dict, memo: dict, s: tuple):
+    """The lift of stage s's staircase and its residue, each as a constant
+    and {free parameter: coefficient}; ``Solver.lift`` is linear, so the
+    constant and every coefficient lift on their own.  Kept in ``memo``
+    under (s, the values of ``t`` strictly inside s)."""
+    key = (s, _values(t, *s, strict=True))
+    if key not in memo:
+        H, p = reduced_cohomology(base.complex, base.J_block(*s), base.ring), base.p_block(*s)
+        solver = H.solver(p)
+        const, coefs = _affine_staircase(base, kernels, t, memo, *s)
+        x, r = solver.lift(H.vector(const))
+        lifts = {j: solver.lift(H.vector(c)) for j, c in coefs.items()}
+        memo[key] = (H.cochain(x, p), {j: H.cochain(y, p) for j, (y, _) in lifts.items()},
+                     r, {j: e for j, (_, e) in lifts.items()})
+    return memo[key]
+
+
+def _affine_entry(base: DefiningSystem, kernels: dict, t: dict, memo: dict, i: int, k: int):
+    """Entry a_{i,k} as an affine map of the free parameters, the (stage, m)
+    of the stages not in ``t``: (constant, {(stage, m): coefficient}).  A
+    stage is the lift of its staircase plus its own cocycles: t times them
+    for an enumerated stage, one coefficient each for a free one."""
+    if i == k:
+        return base.a(i, i), {}
+    x, dx, _, _ = _lifted(base, kernels, t, memo, (i, k))
+    if (i, k) in t:
+        return combine(x, zip(t[(i, k)], kernels[(i, k)])), dx
+    return x, {**dx, **{((i, k), m): z for m, z in enumerate(kernels[(i, k)])}}
+
+
+def _affine_staircase(base: DefiningSystem, kernels: dict, t: dict, memo: dict,
+                      i: int, k: int):
+    """The staircase of (i, k), the associated cochain for (1, n), as an
+    affine map of the free parameters, like ``_affine_entry``.
+
+    One factor of every product is free of parameters (``_enumerated_stages``
+    chooses ``t``'s stages so), so a product is cup(constant, constant) plus
+    one cup of a constant and a coefficient per parameter; ``memo`` keeps it
+    under (split, the values of ``t`` inside each factor).  Two varying
+    factors raise ``NonAffineSplit``: the cross term has no place here.
+    """
+    zero = Cochain._trusted(base.complex, base.ring, base.J_block(i, k),
+                            base.p_block(i, k) + 1, {})
+    terms, coefs = [], {}
+    for r in range(i, k):
+        key = ((i, r, k), _values(t, i, r), _values(t, r + 1, k))
+        if key not in memo:
+            (a, da), (b, db) = (_affine_entry(base, kernels, t, memo, i, r),
+                                _affine_entry(base, kernels, t, memo, r + 1, k))
+            if da and db:
+                raise NonAffineSplit(f"both factors of split {r} of ({i},{k}) vary")
+            memo[key] = (cup_multiply(a, b), {**{j: cup_multiply(x, b) for j, x in da.items()},
+                                              **{j: cup_multiply(a, y) for j, y in db.items()}})
+        sign = (-1) ** (base.p_block(i, r) + len(base.J_block(i, r)))
+        c, dc = memo[key]
+        terms.append((sign, c))
+        for j, x in dc.items():
+            coefs.setdefault(j, []).append((sign, x))
+    return combine(zero, terms), {j: combine(zero, xs) for j, xs in coefs.items()}
+
+
 def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict,
-                  lifts: dict):
+                  memo: dict):
     """The class keys of the branch whose enumerated stages take the values
     ``t``, as the affine subspace {x : A x = s} of ring^dim, or None.
 
     With each entry the linear lift of its staircase, the stage residues
-    R(u) and the associated cochain are affine in the other parameters u,
-    read off u = 0 and the unit vectors; one solve finds where R(u) = 0.  A
-    is the canonical kernel basis of the class directions, so (A, s, dim)
-    depends on the class set only.
+    R(u) and the associated cochain are affine in the other parameters u:
+    ``_lifted`` and ``_affine_staircase`` give their constants and
+    coefficients, and one solve finds where R(u) = 0.  A is the canonical
+    kernel basis of the class directions, so (A, s, dim) depends on the
+    class set only.
 
-    The lift of stage (i, k) and its residue depend only on the parameters
-    of the stages strictly inside [i, k], so ``lifts`` keeps them under
-    (stage, those parameters), and u = 0, the unit vectors and the other
-    branches of one enumeration share them: a point lifts again only the
-    stages that strictly contain a stage whose parameters it changes.
+    ``memo`` is shared by the branches of one enumeration: a lift is kept
+    under the values of ``t`` strictly inside its stage and a product under
+    those inside its factors, so a branch lifts and multiplies again only
+    what contains a stage whose values it changes.
     """
     ring = base.ring
     free = [(s, m) for s in stages if s not in t for m in range(len(kernels[s]))]
-    inner = {s: [r for r in _inside(base.n, *s) if r != s] for s in stages}
-
-    def at(unit):
-        ds, residues, params = base, [], {}
-        for s in stages:
-            params[s] = t[s] if s in t else tuple(int((s, m) == unit)
-                                                  for m in range(len(kernels[s])))
-            key = (s, tuple(params[r] for r in inner[s]))
-            if key not in lifts:
-                H, p = reduced_cohomology(base.complex, base.J_block(*s), ring), base.p_block(*s)
-                x, r = H.solver(p).lift(H.vector(ds.staircase(*s)))
-                lifts[key] = (H.cochain(x, p), r)
-            particular, r = lifts[key]
-            ds = ds.with_entry(*s, combine(particular, zip(params[s], kernels[s])))
-            residues += r
-        return ds.staircase(1, ds.n), residues
-
-    omega, r0 = at(None)
-    units = [at(unit) for unit in free]
-    rows = [{j: ring.sub(r[i], a) for j, (_, r) in enumerate(units) if r[i] != a}
-            for i, a in enumerate(r0)]
+    r0, rows = [], []
+    for s in stages:
+        _, _, r, dr = _lifted(base, kernels, t, memo, s)
+        cols = [(j, dr[f]) for j, f in enumerate(free) if f in dr]
+        r0 += r
+        rows += [{j: e[i] for j, e in cols if e[i]} for i in range(len(r))]
     feasible = exactalg.Solver(rows, ring, len(free))
     u0 = feasible.solve([ring.neg(a) for a in r0])
     if u0 is None:
         return None
-    dirs = [w - omega for w, _ in units]
+    omega, domega = _affine_staircase(base, kernels, t, memo, 1, base.n)
+    dirs = [domega[f] for f in free]
     point = combine(omega, zip(u0, dirs))
     directions = [combine(omega._like({}), zip(v, dirs)) for v in feasible.kernel]
     H = reduced_cohomology(base.complex, omega.J, ring)
@@ -419,7 +479,8 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
     of them the verdict is unknown, and ``defined`` only when the
     parameter-free branch completes.  Otherwise the parameters of
     ``_enumerated_stages`` are enumerated, each branch is one
-    ``_branch_coset``, and the witness is the first valid system of ``_walk``.
+    ``_branch_coset``, all of them reading the affine lifts and products of
+    one memo, and the witness is the first valid system of ``_walk``.
     """
     classes = tuple(classes)
     if len(classes) < 2:
@@ -439,10 +500,10 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
                              budget_exhausted=True)
 
     E = _enumerated_stages(n, {s: len(z) for s, z in kernels.items()})
-    cosets, lifts = {}, {}
+    cosets, memo = {}, {}
     for choice in itertools.product(*(itertools.product(range(ring.p), repeat=len(kernels[s]))
                                       for s in E)):
-        coset = _branch_coset(base, stages, kernels, dict(zip(E, choice)), lifts)
+        coset = _branch_coset(base, stages, kernels, dict(zip(E, choice)), memo)
         if coset is not None:
             cosets[coset] = None
 

@@ -267,10 +267,10 @@ def test_staircase_builds_its_products_and_one_sum(monkeypatch):
     assert built == ["trusted"] * 5
 
 
-def _nestohedral(kind, n, k):
+def _nestohedral(kind, n, k, ring=GF(2)):
     from matk.nestohedra import nestohedron_massey_input
 
-    return tuple(nestohedron_massey_input(kind, n, k, GF(2))[1])
+    return tuple(nestohedron_massey_input(kind, n, k, ring)[1])
 
 
 @pytest.mark.parametrize("shift", [0, 1])
@@ -285,6 +285,45 @@ def _nestohedral(kind, n, k):
 def test_enumeration_matches_reference_on_benchmark_inputs(make, shift):
     classes = make()
     assert_matches_reference(_shifted(classes, shift) if shift else classes)
+
+
+@pytest.mark.parametrize("kind,p,shift", [
+    ("permutahedron", 2, 0), ("permutahedron", 2, 1),
+    ("stellohedron", 2, 0), ("stellohedron", 2, 1),
+    ("permutahedron", 3, 2),
+])
+def test_fivefold_enumeration_matches_reference(kind, p, shift):
+    """n = 5 is the first order whose enumerated stages form two blocks,
+    [(1,2), (4,5)], so a product's memo key reads values from both of its
+    factors.  Over F3 the reference walks 3^9 systems on the permutahedron
+    and 3^11 on the stellohedron, some 7 s and 23 s, so F3 runs once."""
+    classes = _nestohedral(kind, 5, 5, GF(p))
+    assert_matches_reference(_shifted(classes, shift) if shift else classes)
+
+
+@pytest.mark.parametrize("kind", ["permutahedron", "stellohedron"])
+def test_fivefold_memo_gives_each_branch_what_a_fresh_memo_builds(kind):
+    """The class sets of these inputs hide a stale product, so the memo is
+    checked at the cochain level: every stage lift with its residue, and
+    the associated cochain, read from the memo the branches share equal
+    those built afresh for the branch."""
+    classes = _nestohedral(kind, 5, 5)
+    base = DefiningSystem(classes, {})
+    stages = massey._stages(5)
+    kernels = {s: reduced_cohomology(base.complex, base.J_block(*s), base.ring)
+               .cocycle_basis(base.p_block(*s)) for s in stages}
+    E = massey._enumerated_stages(5, {s: len(z) for s, z in kernels.items()})
+    assert E == [(1, 2), (4, 5)]
+    shared = {}
+
+    def affine(t, memo):
+        return ([massey._lifted(base, kernels, t, memo, s) for s in stages],
+                massey._affine_staircase(base, kernels, t, memo, 1, 5))
+
+    for choice in itertools.product((0, 1), repeat=sum(len(kernels[s]) for s in E)):
+        values = iter(choice)
+        t = {s: tuple(next(values) for _ in kernels[s]) for s in E}
+        assert affine(t, shared) == affine(t, {})
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -339,6 +378,20 @@ def test_enumerated_stages_are_a_cheapest_affine_choice(case):
                    for subset in itertools.combinations(params, r)
                    if _products_stay_affine(n, params, set(subset)))
     assert sum(params[s] for s in E) == cheapest
+
+
+def test_two_varying_factors_are_refused():
+    """With no stage enumerated on massey4, stages (1,2) and (3,4) both keep
+    their parameters, so split 2 of the associated cochain multiplies two
+    varying factors: the cross term is refused, never dropped."""
+    classes = _massey4_fixture(GF(2))
+    base = DefiningSystem(classes, {})
+    kernels = {s: reduced_cohomology(base.complex, base.J_block(*s), base.ring)
+               .cocycle_basis(base.p_block(*s)) for s in massey._stages(4)}
+    assert kernels[(1, 2)] and kernels[(3, 4)]
+    with pytest.raises(massey.NonAffineSplit):
+        massey._affine_staircase(base, kernels, {}, {}, 1, 4)
+
 
 
 def test_twofold_enumeration_matches_reference_over_z():
@@ -480,15 +533,20 @@ def test_enumeration_factors_each_coboundary_once(monkeypatch):
     assert pairs and len(factored) == len(pairs)
 
 
-@pytest.mark.parametrize("make,most", [
-    (lambda: _massey4_fixture(GF(2)), 11),
-    (lambda: _massey4_fixture(GF(3)), 13),
-    (lambda: _nestohedral("permutahedron", 4, 4), 10),
+_COUNTED = pytest.mark.parametrize("make,lifts,cups", [
+    (lambda: _massey4_fixture(GF(2)), 11, 39),
+    (lambda: _massey4_fixture(GF(3)), 13, 46),
+    (lambda: _nestohedral("permutahedron", 4, 4), 10, 35),
 ], ids=["massey4-F2", "massey4-F3", "permutahedron-4-4"])
-def test_enumeration_lifts_each_stage_once_per_inner_parameters(monkeypatch, make, most):
-    """u = 0, the unit directions and every branch share the stage lifts: a
-    stage is lifted once per value of the parameters strictly inside it.
-    Lifting every stage at every point made 60, 90 and 50 lifts here."""
+
+
+@_COUNTED
+def test_enumeration_lifts_each_stage_once_per_inner_parameters(monkeypatch, make, lifts,
+                                                                cups):
+    """Every branch reads each stage's lift from one memo: the constant and
+    each parameter's coefficient of the stage's staircase are lifted once per
+    value of the enumerated stages strictly inside it.  Lifting every stage
+    at every point made 60, 90 and 50 lifts here."""
     classes = make()
     calls = []
     lift = exactalg.Solver.lift
@@ -500,7 +558,28 @@ def test_enumeration_lifts_each_stage_once_per_inner_parameters(monkeypatch, mak
     monkeypatch.setattr(exactalg.Solver, "lift", counting_lift)
     verdict = enumerate_defining_systems(classes)
     assert verdict.contains_zero is False
-    assert 0 < len(calls) <= most
+    assert 0 < len(calls) <= lifts
+
+
+@_COUNTED
+def test_enumeration_multiplies_each_split_once_per_factor_values(monkeypatch, make, lifts,
+                                                                  cups):
+    """A staircase product is multiplied once per value of the enumerated
+    stages inside its two factors, as a constant and one coefficient per
+    parameter; the count includes the witness walk's products.  Rebuilding
+    the whole system at every unit vector made 65, 87 and 57 here."""
+    classes = make()
+    calls = []
+    cup = massey.cup_multiply
+
+    def counting_cup(a, b):
+        calls.append((a, b))
+        return cup(a, b)
+
+    monkeypatch.setattr(massey, "cup_multiply", counting_cup)
+    verdict = enumerate_defining_systems(classes)
+    assert verdict.contains_zero is False
+    assert 0 < len(calls) <= cups
 
 
 def test_verdict_json_round_trips_witness():
