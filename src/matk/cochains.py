@@ -213,8 +213,7 @@ def coboundary(a: Cochain) -> Cochain:
 def boundary(x: Chain) -> Chain:
     """The boundary map, adjoint to the coboundary: the same rows transposed."""
     H = _cached_cohomology(x.complex, x.J, x.ring)
-    return Chain._trusted(x.complex, x.ring, x.J, x.p - 1, dict(zip(
-        H._position(x.p - 1), H._apply(H._boundary_rows(x.p), H.vector(x)))))
+    return H._graded(Chain, H._apply(H._boundary_rows(x.p), H.vector(x)), x.p - 1)
 
 
 def evaluate(a: Cochain, x: Chain):
@@ -320,12 +319,13 @@ class ReducedCohomology:
     ``_face_table`` inside the mask of J, in ``K.faces`` order.  Each
     coboundary d: C^p -> C^{p+1} is a list of sparse integer rows, built on
     first use from the table's terms and kept per degree; ``coboundary``,
-    ``boundary`` and ``is_cocycle`` are sparse products with them.  Each is
-    factored once into an ``exactalg.Solver``, kept per degree: its kernel
-    is the cocycle basis, and every solve against it (a primitive of a
-    coboundary, coboundary membership, the class key of a cocycle) replays
-    the recorded row operations and back-substitutes.  Only the groups are
-    computed without a ``Solver``.
+    ``boundary`` and ``is_cocycle`` are sparse products with them and with
+    ``vector``, a (co)chain's terms keyed by face position.  Each
+    coboundary is factored once into an ``exactalg.Solver``, kept per
+    degree: its kernel is the cocycle basis, and every solve against it (a
+    primitive of a coboundary, coboundary membership, the class key of a
+    cocycle) replays the recorded row operations and back-substitutes.
+    Only the groups are computed without a ``Solver``.
     """
 
     def __init__(self, K: SimplicialComplex, J, ring: Ring):
@@ -353,16 +353,19 @@ class ReducedCohomology:
         faces, gid = self.complex.faces(p), self._gid
         return tuple(faces[gid[f]] for f in self._levels.get(p, ()))
 
-    def vector(self, a: Cochain) -> list:
+    def vector(self, a: _Graded) -> dict:
+        """The terms of a (co)chain keyed by position among the p-faces."""
         idx = self._position(a.p)
-        v = [self.ring.zero] * len(idx)
-        for m, c in a._by_mask.items():
-            v[idx[m]] = c
-        return v
+        return {idx[m]: c for m, c in a._by_mask.items()}
 
-    def cochain(self, vec, p: int) -> Cochain:
-        return Cochain._trusted(self.complex, self.ring, self.J, p,
-                                dict(zip(self._position(p), vec)))
+    def cochain(self, vec: dict, p: int) -> Cochain:
+        return self._graded(Cochain, vec, p)
+
+    def _graded(self, cls, vec: dict, p: int):
+        """The ``cls`` (Cochain or Chain) with vec's entries at their faces."""
+        faces = self._levels.get(p, ())
+        return cls._trusted(self.complex, self.ring, self.J, p,
+                            {faces[i]: c for i, c in vec.items()})
 
     def delta_matrix(self, p: int) -> list:
         """d: C^p -> C^{p+1} as integer rows, one per (p+1)-face t of K_J,
@@ -374,10 +377,11 @@ class ReducedCohomology:
                               for t in self._levels.get(p + 1, ())]
         return self._delta[p]
 
-    def _apply(self, rows: list, v: list) -> list:
-        """The integer rows times the vector v, in the ring."""
+    def _apply(self, rows: list, v: dict) -> dict:
+        """The integer rows times the vector v, in the ring, its zeros left out."""
         ring, zero = self.ring, self.ring.zero
-        return [ring.add(zero, sum(a * v[j] for j, a in row.items())) for row in rows]
+        return {i: x for i, row in enumerate(rows)
+                if (x := ring.add(zero, sum(a * v[j] for j, a in row.items() if j in v)))}
 
     def _boundary_rows(self, q: int) -> list:
         """d: C^{q-1} -> C^q transposed, the boundary C_q -> C_{q-1}: one row
@@ -412,16 +416,17 @@ class ReducedCohomology:
         return [self.cochain(v, p) for v in self.solver(p).kernel]
 
     def cycle_basis(self, q: int) -> list:
-        """A basis of the q-cycles as vectors: the kernel of the boundary
+        """A basis of the q-cycles as chains: the kernel of the boundary
         C_q -> C_{q-1}; found once per degree."""
         if q not in self._cycles:
-            self._cycles[q] = exactalg.Solver(self._boundary_rows(q), self.ring,
-                                              len(self._position(q))).kernel
+            kernel = exactalg.Solver(self._boundary_rows(q), self.ring,
+                                     len(self._position(q))).kernel
+            self._cycles[q] = [self._graded(Chain, v, q) for v in kernel]
         return self._cycles[q]
 
     def is_cocycle(self, a: Cochain) -> bool:
         self._check(a)
-        return not any(self._apply(self.delta_matrix(a.p), self.vector(a)))
+        return not self._apply(self.delta_matrix(a.p), self.vector(a))
 
     def primitive(self, b: Cochain) -> Optional[Cochain]:
         """A cochain a with d(a) = b, its free coordinates zero; None if b is

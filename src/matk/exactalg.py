@@ -2,14 +2,15 @@
 
 Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
 for rationals, and reduced residues for F_p.  Every matrix is a list of
-sparse rows, one ``{column: entry}`` dict per row.  One sparse Gaussian
-elimination, ``_eliminate``, serves every ring and records its steps; over Z
-it pivots on units only, and ``_hermite``, the one dense integer routine,
-handles the small residual left over.  ``cohomology_groups`` reads ranks
-and invariant factors off it, top degree first: the unit pivot columns of
-each coboundary name the rows it clears from the one below.
-``Solver`` factors one matrix once and answers each right-hand side by
-replaying the recorded row operations and back-substituting.
+sparse rows, one ``{column: entry}`` dict per row, and every vector is such
+a dict too.  One sparse Gaussian elimination, ``_eliminate``, serves every
+ring and records its steps; over Z it pivots on units only, and
+``_hermite``, the one dense integer routine, handles the small residual
+left over.  ``cohomology_groups`` reads ranks and invariant factors off it,
+top degree first: the unit pivot columns of each coboundary name the rows
+it clears from the one below.  ``Solver`` factors one matrix once and
+answers each right-hand side by replaying the recorded row operations and
+back-substituting.
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ class Ring(Frozen):
         return str(a)
 
     def element_from_str(self, s: str):
-        parts = s.strip().split("/")
-        if len(parts) > (1 if self.kind == "Z" else 2):
+        parts = s.strip().split("/") if isinstance(s, str) else []
+        if not parts or len(parts) > (1 if self.kind == "Z" else 2):
             raise MalformedInput(f"{s!r} is not an element of {self.name()}")
         num, *den = (self.of_int(parse_int(x, "coefficient")) for x in parts)
         return self.div(num, den[0]) if den else num
@@ -193,15 +194,13 @@ class Ring(Frozen):
 
     @staticmethod
     def parse(name: str) -> "Ring":
+        if not isinstance(name, str):
+            raise MalformedInput(f"ring name {name!r} is not a string")
         name = name.strip()
-        if name == "Z":
-            return ZZ
-        if name == "Q":
-            return QQ
-        if name.startswith("Fp:"):
-            return GF(parse_int(name[3:], "modulus"))
+        if name in ("Z", "Q"):
+            return ZZ if name == "Z" else QQ
         if name.startswith("F"):
-            return GF(parse_int(name[1:], "modulus"))
+            return GF(parse_int(name[3:] if name.startswith("Fp:") else name[1:], "modulus"))
         raise MalformedInput(f"unknown ring {name!r}")
 
 
@@ -396,7 +395,9 @@ def cohomology_groups(sizes: Mapping[int, int], deltas: Mapping[int, list],
 
 class Solver:
     """A x = b for one matrix A (sparse rows, ``cols`` columns) and many
-    right-hand sides b, factored once.
+    right-hand sides b, factored once.  Vectors are sparse like rows: b is
+    a ``{row: entry}`` map (zeros allowed), and each x returned is the
+    ``{column: entry}`` map of its nonzero entries, ``{}`` for zero.
 
     ``_eliminate`` factors A; over Z the rows it leaves form a residual R,
     and ``_hermite`` gives H = R V, column t with its pivot in row i_t.  A
@@ -442,7 +443,7 @@ class Solver:
                    for t in range(k, len(self._res_cols))]
         return kernel
 
-    def _lift(self, y: dict, free: dict) -> list:
+    def _lift(self, y: dict, free: dict) -> dict:
         """The x equal to ``free`` off the pivot columns whose pivot rows
         satisfy row_k . x = y_k: back-substitution in reverse step order,
         through only the steps that a nonzero y_k or free entry reaches."""
@@ -465,18 +466,15 @@ class Solver:
             v = v * inv % p if p else v * inv
             if v:
                 x[c] = v
-        out = [zero] * self.cols
-        for j, a in x.items():
-            out[j] = a
-        return out
+        return x
 
     def _reduce(self, b):
         """(y, q, residue): y, b after the recorded row operations, the
         multiples q_t of H's columns taken off y on the residual rows, and
         what is left, which decides solvability."""
         p, zero = self._p, self.ring.zero
-        y = {i: bi % p for i, bi in enumerate(b) if bi % p} if p else {
-            i: bi for i, bi in enumerate(b) if bi}
+        y = {i: bi % p for i, bi in b.items() if bi % p} if p else {
+            i: bi for i, bi in b.items() if bi}
         for k, _, _, _, ops in self._steps:
             yk = y.get(k)
             if yk:
@@ -503,7 +501,7 @@ class Solver:
         y, _, residue = self._reduce(b)
         return self._lift(y, {}), residue
 
-    def solve(self, b) -> Optional[list]:
+    def solve(self, b) -> Optional[dict]:
         """A solution x of A x = b, or None when b is not in the image."""
         y, q, residue = self._reduce(b)
         if any(residue):

@@ -239,13 +239,9 @@ def find_evaluating_cycle(omega: Cochain, prefer_small: bool = False) -> Optiona
     With ``prefer_small`` the hit with the fewest support simplices among the
     cycle-basis vectors is returned.
     """
-    K, ring = omega.complex, omega.ring
-    H = reduced_cohomology(K, omega.J, ring)
-    q = omega.p
     best = None
-    for v in H.cycle_basis(q):
-        x = Chain._trusted(K, ring, omega.J, q, dict(zip(H._position(q), v)))
-        if not ring.is_zero(evaluate(omega, x)):
+    for x in reduced_cohomology(omega.complex, omega.J, omega.ring).cycle_basis(omega.p):
+        if not omega.ring.is_zero(evaluate(omega, x)):
             if not prefer_small:
                 return x
             if best is None or len(x._by_mask) < len(best._by_mask):
@@ -286,12 +282,11 @@ def triple_massey_decide(alpha1: CohomologyClass, alpha2: CohomologyClass,
     generators = [cup_multiply(overline(a1), z) for z in H23.cocycle_basis(p2 + p3)]
     generators += [cup_multiply(overline(z), a3) for z in H12.cocycle_basis(p1 + p2)]
     g = len(generators)
-    row_of = H._position(q)
     system = [{g + j: a for j, a in row.items()} for row in H.delta_matrix(q - 1)]
     for k, gen in enumerate(generators):
-        for t, c in gen._by_mask.items():
-            system[row_of[t]][k] = c
-    solver = exactalg.Solver(system, ring, g + len(H._position(q - 1)))
+        for t, c in H.vector(gen).items():
+            system[t][k] = c
+    solver = exactalg.Solver(system, ring, g + H.solver(q - 1).cols)
     contains_zero = solver.solve(H.vector(omega)) is not None
     indeterminacy_rank = solver.rank - H.solver(q - 1).rank
 
@@ -440,32 +435,32 @@ def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict,
         r0 += r
         rows += [{j: e[i] for j, e in cols if e[i]} for i in range(len(r))]
     feasible = exactalg.Solver(rows, ring, len(free))
-    u0 = feasible.solve([ring.neg(a) for a in r0])
+    u0 = feasible.solve({i: ring.neg(a) for i, a in enumerate(r0)})
     if u0 is None:
         return None
     omega, domega = _affine_staircase(base, kernels, t, memo, 1, base.n)
     dirs = [domega[f] for f in free]
-    point = combine(omega, zip(u0, dirs))
-    directions = [combine(omega._like({}), zip(v, dirs)) for v in feasible.kernel]
+    point = combine(omega, [(a, dirs[j]) for j, a in u0.items()])
+    directions = [combine(omega._like({}), [(a, dirs[j]) for j, a in v.items()])
+                  for v in feasible.kernel]
     H = reduced_cohomology(base.complex, omega.J, ring)
     c = H.class_key(point)  # each class key checks that its cochain is a cocycle
-    A = exactalg.Solver([dict(enumerate(H.class_key(w))) for w in directions],
-                        ring, len(c)).kernel
-    return (tuple(map(tuple, A)),
-            tuple(ring.of_int(sum(a * b for a, b in zip(row, c))) for row in A), len(c))
+    A = tuple(tuple(sorted(v.items())) for v in exactalg.Solver(
+        [dict(enumerate(H.class_key(w))) for w in directions], ring, len(c)).kernel)
+    return A, tuple(ring.of_int(sum(a * c[j] for j, a in row)) for row in A), len(c)
 
 
 def _class_count(cosets: list, ring: Ring) -> int:
     """The size of a union of distinct affine subspaces C_b = {x : A_b x = s_b}
-    of ring^dim: the sum of |C_b| - |∪_{i<b} C_b ∩ C_i|, where C_b ∩ C_i is
-    empty if A_i = A_b."""
+    of ring^dim, each row of A its nonzero (column, entry) pairs: the sum of
+    |C_b| - |∪_{i<b} C_b ∩ C_i|, where C_b ∩ C_i is empty if A_i = A_b."""
     total = 0
     for b, (A, s, dim) in enumerate(cosets):
         def solver(rows):
-            return exactalg.Solver([dict(enumerate(row)) for row in rows], ring, dim)
+            return exactalg.Solver(list(map(dict, rows)), ring, dim)
 
         meets = [(A + A2, s + s2, dim) for A2, s2, _ in cosets[:b]
-                 if A2 != A and solver(A + A2).solve(s + s2) is not None]
+                 if A2 != A and solver(A + A2).solve(dict(enumerate(s + s2))) is not None]
         free = dim - solver(A).rank  # 0 over Z, where only twofold products get here
         total += (ring.p ** free if free else 1) - _class_count(meets, ring)
     return total

@@ -427,7 +427,8 @@ def _bad_inputs(root):
     """Well-shaped input files carrying one malformed value each."""
     classes = _fixture("fig1-classes.json")[:2]
     blobs = {"empty": []}
-    for name, coeff in (("coeff_x", "x"), ("coeff_123", "1/2/3")):
+    for name, coeff in (("coeff_x", "x"), ("coeff_123", "1/2/3"), ("coeff_1", 1),
+                        ("coeff_null", None)):
         blobs[name] = json.loads(json.dumps(classes))
         blobs[name][0]["terms"][0]["coeff"] = coeff
     blobs["noncocycle"] = json.loads(json.dumps(classes))
@@ -445,7 +446,8 @@ def _bad_inputs(root):
                              ("spec_order_5", "support_order", {"0": 5}),
                              ("spec_order_7", "support_order", {"7": []}),
                              ("spec_extra_cochain", "cochains", spec["cochains"] * 2),
-                             ("spec_few_cochains", "cochains", spec["cochains"][:-1])):
+                             ("spec_few_cochains", "cochains", spec["cochains"][:-1]),
+                             ("spec_ring_5", "ring", 5)):
         blobs[name] = {**spec, key: value}
     blobs["one"] = classes[:1]
     # JSON values of the wrong shape: a string is not read as a list of
@@ -557,6 +559,9 @@ def _bad_inputs(root):
     (["product", "fig1.json", "--classes", "{simplex_repeat}"], "MalformedInput"),
     (["product", "fig1.json", "--classes", "{terms_repeat}"], "MalformedInput"),
     (["construct-join", "{spec_empty_class}"], "InvalidSpec"),
+    (["product", "fig1.json", "--classes", "{coeff_1}"], "MalformedInput"),
+    (["product", "fig1.json", "--classes", "{coeff_null}"], "MalformedInput"),
+    (["construct-join", "{spec_ring_5}"], "MalformedInput"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)

@@ -55,6 +55,11 @@ def rows_of(A):
     return [{j: a for j, a in enumerate(row) if a} for row in A]
 
 
+def dense(x, n):
+    """The dense list of length n of a sparse {index: entry} vector."""
+    return [x.get(j, 0) for j in range(n)]
+
+
 def naive_invariant_factors(M):
     """Independent oracle: d_k = gcd of k x k minors / gcd of (k-1) minors."""
     rows, cols = len(M), len(M[0]) if M else 0
@@ -159,13 +164,13 @@ def test_elimination_never_writes_to_its_input_rows(data):
 
 def test_solve_affine_identity():
     solver = Solver(rows_of(identity(3)), ZZ, 3)
-    assert solver.solve([4, -1, 7]) == [4, -1, 7]
+    assert solver.solve({0: 4, 1: -1, 2: 7}) == {0: 4, 1: -1, 2: 7}
     assert solver.kernel == []
 
 
 def test_solve_affine_no_solution_over_z():
-    assert Solver([{0: 2}], ZZ, 1).solve([1]) is None
-    assert Solver([{0: 2}], QQ, 1).solve([1]) == [QQ.of_int(1) / 2]
+    assert Solver([{0: 2}], ZZ, 1).solve({0: 1}) is None
+    assert Solver([{0: 2}], QQ, 1).solve({0: 1}) == {0: QQ.of_int(1) / 2}
 
 
 def test_solve_affine_f3_against_exhaustive_search():
@@ -179,17 +184,17 @@ def test_solve_affine_f3_against_exhaustive_search():
         if mat_vec(A, list(x), ring) == b
     }
     solver = Solver(rows_of(A), ring, 7)
-    particular = solver.solve(b)
+    particular = solver.solve(dict(enumerate(b)))
     if not brute:
         assert particular is None
         return
-    assert tuple(particular) in brute
+    assert tuple(dense(particular, 7)) in brute
     # particular + kernel spans exactly the brute-force solution set
     span = set()
     for coeffs in itertools.product(range(3), repeat=len(solver.kernel)):
-        x = list(particular)
+        x = dense(particular, 7)
         for c, v in zip(coeffs, solver.kernel):
-            x = [ring.add(xi, ring.mul(c, vi)) for xi, vi in zip(x, v)]
+            x = [ring.add(xi, ring.mul(c, vi)) for xi, vi in zip(x, dense(v, 7))]
         span.add(tuple(x))
     assert span == brute
 
@@ -204,11 +209,12 @@ def test_solve_affine_consistency(data):
     x0 = [ring.of_int(data.draw(st.integers(-3, 3))) for _ in range(cols)]
     b = mat_vec(A, x0, ring)
     solver = Solver(rows_of(A), ring, cols)
-    particular = solver.solve(b)
+    particular = solver.solve(dict(enumerate(b)))
     assert particular is not None
+    particular = dense(particular, cols)
     assert mat_vec(A, particular, ring) == b
     for v in solver.kernel:
-        shifted = [ring.add(p, vi) for p, vi in zip(particular, v)]
+        shifted = [ring.add(p, vi) for p, vi in zip(particular, dense(v, cols))]
         assert mat_vec(A, shifted, ring) == b
     if ring.is_field:
         assert rank(A, ring) + len(solver.kernel) == cols
@@ -268,20 +274,23 @@ def _check_against_fresh_solves(A, ring, cols, rhs):
     solutions and kernel bases may differ, solvability, A x = b, the rank and
     the kernel lattice agree."""
     solver = Solver(rows_of(A), ring, cols)
-    zero = solver.residue([ring.zero] * len(A))
+    zero = solver.residue(dict.fromkeys(range(len(A)), ring.zero))
+    basis = [dense(v, cols) for v in solver.kernel]
     for b, shift in rhs:
         particular, kernel = _fresh_solve(A, b, ring, cols)
-        x = solver.solve(b)
+        x = solver.solve(dict(enumerate(b)))
+        x = x if x is None else dense(x, cols)
         if ring.is_field:
             assert x == particular
-            assert solver.kernel == kernel
+            assert basis == kernel
         else:
             assert (x is None) == (particular is None)
             assert x is None or mat_vec(A, x, ring) == b
-            assert _same_lattice(solver.kernel, kernel, cols)
-        assert all(not any(mat_vec(A, v, ring)) for v in solver.kernel)
-        assert (solver.residue(b) == zero) == (particular is not None)
-        assert solver.residue([ring.add(x, y) for x, y in zip(b, shift)]) == solver.residue(b)
+            assert _same_lattice(basis, kernel, cols)
+        assert all(not any(mat_vec(A, v, ring)) for v in basis)
+        assert (solver.residue(dict(enumerate(b))) == zero) == (particular is not None)
+        assert (solver.residue(dict(enumerate(ring.add(x, y) for x, y in zip(b, shift))))
+                == solver.residue(dict(enumerate(b))))
     assert solver.rank == rank(A, ring) == cols - len(solver.kernel)
     return solver
 
@@ -324,21 +333,71 @@ def test_solver_on_the_rp2_coboundary_over_z():
     solver = _check_against_fresh_solves(delta, ZZ, cols, rhs)
     assert solver._residual
     # H^2 = C2: one 2-simplex generates it, twice that is a coboundary
-    face = [1] + [0] * (rows - 1)
+    face = {0: 1}
     assert solver.solve(face) is None and any(solver.residue(face))
-    assert solver.solve([2] + [0] * (rows - 1)) is not None
+    assert solver.solve({0: 2}) is not None
 
 
 def test_kernel_basis_generates_integer_kernel():
     A = [[2, 4, 6], [1, 2, 3]]
-    basis = Solver(rows_of(A), ZZ, 3).kernel
+    basis = [dense(v, 3) for v in Solver(rows_of(A), ZZ, 3).kernel]
     assert len(basis) == 2
     for v in basis:
         assert mat_vec(A, v, ZZ) == [0, 0]
     # (2, -1, 0) is in the kernel lattice and must be an integer combination
-    target = [2, -1, 0]
+    target = {0: 2, 1: -1}
     M = [[basis[0][i], basis[1][i]] for i in range(3)]
     assert Solver(rows_of(M), ZZ, 2).solve(target) is not None
+
+
+def _right_hand_side(data, A, ring):
+    """A sparse right-hand side of A x = b: in the image of A or not."""
+    entry = st.integers(0, 6)
+    if data.draw(st.booleans()):
+        b = mat_vec(A, [ring.of_int(data.draw(entry)) for _ in A[0]], ring)
+    else:
+        b = [ring.of_int(data.draw(entry)) for _ in A]
+    return {i: a for i, a in enumerate(b) if a}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lift_is_linear_and_solves_when_the_residue_vanishes(data):
+    """massey._lifted lifts a staircase's constant and each coefficient on
+    their own: lift(b1 + c b2) is lift(b1) + c lift(b2), residue included."""
+    ring = data.draw(st.sampled_from([GF(2), GF(3), GF(5)]))
+    A = [[ring.of_int(a) for a in row] for row in _random_sparse_matrix(data, 6)]
+    cols = len(A[0])
+    solver = Solver(rows_of(A), ring, cols)
+    b1, b2 = _right_hand_side(data, A, ring), _right_hand_side(data, A, ring)
+    c = ring.of_int(data.draw(st.integers(0, ring.p - 1)))
+    (x1, r1), (x2, r2) = solver.lift(b1), solver.lift(b2)
+    for b, x, r in ((b1, x1, r1), (b2, x2, r2)):
+        assert r == solver.residue(b)
+        if not any(r):
+            assert x == solver.solve(b)
+            assert mat_vec(A, dense(x, cols), ring) == dense(b, len(A))
+    b = {i: ring.add(b1.get(i, 0), ring.mul(c, b2.get(i, 0))) for i in range(len(A))}
+    x, r = solver.lift(b)
+    assert dense(x, cols) == [ring.add(a, ring.mul(c, e))
+                              for a, e in zip(dense(x1, cols), dense(x2, cols))]
+    assert r == tuple(ring.add(a, ring.mul(c, e)) for a, e in zip(r1, r2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_explicit_zeros_change_no_answer_and_no_map_holds_a_zero(data):
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+    A = [[ring.of_int(a) for a in row] for row in _random_sparse_matrix(data, 6)]
+    solver = Solver(rows_of(A), ring, len(A[0]))
+    b = _right_hand_side(data, A, ring)
+    padded = {i: b.get(i, data.draw(st.sampled_from([0, ring.zero]))) for i in range(len(A))}
+    assert solver.residue(padded) == solver.residue(b)
+    assert solver.solve(padded) == solver.solve(b)
+    assert solver.lift(padded) == solver.lift(b)
+    x = solver.solve(b)
+    for v in [solver.lift(b)[0], *solver.kernel] + ([] if x is None else [x]):
+        assert all(not ring.is_zero(a) for a in v.values())
 
 
 def test_ring_parsing_and_element_strings():
@@ -445,6 +504,7 @@ def test_division_by_zero_is_a_typed_error_in_every_ring():
 
 @pytest.mark.parametrize("ring,text", [
     (ZZ, "x"), (ZZ, ""), (ZZ, "1/2"), (QQ, "1/2/3"), (QQ, "1/x"), (GF(3), "/"), (GF(2), "1.5"),
+    (ZZ, 1), (QQ, None), (GF(2), ["1"]),  # JSON values that are not strings
 ])
 def test_malformed_element_is_typed(ring, text):
     with pytest.raises(MalformedInput):
@@ -454,6 +514,7 @@ def test_malformed_element_is_typed(ring, text):
 @pytest.mark.parametrize("name,error", [
     ("Fx", MalformedInput), ("Fp:", MalformedInput), ("X", MalformedInput),
     ("F4", NotPrime), ("F-3", NotPrime), ("F1", NotPrime),
+    (5, MalformedInput), (None, MalformedInput), (["Z"], MalformedInput),
 ])
 def test_malformed_ring_name_is_typed(name, error):
     with pytest.raises(error):
@@ -533,11 +594,11 @@ def test_solver_on_a_unit_free_residual():
     assert solver.rank == 5 and solver.kernel == []
     x0 = [3, -1, 4, 1, -5]
     b = mat_vec(A, x0, ZZ)
-    x = solver.solve(b)
-    assert x is not None and mat_vec(A, x, ZZ) == b
+    x = solver.solve(dict(enumerate(b)))
+    assert x is not None and mat_vec(A, dense(x, 5), ZZ) == b
     # |det A| = 65274, so the first unit vector is not in the image
     assert abs(det(A)) == 65274
-    assert solver.solve([1, 0, 0, 0, 0]) is None
+    assert solver.solve({0: 1}) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -569,10 +630,10 @@ def test_solver_on_unit_free_matrices(data):
     assert solver.rank == cols - len(solver.kernel)
     for _ in range(3):
         b = mat_vec(A, [data.draw(entry) for _ in range(cols)], ZZ)
-        x = solver.solve(b)
-        assert x is not None and mat_vec(A, x, ZZ) == b
+        x = solver.solve(dict(enumerate(b)))
+        assert x is not None and mat_vec(A, dense(x, cols), ZZ) == b
     for v in solver.kernel:
-        assert not any(mat_vec(A, v, ZZ))
+        assert not any(mat_vec(A, dense(v, cols), ZZ))
 
 
 @settings(max_examples=200, deadline=None)
