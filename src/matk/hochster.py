@@ -51,17 +51,24 @@ contributes nothing, and only the empty subset carries H-tilde^{-1}.
 ``moment_angle_cw_oracle`` computes the same groups from the cellular chain
 complex of the moment-angle complex itself (one cell per pair of a face
 sigma and a disjoint circle-coordinate set T, of dimension 2|sigma| + |T|).
-sigma and T are int bitmasks over the vertex ranks; the boundary term of a
-bit b of sigma is (sigma ^ b, T | b), with sign (-1)^popcount(T & (b - 1)).
-It builds only the critical cells of an acyclic matching (Forman, "Morse
-theory for cell complexes", 1998): with v the lowest vertex of J = sigma +
-T, (sigma, T) is paired with (sigma + v, T - v) when v is in T and sigma +
-v is a face.  The critical cells, (empty, empty) and those with v in T and
-sigma + v no face, span a subcomplex: the coboundary moves a vertex of T
-into sigma, so v stays in T and sigma + v off K.  Per J they are the
-relative cochains C*(K_J, st v), and the matched cells the augmented
-cochains of the cone st v, acyclic over Z: the groups are unchanged over
-any ring, torsion included.
+sigma and T are int bitmasks over a degree order of the vertices: by
+decreasing number of edges of K through them, ties in rank order.  The
+boundary term of a bit b of sigma is (sigma ^ b, T | b), with sign
+(-1)^popcount(T & (b - 1)).  It builds only the critical cells of an
+acyclic matching (Forman, "Morse theory for cell complexes", 1998): with v
+the first vertex of J = sigma + T in the degree order, (sigma, T) is paired
+with (sigma + v, T - v) when v is in T and sigma + v is a face.  The
+coboundary keeps J, so the cochain complex splits into blocks, one per J,
+and the argument runs block by block.  The critical cells of block J,
+(empty, empty) for J empty and else those with v in T and sigma + v no
+face, span a subcomplex: the coboundary moves a vertex of T into sigma, so
+v stays in T and sigma + v off K.  They are the relative cochains
+C*(K_J, st v), and the matched cells the augmented cochains of the cone
+st v, acyclic over Z for any vertex v of J: the groups are unchanged over
+any ring, torsion included.  The order only chooses v: a v with many
+neighbours has a large star and leaves few cells.  Relabelling the
+coordinates gives an isomorphic cell structure, so the groups do not
+depend on the order.
 The oracle reads only ``K.faces`` and the vertex ranks, never ``cochains``.
 The two share only ``exactalg.cohomology_groups``, which turns each cochain
 complex into its groups, top degree first, with clearing, and so the
@@ -71,6 +78,8 @@ so they cross-validate each other.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from . import exactalg
 from .cochains import Cochain, _face_table, _mask_of, cup_multiply, reduced_cohomology, total_degree
@@ -316,12 +325,16 @@ def product_in_hochster(a: CohomologyClass, b: CohomologyClass) -> CohomologyCla
 
 def _cw_complex(K: SimplicialComplex):
     """(sizes, deltas) of the critical cells of the cellular cochain complex
-    of Z_K (module docstring), a cell (sigma, T) as the int sigma << m | T.
-    Per face sigma by mask and vertex v below it with sigma + v no face, T
-    is v plus a subset of the vertices above v off sigma, by decreasing mask.
+    of Z_K (module docstring), a cell (sigma, T) as the int sigma << m | T,
+    bit r for the vertex at position r of the degree order (decreasing
+    number of edges, a stable sort of the ranks).  Per face sigma by mask
+    and vertex v below it with sigma + v no face, T is v plus a subset of
+    the vertices above v off sigma, by decreasing mask.
     A row keeps its critical facets only: column j of ``deltas[p]`` is row j
     of ``deltas[p - 1]``."""
-    m, rank = len(K.vertices), K._rank
+    edges = Counter(v for e in K.faces(1) for v in e)
+    order = sorted(K.vertices, key=lambda v: -edges[v])  # stable: ties in rank order
+    m, rank = len(order), {v: r for r, v in enumerate(order)}
     faces = {sum(1 << rank[v] for v in f) for p in range(-1, K.dim + 1) for f in K.faces(p)}
     full, cells = (1 << m) - 1, [[0]] + [[] for _ in range(m + K.dim + 1)]
     for sigma in sorted(faces):
@@ -357,11 +370,13 @@ def moment_angle_cw_oracle(K: SimplicialComplex, ring: Ring, cap: int = 12) -> d
 
     The disc factor contributes cells 1, t, D with dD = t and dt = 0; a cell
     (sigma, T) is the product of D-cells over sigma and t-cells over T, with
-    sigma and T int bitmasks over the vertex ranks.  The boundary sign of
+    sigma and T int bitmasks over the degree order of the vertices
+    (decreasing number of edges, ties in rank order).  The boundary sign of
     replacing D by t in the coordinate of bit b is (-1)^(number of
-    t-coordinates before it) = (-1)^popcount(T & (b - 1)), following the
-    vertex order.  Only the critical cells of the lowest-vertex matching
-    enter (``_cw_complex``), with the groups of all the cells.
+    t-coordinates before it) = (-1)^popcount(T & (b - 1)), following that
+    order.  Only the critical cells of the matching on the first vertex of
+    J = sigma + T in that order enter (``_cw_complex``), with the groups of
+    all the cells.
     """
     if len(K.vertices) > cap:
         raise VertexCapExceeded(f"{len(K.vertices)} vertices exceeds the 3^m cell cap {cap}")

@@ -27,7 +27,8 @@ table.
 ``cw_complex_reference`` builds the whole cellular cochain complex of Z_K
 from vertex-label tuples, cell by cell; the library builds, from bitmasks,
 only the critical cells of a matching, which ``cw_is_critical`` names on
-labels.  ``cw_slots_reference`` splits that complex by J = sigma ∪ T and
+labels, for the first vertex of J in ``matching_order`` or in any other
+order.  ``cw_slots_reference`` splits that complex by J = sigma ∪ T and
 reduces each block, so it gives the Hochster table slot by slot with no
 code of ``cochains`` or ``hochster``.
 
@@ -468,12 +469,22 @@ def cw_cells_reference(K: SimplicialComplex) -> dict:
     return cells
 
 
-def cw_is_critical(K: SimplicialComplex, sigma, T) -> bool:
-    """Whether the cell (sigma, T) is unmatched by the lowest-vertex
-    matching: J = sigma + T is empty, or its lowest vertex v lies in T and
-    sigma + v is no face."""
-    J = sorted(sigma + T, key=K.rank)
-    return not J or (J[0] in T and not K.has_face(sigma + (J[0],)))
+def matching_order(K: SimplicialComplex) -> tuple:
+    """The vertices of K by decreasing number of edges through them, ties
+    in rank order: the order in which the cell model's matching takes the
+    first vertex of J."""
+    edges = {v: sum(v in e for e in K.faces(1)) for v in K.vertices}
+    return tuple(sorted(K.vertices, key=lambda v: (-edges[v], K.rank(v))))
+
+
+def cw_is_critical(K: SimplicialComplex, sigma, T, order) -> bool:
+    """Whether the cell (sigma, T) is unmatched by the matching on the first
+    vertex v of J = sigma + T in order, a sequence of the vertices of K,
+    which pairs (sigma, T) with (sigma + v, T - v): J is empty, or v lies in
+    T and sigma + v is no face."""
+    J = set(sigma + T)
+    v = next((u for u in order if u in J), None)
+    return v is None or (v in T and not K.has_face(sigma + (v,)))
 
 
 def cw_complex_reference(K: SimplicialComplex):

@@ -33,6 +33,7 @@ from helpers import (
     is_connected,
     is_core,
     keyed_alike,
+    matching_order,
     octahedron,
     reduced_euler_characteristic,
     rp2_six_vertices,
@@ -206,14 +207,25 @@ def _keyed_by_cell(cells, sizes, deltas) -> dict:
 
 def _critical_cells(K) -> dict:
     """The critical cells of ``cw_cells_reference`` per degree, in the order
-    ``_cw_complex`` documents: by the mask of sigma, then by the lowest
-    vertex of T, then by the mask of T, decreasing."""
-    def mask(face):
-        return sum(1 << K.rank(v) for v in face)
+    ``_cw_complex`` documents, masks and vertices read in the matching
+    order: by the mask of sigma, then by the first vertex of T, then by the
+    mask of T, decreasing."""
+    order = matching_order(K)
+    rank = {v: r for r, v in enumerate(order)}
 
-    return {d: sorted((c for c in cells if cw_is_critical(K, *c)),
-                      key=lambda c: (mask(c[0]), min(map(K.rank, c[1]), default=-1), -mask(c[1])))
+    def mask(face):
+        return sum(1 << rank[v] for v in face)
+
+    return {d: sorted((c for c in cells if cw_is_critical(K, *c, order)),
+                      key=lambda c: (mask(c[0]), min(map(rank.get, c[1]), default=-1), -mask(c[1])))
             for d, cells in cw_cells_reference(K).items()}
+
+
+def _permuted(K, perm) -> tuple:
+    """K.vertices reordered by perm, a permutation of range(n) for some
+    n >= len(K.vertices): the vertex of rank perm[i] goes i-th, and the
+    entries past the last rank are skipped."""
+    return tuple(K.vertices[r] for r in perm if r < len(K.vertices))
 
 
 class _WithGhosts:
@@ -247,11 +259,15 @@ def _with_examples(inputs):
 def test_cw_complex_restricts_the_reference_to_critical_cells(K):
     """The bitmask cells are the critical cells of the label-tuple cells,
     and each row is the reference row of its cell with the matched facets
-    dropped; rows and entries compared by cell, not by position."""
-    full = _keyed_by_cell(cw_cells_reference(K), *cw_complex_reference(K))
-    restricted = {cell: {f: a for f, a in row.items() if cw_is_critical(K, *f)}
-                  for cell, row in full.items() if cw_is_critical(K, *cell)}
-    assert _keyed_by_cell(_critical_cells(K), *_cw_complex(K)) == restricted
+    dropped; rows and entries compared by cell, not by position.  The
+    reference is built on K with its vertices listed in the matching order,
+    since the bitmask signs count the t-coordinates in that order."""
+    L = SimplicialComplex(matching_order(K), K.facets)
+    order = matching_order(L)
+    full = _keyed_by_cell(cw_cells_reference(L), *cw_complex_reference(L))
+    restricted = {cell: {f: a for f, a in row.items() if cw_is_critical(L, *f, order)}
+                  for cell, row in full.items() if cw_is_critical(L, *cell, order)}
+    assert _keyed_by_cell(_critical_cells(L), *_cw_complex(K)) == restricted
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,10 +290,50 @@ def test_slots_match_the_cell_model_block_by_block(K, ring):
 def test_critical_cells_span_a_subcomplex(K):
     """No row of a matched cell in the full model has an entry at a
     critical cell: the coboundary of a critical cochain stays critical."""
+    order = matching_order(K)
     rows = _keyed_by_cell(cw_cells_reference(K), *cw_complex_reference(K))
     for cell, row in rows.items():
-        if not cw_is_critical(K, *cell):
-            assert not any(cw_is_critical(K, *f) for f in row), cell
+        if not cw_is_critical(K, *cell, order):
+            assert not any(cw_is_critical(K, *f, order) for f in row), cell
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_complexes(max_vertices=7), st.permutations(range(7)))
+@example(rp2_six_vertices(), tuple(reversed(range(7))))
+@example(octahedron(), (5, 3, 1, 0, 2, 4, 6))
+def test_any_vertex_order_gives_a_critical_subcomplex_with_the_groups(K, perm):
+    """The matching lemma for the first vertex of J in an arbitrary order,
+    not only the matching order: the critical cells span a subcomplex, and
+    the reference restricted to them has the groups of every cell over Z
+    and F2."""
+    order = _permuted(K, perm)
+    cells = cw_cells_reference(K)
+    sizes, deltas = cw_complex_reference(K)
+    rows = _keyed_by_cell(cells, sizes, deltas)
+    critical = {d: [c for c in level if cw_is_critical(K, *c, order)] for d, level in cells.items()}
+    position = {c: i for level in critical.values() for i, c in enumerate(level)}
+    for cell, row in rows.items():
+        if cell not in position:
+            assert not any(f in position for f in row), cell
+    restricted = {d: [{position[f]: a for f, a in rows[c].items() if f in position}
+                      for c in critical[d + 1]]
+                  for d in deltas}
+    for ring in (ZZ, GF(2)):
+        want = {d: g for d, g in groups_per_degree(sizes, deltas, ring).items() if not g.is_trivial}
+        got = groups_per_degree({d: len(level) for d, level in critical.items()}, restricted, ring)
+        assert {d: g for d, g in got.items() if not g.is_trivial} == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_complexes(max_vertices=7), st.permutations(range(7)), st.sampled_from((ZZ, GF(2))))
+@example(rp2_six_vertices(), tuple(reversed(range(7))), ZZ)
+@example(fig1_complex(), (6, 5, 4, 3, 2, 1, 0), GF(2))
+def test_oracle_ignores_the_order_of_the_vertex_list(K, perm, ring):
+    """Listing the vertices in another order changes the ranks, so the
+    tie-breaks of the matching order and with them the critical cells and
+    the signs; the groups stay."""
+    permuted = SimplicialComplex(_permuted(K, perm), K.facets)
+    assert moment_angle_cw_oracle(permuted, ring) == moment_angle_cw_oracle(K, ring)
 
 
 @settings(max_examples=30, deadline=None)
@@ -294,9 +350,11 @@ def test_critical_cells_keep_the_groups(K):
 @pytest.mark.parametrize("K", [two_points(), fig1_complex(), rp2_six_vertices()],
                          ids=["s0", "fig1", "rp2"])
 def test_critical_cells_with_ghost_vertices(K):
-    """A ghost vertex g (no face) puts the cells (empty, T) with g lowest in
-    T among the critical ones.  Z_K gains a circle factor per ghost, so the
-    groups are those of Z_K shifted by the Kunneth formula."""
+    """A ghost vertex g (no face) has no edges, so ghosts come last in the
+    matching order: the cells (empty, T) with T all ghosts are critical,
+    and the others are matched on their first vertex of K, as in K.  Z_K
+    gains a circle factor per ghost, so the groups are those of Z_K
+    shifted by the Kunneth formula."""
     ghosts = _WithGhosts(K, ["g0", *K.vertices[:2], "g1", *K.vertices[2:]])
     sizes, deltas = _cw_complex(ghosts)
     assert keyed_alike(deltas)
@@ -342,12 +400,13 @@ def test_cw_cell_count(K):
 @given(small_complexes(max_vertices=7))
 @_with_examples(EDGE_CASES)
 def test_cw_critical_cell_count(K):
-    """Per nonempty J with lowest vertex v, f(K_J) - f(st_v K_J) critical
-    cells, faces counted with the empty one and sigma in degree |sigma| +
-    |J|, plus the cell (empty, empty): brute force over subsets."""
+    """Per nonempty J with v its first vertex in the matching order,
+    f(K_J) - f(st_v K_J) critical cells, faces counted with the empty one
+    and sigma in degree |sigma| + |J|, plus the cell (empty, empty): brute
+    force over subsets."""
     want = {0: 1}
     for n in range(1, len(K.vertices) + 1):
-        for J in itertools.combinations(K.vertices, n):  # J[0] is the lowest
+        for J in itertools.combinations(matching_order(K), n):  # J[0] is the first
             for size in range(n + 1):
                 sigmas = list(itertools.combinations(J, size))
                 in_K_J = sum(K.has_face(s) for s in sigmas)
@@ -645,3 +704,40 @@ def test_alexander_duality_on_nestohedra(kind, ring):
                     bad.append((J, i, "torsion"))
     assert checks == 2 ** len(V) * (d + 1)
     assert bad == []
+
+
+def _assert_poincare_duality(total, n):
+    """Totals of a closed orientable n-manifold: H^0 = H^n = Z, nothing
+    outside degrees 0..n, rank H^k = rank H^(n-k) and Tors H^k = Tors
+    H^(n-k+1)."""
+    def group(k):
+        return total.get(k, AbelianGroup(0))
+
+    assert {d for d, g in total.items() if not g.is_trivial} <= set(range(n + 1))
+    assert group(0) == group(n) == AbelianGroup(1)
+    for k in range(n + 1):
+        assert group(k).free_rank == group(n - k).free_rank, k
+        assert group(k).torsion == group(n - k + 1).torsion, k
+
+
+SPHERES = [cycle_complex(m) for m in range(4, 9)] + [
+    octahedron(), standard_polytope_complex("stellohedron", 3)]
+
+
+@pytest.mark.parametrize("K", SPHERES, ids=[f"C{m}" for m in range(4, 9)] + [
+    "octahedron", "stellohedron3"])
+def test_poincare_duality_of_the_oracle_on_spheres(K):
+    """Z_K of a (d-1)-sphere K on m vertices is a closed orientable manifold
+    of dimension m + d, so its oracle totals obey Poincare duality, over Z
+    and over F2: a check of the cell model that needs no second model."""
+    for ring in (ZZ, GF(2)):
+        _assert_poincare_duality(moment_angle_cw_oracle(K, ring), len(K.vertices) + K.dim + 1)
+
+
+def test_poincare_duality_of_hochster_on_the_permutahedron():
+    """The same duality on the Hochster totals of a sphere past the
+    oracle's vertex cap."""
+    K = standard_polytope_complex("permutahedron", 3)
+    with pytest.raises(VertexCapExceeded):
+        moment_angle_cw_oracle(K, ZZ)
+    _assert_poincare_duality(hochster_decompose(K, ZZ).total, len(K.vertices) + K.dim + 1)
