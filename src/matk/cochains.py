@@ -289,10 +289,15 @@ def total_degree(a: Cochain) -> int:
     return a.p + len(a.J) + 1
 
 
+def _parity_sign(e: int) -> int:
+    """(-1)^e as an int for every integer e: ``(-1) ** e`` is a float for
+    e < 0, as in p + |J| = -1 on the unit class."""
+    return -1 if e & 1 else 1
+
+
 def overline(a: Cochain) -> Cochain:
     """(-1)^(1 + total degree) a = (-1)^(p + |J|) a."""
-    sign = (-1) ** (a.p + len(a.J))
-    return a if sign == 1 else -a
+    return a if _parity_sign(a.p + len(a.J)) == 1 else -a
 
 
 @functools.lru_cache(maxsize=256)

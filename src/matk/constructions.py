@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .cochains import (
     Chain,
     Cochain,
+    _parity_sign,
     boundary,
     coboundary,
     cochain_from_json,
@@ -218,7 +219,7 @@ def _theta_flat(sizes, ps, i, k) -> int:
     exp = 0
     for l in range(i, k):
         exp += sizes[l - 1] * sum(ps[l:k])
-    return (-1) ** exp
+    return _parity_sign(exp)
 
 
 def _theta_join(spec: JoinMasseySpec, K, i: int, k: int, inner) -> int:
@@ -510,7 +511,7 @@ def disjointify_defining_system(ds: DefiningSystem, edge: Iterable[str]) -> Defi
             left = ds.a(i2, i - 1)
             entries[(i2, k)] = combine(ds.a(i2, k), [(factor, cup_multiply(left, stub))])
         mydeg = ds.p_block(i, k) + len(ds.J_block(i, k)) + 1
-        cfac = ring.mul(factor, ring.of_int((-1) ** mydeg))
+        cfac = ring.mul(factor, ring.of_int(_parity_sign(mydeg)))
         for k2 in range(k + 1, n + 1):
             if (i, k2) == (1, n) or (i, k2) not in ds.entries:
                 continue

@@ -25,16 +25,18 @@ every face of K_J through v stays a face with w added, so lk v is a cone on
 w.  Then K_J strong-collapses to K_(J-v) (Barmak-Minian, "Strong homotopy
 types, nerves and collapses", 2012), a homotopy equivalence, so
 H-tilde^*(K_J) is that of the smaller mask J - v over any ring, torsion
-included.  The test reads masks built once per call: per ordered edge
-(v, w), the minimal faces sigma through v, off w, with sigma + w no face.
-v is dominated by w in K_J exactly when w is in J and none of them lies
-inside J; the edges {v, u} among them are one guard mask per (v, w), so
-most tests are one AND, and on a flag complex all of them.  A leaf is
-dominated by its neighbour, and every other vertex of a cone by its apex.
-Every mask the test reads is a neighbour w of v, an edge {v, u} or a face
-through v, so it reads J only through the neighbours of v in J: its answer
-is memoised per v and J & N(v), in a dict that lives for one call, and
-most subsets repeat an earlier one's test.
+included.  The test reads the definition off the facets of K: every face
+of K_J through v lies in F & J for a facet F of K through v, so v is
+dominated by w exactly when w is a neighbour of v in J and F & J + w is a
+face for every such F, read from masks built once per call.  The edges
+{v, u} with u in J are among those faces, so w must also be adjacent to
+every other neighbour of v in J: one AND, tried first, and on a flag
+complex, where a set of pairwise adjacent vertices is a face, the whole
+test.  A leaf is dominated by its neighbour, and every other vertex of a
+cone by its apex.  Every facet through v lies in the closed neighbourhood
+of v, so the test reads J only through J & N(v): its answer is memoised
+per v and J & N(v), in a dict that lives for one call, and most subsets
+repeat an earlier one's test.
 
 Only a connected core, a K_J on two or more vertices with no dominated
 vertex, is eliminated: for a vertex v of J it keeps the faces of K_J whose
@@ -172,7 +174,8 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     disconnected K_J takes Z^(c-1) in degree 0 for its c components and the
     direct sum of their groups, read from the earlier, smaller masks, in
     every other degree.  A connected K_J with a vertex v dominated by another
-    vertex w (lk v a cone on w) strong-collapses to K_(J-v), whose groups it
+    vertex w (lk v a cone on w: each facet of K through v, cut down to J,
+    stays a face with w added) strong-collapses to K_(J-v), whose groups it
     takes; whether v is dominated is memoised per v and its neighbours in J.
     Only a connected core, a K_J with no dominated vertex, has H-tilde^*(K_J)
     read off the relative cochains of (K_J, st v) for a vertex v of J, the
@@ -191,9 +194,11 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
         raise VertexCapExceeded(f"{m} vertices exceeds the 2^m subset cap {cap}")
     levels, gid, terms = _face_table(K)
     levels = [levels[p] for p in range(K.dim + 1)]  # the nonempty faces
-    neighbours = [sum(1 << u for u in range(m) if u != v and 1 << u | 1 << v in gid)
-                  for v in range(m)]
-    dominators = _dominators(m, levels, gid, neighbours)
+    # vertex bit -> the mask of its neighbours, and the masks of the facets through it
+    adjacent = {1 << v: sum(1 << u for u in range(m) if u != v and 1 << u | 1 << v in gid)
+                for v in range(m)}
+    facets = [_mask_of(K, f) for f in K.facets]
+    through = {1 << v: [F for F in facets if F >> v & 1] for v in range(m)}
     dominated = {}  # J & N(v) | v << m -> whether v is dominated in K_J
     off_star = {}  # vertex v -> _off_star(v), built for the first core that uses v
 
@@ -207,7 +212,6 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     by_J[0] = {-1: AbelianGroup(1)}  # K_J = {empty face}
     per_degree: dict[int, list] = {0: [AbelianGroup(1)]}
     everything = (1 << m) - 1
-    adjacent = {1 << v: neighbours[v] for v in range(m)}
     free = [AbelianGroup(c) for c in range(m)]  # Z^c, built once for every K_J
     for J in range(1, 1 << m):  # each component of K_J has a smaller mask than J
         lbit = J & -J
@@ -233,15 +237,21 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                     for p, g in by_J[part].items():
                         groups[p] = groups[p].direct_sum(g) if p in groups else g
         else:
-            outside, rest = everything ^ J, J
-            while rest:  # look for a dominated vertex
+            rest = J
+            while rest:  # look for a vertex v dominated by a neighbour w
                 vbit = rest & -rest
-                key = J & adjacent[vbit] | vbit << m
+                near = J & adjacent[vbit]
+                key = near | vbit << m
                 hit = dominated.get(key)
-                if hit is None:
-                    hit = dominated[key] = any(
-                        J & guard == wbit and all(s & outside for s in larger)
-                        for wbit, guard, larger in dominators[vbit])
+                if hit is None:  # w is in near and adjacent to the rest of it, and
+                    # every facet through v, cut down to J, stays a face with w added
+                    untried, hit = near, False
+                    while untried and not hit:
+                        wbit = untried & -untried
+                        untried ^= wbit
+                        hit = near & ~adjacent[wbit] == wbit and all(
+                            F & J | wbit in gid for F in through[vbit])
+                    dominated[key] = hit
                 if hit:
                     break
                 rest ^= vbit
@@ -251,9 +261,10 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                 groups = by_J[J ^ vbit]
             else:  # a core
                 v = max((r for r in range(m) if J >> r & 1),
-                        key=lambda r: (neighbours[r] & J).bit_count())
+                        key=lambda r: (adjacent[1 << r] & J).bit_count())
                 faces, rows = off_star.get(v) or off_star.setdefault(
                     v, _off_star(v, levels, gid, terms))
+                outside = everything ^ J
                 inside = [[not f & outside for f in masks] for masks in faces]
                 sizes = {p: n for p, flags in enumerate(inside) if (n := sum(flags))}
                 groups = exactalg.cohomology_groups(sizes, {
@@ -281,36 +292,6 @@ def _off_star(v, levels, gid, terms) -> tuple:
     rows = [None] + [[{at[p - 1][s]: a for s, a in terms[t] if s in at[p - 1]} for t in faces[p]]
                      for p in range(1, len(faces))]
     return faces, rows
-
-
-def _dominators(m, levels, gid, neighbours) -> dict:
-    """Per vertex bit v, one (w bit, guard, larger) triple per neighbour w,
-    from the minimal faces sigma with v in sigma, w not in sigma and
-    sigma + w no face: guard is the w bit and the other vertex of every such
-    edge, larger the masks of the ones with three or more vertices.  v is
-    dominated by w in K_J exactly when J & guard is the w bit and no mask of
-    larger lies inside J; on a flag complex larger is always empty.  Every
-    vertex of these masks but v is a neighbour of v."""
-    dominators = {}
-    for v in range(m):
-        vbit = 1 << v
-        through_v = [s for masks in levels[1:] for s in masks if s & vbit]
-        triples = []
-        for w in range(m):
-            wbit = 1 << w
-            if not neighbours[v] & wbit:
-                continue
-            guard, larger = wbit, []
-            for s in through_v:
-                if s & wbit or s | wbit in gid:
-                    continue
-                if s.bit_count() == 2:
-                    guard |= s ^ vbit
-                elif all((s ^ 1 << u | wbit) in gid for u in range(m) if s >> u & 1 and u != v):
-                    larger.append(s)  # every smaller face through v stays a face with w
-            triples.append((wbit, guard, tuple(larger)))
-        dominators[vbit] = triples
-    return dominators
 
 
 def class_in_slot(K: SimplicialComplex, ring: Ring, J, p: int, coeffs) -> CohomologyClass:

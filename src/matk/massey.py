@@ -36,6 +36,7 @@ from .cochains import (
     Chain,
     Cochain,
     GradingMismatch,
+    _parity_sign,
     coboundary,
     cochain_from_json,
     cochain_to_json,
@@ -128,7 +129,7 @@ class DefiningSystem:
         with the overline sign (-1)^(p + |J|) of block (i, r) as coefficient."""
         zero = Cochain._trusted(self.complex, self.ring, self.J_block(i, k),
                                 self.p_block(i, k) + 1, {})
-        return combine(zero, [((-1) ** (self.p_block(i, r) + len(self.J_block(i, r))),
+        return combine(zero, [(_parity_sign(self.p_block(i, r) + len(self.J_block(i, r))),
                                cup_multiply(self.a(i, r), self.a(r + 1, k)))
                               for r in range(i, k)])
 
@@ -401,7 +402,7 @@ def _affine_staircase(base: DefiningSystem, kernels: dict, t: dict, memo: dict,
                 raise NonAffineSplit(f"both factors of split {r} of ({i},{k}) vary")
             memo[key] = (cup_multiply(a, b), {**{j: cup_multiply(x, b) for j, x in da.items()},
                                               **{j: cup_multiply(a, y) for j, y in db.items()}})
-        sign = (-1) ** (base.p_block(i, r) + len(base.J_block(i, r)))
+        sign = _parity_sign(base.p_block(i, r) + len(base.J_block(i, r)))
         c, dc = memo[key]
         terms.append((sign, c))
         for j, x in dc.items():

@@ -82,11 +82,10 @@ def validate_building_set(ground: int, sets: Iterable) -> BuildingSet:
     family = {frozenset(parse_int(x, "building-set element") for x in S) for S in sets}
     if any(not S for S in family):
         raise NotUnionClosed("empty set is not allowed")
-    universe = set(range(1, ground + 1))
     for S in family:
-        if not S <= universe:
+        if not all(1 <= x <= ground for x in S):
             raise NotUnionClosed(f"{sorted(S)} is not inside [1..{ground}]")
-    for i in universe:
+    for i in range(1, ground + 1):  # stops at the first missing one, at most len(family) + 1
         if frozenset({i}) not in family:
             raise MissingSingleton(f"singleton {{{i}}} is missing")
     for S1, S2 in itertools.combinations(family, 2):

@@ -130,6 +130,26 @@ def test_twofold_massey_is_the_product(capsys, tmp_path, ring, pair):
     assert verdict["contains_zero"] is (pair == (0, 1))
 
 
+UNIT = {"J": [], "p": -1, "terms": [{"simplex": [], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("ring", ["Z", "F3", "Q"])
+def test_twofold_massey_with_the_unit_first_is_exact(capsys, tmp_path, ring):
+    # the unit has p + |J| = -1, so its staircase sign (-1)^(p + |J|) once
+    # came out as the float -1.0: a coefficient "-1.0" over Z, "2.0" over
+    # F3, and an internal error (exit 3) over Q
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps([UNIT, _fixture("fig1-classes.json")[0]]))
+    code, verdict = run_json(capsys, "massey", str(FIX / "fig1.json"), "--classes", str(two),
+                             "--ring", ring)
+    assert code == 0 and verdict["defined"] is True and verdict["contains_zero"] is False
+    witness = verdict["witness"]
+    cochains = [witness["associated_cocycle"], witness["evaluating_cycle"],
+                *(e["cochain"] for e in witness["defining_system"]["entries"])]
+    coeffs = [t["coeff"] for c in cochains for t in c["terms"]] + [witness["evaluation"]]
+    assert not any("." in c for c in coeffs)
+
+
 def test_massey_four_fold_needs_prime_field(capsys):
     code, blob = run_json(capsys, "massey", str(FIX / "massey4.json"),
                           "--classes", str(FIX / "massey4-classes.json"), "--ring", "Z")
@@ -489,6 +509,7 @@ def _bad_inputs(root):
     blobs["spec_empty_class"]["cochains"][1] = {"J": [], "p": -1,
                                                 "terms": [{"simplex": [], "coeff": "1"}]}
     blobs["classes_5"] = 5
+    blobs["ground_huge"] = {"ground": 10**12, "sets": [[1]]}
     blobs["classes_field_5"] = {"classes": 5}
     paths = {}
     for name, blob in blobs.items():
@@ -562,6 +583,7 @@ def _bad_inputs(root):
     (["product", "fig1.json", "--classes", "{coeff_1}"], "MalformedInput"),
     (["product", "fig1.json", "--classes", "{coeff_null}"], "MalformedInput"),
     (["construct-join", "{spec_ring_5}"], "MalformedInput"),
+    (["nested-set", "{ground_huge}"], "MissingSingleton"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)

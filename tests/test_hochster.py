@@ -636,11 +636,36 @@ def test_only_connected_cores_are_eliminated():
 @example(CONED_TETRAHEDRON_BOUNDARY)
 @example(CLEARING_TRAP)
 def test_only_connected_cores_are_eliminated_on_non_flag_complexes(K):
-    """The domination test is memoised per vertex v on the vertices of J it
-    reads, its guard and larger obstruction faces; these complexes are not
-    flag, so larger faces occur.  A memo key that missed one of their
-    vertices would hand one J the answer of another: an extra or a missing
-    elimination against the cores found through links."""
+    """The domination test of v by w reads the facets of K through v, each
+    cut down to J, with w added; these complexes are not flag, so a facet
+    can fail it where every neighbour of v in J is adjacent to w.  The test
+    is memoised per v on J & N(v), where those facets lie: a key that missed
+    a vertex of them, or v itself, would hand one J the answer of another,
+    an extra or a missing elimination against the cores found through links."""
+    assert count_eliminations(K) == connected_cores(K)
+
+
+@st.composite
+def clique_complexes(draw, max_vertices=9):
+    """The clique complex of a random graph on up to max_vertices vertices:
+    every set of pairwise adjacent vertices is a face."""
+    n = draw(st.integers(2, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = {e for e, on in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                      max_size=len(pairs)))) if on}
+    cliques = [[str(v) for v in S] for size in range(1, n + 1)
+               for S in itertools.combinations(range(n), size)
+               if all(e in edges for e in itertools.combinations(S, 2))]
+    return SimplicialComplex([str(v) for v in range(n)], cliques)
+
+
+@settings(max_examples=40, deadline=None)
+@given(clique_complexes())
+@example(cycle_complex(5))
+def test_only_connected_cores_are_eliminated_on_flag_complexes(K):
+    """On a flag complex v is dominated by w exactly when w is a neighbour
+    of v in J adjacent to every other one: the neighbour half of the test
+    alone decides, and the facet half must agree with it."""
     assert count_eliminations(K) == connected_cores(K)
 
 

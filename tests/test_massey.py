@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -10,6 +11,7 @@ from matk.cochains import (
     Chain,
     Cochain,
     coboundary,
+    cochain_from_json,
     evaluate,
     overline,
     cup_multiply,
@@ -39,6 +41,7 @@ from helpers import (
     joins_example_complex,
     octahedron,
     two_points,
+    unit_class,
 )
 from test_simplicial import small_complexes
 
@@ -116,6 +119,29 @@ def test_two_fold_system_is_the_cup_product():
     ds = DefiningSystem((a, b), {})
     omega = associated_cocycle(ds)
     assert omega == cup_multiply(overline(a.representative), b.representative)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=["Z", "Q", "F3"])
+def test_twofold_product_with_the_unit_first_is_exact(ring):
+    """The unit has p + |J| = -1, so the staircase sign of its product with
+    a class is (-1)^-1: the int -1, never a float, over every ring.  Every
+    coefficient of the witness is an int or a Fraction, and its JSON
+    replays as a valid defining system with the same associated cocycle."""
+    K = fig1_complex()
+    a = fig1_classes(ring)[0]
+    verdict = enumerate_defining_systems((unit_class(K, ring), a))
+    assert verdict.defined is True and verdict.contains_zero is False
+    ds = verdict.witness_system
+    assert verdict.witness_cocycle == associated_cocycle(ds) == -a.representative
+    values = [c for x in (*ds.entries.values(), verdict.witness_cocycle, verdict.witness_cycle)
+              for c in x.coeffs.values()]
+    values.append(evaluate(verdict.witness_cocycle, verdict.witness_cycle))
+    assert all(type(c) in (int, Fraction) for c in values)
+    blob = json.loads(json.dumps(verdict.to_json()))["witness"]
+    replayed = DefiningSystem.from_json(blob["defining_system"], K, ring)
+    assert check_defining_system(replayed) == []
+    assert associated_cocycle(replayed) == \
+        cochain_from_json(blob["associated_cocycle"], K, ring) == verdict.witness_cocycle
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -234,7 +260,6 @@ def _shifted(classes, c):
 def _massey4_fixture(ring):
     import pathlib
 
-    from matk.cochains import cochain_from_json
     from matk.simplicial import complex_from_json
 
     fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"

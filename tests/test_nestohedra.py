@@ -48,6 +48,15 @@ def test_missing_singleton():
         validate_building_set(3, [[1], [2], [1, 2], [2, 3]])
 
 
+def test_a_huge_ground_fails_at_the_first_missing_singleton():
+    """Members are checked element by element and the singletons in order up
+    to the first missing one, so a ground of 10**12 costs no memory."""
+    with pytest.raises(MissingSingleton, match=r"singleton \{2\} is missing"):
+        validate_building_set(10**12, [[1]])
+    with pytest.raises(NotUnionClosed, match=r"\[0, 1\] is not inside \[1\.\.10\]"):
+        validate_building_set(10, [[1], [0, 1]])
+
+
 def test_not_union_closed_reports_pair():
     with pytest.raises(NotUnionClosed) as err:
         validate_building_set(3, [[1], [2], [3], [1, 2], [2, 3]])
