@@ -313,7 +313,7 @@ def _face_table(K: SimplicialComplex):
         bits = [[1 << K._rank[v] for v in f] for f in K.faces(p)]
         levels[p] = [sum(b) for b in bits]
         for i, (t, b) in enumerate(zip(levels[p], bits)):
-            gid[t], terms[t] = i, [(t ^ x, (-1) ** r) for r, x in enumerate(b)]
+            gid[t], terms[t] = i, [(t ^ x, -1 if r & 1 else 1) for r, x in enumerate(b)]
     return levels, gid, terms
 
 

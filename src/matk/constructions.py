@@ -89,12 +89,14 @@ class JoinMasseySpec:
     once, here, into each factor's ordered ``supports``, deletion set ``P``
     and ``survivors`` (``compute_P_sets``); the deletions, the canonical
     system and the witness cycle are read off those.  A vertex choice that
-    names no support simplex is an ``InvalidSpec``."""
+    names no support simplex is an ``InvalidSpec``, and so is a class on a
+    proper full subcomplex of its factor: P is drawn from the faces of the
+    whole factor, so J_i must hold all of its vertices."""
 
     def __init__(self, factors, cochains, vertex_choice: Optional[dict] = None,
                  support_order: Optional[dict] = None):
         self.factors = tuple(factors)
-        self.cochains = tuple(cochains)  # a_i, a Cochain on factors[i] with its own J_i
+        self.cochains = tuple(cochains)  # a_i, a Cochain on all of factors[i]
         self.vertex_choice = {} if vertex_choice is None else vertex_choice  # simplex -> vertex
         self.support_order = {} if support_order is None else support_order  # factor -> order
         if len(self.factors) != len(self.cochains):
@@ -116,6 +118,10 @@ class JoinMasseySpec:
         for i, (K_i, a_i) in enumerate(zip(self.factors, self.cochains)):
             order = self.support_order.get(i)
             P_i, survivors_i = compute_P_sets(K_i, a_i, self.vertex_choice, order)
+            if len(a_i.J) != len(K_i.vertices):
+                raise InvalidSpec(f"the class of factor {i} lives on J={list(a_i.J)}, a proper "
+                                  "full subcomplex; the construction needs J = all of the "
+                                  "factor's vertices")
             resolved.append((a_i.support if order is None else
                              tuple(K_i.sort_simplex(s) for s in order), P_i, survivors_i))
         self.supports, self.P, self.survivors = zip(*resolved)
@@ -225,8 +231,8 @@ def _theta_flat(sizes, ps, i, k) -> int:
 def _theta_join(spec: JoinMasseySpec, K, i: int, k: int, inner) -> int:
     """(-1)^(k-i) theta_flat(i, k) times epsilon(v_l, sigma_l) for the inner
     simplices sigma_l, l = i+1..k, and their distinguished vertices v_l."""
-    sign = (-1) ** (k - i) * _theta_flat([len(a.J) for a in spec.cochains],
-                                         [a.p for a in spec.cochains], i, k)
+    sign = _parity_sign(k - i) * _theta_flat([len(a.J) for a in spec.cochains],
+                                             [a.p for a in spec.cochains], i, k)
     for sigma in inner:
         sign *= epsilon(K, _distinguished(spec.vertex_choice, sigma), sigma)
     return sign

@@ -16,13 +16,17 @@ alpha_3 . H(K_{J1 ∪ J2}), so triviality is one affine solve.  For n >= 4 the
 class set need not be a coset.  Over a prime field every stage solve is
 linear in its right-hand side, so once a few stages are fixed the associated
 class is affine in the other parameters (Kraines 1966, May 1969): only those
-stages are enumerated, each branch is one solve, and a budget caps the free
-parameters.  Each entry a_{i,k} is then a constant plus one cochain per
-free parameter of the stages inside [i, k]: the branches of one enumeration
-share each stage's lift, kept under the enumerated values strictly inside
-the stage, and each staircase product, kept under those inside its two
-factors.  Representatives a_{i,i} stay fixed; the class set of a Massey
-product does not depend on that choice.
+stages are enumerated, each branch is one solve, and a budget caps the
+cocycle parameters.  The branches and the affine directions range over each
+stage's class basis, one cocycle per class of H-tilde^p(K_J), not over all
+its cocycles: a coboundary added to a stage, with the entries further out
+adjusted, moves the associated cocycle by a coboundary
+(``enumerate_defining_systems`` proves it).  Each entry a_{i,k} is then a
+constant plus one cochain per free parameter of the stages inside [i, k]:
+the branches of one enumeration share each stage's lift, kept under the
+enumerated values strictly inside the stage, and each staircase product,
+kept under those inside its two factors.  Representatives a_{i,i} stay
+fixed; the class set of a Massey product does not depend on that choice.
 """
 
 from __future__ import annotations
@@ -349,7 +353,7 @@ def _values(t: dict, i: int, k: int, strict: bool = False) -> tuple:
                  if i <= s[0] and s[1] <= k and not (strict and s == (i, k)))
 
 
-def _lifted(base: DefiningSystem, kernels: dict, t: dict, memo: dict, s: tuple):
+def _lifted(base: DefiningSystem, bases: dict, t: dict, memo: dict, s: tuple):
     """The lift of stage s's staircase and its residue, each as a constant
     and {free parameter: coefficient}; ``Solver.lift`` is linear, so the
     constant and every coefficient lift on their own.  Kept in ``memo``
@@ -358,7 +362,7 @@ def _lifted(base: DefiningSystem, kernels: dict, t: dict, memo: dict, s: tuple):
     if key not in memo:
         H, p = reduced_cohomology(base.complex, base.J_block(*s), base.ring), base.p_block(*s)
         solver = H.solver(p)
-        const, coefs = _affine_staircase(base, kernels, t, memo, *s)
+        const, coefs = _affine_staircase(base, bases, t, memo, *s)
         x, r = solver.lift(H.vector(const))
         lifts = {j: solver.lift(H.vector(c)) for j, c in coefs.items()}
         memo[key] = (H.cochain(x, p), {j: H.cochain(y, p) for j, (y, _) in lifts.items()},
@@ -366,20 +370,20 @@ def _lifted(base: DefiningSystem, kernels: dict, t: dict, memo: dict, s: tuple):
     return memo[key]
 
 
-def _affine_entry(base: DefiningSystem, kernels: dict, t: dict, memo: dict, i: int, k: int):
+def _affine_entry(base: DefiningSystem, bases: dict, t: dict, memo: dict, i: int, k: int):
     """Entry a_{i,k} as an affine map of the free parameters, the (stage, m)
     of the stages not in ``t``: (constant, {(stage, m): coefficient}).  A
-    stage is the lift of its staircase plus its own cocycles: t times them
-    for an enumerated stage, one coefficient each for a free one."""
+    stage is the lift of its staircase plus its class basis: t times it
+    for an enumerated stage, one coefficient per cocycle for a free one."""
     if i == k:
         return base.a(i, i), {}
-    x, dx, _, _ = _lifted(base, kernels, t, memo, (i, k))
+    x, dx, _, _ = _lifted(base, bases, t, memo, (i, k))
     if (i, k) in t:
-        return combine(x, zip(t[(i, k)], kernels[(i, k)])), dx
-    return x, {**dx, **{((i, k), m): z for m, z in enumerate(kernels[(i, k)])}}
+        return combine(x, zip(t[(i, k)], bases[(i, k)])), dx
+    return x, {**dx, **{((i, k), m): z for m, z in enumerate(bases[(i, k)])}}
 
 
-def _affine_staircase(base: DefiningSystem, kernels: dict, t: dict, memo: dict,
+def _affine_staircase(base: DefiningSystem, bases: dict, t: dict, memo: dict,
                       i: int, k: int):
     """The staircase of (i, k), the associated cochain for (1, n), as an
     affine map of the free parameters, like ``_affine_entry``.
@@ -396,8 +400,8 @@ def _affine_staircase(base: DefiningSystem, kernels: dict, t: dict, memo: dict,
     for r in range(i, k):
         key = ((i, r, k), _values(t, i, r), _values(t, r + 1, k))
         if key not in memo:
-            (a, da), (b, db) = (_affine_entry(base, kernels, t, memo, i, r),
-                                _affine_entry(base, kernels, t, memo, r + 1, k))
+            (a, da), (b, db) = (_affine_entry(base, bases, t, memo, i, r),
+                                _affine_entry(base, bases, t, memo, r + 1, k))
             if da and db:
                 raise NonAffineSplit(f"both factors of split {r} of ({i},{k}) vary")
             memo[key] = (cup_multiply(a, b), {**{j: cup_multiply(x, b) for j, x in da.items()},
@@ -410,7 +414,7 @@ def _affine_staircase(base: DefiningSystem, kernels: dict, t: dict, memo: dict,
     return combine(zero, terms), {j: combine(zero, xs) for j, xs in coefs.items()}
 
 
-def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict,
+def _branch_coset(base: DefiningSystem, stages: list, bases: dict, t: dict,
                   memo: dict):
     """The class keys of the branch whose enumerated stages take the values
     ``t``, as the affine subspace {x : A x = s} of ring^dim, or None.
@@ -428,10 +432,10 @@ def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict,
     what contains a stage whose values it changes.
     """
     ring = base.ring
-    free = [(s, m) for s in stages if s not in t for m in range(len(kernels[s]))]
+    free = [(s, m) for s in stages if s not in t for m in range(len(bases[s]))]
     r0, rows = [], []
     for s in stages:
-        _, _, r, dr = _lifted(base, kernels, t, memo, s)
+        _, _, r, dr = _lifted(base, bases, t, memo, s)
         cols = [(j, dr[f]) for j, f in enumerate(free) if f in dr]
         r0 += r
         rows += [{j: e[i] for j, e in cols if e[i]} for i in range(len(r))]
@@ -439,7 +443,7 @@ def _branch_coset(base: DefiningSystem, stages: list, kernels: dict, t: dict,
     u0 = feasible.solve({i: ring.neg(a) for i, a in enumerate(r0)})
     if u0 is None:
         return None
-    omega, domega = _affine_staircase(base, kernels, t, memo, 1, base.n)
+    omega, domega = _affine_staircase(base, bases, t, memo, 1, base.n)
     dirs = [domega[f] for f in free]
     point = combine(omega, [(a, dirs[j]) for j, a in u0.items()])
     directions = [combine(omega._like({}), [(a, dirs[j]) for j, a in v.items()])
@@ -467,16 +471,83 @@ def _class_count(cosets: list, ring: Ring) -> int:
     return total
 
 
+def _class_basis(H, p: int) -> list:
+    """The class basis of H-tilde^p(K_J) over a prime field: the cocycles of
+    ``H.cocycle_basis(p)`` whose class keys, residues modulo the image of
+    d^(p-1), are linearly independent, the first of them in kernel order
+    (the pivot columns of the keys), dim H-tilde^p of them.  When that
+    dimension, dim Z^p - dim B^p, is 0 no kernel vector is lifted."""
+    Z, B = H.solver(p), H.solver(p - 1)
+    if Z.cols - Z.rank == B.rank:
+        return []
+    keys = [B.residue(v) for v in Z.kernel]
+    rows = [{j: key[r] for j, key in enumerate(keys) if key[r]} for r in range(len(keys[0]))]
+    steps, _ = exactalg._eliminate(rows, H.ring)
+    return [H.cochain(Z.kernel[c], p) for c in sorted(c for _, c, *_ in steps)]
+
+
 def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
     """Massey triviality over a prime field by the coset argument; a twofold
     product has no stages to solve, so it is decided over any ring.
 
-    The stages' cocycle spaces are the free parameters.  Beyond ``budget``
-    of them the verdict is unknown, and ``defined`` only when the
-    parameter-free branch completes.  Otherwise the parameters of
-    ``_enumerated_stages`` are enumerated, each branch is one
-    ``_branch_coset``, all of them reading the affine lifts and products of
-    one memo, and the witness is the first valid system of ``_walk``.
+    Each stage s = (i, k) is solved as the lift of its staircase plus a
+    combination of its class basis B_s (``_class_basis``), one cocycle per
+    class of H-tilde^p(K_J): the free parameters and the branches range over
+    these, not over the whole cocycle space Z^p(K_J).  The gauge argument
+    below shows the class set is the same.  ``budget`` still caps the sum of
+    dim Z^p over the stages: beyond it the verdict is unknown, and
+    ``defined`` only when the parameter-free branch completes.  Otherwise
+    the class-basis parameters of ``_enumerated_stages`` are enumerated,
+    each branch is one ``_branch_coset``, all of them reading the affine
+    lifts and products of one memo, and the witness is the first valid
+    system of ``_walk`` over the full cocycle bases, built only then.
+
+    Gauge.  Write |x| = p + |J| + 1 for the total degree, additive under the
+    product, so overline(x) = (-1)^(|x| + 1) x and
+    d(x y) = d(x) y + (-1)^|x| x d(y) = d(x) y - overline(x) d(y).  Then
+
+        (I)  overline(x) overline(y) = -overline(x y),
+        (L)  d(overline(x) y) = -overline(d x) y - x d(y).
+
+    Take a defining system A, a stage (i, k) and a cochain c on
+    K_{J_i ∪ ... ∪ J_k} one degree below a_{i,k}, and let A' be A with
+
+        a'_{i,k} = a_{i,k} + d(c),
+        a'_{i,l} = a_{i,l} - overline(c) a_{k+1,l}   for k < l,
+        a'_{h,k} = a_{h,k} - a_{h,i-1} c             for h < i,
+
+    where these are entries of the array.  A' is a defining system:
+
+    * (i, k): d(d(c)) = 0, and its staircase reads only entries inside it.
+    * row i, k < l: the staircase of (i, l) gains
+      overline(d c) a_{k+1,l} - sum over k < r < l of
+      overline(overline(c) a_{k+1,r}) a_{r+1,l}.  By (L) and the equation
+      of (k+1, l), d(-overline(c) a_{k+1,l}) = overline(d c) a_{k+1,l} +
+      sum over r of c overline(a_{k+1,r}) a_{r+1,l}, the same by (I).
+    * column k, h < i: the staircase of (h, k) gains
+      overline(a_{h,i-1}) d(c) - sum over h <= r < i-1 of
+      overline(a_{h,r}) a_{r+1,i-1} c = overline(a_{h,i-1}) d(c) -
+      d(a_{h,i-1}) c, which is d(-a_{h,i-1} c).
+    * corner, h < i and k < l: a left factor a_{h,r} changed only for
+      r = k and a right factor a_{r+1,l} only for r = i - 1 < k, so no
+      product changes twice, and the two changed products add
+      -(overline(a_{h,i-1} c) + overline(a_{h,i-1}) overline(c)) a_{k+1,l},
+      zero by (I).
+    * an entry not containing [i, k] has no changed entry inside it.
+
+    The associated cochain w is the staircase of (1, n).  For 1 < i and
+    k < n it is a corner, so w' = w.  For i = 1 it gains what row 1 would,
+    d(-overline(c) a_{k+1,n}); for k = n what column n would,
+    d(-a_{1,i-1} c).  So [w'] = [w].
+
+    Each stage s of a system is its staircase's lift plus a cocycle z_s,
+    and z_s = b + d(c) with b in the span of B_s, as B_s spans H-tilde^p.
+    Gauging stage s by -c leaves every stage before it in walk order
+    (``_stages``) and the staircase of s, which reads only entries inside
+    s, as they were, and makes z_s = b.  Doing so stage by stage in walk
+    order turns any defining system into one over the class bases with a
+    cohomologous associated cocycle: the class set over the B_s equals the
+    class set over the Z^p (Kraines 1966, May 1969).
     """
     classes = tuple(classes)
     if len(classes) < 2:
@@ -488,18 +559,19 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
     if stages and ring.kind != "Fp":
         raise RingNotFinite("exhaustive enumeration needs a prime field")
 
-    kernels = {s: reduced_cohomology(K, base.J_block(*s), ring).cocycle_basis(base.p_block(*s))
-               for s in stages}
-    if sum(map(len, kernels.values())) > budget:
+    cohomology = {s: (reduced_cohomology(K, base.J_block(*s), ring), base.p_block(*s))
+                  for s in stages}
+    if sum(H.solver(p).cols - H.solver(p).rank for H, p in cohomology.values()) > budget:
         probe = next(_walk(base, stages, {s: [] for s in stages}), None)
         return MasseyVerdict(defined=True if probe else None, contains_zero=None,
                              budget_exhausted=True)
 
-    E = _enumerated_stages(n, {s: len(z) for s, z in kernels.items()})
+    bases = {s: _class_basis(H, p) for s, (H, p) in cohomology.items()}
+    E = _enumerated_stages(n, {s: len(b) for s, b in bases.items()})
     cosets, memo = {}, {}
-    for choice in itertools.product(*(itertools.product(range(ring.p), repeat=len(kernels[s]))
+    for choice in itertools.product(*(itertools.product(range(ring.p), repeat=len(bases[s]))
                                       for s in E)):
-        coset = _branch_coset(base, stages, kernels, dict(zip(E, choice)), memo)
+        coset = _branch_coset(base, stages, bases, dict(zip(E, choice)), memo)
         if coset is not None:
             cosets[coset] = None
 
@@ -509,6 +581,7 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
     verdict = MasseyVerdict(defined=True, contains_zero=contains_zero,
                             distinct_class_count=_class_count(list(cosets), ring))
     if not contains_zero:
+        kernels = {s: H.cocycle_basis(p) for s, (H, p) in cohomology.items()}
         ds, omega = next(_walk(base, stages, kernels))
         verdict.witness_system = ds
         verdict.witness_cocycle = omega

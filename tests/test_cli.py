@@ -508,6 +508,13 @@ def _bad_inputs(root):
     blobs["spec_empty_class"] = json.loads(json.dumps(spec))  # a degree -1 class
     blobs["spec_empty_class"]["cochains"][1] = {"J": [], "p": -1,
                                                 "terms": [{"simplex": [], "coeff": "1"}]}
+    blobs["spec_proper_J"] = {  # the last factor's class lives on J = {a0, a2}
+        "ring": "F2",
+        "factors": [{"vertices": [f"{x}{i}" for i in range(m)],
+                     "facets": [[f"{x}{i}"] for i in range(m)]}
+                    for x, m in (("c", 2), ("b", 2), ("a", 3))],
+        "cochains": [{"J": J, "p": 0, "terms": [{"simplex": J[:1], "coeff": "1"}]}
+                     for J in (["c0", "c1"], ["b0", "b1"], ["a0", "a2"])]}
     blobs["classes_5"] = 5
     blobs["ground_huge"] = {"ground": 10**12, "sets": [[1]]}
     blobs["classes_field_5"] = {"classes": 5}
@@ -584,6 +591,7 @@ def _bad_inputs(root):
     (["product", "fig1.json", "--classes", "{coeff_null}"], "MalformedInput"),
     (["construct-join", "{spec_ring_5}"], "MalformedInput"),
     (["nested-set", "{ground_huge}"], "MissingSingleton"),
+    (["construct-join", "{spec_proper_J}", "--certify"], "InvalidSpec"),
 ])
 def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
     paths = _bad_inputs(tmp_path)
@@ -612,6 +620,8 @@ def test_bad_input_is_a_typed_json_error(capsys, tmp_path, argv, error):
         assert "repeats a vertex or an earlier term's simplex" in blob["error"]["message"]
     if "spec_empty_class" in names:
         assert "a degree -1 class" in blob["error"]["message"]
+    if "spec_proper_J" in names:
+        assert "factor 2 lives on J=['a0', 'a2']" in blob["error"]["message"]
 
 
 def _run_quietly(argv):

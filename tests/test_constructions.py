@@ -380,6 +380,18 @@ def test_a_vertex_choice_must_name_a_support_simplex(choice):
         JoinMasseySpec(base.factors, base.cochains, vertex_choice=choice)
 
 
+def test_a_class_on_a_proper_full_subcomplex_is_an_invalid_spec():
+    # the third factor's class lives on J = {a0, a2}: P would be drawn from
+    # all of its vertices, and the canonical system would leave K_J
+    c, b = two_points("c0", "c1"), two_points("b0", "b1")
+    a = SimplicialComplex(["a0", "a1", "a2"], [["a0"], ["a1"], ["a2"]])
+    cochains = (Cochain.chi(c, GF(2), ("c0",), J=("c0", "c1")),
+                Cochain.chi(b, GF(2), ("b0",), J=("b0", "b1")),
+                Cochain.chi(a, GF(2), ("a0",), J=("a0", "a2")))
+    with pytest.raises(InvalidSpec, match=r"factor 2 lives on J=\['a0', 'a2'\]"):
+        JoinMasseySpec((c, b, a), cochains)
+
+
 def test_a_spec_needs_two_factors():
     base = joins_example_spec()
     with pytest.raises(InvalidSpec, match="at least two factors"):
