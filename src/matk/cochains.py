@@ -18,7 +18,9 @@ crossings by popcount) work on masks, and labels appear only at input, in
 
 Sums happen in ``combine`` (``+``, ``-``, ``scale``, Massey staircases and
 branch points) and in the constructor, which sums repeated simplices of its
-terms (how the constructions assemble their cochains).
+terms (how the constructions assemble their cochains).  Both take an int
+coefficient in every ring and a Fraction over Q only, and raise
+``exactalg.NotARingElement`` for anything else; ``_trusted`` checks nothing.
 
 Sign conventions, fixed once here and used everywhere:
 
@@ -81,7 +83,8 @@ class _Graded:
     coefficient map on the p-simplices of K_J, kept as ``_by_mask``:
     {face mask: coefficient}, bit r for the vertex of rank r.  The
     constructor takes a mapping or (simplex, coefficient) pairs keyed by
-    label tuples, turns each key into its mask once and sums repeats."""
+    label tuples, checks each coefficient (``Ring.check_element``), turns
+    each key into its mask once and sums repeats."""
 
     __slots__ = ("complex", "ring", "J", "p", "_by_mask")
 
@@ -96,6 +99,7 @@ class _Graded:
         clean = {}
         for s, c in coeffs.items() if isinstance(coeffs, Mapping) else coeffs or ():
             m = _mask_of(complex, s)
+            ring.check_element(c)
             if ring.is_zero(c):
                 continue
             if m.bit_count() != p + 1 or m & outside or m not in gid:
@@ -187,11 +191,13 @@ class Chain(_Graded):
 
 
 def combine(a, terms):
-    """a plus c x for each pair (c, x) of ``terms``, c an int or an element
-    of a's ring: each x is checked once against a's grading, zero c is
-    skipped, and every term is summed into one dict."""
+    """a plus c x for each pair (c, x) of ``terms``, c an int or, over Q, a
+    Fraction (``NotARingElement`` otherwise): each x is checked once
+    against a's grading, zero c is skipped, and every term is summed into
+    one dict."""
     ring, out = a.ring, dict(a._by_mask)
     for c, x in terms:
+        ring.check_element(c)
         if a.complex != x.complex or ring != x.ring:
             raise AmbientMismatch("operands live on different complexes or rings")
         if a.J != x.J or a.p != x.p:

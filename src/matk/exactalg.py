@@ -35,6 +35,10 @@ class DivisionByZero(MatkError, ZeroDivisionError):
     """Division by an element that is zero in the ring (such as 2 in F2)."""
 
 
+class NotARingElement(MatkError):
+    """A coefficient that is neither an int nor, over Q, a Fraction."""
+
+
 class UnknownRingKind(MatkError):
     """A ring kind other than Z, Q and Fp."""
 
@@ -177,6 +181,16 @@ class Ring(Frozen):
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def check_element(self, a) -> None:
+        """Raise ``NotARingElement`` unless a is an int, which every ring
+        takes, or a Fraction over Q: a float or a Fraction over Z or F_p
+        would reach the output unreduced (``0.5``, ``1/2``)."""
+        if type(a) is not int:
+            from fractions import Fraction
+
+            if self.kind != "Q" or type(a) is not Fraction:
+                raise NotARingElement(f"coefficient {a!r} is not an element of {self.name()}")
+
     def element_to_str(self, a) -> str:
         if self.kind == "Q":  # an int element of Q has numerator and denominator too
             return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -232,7 +246,9 @@ def _eliminate(rows, ring: Ring):
     live: dict[int, dict] = {}
     index: dict[int, set] = {}  # column -> remaining rows with an entry there
     for i, row in enumerate(rows):
-        row = {j: a % p for j, a in row.items() if a % p} if p else {
+        if not row:
+            continue
+        row = {j: r for j, a in row.items() if (r := a % p)} if p else {
             j: a for j, a in row.items() if a}
         if row:
             live[i] = row
@@ -364,10 +380,12 @@ def cohomology_groups(sizes: Mapping[int, int], deltas: Mapping[int, list],
     ``sizes[p]`` is the rank of C^p, and ``deltas[p]`` the coboundary
     C^p -> C^{p+1} as integer rows, one ``{column: entry}`` dict per basis
     element of C^{p+1} (a missing degree is the zero map; empty rows of no
-    basis element may pad one), keyed alike in every degree: column j of
-    ``deltas[p]`` is row j of ``deltas[p-1]``.  The count of a coboundary's
-    nonzero invariant factors is its rank, and over Z the factors above 1
-    are the torsion of H^{p+1}.
+    basis element may pad one, and a basis element with an empty row that
+    no row of ``deltas[p+1]`` names may have no row, counted in ``sizes``
+    alone), keyed alike in every degree: column j of ``deltas[p]`` is row j
+    of ``deltas[p-1]``.  The count of a coboundary's nonzero invariant
+    factors is its rank, and over Z the factors above 1 are the torsion of
+    H^{p+1}.
 
     The degrees are reduced top down, with clearing (Chen-Kerber,
     "Persistent homology computation with a twist", 2011): the rows of

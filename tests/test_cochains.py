@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +27,8 @@ from matk.cochains import (
     reduced_cohomology,
     total_degree,
 )
-from matk.errors import MalformedInput
-from matk.exactalg import GF, QQ, ZZ, AbelianGroup
+from matk.errors import MalformedInput, MatkError
+from matk.exactalg import GF, QQ, ZZ, AbelianGroup, NotARingElement
 from matk.simplicial import SimplicialComplex, complex_from_json
 
 from helpers import (
@@ -498,6 +499,35 @@ def test_combine_is_the_term_by_term_sum(K, data):
             combine(a, [(1, x), (c, cls.zero(K, ring, J, p + 1))])
         with pytest.raises(AmbientMismatch):
             combine(a, [(c, cls.zero(K, GF(5), J, p))])
+
+
+def _chi3(ring, c=1):
+    """c times the cochain of vertex 3 on fig1's K_{3,4}."""
+    return Cochain(fig1_complex(), ring, ("3", "4"), 0, {("3",): c})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _chi3(ZZ).scale(0.5),
+    lambda: _chi3(GF(3)).scale(Fraction(1, 2)),
+    lambda: _chi3(GF(3), 0.5),
+    lambda: _chi3(ZZ, Fraction(2)),
+    lambda: _chi3(QQ, 0.0),
+    lambda: combine(_chi3(QQ), [(0.5, _chi3(QQ))]),
+], ids=["scale-Z-float", "scale-F3-fraction", "constructor-F3-float",
+        "constructor-Z-integral-fraction", "constructor-Q-float-zero", "combine-Q-float"])
+def test_a_coefficient_outside_the_ring_is_a_typed_error(make):
+    # a float or a Fraction outside Q used to pass into the terms and the
+    # output ("0.5" over Z, "1/2" over F3); a zero float was dropped silently
+    with pytest.raises(NotARingElement) as err:
+        make()
+    assert isinstance(err.value, MatkError)
+
+
+def test_an_int_is_a_coefficient_in_every_ring_and_a_fraction_over_q():
+    for ring in (ZZ, QQ, GF(2), GF(3)):
+        assert _chi3(ring, 4).scale(-2) == _chi3(ring, -8)
+    half = _chi3(QQ, Fraction(1, 2))
+    assert repr(combine(half, [(Fraction(2, 3), half)])) == "Cochain[J=3,4 p=0](5/6*3)"
 
 
 @settings(max_examples=60, deadline=None)

@@ -655,8 +655,9 @@ def test_solver_rank_is_the_count_of_invariant_factors(data):
 def test_kernel_matches_the_reference_kernel(data):
     """The elimination kernel returns the (steps, left) of the plain one in
     helpers, pivot for pivot and operation for operation, on rows with
-    explicit zeros, entries that vanish mod p, non-units over Z, and most
-    entries in a few columns, so that pivots compete and fill in."""
+    explicit zeros, entries that vanish mod p, non-units over Z, most
+    entries in a few columns, so that pivots compete and fill in, and empty
+    rows between the others, which keep the indices of the rows after them."""
     ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3), GF(7)]))
     cols = data.draw(st.integers(1, 9))
     crowded = st.integers(0, data.draw(st.integers(0, cols - 1)))  # the few columns
@@ -667,6 +668,8 @@ def test_kernel_matches_the_reference_kernel(data):
                           entry, st.sampled_from([1, 1, 2, 3]))
     rows = [{j: data.draw(entry) for j in data.draw(st.lists(column, max_size=6))}
             for _ in range(data.draw(st.integers(0, 12)))]
+    for at in data.draw(st.lists(st.integers(0, len(rows)), max_size=4)):
+        rows.insert(at, {})
     before = [dict(row) for row in rows]
     assert exactalg._eliminate(rows, ring) == eliminate_reference(rows, ring)
     assert rows == before

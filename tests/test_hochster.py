@@ -197,10 +197,11 @@ def test_oracle_equivalence_nine_vertex_fixture():
         assert {d: g for d, g in table.total.items() if not g.is_trivial} == oracle
 
 
-def _keyed_by_cell(cells, sizes, deltas) -> dict:
+def _keyed_by_cell(cells, deltas) -> dict:
     """A cochain complex given by positions, with each row and each entry
-    named by its cell from ``cells`` (per degree, in position order)."""
-    assert sizes == {d: len(level) for d, level in cells.items()}
+    named by its cell from ``cells`` (per degree, in position order, one
+    cell per row)."""
+    assert all(len(rows) == len(cells[d + 1]) for d, rows in deltas.items())
     return {cells[d + 1][i]: {cells[d][j]: a for j, a in row.items()}
             for d, rows in deltas.items() for i, row in enumerate(rows)}
 
@@ -253,21 +254,42 @@ def _with_examples(inputs):
     return decorate
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_complexes(max_vertices=7))
-@_with_examples(EDGE_CASES + [fig1_complex(), truncated_octahedron()])
-def test_cw_complex_restricts_the_reference_to_critical_cells(K):
-    """The bitmask cells are the critical cells of the label-tuple cells,
-    and each row is the reference row of its cell with the matched facets
-    dropped; rows and entries compared by cell, not by position.  The
-    reference is built on K with its vertices listed in the matching order,
-    since the bitmask signs count the t-coordinates in that order."""
-    L = SimplicialComplex(matching_order(K), K.facets)
+def _assert_builds_the_linked_critical_cells(K, L):
+    """``_cw_complex(K)`` against the label-tuple cells of L, which is K
+    with its vertices listed in the matching order, since the bitmask signs
+    count the t-coordinates in that order.  The cells built are the
+    critical cells with a critical facet or a critical coface, in the
+    documented order, and each row is the reference row of its cell with
+    the matched facets dropped; rows and entries compared by cell, not by
+    position.  Per degree, ``sizes`` minus the cells built is the number of
+    critical cells with neither, the isolated ones."""
     order = matching_order(L)
-    full = _keyed_by_cell(cw_cells_reference(L), *cw_complex_reference(L))
+    assert order == L.vertices
+    full = _keyed_by_cell(cw_cells_reference(L), cw_complex_reference(L)[1])
     restricted = {cell: {f: a for f, a in row.items() if cw_is_critical(L, *f, order)}
                   for cell, row in full.items() if cw_is_critical(L, *cell, order)}
-    assert _keyed_by_cell(_critical_cells(L), *_cw_complex(K)) == restricted
+    cofaces = {f for row in restricted.values() for f in row}
+    critical = _critical_cells(L)
+    built = {d: [c for c in level if restricted.get(c) or c in cofaces]
+             for d, level in critical.items()}
+    sizes, deltas = _cw_complex(K)
+    assert _keyed_by_cell(built, deltas) == {c: restricted[c] for level in built.values()
+                                            for c in level}
+    assert {d: n - len(built[d]) for d, n in sizes.items()} == {
+        d: len(level) - len(built[d]) for d, level in critical.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(max_vertices=7))
+@_with_examples(EDGE_CASES + [fig1_complex(), truncated_octahedron(),
+                              SimplicialComplex(["1", "2", "3", "4"], [["1", "2"], ["3", "4"]])])
+def test_cw_complex_restricts_the_reference_to_critical_cells(K):
+    """The cells built, their rows and the isolated counts against the
+    reference.  The examples include three isolated points, and two
+    disjoint edges, where the group (sigma, v) = ({3, 4}, 2) has C = {3, 4}
+    and A empty: its one cell ({3, 4}, {2}) has critical facets and is the
+    facet of no cell."""
+    _assert_builds_the_linked_critical_cells(K, SimplicialComplex(matching_order(K), K.facets))
 
 
 @settings(max_examples=30, deadline=None)
@@ -291,7 +313,7 @@ def test_critical_cells_span_a_subcomplex(K):
     """No row of a matched cell in the full model has an entry at a
     critical cell: the coboundary of a critical cochain stays critical."""
     order = matching_order(K)
-    rows = _keyed_by_cell(cw_cells_reference(K), *cw_complex_reference(K))
+    rows = _keyed_by_cell(cw_cells_reference(K), cw_complex_reference(K)[1])
     for cell, row in rows.items():
         if not cw_is_critical(K, *cell, order):
             assert not any(cw_is_critical(K, *f, order) for f in row), cell
@@ -309,7 +331,7 @@ def test_any_vertex_order_gives_a_critical_subcomplex_with_the_groups(K, perm):
     order = _permuted(K, perm)
     cells = cw_cells_reference(K)
     sizes, deltas = cw_complex_reference(K)
-    rows = _keyed_by_cell(cells, sizes, deltas)
+    rows = _keyed_by_cell(cells, deltas)
     critical = {d: [c for c in level if cw_is_critical(K, *c, order)] for d, level in cells.items()}
     position = {c: i for level in critical.values() for i, c in enumerate(level)}
     for cell, row in rows.items():
@@ -352,10 +374,12 @@ def test_critical_cells_keep_the_groups(K):
 def test_critical_cells_with_ghost_vertices(K):
     """A ghost vertex g (no face) has no edges, so ghosts come last in the
     matching order: the cells (empty, T) with T all ghosts are critical,
-    and the others are matched on their first vertex of K, as in K.  Z_K
-    gains a circle factor per ghost, so the groups are those of Z_K
-    shifted by the Kunneth formula."""
+    and the others are matched on their first vertex of K, as in K.  A
+    ghost is in no face, so more critical cells are isolated.  Z_K gains a
+    circle factor per ghost, so the groups are those of Z_K shifted by the
+    Kunneth formula."""
     ghosts = _WithGhosts(K, ["g0", *K.vertices[:2], "g1", *K.vertices[2:]])
+    _assert_builds_the_linked_critical_cells(ghosts, _WithGhosts(K, matching_order(ghosts)))
     sizes, deltas = _cw_complex(ghosts)
     assert keyed_alike(deltas)
     for ring in (ZZ, GF(2)):
