@@ -43,6 +43,7 @@ Sign conventions, fixed once here and used everywhere:
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Mapping, Optional
 
 from . import exactalg
@@ -313,10 +314,13 @@ def _face_table(K: SimplicialComplex):
     lists the p-faces (p = -1 .. dim K, the empty face 0 in degree -1) in
     ``K.faces(p)`` order, ``gid`` maps each face to its index there, and
     ``terms`` maps each face t to its coboundary terms: t minus its r-th
-    lowest vertex, with the sign (-1)^r, the epsilon sign of that vertex."""
+    lowest vertex, with the sign (-1)^r, the epsilon sign of that vertex.
+    The p-faces are the sorted (p + 1)-subsets of the facets' bits 1 << r,
+    which grow with r: that is ``K.faces(p)`` order, with no label built."""
     levels, gid, terms = {-1: [0]}, {0: 0}, {0: ()}
+    facets = [[1 << K._rank[v] for v in f] for f in K.facets]
     for p in range(K.dim + 1):
-        bits = [[1 << K._rank[v] for v in f] for f in K.faces(p)]
+        bits = sorted({b for f in facets for b in itertools.combinations(f, p + 1)})
         levels[p] = [sum(b) for b in bits]
         for i, (t, b) in enumerate(zip(levels[p], bits)):
             gid[t], terms[t] = i, [(t ^ x, -1 if r & 1 else 1) for r, x in enumerate(b)]

@@ -91,7 +91,7 @@ them in degree 2|sigma| + 1 + t per group, counted from the masks.  On the
 28 oracle jobs of benchmark seed 1, 3372 of the 8072 critical cells are
 built and the other 4700, the cell (empty, empty) included, are counted.
 
-The oracle reads only ``K.faces`` and the vertex ranks, never ``cochains``.
+The oracle reads only ``K.facets`` and the vertex ranks, never ``cochains``.
 The two share only ``exactalg.cohomology_groups``, which turns each cochain
 complex into its groups, top degree first, with clearing, and so the
 contract it sets on their rows: column j of ``deltas[p]`` is row j of
@@ -101,7 +101,6 @@ so they cross-validate each other.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import comb
 
 from . import exactalg
@@ -231,7 +230,7 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     # entry is written to after it is stored
     by_J = table.by_J
     by_J[0] = {-1: AbelianGroup(1)}  # K_J = {empty face}
-    per_degree: dict[int, list] = {0: [AbelianGroup(1)]}
+    ranks, torsion = {0: 1}, {}  # degree -> its free rank, and its groups with torsion
     everything = (1 << m) - 1
     free = [AbelianGroup(c) for c in range(m)]  # Z^c, built once for every K_J
     for J in range(1, 1 << m):  # each component of K_J has a smaller mask than J
@@ -296,10 +295,12 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                     continue
         by_J[J] = groups
         for p, g in groups.items():
-            per_degree.setdefault(p + J.bit_count() + 1, []).append(g)
-    table.total = {
-        d: AbelianGroup(0).direct_sum(*gs) for d, gs in sorted(per_degree.items())
-    }
+            d = p + J.bit_count() + 1
+            ranks[d] = ranks.get(d, 0) + g.free_rank
+            if g.torsion:
+                torsion.setdefault(d, []).append(g)
+    table.total = {d: AbelianGroup(n).direct_sum(*torsion.get(d, ()))
+                   for d, n in sorted(ranks.items())}
     return table
 
 
@@ -325,14 +326,25 @@ def product_in_hochster(a: CohomologyClass, b: CohomologyClass) -> CohomologyCla
     return CohomologyClass(cup_multiply(a.representative, b.representative))
 
 
+def _degree_order(K: SimplicialComplex) -> list:
+    """The vertices by decreasing number of neighbours, ties in rank order:
+    a vertex's neighbours are the OR of the facets through it, minus itself."""
+    near = dict.fromkeys(K.vertices, 0)  # v -> the vertices of its closed star, by rank
+    for f in K.facets:
+        F = sum(1 << K._rank[v] for v in f)
+        for v in f:
+            near[v] |= F
+    return sorted(near, key=lambda v: -(near[v] & ~(1 << K._rank[v])).bit_count())  # stable
+
+
 def _cw_complex(K: SimplicialComplex):
     """(sizes, deltas) of the critical cells of the cellular cochain complex
     of Z_K (module docstring), a cell (sigma, T) as the int sigma << m | T,
-    bit r for the vertex at position r of the degree order (decreasing
-    number of edges, a stable sort of the ranks).  The critical cells come
-    in groups (sigma, v), per face sigma by mask and vertex v below it with
-    sigma + v no face: T is v plus a subset S of A, the vertices above v off
-    sigma, by decreasing mask.
+    bit r for the vertex at position r of ``_degree_order``.  It reads only
+    ``K.facets`` and the vertex ranks: every face is a submask of a facet.
+    The critical cells come in groups (sigma, v), per face sigma by mask and
+    vertex v below it with sigma + v no face: T is v plus a subset S of A,
+    the vertices above v off sigma, by decreasing mask.
     A cell of the group has a critical facet exactly when C, the b in sigma
     with sigma - b + v no face, is nonempty: the facet (sigma - b, T + b)
     keeps J and v.  It is the critical facet of another exactly when S meets
@@ -345,16 +357,14 @@ def _cw_complex(K: SimplicialComplex):
     ``deltas[d - 1]`` holds a row per other cell of degree d, in group
     order, with its critical facets only: column j of ``deltas[p]`` is row
     j of ``deltas[p - 1]``."""
-    edges = Counter(v for e in K.faces(1) for v in e)
-    order = sorted(K.vertices, key=lambda v: -edges[v])  # stable: ties in rank order
-    m, rank = len(order), {v: r for r, v in enumerate(order)}
-    up = {sum(1 << rank[v] for v in f): 0 for p in range(-1, K.dim + 1) for f in K.faces(p)}
-    for face in up:  # up[face]: the vertices b off the face with face + b a face
-        rest = face
-        while rest:
-            b = rest & -rest
-            up[face ^ b] |= b
-            rest ^= b
+    order = _degree_order(K)
+    m, rank, up = len(order), {v: r for r, v in enumerate(order)}, {0: 0}
+    for f in K.facets:  # up[face]: the vertices b off the face with face + b a face,
+        F = s = sum(1 << rank[v] for v in f)  # the OR of F - face over the facets F on it
+        up[0] |= F
+        while s:  # the nonempty faces in F: its submasks
+            up[s] = up.get(s, 0) | F ^ s
+            s = s - 1 & F
     top = m + K.dim + 1
     full, isolated = (1 << m) - 1, [1] + [0] * top  # (empty, empty) is isolated
     rows = [[] for _ in range(top + 1)]  # rows[d]: one per cell built in degree d

@@ -45,6 +45,7 @@ from helpers import (
     rp2_six_vertices,
     two_points,
 )
+from test_hochster import EDGE_CASES, _with_examples
 from test_simplicial import small_complexes
 
 
@@ -578,6 +579,22 @@ def test_cochain_layer_builds_no_complex_and_one_face_table(monkeypatch):
     cochains._cached_cohomology.cache_clear()
     assert complexes == []
     assert tables == [K]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(max_vertices=7))
+@_with_examples(EDGE_CASES + [SimplicialComplex(["b", "a", "10", "9"], [["b", "a", "9"], ["a", "10"]])])
+def test_face_table_matches_the_label_tuple_faces(K):
+    """The face table, built from the bits of the facets, against the one
+    rebuilt from ``K.faces(p)`` and the ranks: the same faces in the same
+    order, so the same positions and coboundary terms."""
+    levels, gid, terms = cochains._face_table.__wrapped__(K)
+    bits = {p: [[1 << K._rank[v] for v in f] for f in K.faces(p)] for p in range(-1, K.dim + 1)}
+    assert levels == {p: [sum(b) for b in level] for p, level in bits.items()}
+    assert gid == {sum(b): i for level in bits.values() for i, b in enumerate(level)}
+    assert {t: list(x) for t, x in terms.items()} == {
+        sum(b): [(sum(b) ^ x, (-1) ** r) for r, x in enumerate(b)]
+        for level in bits.values() for b in level}
 
 
 def test_cochain_arithmetic_reads_no_labels(monkeypatch):

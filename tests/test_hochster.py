@@ -13,6 +13,7 @@ from matk.hochster import (
     CohomologyClass,
     VertexCapExceeded,
     _cw_complex,
+    _degree_order,
     class_in_slot,
     hochster_decompose,
     moment_angle_cw_oracle,
@@ -234,10 +235,21 @@ class _WithGhosts:
     SimplicialComplex never has; the cell models read only these."""
 
     def __init__(self, K, vertices):
-        self.vertices, self.dim, self.faces = tuple(vertices), K.dim, K.faces
+        self.vertices, self.dim, self.faces, self.facets = tuple(vertices), K.dim, K.faces, K.facets
         self._rank = {v: i for i, v in enumerate(self.vertices)}
         self.rank = self._rank.__getitem__
         self.has_face = lambda s: set(s) <= set(K.vertices) and K.has_face(s)
+
+
+class _NoFaces:
+    """K with only what the cell model reads: its vertices, facets,
+    dimension and ranks; enumerating its faces raises."""
+
+    def __init__(self, K):
+        self.vertices, self.facets, self.dim, self._rank = K.vertices, K.facets, K.dim, K._rank
+
+    def faces(self, p):
+        raise AssertionError(f"the cell model enumerated the {p}-faces")
 
 
 EDGE_CASES = [SimplicialComplex([], []), SimplicialComplex([], [[]]),
@@ -369,15 +381,47 @@ def test_critical_cells_keep_the_groups(K):
         assert exactalg.cohomology_groups(*reduced, ring) == groups_per_degree(*full, ring)
 
 
-@pytest.mark.parametrize("K", [two_points(), fig1_complex(), rp2_six_vertices()],
-                         ids=["s0", "fig1", "rp2"])
+@settings(max_examples=30, deadline=None)
+@given(small_complexes(max_vertices=7), st.sampled_from((ZZ, GF(2))))
+@_with_examples(itertools.product(EDGE_CASES + [fig1_complex()], (ZZ, GF(2))))
+def test_oracle_reads_the_facets_not_the_faces(K, ring):
+    """The oracle on a complex whose faces cannot be enumerated gives the
+    groups of the real complex, the Hochster totals: it shares no face
+    enumeration with ``cochains``."""
+    assert moment_angle_cw_oracle(_NoFaces(K), ring) == {
+        d: g for d, g in hochster_decompose(K, ring).total.items() if not g.is_trivial}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(max_vertices=7))
+@_with_examples(EDGE_CASES + [fig1_complex(), truncated_octahedron()])
+def test_degree_order_is_the_matching_order(K):
+    """The order read off the facets' masks against the edge count of
+    ``K.faces(1)`` in helpers."""
+    assert tuple(_degree_order(K)) == matching_order(K)
+
+
+def test_degree_order_keeps_a_ghost_before_a_later_isolated_vertex():
+    """The ghost g0 and the isolated vertex 1 both have no neighbour, so
+    they keep their rank order.  Counting the closed neighbourhood instead
+    (1 for the isolated vertex, which is a face, 0 for a ghost) would put 1
+    before g0 and change the matching."""
+    K = SimplicialComplex(["1", "2", "3"], [["1"], ["2", "3"]])
+    ghosts = _WithGhosts(K, ["g0", "1", "2", "3", "g1"])
+    assert tuple(_degree_order(ghosts)) == matching_order(ghosts) == ("2", "3", "g0", "1", "g1")
+
+
+@pytest.mark.parametrize("K", [two_points(), fig1_complex(), rp2_six_vertices(),
+                               SimplicialComplex(["1", "2", "3"], [["1"], ["2", "3"]])],
+                         ids=["s0", "fig1", "rp2", "point-and-edge"])
 def test_critical_cells_with_ghost_vertices(K):
-    """A ghost vertex g (no face) has no edges, so ghosts come last in the
-    matching order: the cells (empty, T) with T all ghosts are critical,
-    and the others are matched on their first vertex of K, as in K.  A
-    ghost is in no face, so more critical cells are isolated.  Z_K gains a
-    circle factor per ghost, so the groups are those of Z_K shifted by the
-    Kunneth formula."""
+    """A ghost vertex g (no face) has no edges, so ghosts come after every
+    vertex with an edge in the matching order, tied in rank order with the
+    isolated vertices of K: in s0 and point-and-edge g0 comes before one.
+    A cell whose first vertex of J is a ghost is critical, as that ghost is
+    in T and in no face; the others are matched as in K.  So more critical
+    cells are isolated.  Z_K gains a circle factor per
+    ghost, so the groups are those of Z_K shifted by the Kunneth formula."""
     ghosts = _WithGhosts(K, ["g0", *K.vertices[:2], "g1", *K.vertices[2:]])
     _assert_builds_the_linked_critical_cells(ghosts, _WithGhosts(K, matching_order(ghosts)))
     sizes, deltas = _cw_complex(ghosts)
