@@ -43,7 +43,6 @@ Sign conventions, fixed once here and used everywhere:
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Mapping, Optional
 
 from . import exactalg
@@ -315,12 +314,11 @@ def _face_table(K: SimplicialComplex):
     ``K.faces(p)`` order, ``gid`` maps each face to its index there, and
     ``terms`` maps each face t to its coboundary terms: t minus its r-th
     lowest vertex, with the sign (-1)^r, the epsilon sign of that vertex.
-    The p-faces are the sorted (p + 1)-subsets of the facets' bits 1 << r,
-    which grow with r: that is ``K.faces(p)`` order, with no label built."""
+    The p-faces come from ``K._rank_faces(p)``, the sorted rank tuples that
+    ``K.faces(p)`` labels, each read as its bits 1 << r: no label is built."""
     levels, gid, terms = {-1: [0]}, {0: 0}, {0: ()}
-    facets = [[1 << K._rank[v] for v in f] for f in K.facets]
     for p in range(K.dim + 1):
-        bits = sorted({b for f in facets for b in itertools.combinations(f, p + 1)})
+        bits = [[1 << r for r in s] for s in K._rank_faces(p)]
         levels[p] = [sum(b) for b in bits]
         for i, (t, b) in enumerate(zip(levels[p], bits)):
             gid[t], terms[t] = i, [(t ^ x, -1 if r & 1 else 1) for r, x in enumerate(b)]

@@ -297,8 +297,8 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
         for p, g in groups.items():
             d = p + J.bit_count() + 1
             ranks[d] = ranks.get(d, 0) + g.free_rank
-            if g.torsion:
-                torsion.setdefault(d, []).append(g)
+            if g.torsion:  # its torsion only: the free rank is counted above
+                torsion.setdefault(d, []).append(AbelianGroup(0, g.torsion))
     table.total = {d: AbelianGroup(n).direct_sum(*torsion.get(d, ()))
                    for d, n in sorted(ranks.items())}
     return table

@@ -174,15 +174,18 @@ class SimplicialComplex:
         if p < -1:
             return ()
         if p not in self._faces_by_dim:
-            # enumerate rank tuples, whose natural order is the rank sequence
-            rank, verts = self._rank, self.vertices
-            seen = set()
-            for f in self.facets:
-                if len(f) >= p + 1:
-                    seen.update(itertools.combinations([rank[v] for v in f], p + 1))
-            self._faces_by_dim[p] = tuple(
-                tuple(verts[i] for i in s) for s in sorted(seen))
+            verts = self.vertices
+            self._faces_by_dim[p] = tuple(tuple(verts[i] for i in s) for s in self._rank_faces(p))
         return self._faces_by_dim[p]
+
+    def _rank_faces(self, p: int) -> list:
+        """The p-faces (p >= 0) as sorted rank tuples, so in ``faces(p)`` order:
+        the one face enumeration, read as bitmasks by ``cochains._face_table``."""
+        rank, seen = self._rank, set()
+        for f in self.facets:
+            if len(f) >= p + 1:
+                seen.update(itertools.combinations([rank[v] for v in f], p + 1))
+        return sorted(seen)
 
     def all_faces(self, include_empty: bool = False) -> list:
         out = [()] if include_empty else []

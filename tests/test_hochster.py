@@ -182,7 +182,7 @@ def test_oracle_equivalence_random(K, ring):
 
 
 def test_oracle_equivalence_on_fixtures_all_rings():
-    for K in (two_points(), cycle_complex(4), cycle_complex(5), fig1_complex()):
+    for K in (two_points(), cycle_complex(4), cycle_complex(5), fig1_complex(), RP2_AND_SPHERE):
         for ring in RINGS:
             table = hochster_decompose(K, ring)
             assert {d: g for d, g in table.total.items() if not g.is_trivial} == \
@@ -394,21 +394,15 @@ def test_oracle_reads_the_facets_not_the_faces(K, ring):
 
 @settings(max_examples=60, deadline=None)
 @given(small_complexes(max_vertices=7))
-@_with_examples(EDGE_CASES + [fig1_complex(), truncated_octahedron()])
+@_with_examples(EDGE_CASES + [fig1_complex(), truncated_octahedron(), _WithGhosts(
+    SimplicialComplex(["1", "2", "3"], [["1"], ["2", "3"]]), ["g0", "1", "2", "3", "g1"])])
 def test_degree_order_is_the_matching_order(K):
     """The order read off the facets' masks against the edge count of
-    ``K.faces(1)`` in helpers."""
+    ``K.faces(1)`` in helpers.  The ghost g0 and the isolated vertex 1 both
+    have no neighbour, so they keep their rank order; counting the closed
+    neighbourhood instead (1 for the isolated vertex, a face, 0 for a
+    ghost) would put 1 before g0 and change the matching."""
     assert tuple(_degree_order(K)) == matching_order(K)
-
-
-def test_degree_order_keeps_a_ghost_before_a_later_isolated_vertex():
-    """The ghost g0 and the isolated vertex 1 both have no neighbour, so
-    they keep their rank order.  Counting the closed neighbourhood instead
-    (1 for the isolated vertex, which is a face, 0 for a ghost) would put 1
-    before g0 and change the matching."""
-    K = SimplicialComplex(["1", "2", "3"], [["1"], ["2", "3"]])
-    ghosts = _WithGhosts(K, ["g0", "1", "2", "3", "g1"])
-    assert tuple(_degree_order(ghosts)) == matching_order(ghosts) == ("2", "3", "g0", "1", "g1")
 
 
 @pytest.mark.parametrize("K", [two_points(), fig1_complex(), rp2_six_vertices(),
@@ -573,6 +567,13 @@ def disjoint_union(*complexes):
 
 
 RP2_AND_EDGE = disjoint_union(rp2_six_vertices(), SimplicialComplex(["a", "b"], ["ab"]))
+# a slot group with both free rank and torsion, H^2 = Z + C2 on all the
+# vertices: RP^2 with the boundary of the tetrahedron 01ab glued on along
+# its edge 01, and RP^2 beside the boundary of a tetrahedron
+RP2_AND_SPHERE_ON_AN_EDGE = SimplicialComplex(
+    list(rp2_six_vertices().vertices) + ["a", "b"],
+    [list(f) for f in rp2_six_vertices().facets] + ["01a", "01b", "0ab", "1ab"])
+RP2_AND_SPHERE = disjoint_union(rp2_six_vertices(), simplex_boundary("abcd"))
 
 # non-flag complexes with vertices v, w where N[v] lies inside N[w] but lk v
 # is no cone on w, so a test on neighbourhoods alone would collapse them: in
@@ -623,19 +624,25 @@ def test_clearing_keeps_the_groups_of_hochster_cores(K, ring):
 @given(complexes_with_planted_rp2(), st.sampled_from(RINGS))
 @example(TWO_TRIANGLES, QQ)
 @example(RP2_AND_EDGE, ZZ)
+@example(RP2_AND_SPHERE_ON_AN_EDGE, ZZ)
 @example(HOLLOW_TRIANGLE, ZZ)
 @example(TETRAHEDRON_BOUNDARY, ZZ)
 @example(CONED_TETRAHEDRON_BOUNDARY, ZZ)
 @example(CLEARING_TRAP, ZZ)
 def test_face_table_path_matches_per_subset_cohomology(K, ring):
     """The strong-collapse face-table decomposition against the groups of
-    one ReducedCohomology per full subcomplex."""
-    table = hochster_decompose(K, ring)
+    one ReducedCohomology per full subcomplex, slot by slot and in total."""
+    table, per_degree = hochster_decompose(K, ring), {}
     for size in range(len(K.vertices) + 1):
         for J in itertools.combinations(K.vertices, size):
             groups = reduced_cohomology(K, J, ring).groups()
             assert table.by_J.get(_mask_of(K, J), {}) == {p: g for p, g in groups.items()
                                                           if not g.is_trivial}
+            for p, g in groups.items():
+                per_degree.setdefault(p + size + 1, []).append(g)
+    totals = {d: AbelianGroup(0).direct_sum(*gs) for d, gs in per_degree.items()}
+    assert {d: g for d, g in table.total.items() if not g.is_trivial} == {
+        d: g for d, g in totals.items() if not g.is_trivial}
 
 
 def test_disjoint_union_adds_up_its_components_torsion():
