@@ -131,14 +131,10 @@ def cmd_massey(args):
         raise DomainError(f"a Massey product needs at least two classes, {n} supplied")
     if args.order is not None and args.order != n:
         raise DomainError(f"--order {args.order} but {n} classes supplied")
-    if n == 3:
-        verdict = massey.triple_massey_decide(*classes)
-    else:
-        if n >= 4 and ring.kind != "Fp":
-            raise DomainError(
-                f"{n}-fold products are decided by enumeration over a prime field; "
-                f"pass --ring F2 (or another F_p)")
-        verdict = massey.enumerate_defining_systems(classes, budget=args.budget)
+    if n >= 4 and ring.kind != "Fp":
+        raise DomainError(f"{n}-fold products are decided by enumeration over a prime field; "
+                          f"pass --ring F2 (or another F_p)")
+    verdict = massey.enumerate_defining_systems(classes, budget=args.budget)
     out = {"ring": ring.name(), "order": n, **verdict.to_json()}
     _emit(out, args.out)
 
@@ -303,8 +299,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", default="Z", help="Z, Q or F<p>; four or more classes need F<p>")
     p.add_argument("--order", type=int, help="the number of classes the file must hold")
     p.add_argument("--budget", type=int, default=20,
-                   help="cap on the free parameters of the defining systems, summed over "
-                        "all stages; above it contains_zero is null")
+                   help="cap on the class-basis parameters of the enumerated stages, the "
+                        "exponent of the branch count (triple products enumerate none); "
+                        "above it contains_zero is null")
 
     p = add("construct-join", cmd_construct_join,
             help="build a complex with a non-trivial product by star deletions")

@@ -513,19 +513,22 @@ class Solver:
         A x = b has one."""
         return self._reduce(b)[2]
 
+    def _particular(self, y: dict, q: list) -> dict:
+        """The x of ``_reduce``'s (y, q): V q on the residual's columns, the
+        pivot columns back-substituted, the other coordinates zero."""
+        free = {j: sum(a * c for a, c in zip(V, q)) for j, V in zip(self._res_cols, self._V)}
+        return self._lift(y, {j: a for j, a in free.items() if a})
+
     def lift(self, b) -> tuple:
-        """(x, residue) for any b over a field: x is what ``solve`` returns
-        when the residue is zero, and both are linear in b."""
-        y, _, residue = self._reduce(b)
-        return self._lift(y, {}), residue
+        """(x, residue) for any b: x is what ``solve`` returns when the
+        residue is zero, and over a field both are linear in b."""
+        y, q, residue = self._reduce(b)
+        return self._particular(y, q), residue
 
     def solve(self, b) -> Optional[dict]:
         """A solution x of A x = b, or None when b is not in the image."""
         y, q, residue = self._reduce(b)
-        if any(residue):
-            return None
-        free = {j: sum(a * c for a, c in zip(V, q)) for j, V in zip(self._res_cols, self._V)}
-        return self._lift(y, {j: a for j, a in free.items() if a})
+        return None if any(residue) else self._particular(y, q)
 
 
 # -- finitely generated abelian groups ---------------------------------------

@@ -10,23 +10,24 @@ where overline multiplies by (-1)^(p + |J|), the sign attached to the total
 degree p + |J| + 1.  The associated cocycle is the same staircase sum with
 (i, k) = (1, n).
 
-Triple products are decided exactly over any coefficient ring: the set of
-associated classes is a coset of the subgroup alpha_1 . H(K_{J2 ∪ J3}) +
-alpha_3 . H(K_{J1 ∪ J2}), so triviality is one affine solve.  For n >= 4 the
-class set need not be a coset.  Over a prime field every stage solve is
-linear in its right-hand side, so once a few stages are fixed the associated
-class is affine in the other parameters (Kraines 1966, May 1969): only those
-stages are enumerated, each branch is one solve, and a budget caps the
-cocycle parameters.  The branches and the affine directions range over each
-stage's class basis, one cocycle per class of H-tilde^p(K_J), not over all
-its cocycles: a coboundary added to a stage, with the entries further out
-adjusted, moves the associated cocycle by a coboundary
-(``enumerate_defining_systems`` proves it).  Each entry a_{i,k} is then a
-constant plus one cochain per free parameter of the stages inside [i, k]:
-the branches of one enumeration share each stage's lift, kept under the
-enumerated values strictly inside the stage, and each staircase product,
-kept under those inside its two factors.  Representatives a_{i,i} stay
-fixed; the class set of a Massey product does not depend on that choice.
+One procedure, ``enumerate_defining_systems``, decides every product.  Every
+stage solve is linear in its right-hand side, so once a few stages are fixed
+the associated class is affine in the other parameters (Kraines 1966, May
+1969): only those stages are enumerated, each branch is one solve, and a
+budget caps the enumerated parameters.  A triple product enumerates none:
+its one branch is the coset of the indeterminacy subgroup alpha_1 .
+H(K_{J2 ∪ J3}) + H(K_{J1 ∪ J2}) . alpha_3, decided over any ring.  For
+n >= 4 the class set need not be a coset, and a prime field is required.
+The branches and the affine directions range over each stage's class basis,
+one cocycle per class of H-tilde^p(K_J), not over all its cocycles: a
+coboundary added to a stage, with the entries further out adjusted, moves
+the associated cocycle by a coboundary (``enumerate_defining_systems``
+proves it).  Each entry a_{i,k} is then a constant plus one cochain per
+free parameter of the stages inside [i, k]: the branches of one enumeration
+share each stage's lift, kept under the enumerated values strictly inside
+the stage, and each staircase product, kept under those inside its two
+factors.  Representatives a_{i,i} stay fixed; the class set of a Massey
+product does not depend on that choice.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .cochains import (
     combine,
     cup_multiply,
     evaluate,
-    overline,
     reduced_cohomology,
 )
 from .errors import MatkError, parse_int
@@ -254,56 +254,6 @@ def find_evaluating_cycle(omega: Cochain, prefer_small: bool = False) -> Optiona
     return best
 
 
-def triple_massey_decide(alpha1: CohomologyClass, alpha2: CohomologyClass,
-                         alpha3: CohomologyClass) -> MasseyVerdict:
-    """Exact decision of <alpha1, alpha2, alpha3> over Z, Q or F_p.
-
-    The product set is the coset of one associated class modulo the
-    indeterminacy subgroup, so triviality is membership of that class in the
-    subgroup; over Z this is an integer affine solve, over fields a rank test.
-    """
-    classes = (alpha1, alpha2, alpha3)
-    K, ring = _common_ambient(classes)
-    (p1, p2, p3) = (c.p for c in classes)
-    (a1, a2, a3) = (c.representative for c in classes)
-
-    def cohomology(cs):
-        return reduced_cohomology(K, [v for c in cs for v in c.J], ring)
-
-    H12, H23, H = cohomology(classes[:2]), cohomology(classes[1:]), cohomology(classes)
-    a12 = H12.primitive(cup_multiply(overline(a1), a2))
-    if a12 is None:
-        return MasseyVerdict(defined=False, obstruction_stage=(1, 2))
-    a23 = H23.primitive(cup_multiply(overline(a2), a3))
-    if a23 is None:
-        return MasseyVerdict(defined=False, obstruction_stage=(2, 3))
-
-    ds = DefiningSystem(classes, {(1, 2): a12, (2, 3): a23})
-    omega = associated_cocycle(ds)
-
-    # omega is in the indeterminacy iff it lies in the span of the generators
-    # and the coboundaries: one solve against [generators | d]
-    q = p1 + p2 + p3 + 1
-    generators = [cup_multiply(overline(a1), z) for z in H23.cocycle_basis(p2 + p3)]
-    generators += [cup_multiply(overline(z), a3) for z in H12.cocycle_basis(p1 + p2)]
-    g = len(generators)
-    system = [{g + j: a for j, a in row.items()} for row in H.delta_matrix(q - 1)]
-    for k, gen in enumerate(generators):
-        for t, c in H.vector(gen).items():
-            system[t][k] = c
-    solver = exactalg.Solver(system, ring, g + H.solver(q - 1).cols)
-    contains_zero = solver.solve(H.vector(omega)) is not None
-    indeterminacy_rank = solver.rank - H.solver(q - 1).rank
-
-    verdict = MasseyVerdict(defined=True, contains_zero=contains_zero,
-                            indeterminacy_rank=indeterminacy_rank)
-    if not contains_zero:
-        verdict.witness_system = ds
-        verdict.witness_cocycle = omega
-        verdict.witness_cycle = find_evaluating_cycle(omega)
-    return verdict
-
-
 def _stages(n: int) -> list:
     """The entries to solve for, in walk order: increasing k - i, ties by i."""
     return [(i, i + gap) for gap in range(1, n) for i in range(1, n - gap + 1)
@@ -314,7 +264,8 @@ def _walk(base: DefiningSystem, stages: list, kernels: dict):
     """Every valid complete defining system extending ``base``, with its
     associated cochain, lazily and in walk order: stage by stage, each entry
     the particular primitive of its staircase plus every combination of the
-    stage's ``kernels`` cocycles, coefficients in lexicographic order."""
+    stage's ``kernels`` cocycles, coefficients in lexicographic order; over
+    Z and Q, where only n <= 3 is walked, the zero combination alone."""
     if not stages:
         yield base, base.staircase(1, base.n)
         return
@@ -322,7 +273,7 @@ def _walk(base: DefiningSystem, stages: list, kernels: dict):
     H = reduced_cohomology(base.complex, base.J_block(i, k), ring)
     particular = H.primitive(base.staircase(i, k))
     if particular is not None:
-        for coeffs in itertools.product(range(ring.p), repeat=len(kernels[(i, k)])):
+        for coeffs in itertools.product(range(ring.p or 1), repeat=len(kernels[(i, k)])):
             entry = combine(particular, zip(coeffs, kernels[(i, k)]))
             yield from _walk(base.with_entry(i, k, entry), stages[1:], kernels)
 
@@ -355,9 +306,10 @@ def _values(t: dict, i: int, k: int, strict: bool = False) -> tuple:
 
 def _lifted(base: DefiningSystem, bases: dict, t: dict, memo: dict, s: tuple):
     """The lift of stage s's staircase and its residue, each as a constant
-    and {free parameter: coefficient}; ``Solver.lift`` is linear, so the
-    constant and every coefficient lift on their own.  Kept in ``memo``
-    under (s, the values of ``t`` strictly inside s)."""
+    and {free parameter: coefficient}; ``Solver.lift`` is linear over a
+    field, so the constant and every coefficient lift on their own (over Z,
+    where n <= 3, a staircase has no coefficient).  Kept in ``memo`` under
+    (s, the values of ``t`` strictly inside s)."""
     key = (s, _values(t, *s, strict=True))
     if key not in memo:
         H, p = reduced_cohomology(base.complex, base.J_block(*s), base.ring), base.p_block(*s)
@@ -424,7 +376,12 @@ def _branch_coset(base: DefiningSystem, stages: list, bases: dict, t: dict,
     ``_lifted`` and ``_affine_staircase`` give their constants and
     coefficients, and one solve finds where R(u) = 0.  A is the canonical
     kernel basis of the class directions, so (A, s, dim) depends on the
-    class set only.
+    class set only.  Over Z, where a class key is a residue modulo a
+    lattice and not linear, only the one branch of n <= 3 gets here, and
+    one solve against [directions | d], d the coboundary into the point's
+    degree, gives ((), the residue of the point, the rank of the directions
+    modulo coboundaries): s = 0 iff the coset holds zero and dim - len(A)
+    is its rank, as over a field.
 
     ``memo`` is shared by the branches of one enumeration: a lift is kept
     under the values of ``t`` strictly inside its stage and a product under
@@ -449,6 +406,14 @@ def _branch_coset(base: DefiningSystem, stages: list, bases: dict, t: dict,
     directions = [combine(omega._like({}), [(a, dirs[j]) for j, a in v.items()])
                   for v in feasible.kernel]
     H = reduced_cohomology(base.complex, omega.J, ring)
+    if not ring.is_field:  # one solve against [directions | d]
+        g, d = len(directions), H.solver(omega.p - 1)
+        system = [{g + j: a for j, a in row.items()} for row in H.delta_matrix(omega.p - 1)]
+        for k, w in enumerate(directions):
+            for i, a in H.vector(w).items():
+                system[i][k] = a
+        solver = exactalg.Solver(system, ring, g + d.cols)
+        return (), solver.residue(H.vector(point)), solver.rank - d.rank
     c = H.class_key(point)  # each class key checks that its cochain is a cocycle
     A = tuple(tuple(sorted(v.items())) for v in exactalg.Solver(
         [dict(enumerate(H.class_key(w))) for w in directions], ring, len(c)).kernel)
@@ -472,11 +437,14 @@ def _class_count(cosets: list, ring: Ring) -> int:
 
 
 def _class_basis(H, p: int) -> list:
-    """The class basis of H-tilde^p(K_J) over a prime field: the cocycles of
+    """The class basis of H-tilde^p(K_J) over a field: the cocycles of
     ``H.cocycle_basis(p)`` whose class keys, residues modulo the image of
     d^(p-1), are linearly independent, the first of them in kernel order
     (the pivot columns of the keys), dim H-tilde^p of them.  When that
-    dimension, dim Z^p - dim B^p, is 0 no kernel vector is lifted."""
+    dimension, dim Z^p - dim B^p, is 0 no kernel vector is lifted.  Over Z,
+    where class keys are not linear, the whole cocycle basis."""
+    if not H.ring.is_field:
+        return H.cocycle_basis(p)
     Z, B = H.solver(p), H.solver(p - 1)
     if Z.cols - Z.rank == B.rank:
         return []
@@ -487,20 +455,32 @@ def _class_basis(H, p: int) -> list:
 
 
 def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
-    """Massey triviality over a prime field by the coset argument; a twofold
-    product has no stages to solve, so it is decided over any ring.
+    """Massey triviality by the coset argument, over any ring for n <= 3
+    and over a prime field for n >= 4.
 
     Each stage s = (i, k) is solved as the lift of its staircase plus a
     combination of its class basis B_s (``_class_basis``), one cocycle per
     class of H-tilde^p(K_J): the free parameters and the branches range over
     these, not over the whole cocycle space Z^p(K_J).  The gauge argument
-    below shows the class set is the same.  ``budget`` still caps the sum of
-    dim Z^p over the stages: beyond it the verdict is unknown, and
-    ``defined`` only when the parameter-free branch completes.  Otherwise
-    the class-basis parameters of ``_enumerated_stages`` are enumerated,
-    each branch is one ``_branch_coset``, all of them reading the affine
-    lifts and products of one memo, and the witness is the first valid
-    system of ``_walk`` over the full cocycle bases, built only then.
+    below shows the class set is the same.  The parameters of the stages E
+    of ``_enumerated_stages`` are enumerated, each branch is one
+    ``_branch_coset``, all of them reading the affine lifts and products of
+    one memo, and the witness is the first valid system of ``_walk`` over
+    the full cocycle bases, built only then.
+
+    For n <= 3, E is empty: one branch.  At n = 3 its coset is the class of
+    the associated cocycle plus the indeterminacy subgroup, spanned by the
+    products of alpha_1 and alpha_3 with the two stages' class bases; the
+    verdict gives the subgroup's rank or, with no system, the first stage
+    without a primitive.  Over Z the class bases are the whole cocycle
+    bases, one solve decides (``_branch_coset``), and the witness takes the
+    zero combination, which exists once each stage has a primitive.
+
+    ``budget`` caps the sum over E of dim H-tilde^p, the exponent of the
+    branch count, once the class bases are built: beyond it the verdict is
+    unknown, and ``defined`` only when the parameter-free branch completes.
+    No triple product is capped.  The former cap, the sum of dim Z^p over
+    all stages, is never smaller, so no verdict it let through is capped.
 
     Gauge.  Write |x| = p + |J| + 1 for the total degree, additive under the
     product, so overline(x) = (-1)^(|x| + 1) x and
@@ -554,20 +534,19 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
         raise InvalidDefiningSystem("a Massey product needs at least two classes")
     K, ring = _common_ambient(classes)
     n = len(classes)
+    if n > 3 and ring.kind != "Fp":
+        raise RingNotFinite("exhaustive enumeration needs a prime field")
     base = DefiningSystem(classes, {})
     stages = _stages(n)
-    if stages and ring.kind != "Fp":
-        raise RingNotFinite("exhaustive enumeration needs a prime field")
-
     cohomology = {s: (reduced_cohomology(K, base.J_block(*s), ring), base.p_block(*s))
                   for s in stages}
-    if sum(H.solver(p).cols - H.solver(p).rank for H, p in cohomology.values()) > budget:
+    bases = {s: _class_basis(H, p) for s, (H, p) in cohomology.items()}
+    E = _enumerated_stages(n, {s: len(b) for s, b in bases.items()})
+    if sum(len(bases[s]) for s in E) > budget:
         probe = next(_walk(base, stages, {s: [] for s in stages}), None)
         return MasseyVerdict(defined=True if probe else None, contains_zero=None,
                              budget_exhausted=True)
 
-    bases = {s: _class_basis(H, p) for s, (H, p) in cohomology.items()}
-    E = _enumerated_stages(n, {s: len(b) for s, b in bases.items()})
     cosets, memo = {}, {}
     for choice in itertools.product(*(itertools.product(range(ring.p), repeat=len(bases[s]))
                                       for s in E)):
@@ -576,14 +555,26 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
             cosets[coset] = None
 
     if not cosets:
-        return MasseyVerdict(defined=False, contains_zero=None)
-    contains_zero = any(not any(s) for _, s, _ in cosets)
-    verdict = MasseyVerdict(defined=True, contains_zero=contains_zero,
-                            distinct_class_count=_class_count(list(cosets), ring))
-    if not contains_zero:
+        verdict = MasseyVerdict(defined=False, contains_zero=None)
+        if n == 3:
+            verdict.obstruction_stage = next(
+                s for s in stages if any(_lifted(base, bases, {}, memo, s)[2]))
+        return verdict
+    verdict = MasseyVerdict(defined=True, contains_zero=any(not any(s) for _, s, _ in cosets))
+    if n == 3:
+        (A, _, dim), = cosets
+        verdict.indeterminacy_rank = dim - len(A)
+    else:
+        verdict.distinct_class_count = _class_count(list(cosets), ring)
+    if not verdict.contains_zero:
         kernels = {s: H.cocycle_basis(p) for s, (H, p) in cohomology.items()}
         ds, omega = next(_walk(base, stages, kernels))
         verdict.witness_system = ds
         verdict.witness_cocycle = omega
         verdict.witness_cycle = find_evaluating_cycle(omega)
     return verdict
+
+
+def triple_massey_decide(alpha1, alpha2, alpha3) -> MasseyVerdict:
+    """<alpha1, alpha2, alpha3>, decided by ``enumerate_defining_systems``."""
+    return enumerate_defining_systems((alpha1, alpha2, alpha3))

@@ -35,6 +35,10 @@ code of ``cochains`` or ``hochster``.
 ``enumerate_reference`` decides a Massey product by the exhaustive walk:
 one class key per valid defining system.  It shares with the library only
 the walk itself (``massey._walk``), not the coset argument under test.
+``triple_reference`` decides a triple product over any ring by one solve
+against the products of alpha_1 and alpha_3 with whole cocycle bases and
+the coboundaries; it shares with the library the cochain operations and
+``Solver``, not the branch, its lifts or its class bases.
 
 The simplicial references enumerate faces where the library reads facets
 and the face index: the boundary of a star as the faces of the star that
@@ -62,7 +66,8 @@ from fractions import Fraction
 from math import lcm
 
 from matk import exactalg, massey, simplicial
-from matk.cochains import AmbientMismatch, Chain, Cochain, reduced_cohomology
+from matk.cochains import (AmbientMismatch, Chain, Cochain, cup_multiply, overline,
+                           reduced_cohomology)
 from matk.exactalg import ZZ, QQ, AbelianGroup
 from matk.hochster import CohomologyClass
 from matk.nestohedra import cube_dual_complex
@@ -437,12 +442,78 @@ def enumerate_reference(classes, budget=20, visit=None) -> ReferenceVerdict:
             first_nonzero = (ds, omega)
 
     if not keys:
-        return ReferenceVerdict(defined=False, contains_zero=None)
+        verdict = ReferenceVerdict(defined=False, contains_zero=None)
+        if n == 3:  # the first stage whose staircase has no primitive
+            verdict.obstruction_stage = next(
+                s for s in stages if reduced_cohomology(K, base.J_block(*s), ring)
+                .primitive(base.staircase(*s)) is None)
+        return verdict
     verdict = ReferenceVerdict(defined=True, contains_zero=found_zero,
-                               distinct_class_count=len(keys),
                                class_representatives=list(keys.values()))
+    if n == 3:  # a coset of the indeterminacy, p^rank classes
+        verdict.indeterminacy_rank = log_p(len(keys), ring.p)
+    else:
+        verdict.distinct_class_count = len(keys)
     if not found_zero:
         ds, omega = first_nonzero
+        verdict.witness_system = ds
+        verdict.witness_cocycle = omega
+        verdict.witness_cycle = massey.find_evaluating_cycle(omega)
+    return verdict
+
+
+def log_p(count: int, p: int) -> int:
+    """The r with p^r = count; a count that is no power of p fails."""
+    r = 0
+    while count % p == 0:
+        count, r = count // p, r + 1
+    assert count == 1, f"the count is not a power of {p}"
+    return r
+
+
+def triple_reference(alpha1, alpha2, alpha3) -> massey.MasseyVerdict:
+    """Exact decision of <alpha1, alpha2, alpha3> over Z, Q or F_p.
+
+    The product set is the coset of one associated class modulo the
+    indeterminacy subgroup, so triviality is membership of that class in the
+    subgroup: over Z an integer affine solve, over a field a rank test,
+    against the products of alpha_1 and alpha_3 with the whole cocycle
+    bases of the two stages, and the coboundaries.
+    """
+    classes = (alpha1, alpha2, alpha3)
+    K, ring = massey._common_ambient(classes)
+    (p1, p2, p3) = (c.p for c in classes)
+    (a1, a2, a3) = (c.representative for c in classes)
+
+    def cohomology(cs):
+        return reduced_cohomology(K, [v for c in cs for v in c.J], ring)
+
+    H12, H23, H = cohomology(classes[:2]), cohomology(classes[1:]), cohomology(classes)
+    a12 = H12.primitive(cup_multiply(overline(a1), a2))
+    if a12 is None:
+        return massey.MasseyVerdict(defined=False, obstruction_stage=(1, 2))
+    a23 = H23.primitive(cup_multiply(overline(a2), a3))
+    if a23 is None:
+        return massey.MasseyVerdict(defined=False, obstruction_stage=(2, 3))
+
+    ds = massey.DefiningSystem(classes, {(1, 2): a12, (2, 3): a23})
+    omega = massey.associated_cocycle(ds)
+
+    # omega is in the indeterminacy iff it lies in the span of the generators
+    # and the coboundaries: one solve against [generators | d]
+    q = p1 + p2 + p3 + 1
+    generators = [cup_multiply(overline(a1), z) for z in H23.cocycle_basis(p2 + p3)]
+    generators += [cup_multiply(overline(z), a3) for z in H12.cocycle_basis(p1 + p2)]
+    g = len(generators)
+    system = [{g + j: a for j, a in row.items()} for row in H.delta_matrix(q - 1)]
+    for k, gen in enumerate(generators):
+        for t, c in H.vector(gen).items():
+            system[t][k] = c
+    solver = exactalg.Solver(system, ring, g + H.solver(q - 1).cols)
+    contains_zero = solver.solve(H.vector(omega)) is not None
+    verdict = massey.MasseyVerdict(defined=True, contains_zero=contains_zero,
+                                   indeterminacy_rank=solver.rank - H.solver(q - 1).rank)
+    if not contains_zero:
         verdict.witness_system = ds
         verdict.witness_cocycle = omega
         verdict.witness_cycle = massey.find_evaluating_cycle(omega)
@@ -831,6 +902,16 @@ def four_massey_complex():
               ("1'", "2'"), ("1'", "3'")):
         K = star_delete(K, e)
     return K
+
+
+def flag_complex(edges: str, n: int = 8) -> SimplicialComplex:
+    """The flag complex on the vertices "1" .. str(n) of the graph whose
+    edges are written as digit pairs, "13 17 ...": every clique is a face."""
+    E = {tuple(e) for e in edges.split()}
+    labels = [str(v) for v in range(1, n + 1)]
+    return SimplicialComplex(labels, [S for size in range(1, n + 1)
+                                      for S in itertools.combinations(labels, size)
+                                      if all(e in E for e in itertools.combinations(S, 2))])
 
 
 def contraction_example_target():

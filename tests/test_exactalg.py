@@ -632,6 +632,8 @@ def test_solver_on_unit_free_matrices(data):
         b = mat_vec(A, [data.draw(entry) for _ in range(cols)], ZZ)
         x = solver.solve(dict(enumerate(b)))
         assert x is not None and mat_vec(A, dense(x, cols), ZZ) == b
+        # lift takes the Hermite multiples off as solve does: a primitive
+        assert solver.lift(dict(enumerate(b))) == (x, solver.residue(dict(enumerate(b))))
     for v in solver.kernel:
         assert not any(mat_vec(A, dense(v, cols), ZZ))
 

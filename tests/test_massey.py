@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -37,15 +38,18 @@ from helpers import (
     cycle_complex,
     enumerate_reference,
     fig1_complex,
+    flag_complex,
     four_massey_complex,
     joins_example_complex,
     octahedron,
+    triple_reference,
     two_points,
     unit_class,
 )
 from test_simplicial import small_complexes
 
 RINGS = (ZZ, QQ, GF(2), GF(3))
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fig1_classes(ring):
@@ -185,8 +189,9 @@ def test_mixed_rings_are_an_ambient_mismatch():
 
 
 def test_enumeration_needs_finite_field():
-    with pytest.raises(RingNotFinite):
-        enumerate_defining_systems(fig1_classes(ZZ))
+    for ring in (ZZ, QQ):
+        with pytest.raises(RingNotFinite):
+            enumerate_defining_systems(_massey4_fixture(ring))
 
 
 def test_enumeration_needs_two_classes():
@@ -207,40 +212,65 @@ def test_fig1_enumeration_class_set(p):
                 {("1", "5"): ring.one, ("3", "5"): ring.of_int(t)})
         for t in range(p)
     ]
-    assert verdict.distinct_class_count == p
+    assert len(verdict.class_representatives) == p and verdict.indeterminacy_rank == 1
     for omega in verdict.class_representatives:
         assert any(H.are_cohomologous(omega, t) for t in targets)
 
 
+# 8-vertex flag complexes whose fourfold products on the classes chi_1,
+# chi_3, chi_5, chi_7 of the non-edges 12, 34, 56, 78 enumerate one class
+# parameter: 2 branches over F2 and 3 over F3
+FLAG_A = "13 17 18 23 26 28 35 38 45 46 48"
+FLAG_B = "16 17 23 24 25 26 27 28 36 37 38 47 57 58"
+FLAG_C = "16 17 24 28 35 36 37 38 45 46 47 67 68"  # not defined
+FLAG_D = "14 17 18 24 26 27 35 37 38 45 47 67 68"  # non-trivial, p classes
+
+
+def _flag_product(edges, ring):
+    K = flag_complex(edges)
+    return tuple(class_in_slot(K, ring, (str(v), str(v + 1)), 0, {(str(v),): ring.one})
+                 for v in (1, 3, 5, 7))
+
+
 def test_budget_exhaustion_is_honest():
-    verdict = enumerate_defining_systems(fig1_classes(GF(2)), budget=1)
-    assert verdict.budget_exhausted
-    assert verdict.contains_zero is None
-    assert verdict.defined  # the parameter-free branch completes
+    verdict = enumerate_defining_systems(_flag_product(FLAG_A, GF(2)), budget=0)
+    assert verdict.to_json() == {"defined": True, "contains_zero": None,
+                                 "budget_exhausted": True}  # the zero branch completes
 
 
 def test_budget_verdict_is_unknown_when_the_probe_fails():
-    """Over F2 the parameter-free branch of stellohedron(4)'s fourfold
-    product fails, yet other branches complete: under budget the verdict
-    cannot say "not defined"."""
-    from matk.nestohedra import nestohedron_massey_input
-
-    _, classes, _ = nestohedron_massey_input("stellohedron", 4, 4, GF(2))
+    """Over F2 the parameter-free branch of B's fourfold product fails, yet
+    the other branch completes: under budget the verdict cannot say "not
+    defined"."""
+    classes = _flag_product(FLAG_B, GF(2))
     verdict = enumerate_defining_systems(classes, budget=0)
-    assert verdict.budget_exhausted
-    assert verdict.defined is None and verdict.contains_zero is None
     assert verdict.to_json() == {"defined": None, "contains_zero": None,
                                  "budget_exhausted": True}
-    assert enumerate_defining_systems(classes).defined is True
+    verdict = enumerate_defining_systems(classes)
+    assert verdict.defined is True and verdict.distinct_class_count == 2
+
+
+def _json(verdict):
+    return json.dumps(verdict.to_json(), sort_keys=True)
 
 
 def assert_matches_reference(classes, budget=20):
-    """The coset decision and the exhaustive walk agree byte for byte."""
+    """The coset decision and the exhaustive walk agree byte for byte.
+
+    The walk's budget caps every stage's cocycles, the decider's only the
+    enumerated class parameters, so the walk can stop where the decider
+    decides.  Then the decider matches what the walk still knows: the one
+    solve of ``triple_reference`` for n = 3, and for n >= 4 the probe's
+    ``defined``, when its parameter-free branch completes."""
     fast = enumerate_defining_systems(classes, budget=budget)
     slow = enumerate_reference(classes, budget=budget)
-    assert (json.dumps(fast.to_json(), sort_keys=True)
-            == json.dumps(slow.to_json(), sort_keys=True))
-    assert fast.distinct_class_count == slow.distinct_class_count
+    if slow.budget_exhausted and not fast.budget_exhausted:
+        if len(classes) == 3:
+            assert _json(fast) == _json(triple_reference(*classes))
+        else:
+            assert slow.defined is None or fast.defined is True
+        return fast
+    assert _json(fast) == _json(slow)
     return fast
 
 
@@ -258,13 +288,10 @@ def _shifted(classes, c):
 
 
 def _massey4_fixture(ring):
-    import pathlib
-
     from matk.simplicial import complex_from_json
 
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    K = complex_from_json(json.loads((fixtures / "massey4.json").read_text()))
-    blobs = json.loads((fixtures / "massey4-classes.json").read_text())
+    K = complex_from_json(json.loads((FIXTURES / "massey4.json").read_text()))
+    blobs = json.loads((FIXTURES / "massey4-classes.json").read_text())
     blobs = blobs["classes"] if isinstance(blobs, dict) else blobs
     return tuple(CohomologyClass(cochain_from_json(b, K, ring)) for b in blobs)
 
@@ -299,17 +326,32 @@ def _nestohedral(kind, n, k, ring=GF(2)):
 
 
 @pytest.mark.parametrize("shift", [0, 1])
-@pytest.mark.parametrize("make", [
-    lambda: _massey4_fixture(GF(2)),
-    lambda: _massey4_fixture(GF(3)),
-    lambda: _nestohedral("permutahedron", 4, 4),
-    lambda: _nestohedral("permutahedron", 5, 4),
-    lambda: _nestohedral("stellohedron", 4, 4),
+@pytest.mark.parametrize("make,branches", [
+    (lambda: _massey4_fixture(GF(2)), 1),
+    (lambda: _massey4_fixture(GF(3)), 1),
+    (lambda: _nestohedral("permutahedron", 4, 4), 1),
+    (lambda: _nestohedral("permutahedron", 5, 4), 1),
+    (lambda: _nestohedral("stellohedron", 4, 4), 1),
+    *[(lambda g=g, p=p: _flag_product(g, GF(p)), p)
+      for g in (FLAG_B, FLAG_C, FLAG_D) for p in (2, 3)],
 ], ids=["massey4-F2", "massey4-F3", "permutahedron-4-4", "permutahedron-5-4",
-        "stellohedron-4-4"])
-def test_enumeration_matches_reference_on_benchmark_inputs(make, shift):
+        "stellohedron-4-4", "flag-B-F2", "flag-B-F3", "flag-C-F2", "flag-C-F3",
+        "flag-D-F2", "flag-D-F3"])
+def test_enumeration_matches_reference_on_benchmark_inputs(monkeypatch, make, branches, shift):
+    """The massey benchmark's fourfold inputs walk one branch each; the flag
+    complexes, which no benchmark job runs, walk p, so the memo shared by the
+    branches and the count over several cosets are compared too."""
     classes = make()
+    walked = []
+    branch_coset = massey._branch_coset
+
+    def counting(*args):
+        walked.append(args)
+        return branch_coset(*args)
+
+    monkeypatch.setattr(massey, "_branch_coset", counting)
     assert_matches_reference(_shifted(classes, shift) if shift else classes)
+    assert len(walked) == branches
 
 
 @pytest.mark.parametrize("kind,p,shift", [
@@ -354,7 +396,7 @@ def test_fivefold_memo_gives_each_branch_what_a_fresh_memo_builds(kind):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_enumeration_matches_reference_on_fig1(p):
     verdict = assert_matches_reference(fig1_classes(GF(p)))
-    assert verdict.distinct_class_count == p
+    assert verdict.indeterminacy_rank == 1
 
 
 def test_enumeration_matches_reference_on_moved_inputs():
@@ -760,21 +802,38 @@ def _triple_candidates(K):
     return None
 
 
+def assert_matches_triple_reference(make):
+    """Over Z and F2 the decider's JSON is the one solve's byte for byte,
+    and over F2 the walk's too; ``make(ring)`` gives the classes."""
+    for ring in (ZZ, GF(2)):
+        classes = make(ring)
+        assert _json(enumerate_defining_systems(classes)) == _json(triple_reference(*classes))
+    assert_matches_reference(make(GF(2)), budget=14)
+
+
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(small_complexes(max_vertices=7), st.integers(0, 1))
 def test_enumeration_agrees_with_exact_triple_decision(K, _seed):
     trio = _triple_candidates(K)
     assume(trio is not None)
-    ring = GF(2)
-    classes = tuple(
-        class_in_slot(K, ring, pair, 0, {(pair[0],): ring.one}) for pair in trio
-    )
-    exact = triple_massey_decide(*classes)
-    brute = enumerate_defining_systems(classes, budget=14)
-    assert exact.defined == brute.defined
-    if exact.defined and not brute.budget_exhausted:
-        assert exact.contains_zero == brute.contains_zero
+    assert_matches_triple_reference(lambda ring: tuple(
+        class_in_slot(K, ring, pair, 0, {(pair[0],): ring.one}) for pair in trio))
+
+
+@pytest.mark.parametrize("shift", [1, 2])
+def test_enumeration_agrees_with_exact_triple_decision_on_torsion(shift):
+    """The rp2-join fixture's classes, shifted; the first is the class of
+    order 2 on RP^2, so over Z the Hermite residual of the solve is used."""
+    from matk.constructions import (canonical_defining_system_joins,
+                                    construct_massey_complex, spec_from_json)
+
+    spec = spec_from_json(json.loads((FIXTURES / "rp2-join.json").read_text()))
+    K, _ = construct_massey_complex(spec)
+    blobs = [cochains.cochain_to_json(c.representative)
+             for c in canonical_defining_system_joins(spec, K).classes]
+    assert_matches_triple_reference(lambda ring: _shifted(
+        [CohomologyClass(cochain_from_json(b, K, ring)) for b in blobs], shift))
 
 
 @settings(max_examples=40, deadline=None)
