@@ -338,7 +338,8 @@ class ReducedCohomology:
     degree: its kernel is the cocycle basis, and every solve against it (a
     primitive of a coboundary, coboundary membership, the class key of a
     cocycle) replays the recorded row operations and back-substitutes.
-    Only the groups are computed without a ``Solver``.
+    Each boundary is factored once too, on first use: its kernel is the
+    cycle basis.  Only the groups are computed without a ``Solver``.
     """
 
     def __init__(self, K: SimplicialComplex, J, ring: Ring):
@@ -353,7 +354,7 @@ class ReducedCohomology:
         self._delta: dict[int, list] = {}
         self._groups: dict[int, exactalg.AbelianGroup] = {}
         self._solvers: dict[int, exactalg.Solver] = {}
-        self._cycles: dict[int, list] = {}
+        self._boundaries: dict[int, exactalg.Solver] = {}
 
     def _position(self, p: int) -> dict:
         """The masks of the p-faces of K_J, in order, each to its index."""
@@ -428,14 +429,22 @@ class ReducedCohomology:
     def cocycle_basis(self, p: int) -> list:
         return [self.cochain(v, p) for v in self.solver(p).kernel]
 
+    def _boundary_solver(self, q: int) -> exactalg.Solver:
+        """The boundary C_q -> C_{q-1}, factored on first use."""
+        if q not in self._boundaries:
+            self._boundaries[q] = exactalg.Solver(self._boundary_rows(q), self.ring,
+                                                  len(self._position(q)))
+        return self._boundaries[q]
+
     def cycle_basis(self, q: int) -> list:
         """A basis of the q-cycles as chains: the kernel of the boundary
-        C_q -> C_{q-1}; found once per degree."""
-        if q not in self._cycles:
-            kernel = exactalg.Solver(self._boundary_rows(q), self.ring,
-                                     len(self._position(q))).kernel
-            self._cycles[q] = [self._graded(Chain, v, q) for v in kernel]
-        return self._cycles[q]
+        C_q -> C_{q-1}, lifted once per degree."""
+        return [self._graded(Chain, v, q) for v in self._boundary_solver(q).kernel]
+
+    def cycles(self, q: int):
+        """The chains of ``cycle_basis(q)`` in order, each lifted only when
+        reached."""
+        return (self._graded(Chain, v, q) for v in self._boundary_solver(q).iter_kernel())
 
     def is_cocycle(self, a: Cochain) -> bool:
         self._check(a)

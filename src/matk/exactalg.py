@@ -454,12 +454,18 @@ class Solver:
     def kernel(self) -> list:
         """A basis of the kernel, lifted on first use: callers that only
         ask ``residue`` or ``solve`` never pay for it."""
+        return list(self.iter_kernel())
+
+    def iter_kernel(self):
+        """The vectors of ``kernel`` in order, each lifted only when reached:
+        a caller that stops at the first it needs lifts no more."""
         bound = {c for _, c, *_ in self._steps} | set(self._res_cols)
-        one, k = self.ring.one, self._h_rank
-        kernel = [self._lift({}, {j: one}) for j in range(self.cols) if j not in bound]
-        kernel += [self._lift({}, {j: V[t] for j, V in zip(self._res_cols, self._V) if V[t]})
-                   for t in range(k, len(self._res_cols))]
-        return kernel
+        one = self.ring.one
+        for j in range(self.cols):
+            if j not in bound:
+                yield self._lift({}, {j: one})
+        for t in range(self._h_rank, len(self._res_cols)):
+            yield self._lift({}, {j: V[t] for j, V in zip(self._res_cols, self._V) if V[t]})
 
     def _lift(self, y: dict, free: dict) -> dict:
         """The x equal to ``free`` off the pivot columns whose pivot rows

@@ -239,19 +239,19 @@ def _common_ambient(classes):
 
 
 def find_evaluating_cycle(omega: Cochain, prefer_small: bool = False) -> Optional[Chain]:
-    """A cycle on which the cocycle evaluates nontrivially, if one exists.
+    """A cycle on which the cocycle evaluates nontrivially, if one exists:
+    the first such vector of the cycle basis, the vectors lifted one at a
+    time up to it (``ReducedCohomology.cycles``).
 
-    With ``prefer_small`` the hit with the fewest support simplices among the
-    cycle-basis vectors is returned.
+    With ``prefer_small`` the hit with the fewest support simplices among
+    all the cycle-basis vectors is returned.
     """
-    best = None
-    for x in reduced_cohomology(omega.complex, omega.J, omega.ring).cycle_basis(omega.p):
-        if not omega.ring.is_zero(evaluate(omega, x)):
-            if not prefer_small:
-                return x
-            if best is None or len(x._by_mask) < len(best._by_mask):
-                best = x
-    return best
+    H = reduced_cohomology(omega.complex, omega.J, omega.ring)
+    cycles = H.cycle_basis(omega.p) if prefer_small else H.cycles(omega.p)
+    hits = (x for x in cycles if not omega.ring.is_zero(evaluate(omega, x)))
+    if prefer_small:
+        return min(hits, key=lambda x: len(x._by_mask), default=None)
+    return next(hits, None)
 
 
 def _stages(n: int) -> list:
@@ -374,7 +374,11 @@ def _branch_coset(base: DefiningSystem, stages: list, bases: dict, t: dict,
     With each entry the linear lift of its staircase, the stage residues
     R(u) and the associated cochain are affine in the other parameters u:
     ``_lifted`` and ``_affine_staircase`` give their constants and
-    coefficients, and one solve finds where R(u) = 0.  A is the canonical
+    coefficients, and one solve finds where R(u) = 0.  When no residue
+    varies with u (every row of that solve empty, as always at n = 3) none
+    is built: the branch holds a system iff the constant residues vanish,
+    its point is the constant of the associated cochain, and its
+    directions are that cochain's coefficients.  A is the canonical
     kernel basis of the class directions, so (A, s, dim) depends on the
     class set only.  Over Z, where a class key is a residue modulo a
     lattice and not linear, only the one branch of n <= 3 gets here, and
@@ -396,15 +400,18 @@ def _branch_coset(base: DefiningSystem, stages: list, bases: dict, t: dict,
         cols = [(j, dr[f]) for j, f in enumerate(free) if f in dr]
         r0 += r
         rows += [{j: e[i] for j, e in cols if e[i]} for i in range(len(r))]
-    feasible = exactalg.Solver(rows, ring, len(free))
-    u0 = feasible.solve({i: ring.neg(a) for i, a in enumerate(r0)})
+    if any(rows):
+        feasible = exactalg.Solver(rows, ring, len(free))
+        u0 = feasible.solve({i: ring.neg(a) for i, a in enumerate(r0)})
+    else:  # no residue varies: u = 0 solves or none does, and u is free
+        feasible, u0 = None, (None if any(r0) else {})
     if u0 is None:
         return None
     omega, domega = _affine_staircase(base, bases, t, memo, 1, base.n)
     dirs = [domega[f] for f in free]
-    point = combine(omega, [(a, dirs[j]) for j, a in u0.items()])
-    directions = [combine(omega._like({}), [(a, dirs[j]) for j, a in v.items()])
-                  for v in feasible.kernel]
+    point = combine(omega, [(a, dirs[j]) for j, a in u0.items()]) if u0 else omega
+    directions = dirs if feasible is None else [
+        combine(omega._like({}), [(a, dirs[j]) for j, a in v.items()]) for v in feasible.kernel]
     H = reduced_cohomology(base.complex, omega.J, ring)
     if not ring.is_field:  # one solve against [directions | d]
         g, d = len(directions), H.solver(omega.p - 1)
@@ -465,8 +472,28 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
     below shows the class set is the same.  The parameters of the stages E
     of ``_enumerated_stages`` are enumerated, each branch is one
     ``_branch_coset``, all of them reading the affine lifts and products of
-    one memo, and the witness is the first valid system of ``_walk`` over
-    the full cocycle bases, built only then.
+    one memo.
+
+    Witness.  When no class of the product is zero, the witness is the
+    first valid system of ``_walk`` over the full cocycle bases, read off
+    the memo when it can be.  The walk takes each stage's primitive, the x
+    of ``Solver.solve``, plus every combination of its cocycles, the zero
+    one first, so while each staircase it meets has a primitive its first
+    system is the all-zero one: each stage the primitive of the staircase
+    of the entries before it in walk order.  Let t0 be the branch with
+    every enumerated value zero.  In the memo each entry's constant (every
+    free parameter zero too) is the lift of its staircase's constant, and
+    that constant is the staircase of the inner entries' constants: one
+    factor of each product is constant.  ``Solver.lift``'s x is ``solve``'s
+    whenever the residue is zero, so by induction in walk order, when every
+    constant residue of t0 is zero, the constants of ``_lifted`` are the
+    walk's entries and the constant of ``_affine_staircase`` at (1, n) is
+    its associated cocycle, and no stage is solved or multiplied again.
+    Otherwise the walk backtracks, and it runs.  That happens only at
+    n >= 4: for n <= 3 no stage's staircase has a coefficient (each stage
+    multiplies two representatives), so the one branch's feasibility rows
+    are empty and it holds a system, as a verdict with a witness needs,
+    only when every constant residue is zero.
 
     For n <= 3, E is empty: one branch.  At n = 3 its coset is the class of
     the associated cocycle plus the indeterminacy subgroup, spanned by the
@@ -481,6 +508,8 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
     unknown, and ``defined`` only when the parameter-free branch completes.
     No triple product is capped.  The former cap, the sum of dim Z^p over
     all stages, is never smaller, so no verdict it let through is capped.
+    The budget bounds the branch count, p to that sum, not the work inside
+    a branch, which grows with the free parameters and the subcomplexes.
 
     Gauge.  Write |x| = p + |J| + 1 for the total degree, additive under the
     product, so overline(x) = (-1)^(|x| + 1) x and
@@ -567,8 +596,16 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
     else:
         verdict.distinct_class_count = _class_count(list(cosets), ring)
     if not verdict.contains_zero:
-        kernels = {s: H.cocycle_basis(p) for s, (H, p) in cohomology.items()}
-        ds, omega = next(_walk(base, stages, kernels))
+        t0 = {s: (0,) * len(bases[s]) for s in E}
+        lifts = {s: _lifted(base, bases, t0, memo, s) for s in stages}
+        if any(any(r) for _, _, r, _ in lifts.values()):  # n >= 4 only
+            kernels = {s: H.cocycle_basis(p) for s, (H, p) in cohomology.items()}
+            ds, omega = next(_walk(base, stages, kernels))
+        else:
+            ds = base
+            for s, (x, *_) in lifts.items():
+                ds = ds.with_entry(*s, x)
+            omega = _affine_staircase(base, bases, t0, memo, 1, n)[0]
         verdict.witness_system = ds
         verdict.witness_cocycle = omega
         verdict.witness_cycle = find_evaluating_cycle(omega)

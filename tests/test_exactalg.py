@@ -640,6 +640,31 @@ def test_solver_on_unit_free_matrices(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_lazy_kernel_yields_the_kernel_in_order(data):
+    """iter_kernel gives the vectors of ``kernel``, in order, and lifts each
+    only when it is reached: over Z with units and without (a Hermite
+    residual then holds part of the kernel), Q, F2 and F3."""
+    ring = data.draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    entry = st.sampled_from(data.draw(st.sampled_from([
+        [0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 4, -6],
+        [0, 0, 0, 2, -2, 3, 4, -6, 5]])))
+    A = [[ring.of_int(data.draw(entry)) for _ in range(cols)] for _ in range(rows)]
+    solver, lifted = Solver(rows_of(A), ring, cols), []
+    lift = solver._lift
+    solver._lift = lambda y, free: lifted.append(free) or lift(y, free)
+    out = []
+    for v in solver.iter_kernel():
+        assert len(lifted) == len(out) + 1
+        out.append(v)
+    assert out == Solver(rows_of(A), ring, cols).kernel
+    assert len(out) == cols - solver.rank
+    for v in out:
+        assert not any(mat_vec(A, dense(v, cols), ring))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_solver_rank_is_the_count_of_invariant_factors(data):
     # both callers of the one elimination agree, over Q too, where the
     # invariant factors read the rank off an elimination over Z

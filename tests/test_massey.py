@@ -287,13 +287,18 @@ def _shifted(classes, c):
     return tuple(out)
 
 
-def _massey4_fixture(ring):
+def _fixture_classes(stem, ring):
+    """The classes of fixtures/<stem>-classes.json on fixtures/<stem>.json."""
     from matk.simplicial import complex_from_json
 
-    K = complex_from_json(json.loads((FIXTURES / "massey4.json").read_text()))
-    blobs = json.loads((FIXTURES / "massey4-classes.json").read_text())
+    K = complex_from_json(json.loads((FIXTURES / f"{stem}.json").read_text()))
+    blobs = json.loads((FIXTURES / f"{stem}-classes.json").read_text())
     blobs = blobs["classes"] if isinstance(blobs, dict) else blobs
     return tuple(CohomologyClass(cochain_from_json(b, K, ring)) for b in blobs)
+
+
+def _massey4_fixture(ring):
+    return _fixture_classes("massey4", ring)
 
 
 def test_staircase_builds_its_products_and_one_sum(monkeypatch):
@@ -476,15 +481,18 @@ def test_twofold_enumeration_matches_reference_over_z():
 
 
 @st.composite
-def s0_join_products(draw, n):
+def s0_join_products(draw, n, primes=(2, 3, 5), neighbours=True):
     """n classes on the slots {i, i'} of a join of n copies of S0 with some
-    cross pairs star-deleted, over F2, F3 or F5: each representative is c
-    chi_v for a slot vertex v, shifted by a multiple of d(chi_empty).  One
-    deletion between each two neighbouring slots makes their product zero,
-    so that most of the drawn Massey products are defined."""
+    cross pairs star-deleted, over F_p for p in ``primes``: each
+    representative is c chi_v for a slot vertex v, shifted by a multiple of
+    d(chi_empty).  With ``neighbours``, one deletion between each two
+    neighbouring slots makes their product zero, so that most of the drawn
+    Massey products are defined; without, only the fixture's deletions and
+    the extra ones are made, which leaves most stage subcomplexes connected,
+    with one cocycle each."""
     from matk.simplicial import join, star_delete
 
-    ring = draw(st.sampled_from([GF(2), GF(3), GF(5)]))
+    ring = draw(st.sampled_from([GF(p) for p in primes]))
     K = two_points("1", "1'")
     for i in range(2, n + 1):
         K = join(K, two_points(str(i), f"{i}'"))
@@ -492,7 +500,7 @@ def s0_join_products(draw, n):
              if u.rstrip("'") != v.rstrip("'")]
     neighbours = [draw(st.sampled_from([(u, v) for u in (str(i), f"{i}'")
                                         for v in (str(i + 1), f"{i + 1}'")]))
-                  for i in range(1, n)]
+                  for i in range(1, n)] if neighbours else []
     # the deletions of the fourfold fixture, less at most two of them
     fixture = [e for e in [("1", "2'"), ("1", "3'"), ("2", "3'"), ("2", "4'"), ("3", "4'"),
                            ("1'", "2'"), ("1'", "3'")] if int(e[1][0]) <= n]
@@ -519,6 +527,56 @@ WALK_BUDGET = {2: 10, 3: 6, 5: 4}
 @given(st.sampled_from([3, 4]).flatmap(s0_join_products))
 def test_enumeration_matches_reference_on_random_products(classes):
     assert_matches_reference(classes, budget=WALK_BUDGET[classes[0].ring.p])
+
+
+def _cocycle_count(classes) -> int:
+    """The cocycles of every stage, all of which the reference walks."""
+    base = DefiningSystem(classes, {})
+    return sum(len(reduced_cohomology(base.complex, base.J_block(*s), base.ring)
+                   .cocycle_basis(base.p_block(*s))) for s in massey._stages(base.n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(s0_join_products(4, primes=(3,), neighbours=False))
+def test_fourfold_verdicts_over_f3_match_the_walk_whole(classes):
+    """Fourfold products over F3 whose stages have few cocycles, so that
+    the walk within WALK_BUDGET decides them: the whole verdicts, class
+    count, contains_zero and witness, not only the probe's ``defined``.
+    The random products above exceed that budget on most F3 draws at
+    n = 4; here most stage subcomplexes are connected, with one cocycle."""
+    assume(_cocycle_count(classes) <= WALK_BUDGET[3])
+    verdict = assert_matches_reference(classes, budget=WALK_BUDGET[3])
+    assert not verdict.budget_exhausted
+
+
+def _with_unit(row, ring):
+    """A fourfold product on the massey4 fixture over ``ring``, one class
+    per word of ``row``: "u" the unit, "k" the fixture's class k, and "zk"
+    the zero class 2 d(chi_empty) on that class's slot.  A stage of the unit
+    and one class has degree -1 and no cocycle, so over F5 the walk fits
+    WALK_BUDGET.  Four classes of degree 0 cannot: each of the five stages
+    has at least one cocycle, the constants."""
+    a = _massey4_fixture(ring)
+    K = a[0].complex
+
+    def word(w):
+        if w == "u":
+            return unit_class(K, ring)
+        if w.startswith("z"):
+            J = a[int(w[1:])].J
+            return CohomologyClass(Cochain(K, ring, J, 0, {(v,): ring.of_int(2) for v in J}))
+        return a[int(w)]
+
+    return tuple(map(word, row.split()))
+
+
+@pytest.mark.parametrize("row", ["u z0 1 2", "u z1 2 3", "0 1 z2 u", "1 2 z3 u"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_fourfold_verdicts_with_the_unit_match_the_walk_whole(row, p):
+    classes = _with_unit(row, GF(p))
+    assert _cocycle_count(classes) <= WALK_BUDGET[p]
+    verdict = assert_matches_reference(classes, budget=WALK_BUDGET[p])
+    assert verdict.defined and not verdict.budget_exhausted
 
 
 @st.composite
@@ -687,9 +745,9 @@ def test_enumeration_factors_each_coboundary_once(monkeypatch):
 
 
 _COUNTED = pytest.mark.parametrize("make,lifts,cups", [
-    (lambda: _massey4_fixture(GF(2)), 6, 23),
-    (lambda: _massey4_fixture(GF(3)), 6, 23),
-    (lambda: _nestohedral("permutahedron", 4, 4), 5, 20),
+    (lambda: _massey4_fixture(GF(2)), 6, 13),
+    (lambda: _massey4_fixture(GF(3)), 6, 13),
+    (lambda: _nestohedral("permutahedron", 4, 4), 5, 10),
 ], ids=["massey4-F2", "massey4-F3", "permutahedron-4-4"])
 
 
@@ -720,9 +778,10 @@ def test_enumeration_multiplies_each_split_once_per_factor_values(monkeypatch, m
                                                                   cups):
     """A staircase product is multiplied once per value of the enumerated
     stages inside its two factors, as a constant and one coefficient per
-    parameter; the count includes the witness walk's products.  Rebuilding
-    the whole system at every unit vector made 65, 87 and 57 here, and
-    parameters over whole cocycle spaces, not class bases, 39, 46 and 35."""
+    parameter, and the witness is read off those products, not multiplied
+    again.  Rebuilding the whole system at every unit vector made 65, 87
+    and 57 here, parameters over whole cocycle spaces, not class bases, 39,
+    46 and 35, and a witness walk after the enumeration 23, 23 and 20."""
     classes = make()
     calls = []
     cup = massey.cup_multiply
@@ -735,6 +794,84 @@ def test_enumeration_multiplies_each_split_once_per_factor_values(monkeypatch, m
     verdict = enumerate_defining_systems(classes)
     assert verdict.contains_zero is False
     assert 0 < len(calls) <= cups
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("make,path", [
+    (lambda: _massey4_fixture(GF(2)), "memo"),
+    (lambda: _massey4_fixture(GF(3)), "memo"),
+    (lambda: _nestohedral("permutahedron", 4, 4), "memo"),
+    (lambda: _nestohedral("permutahedron", 5, 4), "memo"),
+    (lambda: _nestohedral("stellohedron", 4, 4), None),  # contains zero: no witness
+    (lambda: _fixture_classes("fig1", ZZ), "memo"),
+    (lambda: _fixture_classes("truncated-octahedron", GF(3)), "memo"),
+    # the zero system fails on these: their witness needs the walk
+    (lambda: _flag_product(FLAG_D, GF(2)), "walk"),
+    (lambda: _flag_product(FLAG_D, GF(3)), "walk"),
+], ids=["massey4-F2", "massey4-F3", "permutahedron-4-4", "permutahedron-5-4",
+        "stellohedron-4-4", "fig1-Z", "truncated-octahedron-F3", "flag-D-F2", "flag-D-F3"])
+def test_witness_is_the_walks_first_system(monkeypatch, make, path, shift):
+    """The witness read off the memo of the all-zero branch is the first
+    system of the walk over the full cocycle bases, entry for entry, with
+    its associated cocycle; where the zero system fails the decider walks.
+    Each row names the path it takes, so both stay exercised."""
+    classes = make()
+    classes = _shifted(classes, shift) if shift else classes
+    walked = []
+    walk = massey._walk
+
+    def counting(*args):
+        walked.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(massey, "_walk", counting)
+    verdict = enumerate_defining_systems(classes)
+    monkeypatch.undo()
+    if path is None:
+        assert verdict.contains_zero is True and verdict.witness_system is None
+        assert not walked
+        return
+    assert verdict.contains_zero is False
+    assert ("walk" if walked else "memo") == path
+    base = DefiningSystem(classes, {})
+    stages = massey._stages(base.n)
+    kernels = {s: reduced_cohomology(base.complex, base.J_block(*s), base.ring)
+               .cocycle_basis(base.p_block(*s)) for s in stages}
+    ds, omega = next(massey._walk(base, stages, kernels))
+    assert verdict.witness_system.to_json() == ds.to_json()
+    assert verdict.witness_cocycle == omega
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _massey4_fixture(GF(2)),
+    lambda: _massey4_fixture(GF(3)),
+    lambda: _massey4_fixture(GF(5)),
+    lambda: _fixture_classes("fig1", ZZ),
+    lambda: _fixture_classes("truncated-octahedron", GF(3)),
+    lambda: _nestohedral("permutahedron", 5, 4),
+], ids=["massey4-F2", "massey4-F3", "massey4-F5", "fig1-Z", "truncated-octahedron-F3",
+        "permutahedron-5-4"])
+def test_evaluating_cycle_is_the_first_hit_of_the_cycle_basis(monkeypatch, make):
+    """find_evaluating_cycle lifts cycle-basis vectors only up to the first
+    that pairs nonzero with the cocycle, and returns that vector."""
+    omega = enumerate_defining_systems(make()).witness_cocycle
+    cochains._cached_cohomology.cache_clear()
+    lifts = []
+    lift = exactalg.Solver._lift
+
+    def counting(self, y, free):
+        lifts.append(free)
+        return lift(self, y, free)
+
+    monkeypatch.setattr(exactalg.Solver, "_lift", counting)
+    x = find_evaluating_cycle(omega)
+    monkeypatch.undo()
+    basis = reduced_cohomology(omega.complex, omega.J, omega.ring).cycle_basis(omega.p)
+    hits = [i for i, y in enumerate(basis) if not omega.ring.is_zero(evaluate(omega, y))]
+    assert hits and x == basis[hits[0]]
+    assert len(lifts) == hits[0] + 1
+    assert find_evaluating_cycle(omega, prefer_small=True) == min(
+        (basis[i] for i in hits), key=lambda y: len(y._by_mask))
 
 
 def test_verdict_json_round_trips_witness():
