@@ -329,13 +329,18 @@ def _witness(spec: JoinMasseySpec, K: SimplicialComplex, sigma_n) -> Chain:
         terms = [(s1 + s2, ring.mul(c1, c2))
                  for s1, c1 in x1.coeffs.items() for s2, c2 in cycles[1].coeffs.items()]
     else:
+        # x1 * d(sigma_2 * M * sigma_n) for the cycle M = d sigma_3 * .. * d sigma_(n-1),
+        # by d(x * y) = dx * y + (-1)^(dim x + 1) x * dy: the terms of d sigma_n
+        # carry the sign of sigma_2 * M, of |sigma_2| + sum(|sigma_l| - 1) vertices
         pair = K.sort_simplex(sigma[2] + sigma[n])
         inner = list(range(3, n))
+        across = _parity_sign(sum(len(sigma[l]) - 1 for l in inner))
         tail = [v for l in range(2, n + 1) for v in sigma[l]]
         terms = []
         for s1, c1 in x1.coeffs.items():
             for w2 in pair:
-                c = ring.mul(c1, ring.of_int(epsilon(K, w2, pair)))
+                sign = epsilon(K, w2, pair) * (across if w2 in sigma[n] else 1)
+                c = ring.mul(c1, ring.of_int(sign))
                 for ws in itertools.product(*[sigma[l] for l in inner]):
                     cc = c
                     for l, w in zip(inner, ws):

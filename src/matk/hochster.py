@@ -5,20 +5,25 @@ full subcomplexes K_J, one class of degree p + |J| + 1 per class of
 H-tilde^p(K_J) (Hochster's formula).  It builds no complex per subset: it
 reads the face table of ``cochains``, every face of K as an int bitmask (bit
 r for the vertex of rank r) with its coboundary terms, and the faces of K_J
-are those inside the mask of J.  It visits J in increasing mask order and
-first splits K_J into its connected components, read from a table of
-smaller masks: ``low[J]``, an int array of 8 bytes per subset, holds the
-component of K_J through the lowest vertex l of J.  The components of
-K_(J-l) are ``low[rest]`` for rest = J - l, then rest minus that
-component, and so on, every one a smaller mask already filled in; those
-that meet a neighbour of l merge with l into ``low[J]``, and the others
-are the remaining components of K_J.  A disconnected K_J with c components
-has H-tilde^0 = Z^(c-1), free over every ring, and in each degree p >= 1
-the direct sum of its components' groups; each component has a smaller
-mask than J, so its groups are already known, and torsion adds up through
-``AbelianGroup.direct_sum``.  These lookups and the collapse ones below
-read the table's one slot dict ``by_J``, keyed by the mask of J; label
-tuples are built only for output, in ``HochsterTable.to_json``.
+are those inside the mask of J.  Each distinct slot dict {p: group} has a
+small integer kind, 0 for the trivial one, and J is visited in increasing
+mask order beside two tables of the smaller masks: ``low[J]``, the
+component of K_J through the lowest vertex l of J, and ``kinds[J]``, the
+kind of J.  The components of K_(J-l) are ``low[rest]`` for rest = J - l,
+then rest minus that component, and so on, every one a smaller mask
+already filled in; those that meet a neighbour of l merge with l into
+C = ``low[J]``.  When C is not all of J, K_J is K_C beside K_(J-C), so
+H-tilde^*(K_J) is the direct sum of their groups plus a Z in degree 0,
+over every ring, torsion adding up through ``AbelianGroup.direct_sum``.
+So the kind of J is one merge of the kinds of C and J - C, memoised per
+pair of kinds: no list of components, no direct sum per subset and no
+dict of its own, as the merged dict is shared by every subset of its
+kind.  On 16 isolated vertices, 65520 nontrivial slots have 15 kinds.
+``by_J``, keyed by the mask of J, stores the dict of each nontrivial J's
+kind; label tuples are built only for output, in ``HochsterTable.to_json``.
+The totals count the subsets of each kind per size |J|, and each count is
+expanded once, at the end: the kind's groups, |J| + 1 degrees up, times
+the count.
 
 A connected K_J is next searched for a vertex v dominated by a neighbour w:
 every face of K_J through v stays a face with w added, so lk v is a cone on
@@ -32,23 +37,27 @@ face for every such F, read from masks built once per call.  The edges
 {v, u} with u in J are among those faces, so w must also be adjacent to
 every other neighbour of v in J: one AND, tried first, and on a flag
 complex, where a set of pairwise adjacent vertices is a face, the whole
-test.  A leaf is dominated by its neighbour, and every other vertex of a
-cone by its apex.  Every facet through v lies in the closed neighbourhood
-of v, so the test reads J only through J & N(v): its answer is memoised
-per v and J & N(v), in a dict that lives for one call, and most subsets
-repeat an earlier one's test.
+test.  A leaf, with one neighbour in J, is dominated by it, so it
+collapses with no test at all, and every other vertex of a cone is
+dominated by its apex.  Every facet through v lies in the closed
+neighbourhood of v, so the test reads J only through J & N(v): its answer
+is memoised per v and J & N(v), in a dict that lives for one call, and
+most subsets repeat an earlier one's test.  A K_J that collapses takes the
+kind of J - v.
 
 Only a connected core, a K_J on two or more vertices with no dominated
-vertex, is eliminated: for a vertex v of J it keeps the faces of K_J whose
-union with v is no face: the basis of the relative cochains C*(K_J, st v),
-which is closed upward.  The closed star of v is a cone, so H*(K_J, st v)
-is H-tilde*(K_J) over any ring, torsion included.  The coboundary row of a
-kept face depends on v only, so it is built once per vertex, for the first
-core that uses it, and shared by every J containing v; ``exactalg`` never
-writes to its input rows.  Its columns are the positions of the facets off
-the star of v, and the faces there outside J get empty rows, so columns
-name rows, as ``exactalg.cohomology_groups`` requires.  A point
-contributes nothing, and only the empty subset carries H-tilde^{-1}.
+vertex, is eliminated, and its groups get the kind of an equal dict or a
+new one: for the first vertex v of J with the most neighbours in J, it
+keeps the faces of K_J whose union with v is no face: the basis of the
+relative cochains C*(K_J, st v), which is closed upward.  The closed star
+of v is a cone, so H*(K_J, st v) is H-tilde*(K_J) over any ring, torsion
+included.  The coboundary row of a kept face depends on v only, so it is
+built once per vertex, for the first core that uses it, and shared by
+every J containing v; ``exactalg`` never writes to its input rows.  Its
+columns are the positions of the facets off the star of v, and the faces
+there outside J get empty rows, so columns name rows, as
+``exactalg.cohomology_groups`` requires.  A point contributes nothing, and
+only the empty subset carries H-tilde^{-1}.
 
 ``moment_angle_cw_oracle`` computes the same groups from the cellular chain
 complex of the moment-angle complex itself (one cell per pair of a face
@@ -188,24 +197,30 @@ class HochsterTable:
 def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> HochsterTable:
     """Groups of H^*(Z_K) per vertex subset J and in total per degree.
 
-    J runs over the vertex subsets in increasing mask order.  Its components
-    come from a table of 8 bytes per subset, the component of K_J through
-    its lowest vertex l, built from the components of K_(J-l).  A
-    disconnected K_J takes Z^(c-1) in degree 0 for its c components and the
-    direct sum of their groups, read from the earlier, smaller masks, in
-    every other degree.  A connected K_J with a vertex v dominated by another
-    vertex w (lk v a cone on w: each facet of K through v, cut down to J,
-    stays a face with w added) strong-collapses to K_(J-v), whose groups it
-    takes; whether v is dominated is memoised per v and its neighbours in J.
-    Only a connected core, a K_J with no dominated vertex, has H-tilde^*(K_J)
-    read off the relative cochains of (K_J, st v) for a vertex v of J, the
-    vertex with the most neighbours in J: their basis is the faces of K_J
-    off the star of v.  See the module docstring.
+    J runs over the vertex subsets in increasing mask order.  Each distinct
+    slot dict has a kind, 0 for the trivial one, and two tables of the
+    smaller masks give the component C of K_J through the lowest vertex of
+    J and the kind of each subset.  A disconnected K_J is K_C beside
+    K_(J-C): its kind is the merge of theirs, the direct sum of their
+    groups plus Z in degree 0, memoised per pair of kinds.  A connected K_J
+    with a vertex v dominated by another vertex w (lk v a cone on w: each
+    facet of K through v, cut down to J, stays a face with w added)
+    strong-collapses to K_(J-v), whose kind it takes; a leaf is dominated by
+    its one neighbour, and for any other v the test is memoised per v and
+    its neighbours in J.  Only a connected core, a K_J with no dominated
+    vertex, has H-tilde^*(K_J) read off the relative cochains of (K_J, st v)
+    for a vertex v of J, the first with the most neighbours in J: their
+    basis is the faces of K_J off the star of v.  The totals count the
+    subsets of each kind per size |J| and expand each count once, at the
+    end.  See the module docstring.
 
     ``cap`` bounds the vertices m, since the work and the memory grow as
-    2^m: the component table alone takes 8 * 2^m bytes (128 MiB at the
-    default 24), and ``by_J`` holds an entry per nontrivial slot, which on
-    a sparse complex is nearly every subset.
+    2^m.  The two tables take 12 bytes a subset, 8 for its component in
+    ``low`` and 4 for its kind in ``kinds`` (192 MiB at the default 24).
+    ``by_J`` holds an entry per nontrivial slot, which on a sparse complex
+    is nearly every subset, but its values are the shared dicts of the
+    kinds, so an entry costs only its int key and its dict slot: 68 bytes
+    (on 16 to 20 isolated vertices), some 1.1 GB more at 24.
     """
     from array import array  # here, not at the top: it would cost every import of matk
 
@@ -223,16 +238,30 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
     off_star = {}  # vertex v -> _off_star(v), built for the first core that uses v
 
     # low[J]: the component of K_J through the lowest vertex of J, 8 bytes a
-    # subset; repeating a one-item array allocates no second buffer
+    # subset, and kinds[J]: the kind of its slot dict, 4 bytes; repeating a
+    # one-item array allocates no second buffer
     low = array("q", [0]) * (1 << m)
+    kinds = array("i", [0]) * (1 << m)
+    slots = [{}]  # kind -> its slot dict {p: nontrivial AbelianGroup}, shared
+    # by every subset of that kind and never written to after it is stored
+    known = {(): 0}  # the sorted items of a slot dict -> its kind
+    merged = {}  # kind of C << 32 | kind of J - C -> the kind of J
+    counts = [None]  # kind -> the number of subsets of that kind per size |J|
+    Z = AbelianGroup(1)
+
+    def kind_of(groups: dict) -> int:
+        key = tuple(sorted(groups.items()))
+        kind = known.get(key)
+        if kind is None:
+            kind = known[key] = len(slots)
+            slots.append(groups)
+            counts.append([0] * (m + 1))
+        return kind
+
     table = HochsterTable(K, ring)
-    # a K_J that collapses shares the dict of the smaller mask J - v; no
-    # entry is written to after it is stored
     by_J = table.by_J
-    by_J[0] = {-1: AbelianGroup(1)}  # K_J = {empty face}
-    ranks, torsion = {0: 1}, {}  # degree -> its free rank, and its groups with torsion
+    by_J[0] = {-1: Z}  # K_J = {empty face}
     everything = (1 << m) - 1
-    free = [AbelianGroup(c) for c in range(m)]  # Z^c, built once for every K_J
     for J in range(1, 1 << m):  # each component of K_J has a smaller mask than J
         lbit = J & -J
         rest = J ^ lbit
@@ -240,27 +269,30 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
             low[J] = J
             continue
         # the components of K_(J-l) are low[rest] for the shrinking rest;
-        # those that meet a neighbour of l join it, the others stay apart
-        component, reach, components = lbit, adjacent[lbit], []
+        # those that meet a neighbour of l join it in C = low[J]
+        component, reach = lbit, adjacent[lbit]
         while rest:
             part = low[rest]
             rest ^= part
             if part & reach:
                 component |= part
-            else:
-                components.append(part)
         low[J] = component
-        if components:  # H~*(K_J) = Z^(c-1) in degree 0 + the components' groups
-            groups = {0: free[len(components)]}
-            for part in (component, *components):
-                if part in by_J:
-                    for p, g in by_J[part].items():
-                        groups[p] = groups[p].direct_sum(g) if p in groups else g
+        if component != J:  # H~*(K_J) = H~*(K_C) + H~*(K_(J-C)) + Z in degree 0
+            a, b = kinds[component], kinds[J ^ component]
+            kind = merged.get(a << 32 | b)
+            if kind is None:
+                groups = dict(slots[a])
+                for p, g in slots[b].items():
+                    groups[p] = groups[p].direct_sum(g) if p in groups else g
+                groups[0] = groups[0].direct_sum(Z) if 0 in groups else Z
+                kind = merged[a << 32 | b] = kind_of(groups)
         else:
             rest = J
             while rest:  # look for a vertex v dominated by a neighbour w
                 vbit = rest & -rest
                 near = J & adjacent[vbit]
+                if not near & near - 1:  # a leaf, dominated by its one neighbour
+                    break
                 key = near | vbit << m
                 hit = dominated.get(key)
                 if hit is None:  # w is in near and adjacent to the rest of it, and
@@ -276,12 +308,14 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                     break
                 rest ^= vbit
             if rest:  # K_J strong-collapses to K_(J-v)
-                if J ^ vbit not in by_J:
-                    continue
-                groups = by_J[J ^ vbit]
-            else:  # a core
-                v = max((r for r in range(m) if J >> r & 1),
-                        key=lambda r: (adjacent[1 << r] & J).bit_count())
+                kind = kinds[J ^ vbit]
+            else:  # a core: v is its first vertex with the most neighbours in J
+                most, rest = -1, J
+                while rest:
+                    vbit = rest & -rest
+                    rest ^= vbit
+                    if (n := (adjacent[vbit] & J).bit_count()) > most:
+                        most, v = n, vbit.bit_length() - 1
                 faces, rows = off_star.get(v) or off_star.setdefault(
                     v, _off_star(v, levels, gid, terms))
                 outside = everything ^ J
@@ -290,15 +324,21 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                 groups = exactalg.cohomology_groups(sizes, {
                     p - 1: [row if ok else {} for row, ok in zip(rows[p], inside[p])]
                     for p in sizes if p - 1 in sizes}, ring)
-                groups = {p: g for p, g in groups.items() if not g.is_trivial}
-                if not groups:
-                    continue
-        by_J[J] = groups
-        for p, g in groups.items():
-            d = p + J.bit_count() + 1
-            ranks[d] = ranks.get(d, 0) + g.free_rank
-            if g.torsion:  # its torsion only: the free rank is counted above
-                torsion.setdefault(d, []).append(AbelianGroup(0, g.torsion))
+                kind = kind_of({p: g for p, g in groups.items() if not g.is_trivial})
+        if kind:
+            kinds[J] = kind
+            by_J[J] = slots[kind]
+            counts[kind][J.bit_count()] += 1
+    # each kind's groups, |J| + 1 degrees up, once per size, times its count
+    ranks, torsion = {0: 1}, {}  # degree -> its free rank, and its groups with torsion
+    for kind in range(1, len(slots)):
+        for size, n in enumerate(counts[kind]):
+            if n:
+                for p, g in slots[kind].items():
+                    d = p + size + 1
+                    ranks[d] = ranks.get(d, 0) + n * g.free_rank
+                    if g.torsion:  # its torsion only: the free rank is counted above
+                        torsion.setdefault(d, []).extend([AbelianGroup(0, g.torsion)] * n)
     table.total = {d: AbelianGroup(n).direct_sum(*torsion.get(d, ()))
                    for d, n in sorted(ranks.items())}
     return table

@@ -30,7 +30,10 @@ only the critical cells of a matching, which ``cw_is_critical`` names on
 labels, for the first vertex of J in ``matching_order`` or in any other
 order.  ``cw_slots_reference`` splits that complex by J = sigma ∪ T and
 reduces each block, so it gives the Hochster table slot by slot with no
-code of ``cochains`` or ``hochster``.
+code of ``cochains`` or ``hochster``.  ``taylor_slots`` gives it a third
+way, from the minimal non-faces alone: Tor of the Stanley-Reisner ring
+through the Taylor resolution, one block per multidegree J, reduced by
+``groups_per_degree`` as well.
 
 ``enumerate_reference`` decides a Massey product by the exhaustive walk:
 one class key per valid defining system.  It shares with the library only
@@ -609,6 +612,65 @@ def cw_slots_reference(K: SimplicialComplex, ring) -> dict:
     return slots
 
 
+def minimal_non_faces(K: SimplicialComplex) -> list:
+    """The minimal non-faces of K, the generators of its Stanley-Reisner
+    ideal, as sorted label tuples: a non-face N is minimal when N - v is a
+    face for every v in N, so N is a face plus one vertex off it."""
+    found = set()
+    for p in range(-1, K.dim + 1):
+        for face in K.faces(p):
+            for v in K.vertices:
+                N = K.sort_simplex(face + (v,)) if v not in face else None
+                if N and not K.has_face(N) and all(K.has_face(N[:i] + N[i + 1:])
+                                                   for i in range(len(N))):
+                    found.add(N)
+    return sorted(found, key=lambda N: [K.rank(v) for v in N])
+
+
+def taylor_slots(K: SimplicialComplex, ring) -> dict:
+    """Hochster's slots from the Taylor resolution of the Stanley-Reisner
+    ring, as {J as a label tuple: {p: nontrivial group}}.
+
+    A cell is a set S of minimal non-faces, in homological degree |S| and
+    multidegree J = the union of S; d e_S is the sum of (-1)^t e_(S - N_t)
+    over the t-th non-face N_t of S, and tensoring with the ring keeps the
+    terms whose union is still J.  The resolution is exact over Z, so
+    Tor_i(R[K], R) in multidegree J is the homology of the cells of J in
+    degree i, and by Hochster's formula that is H~^p(K_J) for
+    p = |J| - i - 1, torsion included.  Each block is reduced whole by
+    ``groups_per_degree`` with p as its degree: the differential lowers i,
+    so it raises p.  It reads K only through its minimal non-faces, never
+    its faces per subset, full subcomplexes or the cell model."""
+    gens = [sum(1 << K.rank(v) for v in N) for N in minimal_non_faces(K)]
+    union = [0] * (1 << len(gens))
+    blocks: dict = {0: {0: [0]}}  # J -> {i: the cells S of J in degree i}
+    for S in range(1, 1 << len(gens)):
+        low = S & -S
+        union[S] = union[S ^ low] | gens[low.bit_length() - 1]
+        blocks.setdefault(union[S], {}).setdefault(S.bit_count(), []).append(S)
+    slots = {}
+    for J, cells in blocks.items():
+        size = J.bit_count()
+        at = {i: {S: k for k, S in enumerate(level)} for i, level in cells.items()}
+        rows = {i: [{} for _ in level] for i, level in cells.items()}  # by the face S - N_t
+        for i, level in cells.items():
+            for k, S in enumerate(level):
+                rest, t = S, 0
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    if union[S ^ bit] == J:
+                        rows[i - 1][at[i - 1][S ^ bit]][k] = -1 if t & 1 else 1
+                    t += 1
+        groups = groups_per_degree(
+            {size - i - 1: len(level) for i, level in cells.items()},
+            {size - i - 1: rows[i - 1] for i in cells if i - 1 in cells}, ring)
+        groups = {p: g for p, g in groups.items() if not g.is_trivial}
+        if groups:
+            slots[tuple(v for v in K.vertices if J >> K.rank(v) & 1)] = groups
+    return slots
+
+
 # -- Hochster references on labels -------------------------------------------
 
 def unit_class(K: SimplicialComplex, ring) -> CohomologyClass:
@@ -970,3 +1032,20 @@ def rp2_join_spec():
             Cochain.chi(K3, ZZ, ("8",), J=("8", "9")),
         ),
     )
+
+
+def inner_edge_join_spec(ring=ZZ):
+    """A fourfold construction input with a degree-1 class inside: two
+    points with chi_a1, three points with chi_b1, the 5-cycle c0..c4 with
+    chi_{c1 c2} and three points with chi_d0.  The witness through it needs
+    the Koszul sign of the join boundary on the inner factor's edge."""
+    from matk.constructions import JoinMasseySpec
+
+    def points(*labels):
+        return SimplicialComplex(list(labels), [[v] for v in labels])
+
+    factors = (points("a0", "a1"), points("b0", "b1", "b2"),
+               cycle_complex(5, [f"c{i}" for i in range(5)]), points("d0", "d1", "d2"))
+    return JoinMasseySpec(factors, tuple(
+        Cochain.chi(K, ring, s, J=K.vertices)
+        for K, s in zip(factors, (("a1",), ("b1",), ("c1", "c2"), ("d0",)))))

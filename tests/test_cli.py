@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matk.cli import main
+from matk.constructions import spec_to_json
 from matk.errors import MatkError
+
+from helpers import inner_edge_join_spec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -171,6 +174,17 @@ def test_construct_join_with_certificate(capsys):
     assert deletions == {
         ("1", "4"), ("1", "5"), ("1", "6"), ("3", "8"), ("4", "8"), ("5", "8")}
     assert blob["total_degree"] == 10
+    assert blob["certificate"]["nontrivial"] is True
+    assert blob["certificate"]["method"] == "pairing"
+
+
+def test_construct_join_certifies_an_inner_edge_class(capsys, tmp_path):
+    # a fourfold spec whose third factor carries a degree-1 class: its
+    # witness needs the join's Koszul sign, without which it was refused
+    spec = tmp_path / "inner-edge.json"
+    spec.write_text(json.dumps(spec_to_json(inner_edge_join_spec())))
+    code, blob = run_json(capsys, "construct-join", str(spec), "--certify")
+    assert code == 0
     assert blob["certificate"]["nontrivial"] is True
     assert blob["certificate"]["method"] == "pairing"
 

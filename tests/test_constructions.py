@@ -57,6 +57,7 @@ from helpers import (
     cycle_complex,
     delta,
     enumerate_reference,
+    inner_edge_join_spec,
     joins_example_complex,
     phi_star_sign,
     reduced_betti,
@@ -246,6 +247,24 @@ def test_witness_cycles_of_random_specs_are_closed(data):
     assert boundary(x).is_zero()
     ds = canonical_defining_system_joins(spec, K)
     assert check_defining_system(ds) == []
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+def test_witness_carries_the_join_sign_of_an_inner_edge_class(ring):
+    # the terms of the witness that drop a vertex of sigma_4 pass the one
+    # vertex left of the inner edge class's simplex: over Z a missing sign
+    # leaves boundary coefficients +-2, a cycle mod 2 only
+    spec = inner_edge_join_spec(ring)
+    K, _ = construct_massey_complex(spec)
+    x = witness_cycle(spec, K)
+    assert x.ring == ring and boundary(x).is_zero()
+    ds = canonical_defining_system_joins(spec, K)
+    assert check_defining_system(ds) == []
+    cert = certify_join_nontrivial(spec, K, ds)
+    assert cert.method == "pairing" and cert.value in (ring.of_int(1), ring.of_int(-1))
+    if ring == GF(2):  # the exact decider agrees with the certificate
+        verdict = enumerate_defining_systems(ds.classes)
+        assert verdict.defined and verdict.contains_zero is False
 
 
 def test_rp2_spec_reproduces_worked_values():

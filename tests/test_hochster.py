@@ -20,7 +20,8 @@ from matk.hochster import (
     product_in_hochster,
 )
 from matk.nestohedra import standard_polytope_complex
-from matk.simplicial import SimplicialComplex, UnknownVertex, complex_from_json, full_subcomplex
+from matk.simplicial import (SimplicialComplex, UnknownVertex, complex_from_json, full_subcomplex,
+                             join)
 
 from helpers import (
     cw_cells_reference,
@@ -35,11 +36,13 @@ from helpers import (
     is_core,
     keyed_alike,
     matching_order,
+    minimal_non_faces,
     octahedron,
     reduced_euler_characteristic,
     rp2_six_vertices,
     same_class,
     simplex_boundary,
+    taylor_slots,
     two_points,
     uct_mismatches,
     unit_class,
@@ -304,6 +307,13 @@ def test_cw_complex_restricts_the_reference_to_critical_cells(K):
     _assert_builds_the_linked_critical_cells(K, SimplicialComplex(matching_order(K), K.facets))
 
 
+def _slots_by_label(table) -> dict:
+    """The slots of a table keyed by J as a label tuple, as the references key them."""
+    vertices = table.complex.vertices
+    return {tuple(v for r, v in enumerate(vertices) if J >> r & 1): groups
+            for J, groups in table.by_J.items()}
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_complexes(max_vertices=7), st.sampled_from((ZZ, GF(2))))
 @_with_examples(itertools.product(EDGE_CASES + [fig1_complex(), truncated_octahedron()],
@@ -312,10 +322,7 @@ def test_slots_match_the_cell_model_block_by_block(K, ring):
     """Slot by slot, the table against the cell model of Z_K split by
     J = sigma ∪ T.  A slot moved to another J of the same size keeps every
     degree total, which is all the oracle comparisons read."""
-    vertices = K.vertices
-    table = {tuple(v for r, v in enumerate(vertices) if J >> r & 1): groups
-             for J, groups in hochster_decompose(K, ring).by_J.items()}
-    assert table == cw_slots_reference(K, ring)
+    assert _slots_by_label(hochster_decompose(K, ring)) == cw_slots_reference(K, ring)
 
 
 @settings(max_examples=40, deadline=None)
@@ -513,8 +520,6 @@ def test_clearing_keeps_the_residual_columns():
 
 
 def test_join_kunneth_convolution():
-    from matk.simplicial import join
-
     K1 = two_points()
     K2 = cycle_complex(4, labels=["a", "b", "c", "d"])
     K = join(K1, K2)
@@ -574,6 +579,12 @@ RP2_AND_SPHERE_ON_AN_EDGE = SimplicialComplex(
     list(rp2_six_vertices().vertices) + ["a", "b"],
     [list(f) for f in rp2_six_vertices().facets] + ["01a", "01b", "0ab", "1ab"])
 RP2_AND_SPHERE = disjoint_union(rp2_six_vertices(), simplex_boundary("abcd"))
+# every J meeting both planes is a merge of the kinds of its two parts, and
+# all twelve vertices merge C2 with C2; three components make a merge whose
+# second part is itself a merge, with torsion on either side of it
+TWO_PROJECTIVE_PLANES = disjoint_union(rp2_six_vertices(), rp2_six_vertices())
+POINT_PROJECTIVE_PLANE_AND_SQUARE = disjoint_union(SimplicialComplex(["a"], ["a"]),
+                                                   rp2_six_vertices(), cycle_complex(4))
 
 # non-flag complexes with vertices v, w where N[v] lies inside N[w] but lk v
 # is no cone on w, so a test on neighbourhoods alone would collapse them: in
@@ -629,6 +640,8 @@ def test_clearing_keeps_the_groups_of_hochster_cores(K, ring):
 @example(TETRAHEDRON_BOUNDARY, ZZ)
 @example(CONED_TETRAHEDRON_BOUNDARY, ZZ)
 @example(CLEARING_TRAP, ZZ)
+@example(TWO_PROJECTIVE_PLANES, ZZ)
+@example(POINT_PROJECTIVE_PLANE_AND_SQUARE, ZZ)
 def test_face_table_path_matches_per_subset_cohomology(K, ring):
     """The strong-collapse face-table decomposition against the groups of
     one ReducedCohomology per full subcomplex, slot by slot and in total."""
@@ -674,6 +687,51 @@ def test_slots_are_keyed_by_mask_and_listed_by_label():
         (["b", "a", "10", "9"], 0), (["b", "a", "9"], 0)]
     with pytest.raises(UnknownVertex):
         table.slot(("a", "c"), 0)
+
+
+def test_isolated_vertices_share_one_slot_dict_per_kind():
+    """On 16 isolated vertices K_J is |J| points, H~^0 = Z^(|J|-1): one
+    kind per rank, so by_J holds at most 16 distinct dicts (the empty J's
+    unit and Z^1 .. Z^15) for its 65520 entries."""
+    K = SimplicialComplex([f"v{i}" for i in range(16)], [[f"v{i}"] for i in range(16)])
+    table = hochster_decompose(K, ZZ)
+    assert len(table.by_J) == (1 << 16) - 16
+    assert len({id(groups) for groups in table.by_J.values()}) <= 16
+    assert table.total == {0: AbelianGroup(1), **{k + 1: AbelianGroup(math.comb(16, k) * (k - 1))
+                                                  for k in range(2, 17)}}
+
+
+@st.composite
+def few_minimal_non_faces(draw, max_vertices=7, max_non_faces=8):
+    """The complex on up to max_vertices vertices whose minimal non-faces are
+    the minimal sets among a few random ones of 2 to 4 vertices: its faces
+    are the sets containing none of them.  The Taylor complex has a cell per
+    set of minimal non-faces, so their number bounds its cost."""
+    m = draw(st.integers(2, max_vertices))
+    drawn = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=min(4, m)),
+                          max_size=max_non_faces))
+    masks = {sum(1 << v for v in N) for N in drawn}
+    faces = [S for S in range(1 << m) if not any(N & S == N for N in masks)]
+    facets = [S for S in faces if not any(S != F and S & F == S for F in faces)]
+    return SimplicialComplex([str(v) for v in range(m)],
+                             [[str(v) for v in range(m) if F >> v & 1] for F in facets])
+
+
+@settings(max_examples=40, deadline=None)
+@given(few_minimal_non_faces(), st.sampled_from((ZZ, GF(2))))
+@example(disjoint_union(rp2_six_vertices(), SimplicialComplex(["a"], ["a"])), ZZ)
+@example(join(rp2_six_vertices(), simplex_boundary("abcd")), ZZ)
+@example(fig1_complex(), GF(2))
+@example(TWO_TRIANGLES, ZZ)
+def test_slots_match_the_taylor_resolution(K, ring):
+    """Slot by slot, the table against Tor of the Stanley-Reisner ring
+    through the Taylor resolution, which reads only the minimal non-faces.
+    RP^2 beside a point is disconnected with a torsion component: its J of
+    all seven vertices merges C2 with a point.  A disconnected input needs
+    a missing edge per pair of vertices across its components, and RP^2
+    has ten missing triangles, so it takes 16 non-faces, 2^16 Taylor cells."""
+    assert len(minimal_non_faces(K)) <= 16
+    assert _slots_by_label(hochster_decompose(K, ring)) == taylor_slots(K, ring)
 
 
 def test_only_connected_full_subcomplexes_are_eliminated():
