@@ -20,8 +20,8 @@ from .cochains import Cochain
 from .errors import MatkError, parse_int
 from .exactalg import Frozen
 from .hochster import CohomologyClass
-from .simplicial import (SimplicialComplex, UnknownVertex, full_subcomplex, join, json_field,
-                         json_list, reorder_vertices, star_delete)
+from .simplicial import (SimplicialComplex, UnknownVertex, join, json_field, json_list,
+                         star_delete)
 
 
 class MissingSingleton(MatkError):
@@ -96,126 +96,171 @@ def validate_building_set(ground: int, sets: Iterable) -> BuildingSet:
 
 
 def subset_label(S) -> str:
-    return "v{" + ",".join(str(x) for x in sorted(S)) + "}"
+    return "v{" + ",".join(map(str, sorted(S))) + "}"
 
 
 def _mask(S) -> int:
     return sum(1 << x for x in S)
 
 
-def _extends(current: Sequence, cand: int, sets: set) -> bool:
-    """Whether current + [cand] is nested, given that current already is.
+def _elements(mask: int) -> tuple:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
-    Members are bitmasks of their ground elements.  Only the conditions
-    that involve cand are new: cand is nested with or disjoint from each
-    member, and no pairwise-disjoint subfamily holding cand unions into the
-    building set.
+
+def _flood(start: int, within: int, near: Sequence[int]) -> int:
+    """The bits reached from the bits of start by steps from bit i to the
+    bits of ``near[i]``, all inside within."""
+    seen = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = near[low.bit_length() - 1] & within & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def _vertex_masks(sets: set) -> dict:
+    """{label: ground bitmask} of the non-maximal members among the member
+    bitmasks ``sets``, in label order.  By decreasing size, a member is
+    maximal unless a maximal member found so far contains it."""
+    tops = []
+    for m in sorted(sets, key=int.bit_count, reverse=True):
+        if not any(m & t == m for t in tops):
+            tops.append(m)
+    members = sorted((_elements(m), m) for m in sets.difference(tops))
+    return {subset_label(e): m for e, m in members}
+
+
+def _lookup(by_label: Mapping, labels: Iterable) -> list:
+    try:
+        return [by_label[v] for v in labels]
+    except KeyError as err:
+        raise UnknownVertex(f"vertex {err.args[0]!r} not in complex") from None
+
+
+def _maximal_nested(masks: Sequence[int], sets) -> list:
+    """The maximal nested families of the members ``masks`` (ground
+    bitmasks), each a bitmask over positions in ``masks``.
+
+    ``fits[i]`` holds the members nested with or disjoint from member i and
+    ``apart[i]`` those disjoint from it.  Along with the family the search
+    keeps ``ext``, the members that extend it, and the unions of its
+    nonempty pairwise-disjoint subfamilies.  Adding member j keeps the
+    members c of ``ext & fits[j]`` except those disjoint from a new union U
+    (one holding member j, so only members of ``apart[j]`` are tested)
+    with U | c a member.  Members are added in position order, so each
+    nested family is reached once, and a nonempty one is a facet when
+    ``ext`` is empty.
     """
-    apart = []
-    for S in current:
-        meet = S & cand
-        if not meet:
-            apart.append(S)
-        elif meet != S and meet != cand:
-            return False
-    # grow every pairwise-disjoint subfamily of `apart`, joined with cand
-    stack = [(cand, 0)]
-    while stack:
-        union, start = stack.pop()
-        for i in range(start, len(apart)):
-            S = apart[i]
-            if not S & union:
-                if union | S in sets:
-                    return False
-                stack.append((union | S, i + 1))
-    return True
+    apart = [sum(1 << j for j, T in enumerate(masks) if not S & T) for S in masks]
+    fits = [apart[i] | sum(1 << j for j, T in enumerate(masks) if j != i and S & T in (S, T))
+            for i, S in enumerate(masks)]
+    facets = []
+
+    def visit(family: int, ext: int, unions: list, start: int):
+        if not ext and family:
+            facets.append(family)
+        later = ext >> start << start
+        while later:
+            low = later & -later
+            later ^= low
+            j = low.bit_length() - 1
+            m = masks[j]
+            new = [U | m for U in unions if not U & m] + [m]
+            grown = ext & fits[j]
+            for i in _elements(grown & apart[j]):
+                c = masks[i]
+                if any(not U & c and U | c in sets for U in new):
+                    grown ^= 1 << i
+            visit(family | low, grown, unions + new, j + 1)
+
+    visit(0, (1 << len(masks)) - 1, [], 0)
+    return facets
 
 
 def nested_set_complex(B: BuildingSet, vertices: Optional[Iterable[str]] = None) -> SimplicialComplex:
     """Vertices are the non-maximal members; faces are the nested families.
 
-    A depth-first search adds members in label order, each tested against
-    the family built so far with ``_extends``.  Every prefix of a nested
-    family is nested, so the dead ends of the search (families no later
-    member extends) include every maximal nested family, and each dead end
-    lies in one.  ``SimplicialComplex`` keeps the inclusion-maximal dead
-    ends, which are the facets, in canonical order.
+    The facets are the maximal nested families, found by one search over
+    the members' ground bitmasks (``_maximal_nested``) in label order.
 
     Given vertex labels, the search runs over those members only and yields
     ``full_subcomplex(nested_set_complex(B), vertices)``: whether a family
-    is nested depends on its members and ``B.sets`` alone, which
-    ``_extends`` still tests unions against.  A label that is no vertex
-    raises ``UnknownVertex``.
+    is nested depends on its members and ``B.sets`` alone, which the search
+    still tests unions against.  A label that is no vertex raises
+    ``UnknownVertex``.
     """
-    maximal = set(B.maximal())
-    members = [S for S in B.members() if S not in maximal]
-    members.sort(key=lambda S: tuple(sorted(S)))
-    if vertices is not None:
-        by_label = {subset_label(S): S for S in members}
-        try:
-            wanted = {by_label[v] for v in vertices}
-        except KeyError as err:
-            raise UnknownVertex(f"vertex {err.args[0]!r} not in complex") from None
-        members = [S for S in members if S in wanted]
-    labels = [subset_label(S) for S in members]
-    masks = [_mask(S) for S in members]
     sets = {_mask(S) for S in B.sets}
+    by_label = _vertex_masks(sets)
+    labels = list(by_label)
+    if vertices is not None:
+        wanted = set(_lookup(by_label, vertices))
+        labels = [v for v in labels if by_label[v] in wanted]
+    facets = _maximal_nested([by_label[v] for v in labels], sets)
+    return SimplicialComplex(labels, [[labels[i] for i in _elements(f)] for f in facets])
 
-    dead_ends = []
 
-    def extend(chosen: list, start: int):
-        current = [masks[idx] for idx in chosen]
-        grew = False
-        for idx in range(start, len(masks)):
-            if _extends(current, masks[idx], sets):
-                grew = True
-                extend(chosen + [idx], idx + 1)
-        if not grew and chosen:
-            dead_ends.append([labels[idx] for idx in chosen])
-
-    extend([], 0)
-    return SimplicialComplex(labels, dead_ends)
+def _connected_masks(n_vertices: int, edges: Iterable) -> tuple:
+    """(n, the ground bitmasks of the subsets of [1..n] inducing connected
+    subgraphs): see ``graphical_building_set``."""
+    n = parse_int(n_vertices, "vertex count")
+    if n < 0:
+        raise NotSimpleGraph(f"vertex count {n} is negative")
+    adj = [0] * (n + 1)
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise NotSimpleGraph(f"edge {edge!r} is not a pair of vertices") from None
+        u, v = parse_int(u, "graph vertex"), parse_int(v, "graph vertex")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise NotSimpleGraph(f"edge ({u}, {v}) leaves the vertices [1..{n}]")
+        if u == v:
+            raise NotSimpleGraph("graph must be simple")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return n, [S for S in range(2, 2 << n, 2) if _flood(S & -S, S, adj) == S]
 
 
 def graphical_building_set(n_vertices: int, edges: Iterable) -> BuildingSet:
     """Subsets inducing connected subgraphs of a simple graph on [1..n].
 
-    The family is a building set by construction, so it is not validated:
+    Each subset, a bitmask over the ground, is connected when a flood from
+    its lowest element through the adjacency masks reaches all of it.  The
+    family is a building set by construction, so it is not validated:
     every singleton is connected, and two intersecting connected sets have a
-    connected union."""
-    adj = {i: set() for i in range(1, n_vertices + 1)}
-    for (u, v) in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise NotSimpleGraph("graph must be simple")
-        adj[u].add(v)
-        adj[v].add(u)
-    family = []
-    for size in range(1, n_vertices + 1):
-        for S in itertools.combinations(range(1, n_vertices + 1), size):
-            Sset = set(S)
-            seen = {S[0]}
-            stack = [S[0]]
-            while stack:
-                x = stack.pop()
-                for y in adj[x] & Sset - seen:
-                    seen.add(y)
-                    stack.append(y)
-            if seen == Sset:
-                family.append(frozenset(S))
-    return BuildingSet(n_vertices, frozenset(family))
+    connected union.  An edge that is no pair of distinct vertices of
+    [1..n] raises ``NotSimpleGraph``, an endpoint that is no integer
+    ``MalformedInput``."""
+    n, family = _connected_masks(n_vertices, edges)
+    return BuildingSet(n, frozenset(frozenset(_elements(S)) for S in family))
+
+
+def _polytope_graph(kind: str, n: int) -> tuple:
+    """(n + 1, edges) of the graph whose building set gives the
+    permutahedron or the stellohedron of dimension n."""
+    if kind == "permutahedron":
+        return n + 1, itertools.combinations(range(1, n + 2), 2)
+    if kind == "stellohedron":
+        return n + 1, [(1, i) for i in range(2, n + 2)]
+    raise UnknownPolytopeKind(f"unknown polytope kind {kind!r}")
 
 
 def permutahedron_building_set(n: int) -> BuildingSet:
     """Complete graph on [n+1]: every non-empty subset."""
-    return graphical_building_set(
-        n + 1, itertools.combinations(range(1, n + 2), 2))
+    return graphical_building_set(*_polytope_graph("permutahedron", n))
 
 
 def stellohedron_building_set(n: int) -> BuildingSet:
     """Star graph on [n+1] with center 1: singletons plus supersets of {1}."""
-    return graphical_building_set(
-        n + 1, [(1, i) for i in range(2, n + 2)])
+    return graphical_building_set(*_polytope_graph("stellohedron", n))
 
 
 def cube_dual_complex(n: int) -> SimplicialComplex:
@@ -250,17 +295,8 @@ def cube_truncation(n: int, pairs: Sequence, allow_full: bool = False) -> Simpli
     return K
 
 
-def _polytope_building_set(kind: str, n: int) -> BuildingSet:
-    """The building set of the permutahedron or stellohedron of dimension n."""
-    if kind == "permutahedron":
-        return permutahedron_building_set(n)
-    if kind == "stellohedron":
-        return stellohedron_building_set(n)
-    raise UnknownPolytopeKind(f"unknown polytope kind {kind!r}")
-
-
 def standard_polytope_complex(kind: str, n: int) -> SimplicialComplex:
-    return nested_set_complex(_polytope_building_set(kind, n))
+    return nested_set_complex(graphical_building_set(*_polytope_graph(kind, n)))
 
 
 # -- the Massey configurations carried by these families ----------------------
@@ -321,11 +357,11 @@ def nestohedron_massey_input(kind: str, n: int, k: int, ring):
     configuration on the nestohedral complex.
 
     The subcomplex is the nested set complex searched over the slot
-    vertices alone, never the whole ambient complex.  It is re-ordered so
-    each J_i block is contiguous (with the contracted pairs adjacent),
-    which is what the pullback calculus needs.
-    Each class is the indicator cochain of the connected component of the
-    first slot vertex inside K_{J_i}.
+    vertices alone, never the whole ambient complex, and built on them in
+    slot order, so each J_i block is contiguous (with the contracted pairs
+    adjacent), which is what the pullback calculus needs.  Each class is the
+    indicator cochain of the connected component of the first slot vertex
+    inside K_{J_i}, flooded through the facet masks of the search.
     """
     if kind == "permutahedron":
         slots, contractions = permutahedron_massey_slots(n, k)
@@ -336,20 +372,22 @@ def nestohedron_massey_input(kind: str, n: int, k: int, ring):
     else:
         raise UnknownPolytopeKind(f"no Massey configuration for {kind!r}")
     order = [v for Ji in slots for v in Ji]
-    sub = reorder_vertices(nested_set_complex(_polytope_building_set(kind, n), order), order)
+    sets = set(_connected_masks(*_polytope_graph(kind, n))[1])
+    facets = _maximal_nested(_lookup(_vertex_masks(sets), order), sets)
+    rows = [_elements(f) for f in facets]
+    sub = SimplicialComplex(order, [[order[i] for i in r] for r in rows])
+    near = [0] * len(order)  # position -> the positions it shares an edge with
+    for f, r in zip(facets, rows):
+        for i in r:
+            near[i] |= f
     classes = []
+    first = 0
     for Ji in slots:
-        KJ = full_subcomplex(sub, Ji)
-        component = {Ji[0]}
-        grew = True
-        while grew:
-            grew = False
-            for e in KJ.faces(1):
-                if set(e) & component and not set(e) <= component:
-                    component |= set(e)
-                    grew = True
-        if component == set(Ji):
+        slot = ((1 << len(Ji)) - 1) << first
+        component = _flood(1 << first, slot, near)
+        if component == slot:
             raise ConnectedSlot(f"K_J on {Ji} is connected; no degree-zero class")
-        rep = Cochain(sub, ring, Ji, 0, {(v,): ring.one for v in component})
+        rep = Cochain(sub, ring, Ji, 0, {(order[i],): ring.one for i in _elements(component)})
         classes.append(CohomologyClass(rep))
+        first += len(Ji)
     return sub, tuple(classes), contractions

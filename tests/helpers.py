@@ -840,6 +840,29 @@ def cube_truncation_reference(n, pairs) -> SimplicialComplex:
     return full_subcomplex(K, original)
 
 
+def connected_subsets_reference(n_vertices, edges) -> frozenset:
+    """The subsets of [1..n] inducing connected subgraphs, as frozensets:
+    each subset is searched from its least element through neighbour sets."""
+    adj = {i: set() for i in range(1, n_vertices + 1)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    family = []
+    for size in range(1, n_vertices + 1):
+        for S in itertools.combinations(range(1, n_vertices + 1), size):
+            Sset = set(S)
+            seen = {S[0]}
+            stack = [S[0]]
+            while stack:
+                x = stack.pop()
+                for y in adj[x] & Sset - seen:
+                    seen.add(y)
+                    stack.append(y)
+            if seen == Sset:
+                family.append(frozenset(S))
+    return frozenset(family)
+
+
 # -- conveniences that only tests use ----------------------------------------
 
 def delta(K: SimplicialComplex, ring, simplex, J=None) -> Chain:

@@ -12,7 +12,7 @@ from matk.cochains import (
     evaluate,
     reduced_cohomology,
 )
-from matk import constructions
+from matk import constructions, massey
 from matk.cli import main
 from matk.constructions import (
     DiagonalTouchesEdge,
@@ -46,6 +46,7 @@ from matk.simplicial import (
     SimplicialComplex,
     contract_edge,
     join,
+    relabel,
     reorder_vertices,
     star_delete,
     stellar_subdivide,
@@ -247,6 +248,42 @@ def test_witness_cycles_of_random_specs_are_closed(data):
     assert boundary(x).is_zero()
     ds = canonical_defining_system_joins(spec, K)
     assert check_defining_system(ds) == []
+
+
+def _drawn_factor(data, prefix):
+    """Disjoint points, an m-cycle (m = 3..5) or the six-vertex RP², on
+    labels that start with prefix."""
+    kind = data.draw(st.sampled_from(["points", "cycle", "rp2"]))
+    if kind == "rp2":
+        return relabel(rp2_six_vertices(), {str(j): f"{prefix}{j}" for j in range(6)})
+    size = data.draw(st.integers(2, 3) if kind == "points" else st.integers(3, 5))
+    verts = [f"{prefix}{j}" for j in range(size)]
+    if kind == "points":
+        return SimplicialComplex(verts, [[v] for v in verts])
+    return cycle_complex(size, verts)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_random_triple_joins_are_certified_and_decided_nontrivial(ring, data):
+    """The paper's theorem at n = 3: each factor carries a non-zero class
+    drawn from its class basis (over Z, the cocycles of the cocycle basis
+    that are no coboundary), in any degree, at every position."""
+    factors, cochains = [], []
+    for prefix in "abc":
+        K = _drawn_factor(data, prefix)
+        H = reduced_cohomology(K, K.vertices, ring)
+        basis = [c for p in range(K.dim + 1) for c in massey._class_basis(H, p)
+                 if not H.is_coboundary(c)]
+        factors.append(K)
+        cochains.append(data.draw(st.sampled_from(basis)))
+    spec = JoinMasseySpec(tuple(factors), tuple(cochains))
+    K, _ = construct_massey_complex(spec)
+    ds = canonical_defining_system_joins(spec, K)
+    # InvalidSpec when neither a pairing nor the F2 decision certifies it
+    assert certify_join_nontrivial(spec, K, ds).method in ("pairing", "enumeration-F2")
+    assert enumerate_defining_systems(ds.classes).contains_zero is False
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])

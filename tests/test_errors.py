@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 from matk import exactalg, nestohedra
-from matk.errors import MatkError
+from matk.errors import MalformedInput, MatkError
 from matk.exactalg import GF, ZZ, AbelianGroup, Ring
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "matk"
@@ -35,6 +35,11 @@ def test_every_exception_class_is_a_matk_error():
     (lambda: ZZ.inv(1), exactalg.NotAField),
     (lambda: Ring("X"), exactalg.UnknownRingKind),
     (lambda: nestohedra.graphical_building_set(3, [(1, 2), (2, 2)]), nestohedra.NotSimpleGraph),
+    (lambda: nestohedra.graphical_building_set(3, [(1, 5)]), nestohedra.NotSimpleGraph),
+    (lambda: nestohedra.graphical_building_set(3, [(0, 1)]), nestohedra.NotSimpleGraph),
+    (lambda: nestohedra.graphical_building_set(3, [("a", 1)]), MalformedInput),
+    (lambda: nestohedra.graphical_building_set(3, [(1,)]), nestohedra.NotSimpleGraph),
+    (lambda: nestohedra.graphical_building_set(-1, []), nestohedra.NotSimpleGraph),
     (lambda: nestohedra.standard_polytope_complex("cube", 3), nestohedra.UnknownPolytopeKind),
     (lambda: nestohedra.permutahedron_massey_slots(3, 4), nestohedra.InvalidSlotParameters),
     (lambda: nestohedra.stellohedron_massey_slots(1), nestohedra.InvalidSlotParameters),
@@ -43,7 +48,8 @@ def test_every_exception_class_is_a_matk_error():
     (lambda: nestohedra.nestohedron_massey_input("cube", 3, 3, GF(2)),
      nestohedra.UnknownPolytopeKind),
 ], ids=["abelian_divisibility", "abelian_torsion_one", "z_not_a_field", "unknown_ring_kind",
-        "graph_loop", "polytope_kind", "permutahedron_k_above_n", "stellohedron_n_below_2",
+        "graph_loop", "graph_endpoint_above_n", "graph_endpoint_zero", "graph_endpoint_not_int",
+        "graph_edge_not_pair", "graph_negative_count", "polytope_kind", "permutahedron_k_above_n", "stellohedron_n_below_2",
         "stellohedron_k_below_n", "massey_kind"])
 def test_bad_arguments_are_matk_errors(check, error):
     with pytest.raises(MatkError) as err:

@@ -27,6 +27,7 @@ from matk.nestohedra import (
     validate_building_set,
 )
 from matk.simplicial import (
+    SimplicialComplex,
     UnknownVertex,
     complex_to_json,
     full_subcomplex,
@@ -34,8 +35,8 @@ from matk.simplicial import (
     star_delete,
 )
 
-from helpers import (cube_truncation_reference, euler_characteristic, f_vector, reduced_betti,
-                     simplex_boundary)
+from helpers import (connected_subsets_reference, cube_truncation_reference,
+                     euler_characteristic, f_vector, reduced_betti, simplex_boundary)
 
 
 def test_simplex_building_set_is_valid():
@@ -152,6 +153,30 @@ def test_nested_set_complex_matches_the_definition_on_graphs(B):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_graphical_building_set_lists_the_connected_induced_subgraphs(data):
+    n = data.draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()))) if pairs else []
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in drawn]
+    B = graphical_building_set(n, edges)
+    assert B.ground == n
+    assert B.sets == connected_subsets_reference(n, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphical_building_sets())
+def test_the_search_emits_each_facet_once(B):
+    """The search keeps the maximal nested families only, each once, so it
+    hands the complex no family for its inclusion reduction to drop."""
+    from matk.nestohedra import _mask, _maximal_nested, _vertex_masks
+
+    sets = {_mask(S) for S in B.sets}
+    found = _maximal_nested(list(_vertex_masks(sets).values()), sets)
+    assert len(found) == len(set(found)) == len(nested_set_complex(B).facets)
+
+
+@settings(max_examples=60, deadline=None)
 @given(graphical_building_sets(), st.data())
 def test_restricted_search_is_the_full_subcomplex(B, data):
     K = nested_set_complex(B)
@@ -216,6 +241,22 @@ def test_massey_input_matches_the_whole_complex_recipe(kind, n, k):
         assert [json.dumps(cochain_to_json(c.representative)) for c in classes] == [
             json.dumps(cochain_to_json(a)) for a in ref_reps]
         assert contractions == ref_contractions
+
+
+@pytest.mark.parametrize("kind,n,k", [("permutahedron", 5, 4), ("stellohedron", 4, 4)])
+def test_massey_input_builds_one_complex(kind, n, k, monkeypatch):
+    """The slot-order complex is the only one built: no label-order complex
+    to re-order and no full subcomplex per slot."""
+    built = []
+    init = SimplicialComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    sub, _, _ = nestohedron_massey_input(kind, n, k, GF(2))
+    assert len(built) == 1 and built[0] is sub
 
 
 def test_permutahedron3_is_a_small_sphere():
