@@ -12,6 +12,7 @@ stdout and the exit code is 1.
 """
 
 import argparse
+import itertools
 import json
 import pathlib
 import sys
@@ -143,8 +144,6 @@ def contraction_example():
     )
     verts = ["1", "4", "2", "3", "5", "6", "7", "8"]
     phi = {v: ("1h" if v in ("1", "4") else v) for v in verts}
-    import itertools
-
     faces = []
     for size in range(1, 6):
         for s in itertools.combinations(verts, size):
@@ -197,6 +196,23 @@ def truncated_octahedron():
     dump("truncated-octahedron-target.json", complex_to_json(Khat))
 
 
+def flag_d():
+    """The flag complex of an 8-vertex graph whose fourfold product of the
+    classes chi_1, chi_3, chi_5, chi_7 is non-trivial over F2 and F3 while
+    its all-zero defining system fails: the Massey witness is the point of
+    a branch, not the memo's constants."""
+    edges = {tuple(e) for e in "14 17 18 24 26 27 35 37 38 45 47 67 68".split()}
+    labels = [str(v) for v in range(1, 9)]
+    cliques = [S for size in range(1, 9) for S in itertools.combinations(labels, size)
+               if all(e in edges for e in itertools.combinations(S, 2))]
+    K = SimplicialComplex(labels, cliques)
+    slots = [(str(v), str(v + 1)) for v in (1, 3, 5, 7)]
+    for slot in slots:
+        assert not K.has_face(slot)
+    dump("flag-d.json", complex_to_json(K))
+    dump("flag-d-classes.json", [class_blob(K, slot[:1], slot) for slot in slots])
+
+
 def building_set_fixture():
     dump("stellohedron3-building-set.json", {
         "ground": 4,
@@ -216,6 +232,7 @@ def main(argv=None) -> int:
     four_massey()
     contraction_example()
     truncated_octahedron()
+    flag_d()
     building_set_fixture()
     if args.check:
         stale = [name for name, text in BUILT.items()

@@ -101,14 +101,14 @@ class JoinMasseySpec:
         self.support_order = {} if support_order is None else support_order  # factor -> order
         if len(self.factors) != len(self.cochains):
             raise InvalidSpec("one cochain per factor")
+        if self.n < 2:
+            raise InvalidSpec("need at least two factors")
         for K_i, a_i in zip(self.factors, self.cochains):
             if a_i.complex != K_i:
                 raise InvalidSpec("cochain does not live on its factor")
         rings = {a.ring for a in self.cochains}
         if len(rings) != 1:
             raise InvalidSpec("all cochains must share one ring")
-        if self.n < 2:
-            raise InvalidSpec("need at least two factors")
         known = {s for a in self.cochains for s in a.support}
         for s in self.vertex_choice:
             if s not in known:

@@ -255,27 +255,9 @@ def find_evaluating_cycle(omega: Cochain, prefer_small: bool = False) -> Optiona
 
 
 def _stages(n: int) -> list:
-    """The entries to solve for, in walk order: increasing k - i, ties by i."""
+    """The entries to solve for, in stage order: increasing k - i, ties by i."""
     return [(i, i + gap) for gap in range(1, n) for i in range(1, n - gap + 1)
             if (i, i + gap) != (1, n)]
-
-
-def _walk(base: DefiningSystem, stages: list, kernels: dict):
-    """Every valid complete defining system extending ``base``, with its
-    associated cochain, lazily and in walk order: stage by stage, each entry
-    the particular primitive of its staircase plus every combination of the
-    stage's ``kernels`` cocycles, coefficients in lexicographic order; over
-    Z and Q, where only n <= 3 is walked, the zero combination alone."""
-    if not stages:
-        yield base, base.staircase(1, base.n)
-        return
-    (i, k), ring = stages[0], base.ring
-    H = reduced_cohomology(base.complex, base.J_block(i, k), ring)
-    particular = H.primitive(base.staircase(i, k))
-    if particular is not None:
-        for coeffs in itertools.product(range(ring.p or 1), repeat=len(kernels[(i, k)])):
-            entry = combine(particular, zip(coeffs, kernels[(i, k)]))
-            yield from _walk(base.with_entry(i, k, entry), stages[1:], kernels)
 
 
 def _enumerated_stages(n: int, params: dict) -> list:
@@ -294,7 +276,7 @@ def _enumerated_stages(n: int, params: dict) -> list:
 
 
 def _inside(n: int, i: int, k: int) -> list:
-    """The stages (r, s) with i <= r <= s <= k, in walk order."""
+    """The stages (r, s) with i <= r <= s <= k, in stage order."""
     return [s for s in _stages(n) if i <= s[0] and s[1] <= k]
 
 
@@ -369,7 +351,9 @@ def _affine_staircase(base: DefiningSystem, bases: dict, t: dict, memo: dict,
 def _branch_coset(base: DefiningSystem, stages: list, bases: dict, t: dict,
                   memo: dict):
     """The class keys of the branch whose enumerated stages take the values
-    ``t``, as the affine subspace {x : A x = s} of ring^dim, or None.
+    ``t``, as the affine subspace {x : A x = s} of ring^dim, and where the
+    branch's point lies: (free parameters, the u0 where R(u) = 0, the
+    associated cochain there); or None.
 
     With each entry the linear lift of its staircase, the stage residues
     R(u) and the associated cochain are affine in the other parameters u:
@@ -420,11 +404,12 @@ def _branch_coset(base: DefiningSystem, stages: list, bases: dict, t: dict,
             for i, a in H.vector(w).items():
                 system[i][k] = a
         solver = exactalg.Solver(system, ring, g + d.cols)
-        return (), solver.residue(H.vector(point)), solver.rank - d.rank
+        return ((), solver.residue(H.vector(point)), solver.rank - d.rank), (free, u0, point)
     c = H.class_key(point)  # each class key checks that its cochain is a cocycle
     A = tuple(tuple(sorted(v.items())) for v in exactalg.Solver(
         [dict(enumerate(H.class_key(w))) for w in directions], ring, len(c)).kernel)
-    return A, tuple(ring.of_int(sum(a * c[j] for j, a in row)) for row in A), len(c)
+    return (A, tuple(ring.of_int(sum(a * c[j] for j, a in row)) for row in A), len(c)), (
+        free, u0, point)
 
 
 def _class_count(cosets: list, ring: Ring) -> int:
@@ -475,25 +460,13 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
     one memo.
 
     Witness.  When no class of the product is zero, the witness is the
-    first valid system of ``_walk`` over the full cocycle bases, read off
-    the memo when it can be.  The walk takes each stage's primitive, the x
-    of ``Solver.solve``, plus every combination of its cocycles, the zero
-    one first, so while each staircase it meets has a primitive its first
-    system is the all-zero one: each stage the primitive of the staircase
-    of the entries before it in walk order.  Let t0 be the branch with
-    every enumerated value zero.  In the memo each entry's constant (every
-    free parameter zero too) is the lift of its staircase's constant, and
-    that constant is the staircase of the inner entries' constants: one
-    factor of each product is constant.  ``Solver.lift``'s x is ``solve``'s
-    whenever the residue is zero, so by induction in walk order, when every
-    constant residue of t0 is zero, the constants of ``_lifted`` are the
-    walk's entries and the constant of ``_affine_staircase`` at (1, n) is
-    its associated cocycle, and no stage is solved or multiplied again.
-    Otherwise the walk backtracks, and it runs.  That happens only at
-    n >= 4: for n <= 3 no stage's staircase has a coefficient (each stage
-    multiplies two representatives), so the one branch's feasibility rows
-    are empty and it holds a system, as a verdict with a witness needs,
-    only when every constant residue is zero.
+    system of the first feasible branch at the u0 of its ``_branch_coset``:
+    each stage ``_affine_entry``'s constant plus u0 times its coefficients,
+    with the branch's point as associated cocycle.  It is valid because the
+    stage residues R(u0) vanish: each lift is an exact primitive.  When
+    every constant residue of the all-zero branch vanishes, as at n <= 3,
+    where no staircase has a coefficient, u0 = {} and the witness is the
+    memo's constants: no stage is solved or multiplied again.
 
     For n <= 3, E is empty: one branch.  At n = 3 its coset is the class of
     the associated cocycle plus the indeterminacy subgroup, spanned by the
@@ -505,7 +478,8 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
 
     ``budget`` caps the sum over E of dim H-tilde^p, the exponent of the
     branch count, once the class bases are built: beyond it the verdict is
-    unknown, and ``defined`` only when the parameter-free branch completes.
+    unknown, and ``defined`` only when the parameter-free branch, each
+    stage the lift of its staircase alone, leaves no stage residue.
     No triple product is capped.  The former cap, the sum of dim Z^p over
     all stages, is never smaller, so no verdict it let through is capped.
     The budget bounds the branch count, p to that sum, not the work inside
@@ -551,9 +525,9 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
 
     Each stage s of a system is its staircase's lift plus a cocycle z_s,
     and z_s = b + d(c) with b in the span of B_s, as B_s spans H-tilde^p.
-    Gauging stage s by -c leaves every stage before it in walk order
+    Gauging stage s by -c leaves every stage before it in stage order
     (``_stages``) and the staircase of s, which reads only entries inside
-    s, as they were, and makes z_s = b.  Doing so stage by stage in walk
+    s, as they were, and makes z_s = b.  Doing so for each stage in stage
     order turns any defining system into one over the class bases with a
     cohomologous associated cocycle: the class set over the B_s equals the
     class set over the Z^p (Kraines 1966, May 1969).
@@ -567,21 +541,23 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
         raise RingNotFinite("exhaustive enumeration needs a prime field")
     base = DefiningSystem(classes, {})
     stages = _stages(n)
-    cohomology = {s: (reduced_cohomology(K, base.J_block(*s), ring), base.p_block(*s))
-                  for s in stages}
-    bases = {s: _class_basis(H, p) for s, (H, p) in cohomology.items()}
+    bases = {s: _class_basis(reduced_cohomology(K, base.J_block(*s), ring), base.p_block(*s))
+             for s in stages}
     E = _enumerated_stages(n, {s: len(b) for s, b in bases.items()})
-    if sum(len(bases[s]) for s in E) > budget:
-        probe = next(_walk(base, stages, {s: [] for s in stages}), None)
-        return MasseyVerdict(defined=True if probe else None, contains_zero=None,
+    if sum(len(bases[s]) for s in E) > budget:  # probe the parameter-free branch
+        empty, probe = {s: [] for s in stages}, {}
+        defined = all(not any(_lifted(base, empty, {}, probe, s)[2]) for s in stages)
+        return MasseyVerdict(defined=True if defined else None, contains_zero=None,
                              budget_exhausted=True)
 
-    cosets, memo = {}, {}
+    cosets, memo, first = {}, {}, None
     for choice in itertools.product(*(itertools.product(range(ring.p), repeat=len(bases[s]))
                                       for s in E)):
-        coset = _branch_coset(base, stages, bases, dict(zip(E, choice)), memo)
-        if coset is not None:
-            cosets[coset] = None
+        t = dict(zip(E, choice))
+        branch = _branch_coset(base, stages, bases, t, memo)
+        if branch is not None:
+            cosets[branch[0]] = None
+            first = first or (t, *branch[1])
 
     if not cosets:
         verdict = MasseyVerdict(defined=False, contains_zero=None)
@@ -596,19 +572,15 @@ def enumerate_defining_systems(classes, budget: int = 20) -> MasseyVerdict:
     else:
         verdict.distinct_class_count = _class_count(list(cosets), ring)
     if not verdict.contains_zero:
-        t0 = {s: (0,) * len(bases[s]) for s in E}
-        lifts = {s: _lifted(base, bases, t0, memo, s) for s in stages}
-        if any(any(r) for _, _, r, _ in lifts.values()):  # n >= 4 only
-            kernels = {s: H.cocycle_basis(p) for s, (H, p) in cohomology.items()}
-            ds, omega = next(_walk(base, stages, kernels))
-        else:
-            ds = base
-            for s, (x, *_) in lifts.items():
-                ds = ds.with_entry(*s, x)
-            omega = _affine_staircase(base, bases, t0, memo, 1, n)[0]
+        t, free, u0, point = first
+        ds = base
+        for s in stages:
+            x, dx = _affine_entry(base, bases, t, memo, *s)
+            ds = ds.with_entry(*s, combine(x, [(a, dx[free[j]]) for j, a in u0.items()
+                                               if free[j] in dx]))
         verdict.witness_system = ds
-        verdict.witness_cocycle = omega
-        verdict.witness_cycle = find_evaluating_cycle(omega)
+        verdict.witness_cocycle = point
+        verdict.witness_cycle = find_evaluating_cycle(point)
     return verdict
 
 

@@ -35,9 +35,10 @@ way, from the minimal non-faces alone: Tor of the Stanley-Reisner ring
 through the Taylor resolution, one block per multidegree J, reduced by
 ``groups_per_degree`` as well.
 
-``enumerate_reference`` decides a Massey product by the exhaustive walk:
-one class key per valid defining system.  It shares with the library only
-the walk itself (``massey._walk``), not the coset argument under test.
+``enumerate_reference`` decides a Massey product by the exhaustive walk
+(``walk``): one class key per valid defining system.  It shares no
+system-building code with the library, whose decider builds every system,
+its witness too, from the affine data of its branches.
 ``triple_reference`` decides a triple product over any ring by one solve
 against the products of alpha_1 and alpha_3 with whole cocycle bases and
 the coboundaries; it shares with the library the cochain operations and
@@ -69,8 +70,8 @@ from fractions import Fraction
 from math import lcm
 
 from matk import exactalg, massey, simplicial
-from matk.cochains import (AmbientMismatch, Chain, Cochain, cup_multiply, overline,
-                           reduced_cohomology)
+from matk.cochains import (AmbientMismatch, Chain, Cochain, combine, cup_multiply, evaluate,
+                           overline, reduced_cohomology)
 from matk.exactalg import ZZ, QQ, AbelianGroup
 from matk.hochster import CohomologyClass
 from matk.nestohedra import cube_dual_complex
@@ -408,6 +409,24 @@ class ReferenceVerdict(massey.MasseyVerdict):
         self.class_representatives = list(class_representatives)
 
 
+def walk(base: massey.DefiningSystem, stages: list, kernels: dict):
+    """Every valid complete defining system extending ``base``, with its
+    associated cochain, lazily and in stage order: stage by stage, each entry
+    the particular primitive of its staircase plus every combination of the
+    stage's ``kernels`` cocycles, coefficients in lexicographic order; over
+    Z and Q the zero combination alone."""
+    if not stages:
+        yield base, base.staircase(1, base.n)
+        return
+    (i, k), ring = stages[0], base.ring
+    H = reduced_cohomology(base.complex, base.J_block(i, k), ring)
+    particular = H.primitive(base.staircase(i, k))
+    if particular is not None:
+        for coeffs in itertools.product(range(ring.p or 1), repeat=len(kernels[(i, k)])):
+            entry = combine(particular, zip(coeffs, kernels[(i, k)]))
+            yield from walk(base.with_entry(i, k, entry), stages[1:], kernels)
+
+
 def enumerate_reference(classes, budget=20, visit=None) -> ReferenceVerdict:
     """Massey triviality over a prime field by walking every valid defining
     system and keying its class: the verdict of
@@ -426,7 +445,7 @@ def enumerate_reference(classes, budget=20, visit=None) -> ReferenceVerdict:
     kernels = {s: reduced_cohomology(K, base.J_block(*s), ring).cocycle_basis(base.p_block(*s))
                for s in stages}
     if sum(len(z) for z in kernels.values()) > budget:
-        probe = next(massey._walk(base, stages, {s: [] for s in stages}), None)
+        probe = next(walk(base, stages, {s: [] for s in stages}), None)
         return ReferenceVerdict(defined=True if probe else None, contains_zero=None,
                                 budget_exhausted=True)
 
@@ -434,7 +453,7 @@ def enumerate_reference(classes, budget=20, visit=None) -> ReferenceVerdict:
     keys = {}
     found_zero = False
     first_nonzero = None
-    for ds, omega in massey._walk(base, stages, kernels):
+    for ds, omega in walk(base, stages, kernels):
         if visit is not None:
             visit(ds, omega)
         key = H_top.class_key(omega)
@@ -463,6 +482,16 @@ def enumerate_reference(classes, budget=20, visit=None) -> ReferenceVerdict:
         verdict.witness_cocycle = omega
         verdict.witness_cycle = massey.find_evaluating_cycle(omega)
     return verdict
+
+
+def assert_witness_replays(verdict):
+    """The witness of a verdict is a valid system, its associated cocycle is
+    the one the verdict names, and the evaluating cycle pairs nonzero with
+    it: a check by the staircase equations, not by how it was built."""
+    ws, omega = verdict.witness_system, verdict.witness_cocycle
+    assert massey.check_defining_system(ws) == []
+    assert massey.associated_cocycle(ws) == omega
+    assert not ws.ring.is_zero(evaluate(omega, verdict.witness_cycle))
 
 
 def log_p(count: int, p: int) -> int:

@@ -88,7 +88,7 @@ def test_hochster_reports_degree_three_classes(capsys):
 def test_zk_oracle_agrees_with_hochster_totals(capsys):
     complexes = [path for path in sorted(FIX.glob("*.json"))
                  if "facets" in (blob := json.loads(path.read_text())) and len(blob["vertices"]) <= 12]
-    assert len(complexes) == 7  # every complex fixture is within the oracle's cap
+    assert len(complexes) == 8  # every complex fixture is within the oracle's cap
     for path in complexes:
         for ring in ("Z", "F2", "F3"):
             code1, hoch = run_json(capsys, "hochster", str(path), "--ring", ring)
@@ -358,6 +358,9 @@ def test_out_flag_writes_stable_json(capsys, tmp_path):
     ("contraction-source-zk-oracle-F3.json",
      ["zk-oracle", "contraction-source.json", "--ring", "F3"]),
     ("rp2-zk-oracle-Z.json", ["zk-oracle", "rp2.json", "--ring", "Z"]),
+    # a fourfold witness at the point of a branch: the all-zero system fails
+    ("flag-d-massey-F3.json", ["massey", "flag-d.json", "--classes",
+                               "flag-d-classes.json", "--ring", "F3"]),
 ])
 def test_golden_outputs(capsys, name, argv):
     argv = [str(FIX / a) if a.endswith(".json") else a for a in argv]

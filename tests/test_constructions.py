@@ -53,6 +53,7 @@ from matk.simplicial import (
 )
 
 from helpers import (
+    assert_witness_replays,
     contraction_example_source,
     contraction_example_target,
     cycle_complex,
@@ -250,10 +251,10 @@ def test_witness_cycles_of_random_specs_are_closed(data):
     assert check_defining_system(ds) == []
 
 
-def _drawn_factor(data, prefix):
-    """Disjoint points, an m-cycle (m = 3..5) or the six-vertex RP², on
-    labels that start with prefix."""
-    kind = data.draw(st.sampled_from(["points", "cycle", "rp2"]))
+def _drawn_factor(data, prefix, kinds):
+    """Disjoint points, an m-cycle (m = 3..5) or the six-vertex RP², of the
+    ``kinds`` allowed, on labels that start with prefix."""
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "rp2":
         return relabel(rp2_six_vertices(), {str(j): f"{prefix}{j}" for j in range(6)})
     size = data.draw(st.integers(2, 3) if kind == "points" else st.integers(3, 5))
@@ -263,16 +264,15 @@ def _drawn_factor(data, prefix):
     return cycle_complex(size, verts)
 
 
-@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_random_triple_joins_are_certified_and_decided_nontrivial(ring, data):
-    """The paper's theorem at n = 3: each factor carries a non-zero class
-    drawn from its class basis (over Z, the cocycles of the cocycle basis
-    that are no coboundary), in any degree, at every position."""
+def _drawn_join(data, ring, prefixes, kinds=("points", "cycle", "rp2")):
+    """The canonical defining system of a drawn spec: one factor per prefix,
+    each carrying a non-zero class drawn from its class basis (over Z, the
+    cocycles of the cocycle basis that are no coboundary), in any degree.
+    Its certificate must succeed: InvalidSpec when neither a pairing nor
+    the F2 decision certifies it."""
     factors, cochains = [], []
-    for prefix in "abc":
-        K = _drawn_factor(data, prefix)
+    for prefix in prefixes:
+        K = _drawn_factor(data, prefix, kinds)
         H = reduced_cohomology(K, K.vertices, ring)
         basis = [c for p in range(K.dim + 1) for c in massey._class_basis(H, p)
                  if not H.is_coboundary(c)]
@@ -281,9 +281,33 @@ def test_random_triple_joins_are_certified_and_decided_nontrivial(ring, data):
     spec = JoinMasseySpec(tuple(factors), tuple(cochains))
     K, _ = construct_massey_complex(spec)
     ds = canonical_defining_system_joins(spec, K)
-    # InvalidSpec when neither a pairing nor the F2 decision certifies it
     assert certify_join_nontrivial(spec, K, ds).method in ("pairing", "enumeration-F2")
+    return ds
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_random_triple_joins_are_certified_and_decided_nontrivial(ring, data):
+    """The paper's theorem at n = 3: a non-zero class on each factor, at
+    every position."""
+    ds = _drawn_join(data, ring, "abc")
     assert enumerate_defining_systems(ds.classes).contains_zero is False
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_random_fourfold_joins_are_certified_and_decided_nontrivial(ring, data):
+    """The paper's theorem at n = 4, on factors of points and cycles (RP²
+    factors make stage complexes too large for tier-1 until the stages are
+    Morse-reduced).  The decider needs a prime field at n = 4, so over Z it
+    decides the mod-2 reduction of the classes."""
+    ds = _drawn_join(data, ring, "abcd", kinds=("points", "cycle"))
+    verdict = enumerate_defining_systems(tuple(
+        CohomologyClass(constructions._as_ring(c.representative, GF(2))) for c in ds.classes))
+    assert verdict.contains_zero is False
+    assert_witness_replays(verdict)
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
@@ -450,8 +474,9 @@ def test_a_class_on_a_proper_full_subcomplex_is_an_invalid_spec():
 
 def test_a_spec_needs_two_factors():
     base = joins_example_spec()
-    with pytest.raises(InvalidSpec, match="at least two factors"):
-        JoinMasseySpec(base.factors[:1], base.cochains[:1])
+    for n in (0, 1):
+        with pytest.raises(InvalidSpec, match="at least two factors"):
+            JoinMasseySpec(base.factors[:n], base.cochains[:n])
 
 
 # -- contraction calculus -----------------------------------------------------

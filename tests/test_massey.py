@@ -35,6 +35,7 @@ from matk.massey import (
 from matk.simplicial import MissingField
 
 from helpers import (
+    assert_witness_replays,
     cycle_complex,
     enumerate_reference,
     fig1_complex,
@@ -45,6 +46,7 @@ from helpers import (
     triple_reference,
     two_points,
     unit_class,
+    walk,
 )
 from test_simplicial import small_complexes
 
@@ -232,6 +234,14 @@ def _flag_product(edges, ring):
                  for v in (1, 3, 5, 7))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_flag_d_fixture_is_the_flag_product(p):
+    """fixtures/flag-d.json and its classes, which the CLI golden reads,
+    are the flag complex of FLAG_D with chi_1, chi_3, chi_5 and chi_7."""
+    fixture, product = _fixture_classes("flag-d", GF(p)), _flag_product(FLAG_D, GF(p))
+    assert [c.representative for c in fixture] == [c.representative for c in product]
+
+
 def test_budget_exhaustion_is_honest():
     verdict = enumerate_defining_systems(_flag_product(FLAG_A, GF(2)), budget=0)
     assert verdict.to_json() == {"defined": True, "contains_zero": None,
@@ -254,6 +264,16 @@ def _json(verdict):
     return json.dumps(verdict.to_json(), sort_keys=True)
 
 
+def _zero_system(classes):
+    """The walk's first system over no cocycles, each stage the particular
+    primitive of its staircase, with its associated cochain, or None: it
+    exists exactly when every constant residue of the decider's all-zero
+    branch vanishes, and it is then the decider's witness."""
+    base = DefiningSystem(classes, {})
+    stages = massey._stages(base.n)
+    return next(walk(base, stages, {s: [] for s in stages}), None)
+
+
 def assert_matches_reference(classes, budget=20):
     """The coset decision and the exhaustive walk agree byte for byte.
 
@@ -261,7 +281,12 @@ def assert_matches_reference(classes, budget=20):
     enumerated class parameters, so the walk can stop where the decider
     decides.  Then the decider matches what the walk still knows: the one
     solve of ``triple_reference`` for n = 3, and for n >= 4 the probe's
-    ``defined``, when its parameter-free branch completes."""
+    ``defined``, when its parameter-free branch completes.
+
+    The decider's witness is the walk's first system when the zero system
+    exists (``_zero_system``).  Otherwise it is the point of its first
+    feasible branch, and the walk's first system may differ: every other
+    field is compared byte for byte, and the witness replays."""
     fast = enumerate_defining_systems(classes, budget=budget)
     slow = enumerate_reference(classes, budget=budget)
     if slow.budget_exhausted and not fast.budget_exhausted:
@@ -269,6 +294,12 @@ def assert_matches_reference(classes, budget=20):
             assert _json(fast) == _json(triple_reference(*classes))
         else:
             assert slow.defined is None or fast.defined is True
+        return fast
+    if fast.witness_system is not None and _zero_system(classes) is None:
+        assert_witness_replays(fast)
+        fast_blob, slow_blob = fast.to_json(), slow.to_json()
+        del fast_blob["witness"], slow_blob["witness"]
+        assert json.dumps(fast_blob, sort_keys=True) == json.dumps(slow_blob, sort_keys=True)
         return fast
     assert _json(fast) == _json(slow)
     return fast
@@ -305,8 +336,7 @@ def test_staircase_builds_its_products_and_one_sum(monkeypatch):
     # the staircase of (1, 4) has three splits: it builds their three
     # products, the zero it starts from and one sum, with no negated copy
     # and no running sum per split
-    base = DefiningSystem(_massey4_fixture(GF(2)), {})
-    ds, omega = next(massey._walk(base, massey._stages(4), {s: [] for s in massey._stages(4)}))
+    ds, omega = _zero_system(_massey4_fixture(GF(2)))
     built = []  # every cochain comes from the constructor or from _trusted
     init, trusted = Cochain.__init__, Cochain._trusted.__func__
 
@@ -797,49 +827,46 @@ def test_enumeration_multiplies_each_split_once_per_factor_values(monkeypatch, m
 
 
 @pytest.mark.parametrize("shift", [0, 1])
-@pytest.mark.parametrize("make,path", [
-    (lambda: _massey4_fixture(GF(2)), "memo"),
-    (lambda: _massey4_fixture(GF(3)), "memo"),
-    (lambda: _nestohedral("permutahedron", 4, 4), "memo"),
-    (lambda: _nestohedral("permutahedron", 5, 4), "memo"),
-    (lambda: _nestohedral("stellohedron", 4, 4), None),  # contains zero: no witness
-    (lambda: _fixture_classes("fig1", ZZ), "memo"),
-    (lambda: _fixture_classes("truncated-octahedron", GF(3)), "memo"),
-    # the zero system fails on these: their witness needs the walk
-    (lambda: _flag_product(FLAG_D, GF(2)), "walk"),
-    (lambda: _flag_product(FLAG_D, GF(3)), "walk"),
+@pytest.mark.parametrize("make,witness", [
+    (lambda: _massey4_fixture(GF(2)), True),
+    (lambda: _massey4_fixture(GF(3)), True),
+    (lambda: _nestohedral("permutahedron", 4, 4), True),
+    (lambda: _nestohedral("permutahedron", 5, 4), True),
+    (lambda: _nestohedral("stellohedron", 4, 4), False),  # contains zero: no witness
+    (lambda: _fixture_classes("fig1", ZZ), True),
+    (lambda: _fixture_classes("truncated-octahedron", GF(3)), True),
 ], ids=["massey4-F2", "massey4-F3", "permutahedron-4-4", "permutahedron-5-4",
-        "stellohedron-4-4", "fig1-Z", "truncated-octahedron-F3", "flag-D-F2", "flag-D-F3"])
-def test_witness_is_the_walks_first_system(monkeypatch, make, path, shift):
-    """The witness read off the memo of the all-zero branch is the first
-    system of the walk over the full cocycle bases, entry for entry, with
-    its associated cocycle; where the zero system fails the decider walks.
-    Each row names the path it takes, so both stay exercised."""
+        "stellohedron-4-4", "fig1-Z", "truncated-octahedron-F3"])
+def test_witness_is_the_walks_first_system(make, witness, shift):
+    """Where the zero system exists (``_zero_system``), the witness read off
+    the memo of the all-zero branch is the first system of the walk over
+    the full cocycle bases, entry for entry, with its associated cocycle."""
     classes = make()
     classes = _shifted(classes, shift) if shift else classes
-    walked = []
-    walk = massey._walk
-
-    def counting(*args):
-        walked.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(massey, "_walk", counting)
     verdict = enumerate_defining_systems(classes)
-    monkeypatch.undo()
-    if path is None:
+    if not witness:
         assert verdict.contains_zero is True and verdict.witness_system is None
-        assert not walked
         return
-    assert verdict.contains_zero is False
-    assert ("walk" if walked else "memo") == path
+    assert verdict.contains_zero is False and _zero_system(classes) is not None
     base = DefiningSystem(classes, {})
     stages = massey._stages(base.n)
     kernels = {s: reduced_cohomology(base.complex, base.J_block(*s), base.ring)
                .cocycle_basis(base.p_block(*s)) for s in stages}
-    ds, omega = next(massey._walk(base, stages, kernels))
+    ds, omega = next(walk(base, stages, kernels))
     assert verdict.witness_system.to_json() == ds.to_json()
     assert verdict.witness_cocycle == omega
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("p", [2, 3], ids=["flag-D-F2", "flag-D-F3"])
+def test_witness_at_a_branch_point_replays(p, shift):
+    """Where the zero system fails, the witness is the system at the point
+    of the first feasible branch, and it replays."""
+    classes = _flag_product(FLAG_D, GF(p))
+    classes = _shifted(classes, shift) if shift else classes
+    verdict = enumerate_defining_systems(classes)
+    assert verdict.contains_zero is False and _zero_system(classes) is None
+    assert_witness_replays(verdict)
 
 
 @pytest.mark.parametrize("make", [
