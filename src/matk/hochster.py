@@ -96,9 +96,25 @@ basis cochain has zero coboundary and lies in no coboundary's support, so
 it spans a direct summand Z of the critical cochain complex, with the
 other cells' matrices unchanged.  Each such cell adds one free generator
 in its degree over every ring, torsion included: binom(|A - B|, t) of
-them in degree 2|sigma| + 1 + t per group, counted from the masks.  On the
-28 oracle jobs of benchmark seed 1, 3372 of the 8072 critical cells are
-built and the other 4700, the cell (empty, empty) included, are counted.
+them in degree 2|sigma| + 1 + t per group, counted from the masks.
+
+Most of the other critical cells cancel in pairs, the basic step of
+algebraic Morse theory (Skoldberg, "Morse theory from an algebraic
+viewpoint", 2006): a cell and a facet with a unit entry, when the cell is
+the facet's only critical coface.  The critical cofaces of the facet
+(sigma - b, T + b), b in C, are the cell itself and one per b' in S with
+sigma - b + b' a face.  So when S misses N_b, the b' in A with
+sigma - b + b' a face, the coboundary of that facet is +-1 times the cell,
+whose own coboundary is then zero: the two span a subcomplex, acyclic over
+every ring, that no other row names, and the quotient by it keeps the
+groups and every other row.  Each such cell is cancelled with that facet
+for its first such b in C, neither is built nor counted, and the facet's
+group sees the same choice in the same masks.  The two share J, so the
+pairs stay within a block.  On the 28 oracle jobs of benchmark seed 1, of
+the 8072 critical cells 2304 cancel in pairs, 4700, the cell (empty,
+empty) included, are counted, and only 1068 are built (312 with a nonempty
+row, down from 3372 and 1548 without the pairs); the pivot steps fall from
+1392 to 240.
 
 The oracle reads only ``K.facets`` and the vertex ranks, never ``cochains``.
 The two share only ``exactalg.cohomology_groups``, which turns each cochain
@@ -339,7 +355,7 @@ def hochster_decompose(K: SimplicialComplex, ring: Ring, cap: int = 24) -> Hochs
                     ranks[d] = ranks.get(d, 0) + n * g.free_rank
                     if g.torsion:  # its torsion only: the free rank is counted above
                         torsion.setdefault(d, []).extend([AbelianGroup(0, g.torsion)] * n)
-    table.total = {d: AbelianGroup(n).direct_sum(*torsion.get(d, ()))
+    table.total = {d: AbelianGroup(n).direct_sum(*torsion[d]) if d in torsion else AbelianGroup(n)
                    for d, n in sorted(ranks.items())}
     return table
 
@@ -379,12 +395,13 @@ def _degree_order(K: SimplicialComplex) -> list:
 
 def _cw_complex(K: SimplicialComplex):
     """(sizes, deltas) of the critical cells of the cellular cochain complex
-    of Z_K (module docstring), a cell (sigma, T) as the int sigma << m | T,
-    bit r for the vertex at position r of ``_degree_order``.  It reads only
-    ``K.facets`` and the vertex ranks: every face is a submask of a facet.
-    The critical cells come in groups (sigma, v), per face sigma by mask and
-    vertex v below it with sigma + v no face: T is v plus a subset S of A,
-    the vertices above v off sigma, by decreasing mask.
+    of Z_K (module docstring), less the cancelled pairs below, a cell
+    (sigma, T) as the int sigma << m | T, bit r for the vertex at position r
+    of ``_degree_order``.  It reads only ``K.facets`` and the vertex ranks:
+    every face is a submask of a facet.  The critical cells come in groups
+    (sigma, v), per face sigma by mask and vertex v below it with sigma + v
+    no face: T is v plus a subset S of A, the vertices above v off sigma,
+    by decreasing mask.
     A cell of the group has a critical facet exactly when C, the b in sigma
     with sigma - b + v no face, is nonempty: the facet (sigma - b, T + b)
     keeps J and v.  It is the critical facet of another exactly when S meets
@@ -394,6 +411,32 @@ def _cw_complex(K: SimplicialComplex):
     zero row in no other row, so it spans a direct summand Z over every
     ring: ``sizes`` counts these, binom(|A - B|, t) in degree
     2|sigma| + 1 + t, and no row, column or index entry is built for them.
+
+    Cancelled pairs.  Let x = (sigma, v + S) and b in C, with N_b the c in
+    A with sigma - b + c a face (B is part of N_b).  Its facet
+    y = (sigma - b, v + S + b) lies in the group (sigma - b, v), whose A is
+    A + b and whose B is N_b + b, so by the above the critical cofaces of y
+    are x (for b) and one for each c in S & N_b.  When S misses N_b, x is
+    the only one: delta y = +-x, a boundary sign, so
+    delta x = +-delta delta y = 0, and as each coface enters delta x with a
+    sign, x has no critical coface at all.  The span D of x and y is then a
+    subcomplex of the critical cochain complex E, on which delta maps y
+    onto +-x, so D is acyclic over every ring, and by the long exact
+    sequence of (E, D) the quotient E/D has the groups of E.  Its matrices
+    are those of E with the rows and columns of x and y struck out, and no
+    other row names either (a row names the facets of its cell: only x has
+    y as a facet, and no cell has x), so every other row is unchanged.  x
+    is cancelled with the y of its first (lowest) such b in C.  The pairs
+    share no cell, as x has no coface and y only x, so they are quotiented
+    together; each keeps J = sigma + T, so they stay within a block.  From
+    the other side, a cell z = (sigma, v + S) of any group is such a y
+    exactly when S meets B in one vertex b: its one critical coface is
+    x = (sigma + b, v + S - b), and b is in the C of x's group, as
+    sigma + v is no face.  x picks b unless some b2 < b in that C has S
+    missing its N_b2, the c in A with sigma + b - b2 + c a face (b itself is
+    not one, as it lies in that face).  All of these are read off ``up``:
+    the cancelled cells are never built, indexed or counted.
+
     ``deltas[d - 1]`` holds a row per other cell of degree d, in group
     order, with its critical facets only: column j of ``deltas[p]`` is row
     j of ``deltas[p - 1]``."""
@@ -414,37 +457,45 @@ def _cw_complex(K: SimplicialComplex):
         while v < low:
             if not up[sigma] & v:  # the group (sigma, v)
                 above = full & -(v << 1) & ~sigma
-                cofaces, rest, facets = up[sigma] & above, sigma, []  # B, C
+                cofaces, rest, facets, spans = up[sigma] & above, sigma, [], []  # B, C, N_b
                 while rest:
                     b = rest & -rest
                     if not up[sigma ^ b] & v:
                         facets.append(b)
+                        spans.append(up[sigma ^ b] & above)
                     rest ^= b
+                if not facets:  # the subsets T off B are isolated
+                    n = (above & ~cofaces).bit_count()
+                    for t in range(n + 1):
+                        isolated[size + t] += comb(n, t)
+                earlier, rest = {}, cofaces  # b in B -> N_b2 of (sigma + b, v) for b2 < b in its C
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    earlier[b], lower = [], sigma & b - 1
+                    while lower:
+                        b2 = lower & -lower
+                        lower ^= b2
+                        if not up[f := sigma ^ b ^ b2] & v:
+                            earlier[b].append(up[f] & above)
                 T = above
-                if facets:  # every subset T of above, by decreasing mask
-                    while True:
+                while facets or cofaces:  # every subset T of above, by decreasing mask
+                    meet = T & cofaces
+                    if meet:  # built unless its one coface picks it
+                        keep = meet & meet - 1 or not all(map(T.__and__, earlier[meet]))
+                    else:  # built unless it is isolated or picks a facet
+                        keep = facets and all(map(T.__and__, spans))
+                    if keep:
                         cell = sigma << m | v | T
                         level = rows[size + T.bit_count()]
-                        if T & cofaces:
+                        if meet:
                             index[cell] = len(level)
                         level.append({index[cell - (b << m) + b]:
                                       -1 if ((v | T) & (b - 1)).bit_count() & 1 else 1
                                       for b in facets})
-                        if not T:
-                            break
-                        T = T - 1 & above
-                else:  # the subsets T that meet B; the others are isolated
-                    n = (above & ~cofaces).bit_count()
-                    for t in range(n + 1):
-                        isolated[size + t] += comb(n, t)
-                    while cofaces:
-                        if T & cofaces:
-                            level = rows[size + T.bit_count()]
-                            index[sigma << m | v | T] = len(level)
-                            level.append({})
-                        if not T:
-                            break
-                        T = T - 1 & above
+                    if not T:
+                        break
+                    T = T - 1 & above
             v <<= 1
     sizes = {d: len(level) + n for d, (level, n) in enumerate(zip(rows, isolated))}
     return sizes, {d - 1: level for d, level in enumerate(rows) if d}
@@ -465,7 +516,10 @@ def moment_angle_cw_oracle(K: SimplicialComplex, ring: Ring, cap: int = 12) -> d
     critical facet of no other cell spans a direct summand Z, so it is
     counted in its degree and never built: in a group (sigma, v) with every
     sigma - b + v a face, these are the cells (sigma, v + S) whose S holds
-    no b with sigma + b a face (module docstring).
+    no b with sigma + b a face.  A cell that is the only critical coface of
+    one of its facets, and so has none itself, spans with that facet an
+    acyclic subcomplex: the pair cancels, neither built nor counted (module
+    docstring).
     """
     if len(K.vertices) > cap:
         raise VertexCapExceeded(f"{len(K.vertices)} vertices exceeds the 3^m cell cap {cap}")

@@ -405,9 +405,10 @@ def _branch_coset(base: DefiningSystem, stages: list, bases: dict, t: dict,
                 system[i][k] = a
         solver = exactalg.Solver(system, ring, g + d.cols)
         return ((), solver.residue(H.vector(point)), solver.rank - d.rank), (free, u0, point)
-    c = H.class_key(point)  # each class key checks that its cochain is a cocycle
+    key = H.solver(omega.p - 1).residue  # linear: the point and directions are cocycles
+    c = key(H.vector(point))
     A = tuple(tuple(sorted(v.items())) for v in exactalg.Solver(
-        [dict(enumerate(H.class_key(w))) for w in directions], ring, len(c)).kernel)
+        [dict(enumerate(key(H.vector(w)))) for w in directions], ring, len(c)).kernel)
     return (A, tuple(ring.of_int(sum(a * c[j] for j, a in row)) for row in A), len(c)), (
         free, u0, point)
 

@@ -28,7 +28,8 @@ table.
 from vertex-label tuples, cell by cell; the library builds, from bitmasks,
 only the critical cells of a matching, which ``cw_is_critical`` names on
 labels, for the first vertex of J in ``matching_order`` or in any other
-order.  ``cw_slots_reference`` splits that complex by J = sigma ∪ T and
+order, and ``cw_cancelled_pairs`` names the pairs of critical cells it
+cancels.  ``cw_slots_reference`` splits that complex by J = sigma ∪ T and
 reduces each block, so it gives the Hochster table slot by slot with no
 code of ``cochains`` or ``hochster``.  ``taylor_slots`` gives it a third
 way, from the minimal non-faces alone: Tor of the Stanley-Reisner ring
@@ -588,6 +589,30 @@ def cw_is_critical(K: SimplicialComplex, sigma, T, order) -> bool:
     J = set(sigma + T)
     v = next((u for u in order if u in J), None)
     return v is None or (v in T and not K.has_face(sigma + (v,)))
+
+
+def cw_cancelled_pairs(K: SimplicialComplex, order) -> dict:
+    """The pairs of critical cells of the matching on ``order`` that the
+    cell model cancels, as {facet y: cell x}: for each critical cell x in
+    the order of ``cw_cells_reference``, its first critical facet
+    y = (sigma - b, T + b), b in ``order``, whose only critical coface is x."""
+    def critical(cell):
+        return cw_is_critical(K, *cell, order)
+
+    def critical_cofaces(sigma, T):  # each as (the set sigma + b, T - b)
+        return [({*sigma, b}, rest) for b in T if K.has_face(sigma + (b,))
+                if critical((sigma + (b,), rest := tuple(t for t in T if t != b)))]
+
+    pairs = {}
+    for level in cw_cells_reference(K).values():
+        for x in filter(critical, level):
+            sigma, T = x
+            for b in sorted(sigma, key=order.index):
+                y = tuple(u for u in sigma if u != b), tuple(sorted(T + (b,), key=K.rank))
+                if critical(y) and critical_cofaces(*y) == [({*sigma}, T)]:
+                    pairs[y] = x
+                    break
+    return pairs
 
 
 def cw_complex_reference(K: SimplicialComplex):

@@ -24,6 +24,7 @@ from matk.simplicial import (SimplicialComplex, UnknownVertex, complex_from_json
                              join)
 
 from helpers import (
+    cw_cancelled_pairs,
     cw_cells_reference,
     cw_complex_reference,
     cw_is_critical,
@@ -273,25 +274,30 @@ def _assert_builds_the_linked_critical_cells(K, L):
     """``_cw_complex(K)`` against the label-tuple cells of L, which is K
     with its vertices listed in the matching order, since the bitmask signs
     count the t-coordinates in that order.  The cells built are the
-    critical cells with a critical facet or a critical coface, in the
-    documented order, and each row is the reference row of its cell with
-    the matched facets dropped; rows and entries compared by cell, not by
-    position.  Per degree, ``sizes`` minus the cells built is the number of
-    critical cells with neither, the isolated ones."""
+    critical cells with a critical facet or a critical coface, less the
+    cancelled pairs of ``cw_cancelled_pairs``, in the documented order, and
+    each row is the reference row of its cell with the matched facets
+    dropped; rows and entries compared by cell, not by position.  Per
+    degree, ``sizes`` minus the cells built is the number of critical cells
+    with neither, the isolated ones: a cancelled pair is neither built nor
+    counted.  Returns the rows built, keyed by cell."""
     order = matching_order(L)
     assert order == L.vertices
     full = _keyed_by_cell(cw_cells_reference(L), cw_complex_reference(L)[1])
     restricted = {cell: {f: a for f, a in row.items() if cw_is_critical(L, *f, order)}
                   for cell, row in full.items() if cw_is_critical(L, *cell, order)}
     cofaces = {f for row in restricted.values() for f in row}
-    critical = _critical_cells(L)
+    pairs = cw_cancelled_pairs(L, order)
+    cancelled = {*pairs, *pairs.values()}
+    kept = {d: [c for c in level if c not in cancelled] for d, level in _critical_cells(L).items()}
     built = {d: [c for c in level if restricted.get(c) or c in cofaces]
-             for d, level in critical.items()}
+             for d, level in kept.items()}
     sizes, deltas = _cw_complex(K)
-    assert _keyed_by_cell(built, deltas) == {c: restricted[c] for level in built.values()
-                                            for c in level}
+    rows = _keyed_by_cell(built, deltas)
+    assert rows == {c: restricted[c] for level in built.values() for c in level}
     assert {d: n - len(built[d]) for d, n in sizes.items()} == {
-        d: len(level) - len(built[d]) for d, level in critical.items()}
+        d: len(level) - len(built[d]) for d, level in kept.items()}
+    return rows
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,6 +311,46 @@ def test_cw_complex_restricts_the_reference_to_critical_cells(K):
     and A empty: its one cell ({3, 4}, {2}) has critical facets and is the
     facet of no cell."""
     _assert_builds_the_linked_critical_cells(K, SimplicialComplex(matching_order(K), K.facets))
+
+
+def test_the_lower_of_two_facets_with_one_coface_is_cancelled():
+    """On the octahedron the critical cell x = ({2, 3, 5}, {1}) has two
+    critical facets, y_3 = ({2, 5}, {1, 3}) and y_5 = ({2, 3}, {1, 5}), and
+    x is the only critical coface of each: in the group ({2, 3, 5}, 1),
+    C = {3, 5} and S = {} misses N_3 = {4} and N_5 = {6}.  x is cancelled
+    with y_3, its lower b in the matching order; y_5 stays built, with its
+    row, though its one coface is gone."""
+    K = octahedron()
+    assert matching_order(K) == K.vertices
+    x, low, high = (("2", "3", "5"), ("1",)), (("2", "5"), ("1", "3")), (("2", "3"), ("1", "5"))
+    pairs = cw_cancelled_pairs(K, K.vertices)
+    assert pairs[low] == x and high not in pairs and high not in pairs.values()
+    rows = _assert_builds_the_linked_critical_cells(K, K)
+    assert x not in rows and low not in rows
+    assert rows[high] == {(("2",), ("1", "3", "5")): -1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(max_vertices=7))
+@_with_examples(EDGE_CASES + [fig1_complex(), octahedron()])
+def test_cancelled_pairs_keep_J_and_span_acyclic_subcomplexes(K):
+    """Each cancelled pair (y, x) keeps J = sigma ∪ T, so it lies in one
+    block of the per-J split.  Among the critical cells, x is the facet of
+    no cell and y of x alone, with entry +-1: delta y = +-x, so the pair
+    spans an acyclic subcomplex over every ring, and no other row names
+    either cell."""
+    order = matching_order(K)
+    rows = {cell: {f: a for f, a in row.items() if cw_is_critical(K, *f, order)}
+            for cell, row in _keyed_by_cell(cw_cells_reference(K),
+                                            cw_complex_reference(K)[1]).items()
+            if cw_is_critical(K, *cell, order)}
+    pairs = cw_cancelled_pairs(K, order)
+    assert len({*pairs.values()}) == len(pairs) and not {*pairs} & {*pairs.values()}
+    for y, x in pairs.items():
+        assert {*y[0], *y[1]} == {*x[0], *x[1]}
+        assert rows[x][y] in (1, -1)
+        assert [c for c, row in rows.items() if y in row] == [x]
+        assert not any(x in row for row in rows.values())
 
 
 def _slots_by_label(table) -> dict:
@@ -472,7 +518,8 @@ def test_cw_critical_cell_count(K):
     """Per nonempty J with v its first vertex in the matching order,
     f(K_J) - f(st_v K_J) critical cells, faces counted with the empty one
     and sigma in degree |sigma| + |J|, plus the cell (empty, empty): brute
-    force over subsets."""
+    force over subsets.  Less the two cells of each cancelled pair, which
+    are not counted."""
     want = {0: 1}
     for n in range(1, len(K.vertices) + 1):
         for J in itertools.combinations(matching_order(K), n):  # J[0] is the first
@@ -482,7 +529,11 @@ def test_cw_critical_cell_count(K):
                 in_star = sum(K.has_face({*s, J[0]}) for s in sigmas)
                 if in_K_J - in_star:
                     want[size + n] = want.get(size + n, 0) + in_K_J - in_star
-    assert {d: n for d, n in _cw_complex(K)[0].items() if n} == want
+    for pair in cw_cancelled_pairs(K, matching_order(K)).items():
+        for sigma, T in pair:
+            want[2 * len(sigma) + len(T)] -= 1
+    assert {d: n for d, n in _cw_complex(K)[0].items() if n} == {
+        d: n for d, n in want.items() if n}
 
 
 @pytest.mark.parametrize("K", [fig1_complex(), truncated_octahedron(), rp2_six_vertices()],
