@@ -339,7 +339,8 @@ class ReducedCohomology:
     primitive of a coboundary, coboundary membership, the class key of a
     cocycle) replays the recorded row operations and back-substitutes.
     Each boundary is factored once too, on first use: its kernel is the
-    cycle basis.  Only the groups are computed without a ``Solver``.
+    cycle basis, which ``cycles`` lifts one vector at a time.  Only the
+    groups are computed without a ``Solver``.
     """
 
     def __init__(self, K: SimplicialComplex, J, ring: Ring):
@@ -436,14 +437,9 @@ class ReducedCohomology:
                                                   len(self._position(q)))
         return self._boundaries[q]
 
-    def cycle_basis(self, q: int) -> list:
-        """A basis of the q-cycles as chains: the kernel of the boundary
-        C_q -> C_{q-1}, lifted once per degree."""
-        return [self._graded(Chain, v, q) for v in self._boundary_solver(q).kernel]
-
     def cycles(self, q: int):
-        """The chains of ``cycle_basis(q)`` in order, each lifted only when
-        reached."""
+        """A basis of the q-cycles as chains, the kernel of the boundary
+        C_q -> C_{q-1} in order, each vector lifted only when reached."""
         return (self._graded(Chain, v, q) for v in self._boundary_solver(q).iter_kernel())
 
     def is_cocycle(self, a: Cochain) -> bool:

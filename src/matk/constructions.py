@@ -283,16 +283,17 @@ def _as_ring(a: Cochain, ring: Ring) -> Cochain:
 
 
 def _pairing_cycles(classes, ring: Ring) -> tuple:
-    """(ring, cycles), one cycle per class that pairs nontrivially with it:
-    over ``ring``, or over Z, when a class is torsion, over the first prime
-    field in which every class has one.  The ring is chosen from every
+    """(ring, cycles), one cycle per class that pairs nontrivially with it,
+    the first such of its cycle basis (``find_evaluating_cycle``; any will
+    do): over ``ring``, or over Z, when a class is torsion, over the first
+    prime field in which every class has one.  The ring is chosen from every
     class, so a torsion class after the first forces the field too."""
     fields = [GF(p) for p in (2, 3, 5, 7, 11, 13)] if ring.kind == "Z" else []
     for R in (ring, *fields):
         cycles = []
         for a in classes:
             reduced = _as_ring(a, R)
-            x = None if reduced.is_zero() else find_evaluating_cycle(reduced, prefer_small=True)
+            x = None if reduced.is_zero() else find_evaluating_cycle(reduced)
             if x is None:
                 break
             cycles.append(x)
@@ -456,10 +457,11 @@ def pullback_defining_system(phi: VertexMap, ds_hat: DefiningSystem) -> Defining
                     "pulled-back system")
 
 
-def pushforward_phi_star(phi: VertexMap, a: Cochain, sign: int = 1) -> Cochain:
+def pushforward_phi_star(phi: VertexMap, a: Cochain) -> Cochain:
     """phi_*: collapse each support simplex to its image, keeping the shared
     coefficient; defined only when no support simplex degenerates and all
-    preimages of one image carry equal coefficients."""
+    preimages of one image carry equal coefficients.  Any sign is the
+    caller's to apply, with ``Cochain.scale``."""
     ring = a.ring
     coeffs: dict = {}
     seen: dict = {}
@@ -472,7 +474,7 @@ def pushforward_phi_star(phi: VertexMap, a: Cochain, sign: int = 1) -> Cochain:
             raise SupportContainsContractedEdge(
                 f"preimages of {image} carry different coefficients")
         seen[image] = c
-        coeffs[image] = ring.mul(c, ring.of_int(sign))
+        coeffs[image] = c
     Jhat = phi.target.sort_simplex({phi.assignment[v] for v in a.J})
     return Cochain(phi.target, ring, Jhat, a.p, coeffs)
 

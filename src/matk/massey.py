@@ -238,20 +238,13 @@ def _common_ambient(classes):
     return K, ring
 
 
-def find_evaluating_cycle(omega: Cochain, prefer_small: bool = False) -> Optional[Chain]:
+def find_evaluating_cycle(omega: Cochain) -> Optional[Chain]:
     """A cycle on which the cocycle evaluates nontrivially, if one exists:
     the first such vector of the cycle basis, the vectors lifted one at a
-    time up to it (``ReducedCohomology.cycles``).
-
-    With ``prefer_small`` the hit with the fewest support simplices among
-    all the cycle-basis vectors is returned.
-    """
+    time up to it (``ReducedCohomology.cycles``)."""
     H = reduced_cohomology(omega.complex, omega.J, omega.ring)
-    cycles = H.cycle_basis(omega.p) if prefer_small else H.cycles(omega.p)
-    hits = (x for x in cycles if not omega.ring.is_zero(evaluate(omega, x)))
-    if prefer_small:
-        return min(hits, key=lambda x: len(x._by_mask), default=None)
-    return next(hits, None)
+    return next((x for x in H.cycles(omega.p) if not omega.ring.is_zero(evaluate(omega, x))),
+                None)
 
 
 def _stages(n: int) -> list:

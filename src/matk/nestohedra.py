@@ -14,7 +14,7 @@ inherit that order.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cochains import Cochain
 from .errors import MatkError, parse_int
@@ -185,25 +185,16 @@ def _maximal_nested(masks: Sequence[int], sets) -> list:
     return facets
 
 
-def nested_set_complex(B: BuildingSet, vertices: Optional[Iterable[str]] = None) -> SimplicialComplex:
+def nested_set_complex(B: BuildingSet) -> SimplicialComplex:
     """Vertices are the non-maximal members; faces are the nested families.
 
     The facets are the maximal nested families, found by one search over
     the members' ground bitmasks (``_maximal_nested``) in label order.
-
-    Given vertex labels, the search runs over those members only and yields
-    ``full_subcomplex(nested_set_complex(B), vertices)``: whether a family
-    is nested depends on its members and ``B.sets`` alone, which the search
-    still tests unions against.  A label that is no vertex raises
-    ``UnknownVertex``.
     """
     sets = {_mask(S) for S in B.sets}
     by_label = _vertex_masks(sets)
     labels = list(by_label)
-    if vertices is not None:
-        wanted = set(_lookup(by_label, vertices))
-        labels = [v for v in labels if by_label[v] in wanted]
-    facets = _maximal_nested([by_label[v] for v in labels], sets)
+    facets = _maximal_nested(list(by_label.values()), sets)
     return SimplicialComplex(labels, [[labels[i] for i in _elements(f)] for f in facets])
 
 
@@ -272,19 +263,27 @@ def cube_dual_complex(n: int) -> SimplicialComplex:
     return K
 
 
-def cube_truncation(n: int, pairs: Sequence, allow_full: bool = False) -> SimplicialComplex:
+def cube_truncation(n: int, pairs: Sequence) -> SimplicialComplex:
     """Star deletions of the cube dual at the edges {i, k'}; equivalently
-    stellar subdivisions there, restricted back to the original 2n vertices."""
+    stellar subdivisions there, restricted back to the original 2n vertices.
+    Each pair needs 1 <= i < k <= n, once, and (1, n) is excluded; an entry
+    that is no such pair raises ``InvalidTruncationPair``, an index that is
+    no integer ``MalformedInput``."""
+    n = parse_int(n, "cube dimension")
     if n < 2:
         raise InvalidTruncationPair("need n >= 2")
     seen = set()
     cleaned = []
-    for (i, k) in pairs:
-        i, k = int(i), int(k)
+    for pair in pairs:
+        try:
+            i, k = pair
+        except (TypeError, ValueError):
+            raise InvalidTruncationPair(f"entry {pair!r} is not a pair") from None
+        i, k = parse_int(i, "truncation index"), parse_int(k, "truncation index")
         if not (1 <= i < k <= n):
             raise InvalidTruncationPair(f"pair ({i},{k}) must satisfy 1 <= i < k <= n")
-        if (i, k) == (1, n) and not allow_full:
-            raise InvalidTruncationPair("the pair (1, n) is excluded by default")
+        if (i, k) == (1, n):
+            raise InvalidTruncationPair("the pair (1, n) is excluded")
         if (i, k) in seen:
             raise InvalidTruncationPair(f"pair ({i},{k}) repeated")
         seen.add((i, k))

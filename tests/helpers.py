@@ -59,7 +59,9 @@ from the Z table by universal coefficients.
 The last conveniences are library-style functions that only tests call:
 basis chains, f-vectors, ∂st on the library's own faces, and the sign a
 pushforward carries; ``modules_imported_by`` runs an import in a fresh
-interpreter.
+interpreter, ``count_lifts`` records the lifts a call makes, and
+``graphs_on_six_vertices`` lists the graphs on six vertices up to
+isomorphism.
 """
 
 import itertools
@@ -1051,6 +1053,48 @@ def flag_complex(edges: str, n: int = 8) -> SimplicialComplex:
     return SimplicialComplex(labels, [S for size in range(1, n + 1)
                                       for S in itertools.combinations(labels, size)
                                       if all(e in E for e in itertools.combinations(S, 2))])
+
+
+def count_lifts(monkeypatch) -> list:
+    """The ``free`` vector of every ``Solver._lift`` call from now until
+    ``monkeypatch.undo()``, in call order."""
+    lifts, lift = [], exactalg.Solver._lift
+    monkeypatch.setattr(exactalg.Solver, "_lift",
+                        lambda self, y, free: lifts.append(free) or lift(self, y, free))
+    return lifts
+
+
+def graphs_on_six_vertices() -> list:
+    """The simple graphs on vertices 1..6 up to isomorphism, in the edge
+    strings ``flag_complex`` reads.  Each is the least image of its 15-bit
+    edge mask (bit i for the i-th pair of
+    ``itertools.combinations(range(6), 2)``) under the 720 vertex
+    permutations, by canonical augmentation: each representative with e
+    edges gains one edge in every free place, and the least images of the
+    results are the representatives with e + 1 edges.  Every graph with
+    e + 1 edges arises so, by removing any of its edges.  Each permutation
+    acts on a mask through two byte lookup tables, one per mask byte."""
+    pairs = list(itertools.combinations(range(6), 2))
+    index = {e: i for i, e in enumerate(pairs)}
+    tables = []
+    for perm in itertools.permutations(range(6)):
+        image = [1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs] + [0]
+        low, high = [0] * 256, [0] * 256
+        for m in range(1, 256):  # a byte's image: its lowest bit's, or the rest's
+            bit = (m & -m).bit_length() - 1
+            low[m] = low[m & m - 1] | image[bit]
+            high[m] = high[m & m - 1] | image[bit + 8]
+        tables.append((low, high))
+
+    def canonical(mask):
+        return min(low[mask & 255] | high[mask >> 8] for low, high in tables)
+
+    level, graphs = {0}, [0]
+    for _ in pairs:
+        level = {canonical(g | 1 << i) for g in level for i in range(15) if not g >> i & 1}
+        graphs += sorted(level)
+    return [" ".join(f"{u + 1}{v + 1}" for i, (u, v) in enumerate(pairs) if g >> i & 1)
+            for g in graphs]
 
 
 def contraction_example_target():

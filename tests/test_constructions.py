@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from matk.cochains import (
     evaluate,
     reduced_cohomology,
 )
-from matk import constructions, massey
+from matk import cochains, constructions, massey
 from matk.cli import main
 from matk.constructions import (
     DiagonalTouchesEdge,
@@ -56,6 +57,7 @@ from helpers import (
     assert_witness_replays,
     contraction_example_source,
     contraction_example_target,
+    count_lifts,
     cycle_complex,
     delta,
     enumerate_reference,
@@ -68,6 +70,8 @@ from helpers import (
     simplex_boundary,
     two_points,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def joins_example_spec(ring=ZZ):
@@ -348,6 +352,27 @@ def test_rp2_witness_falls_back_to_f2():
     cert = certify_join_nontrivial(spec, K)
     assert cert.method == "pairing"
     assert cert.value == 1
+
+
+def test_pairing_cycle_is_the_first_hit_of_the_cycle_basis(monkeypatch):
+    """``fixtures/rp2-join.json``'s first class is torsion over Z, and RP^2
+    has no Z 2-cycle, so the search falls through to F2.  There it returns
+    the first cycle of ``cycles`` that pairs nonzero and lifts no vector
+    after it."""
+    spec = spec_from_json(json.loads((FIXTURES / "rp2-join.json").read_text()))
+    K, _ = construct_massey_complex(spec)
+    a1 = constructions._on(K, spec.cochains[0])
+    assert massey.find_evaluating_cycle(a1) is None
+    cochains._cached_cohomology.cache_clear()
+    lifts = count_lifts(monkeypatch)
+    ring, (x,) = constructions._pairing_cycles([a1], ZZ)
+    monkeypatch.undo()
+    assert ring == GF(2)
+    a1 = constructions._as_ring(a1, ring)
+    basis = list(reduced_cohomology(K, a1.J, ring).cycles(a1.p))
+    hits = [i for i, y in enumerate(basis) if not ring.is_zero(evaluate(a1, y))]
+    assert hits and x == basis[hits[0]]
+    assert len(lifts) == hits[0] + 1
 
 
 @pytest.mark.parametrize("rp2_first", [True, False], ids=["rp2-first", "rp2-second"])
@@ -633,7 +658,7 @@ def test_pushforward_of_pullback_and_sign():
     ds_hat = canonical_defining_system_joins(spec, Khat)
     ds = pullback_defining_system(phi, ds_hat)
     sign = phi_star_sign(phi, ds, 1, 2)
-    down = pushforward_phi_star(phi, ds.a(1, 2), sign)
+    down = pushforward_phi_star(phi, ds.a(1, 2)).scale(sign)
     assert down == ds_hat.a(1, 2) or down == -ds_hat.a(1, 2)
     with pytest.raises(SupportContainsContractedEdge):
         pushforward_phi_star(phi, Cochain(K, ZZ, ("1", "4", "2", "3"), 1, {("1", "4"): 1}))

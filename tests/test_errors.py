@@ -47,10 +47,15 @@ def test_every_exception_class_is_a_matk_error():
      nestohedra.InvalidSlotParameters),
     (lambda: nestohedra.nestohedron_massey_input("cube", 3, 3, GF(2)),
      nestohedra.UnknownPolytopeKind),
+    (lambda: nestohedra.cube_truncation(3, [(1.7, 2.9)]), MalformedInput),
+    (lambda: nestohedra.cube_truncation(3, [("a", 2)]), MalformedInput),
+    (lambda: nestohedra.cube_truncation(3, [(1, 2, 3)]), nestohedra.InvalidTruncationPair),
+    (lambda: nestohedra.cube_truncation("x", []), MalformedInput),
 ], ids=["abelian_divisibility", "abelian_torsion_one", "z_not_a_field", "unknown_ring_kind",
         "graph_loop", "graph_endpoint_above_n", "graph_endpoint_zero", "graph_endpoint_not_int",
         "graph_edge_not_pair", "graph_negative_count", "polytope_kind", "permutahedron_k_above_n", "stellohedron_n_below_2",
-        "stellohedron_k_below_n", "massey_kind"])
+        "stellohedron_k_below_n", "massey_kind", "truncation_index_not_int",
+        "truncation_index_not_digits", "truncation_entry_not_pair", "truncation_dimension_not_int"])
 def test_bad_arguments_are_matk_errors(check, error):
     with pytest.raises(MatkError) as err:
         check()

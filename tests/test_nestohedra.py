@@ -1,7 +1,6 @@
 import functools
 import itertools
 import json
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +27,6 @@ from matk.nestohedra import (
 )
 from matk.simplicial import (
     SimplicialComplex,
-    UnknownVertex,
     complex_to_json,
     full_subcomplex,
     reorder_vertices,
@@ -176,26 +174,6 @@ def test_the_search_emits_each_facet_once(B):
     assert len(found) == len(set(found)) == len(nested_set_complex(B).facets)
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphical_building_sets(), st.data())
-def test_restricted_search_is_the_full_subcomplex(B, data):
-    K = nested_set_complex(B)
-    W = data.draw(st.lists(st.sampled_from(K.vertices), unique=True)) if K.vertices else []
-    restricted = nested_set_complex(B, W)
-    reference = full_subcomplex(K, W)
-    assert restricted.vertices == reference.vertices
-    assert restricted.facets == reference.facets
-
-
-@pytest.mark.parametrize("label", ["v{1,2,3,4}", "v{5}", "x"])
-def test_restricted_search_rejects_unknown_labels(label):
-    B = permutahedron_building_set(3)  # v{1,2,3,4} is its maximal member, no vertex
-    with pytest.raises(UnknownVertex, match=re.escape(repr(label))):
-        nested_set_complex(B, ["v{1}", label])
-    with pytest.raises(UnknownVertex):
-        full_subcomplex(nested_set_complex(B), ["v{1}", label])
-
-
 def _component(K, v):
     """The vertices joined to v by a path of edges of K."""
     seen, stack = {v}, [v]
@@ -334,9 +312,9 @@ def test_cube_truncation_equals_star_deletion():
 @given(st.data())
 def test_cube_truncation_matches_stellar_subdivision(data):
     n = data.draw(st.integers(2, 6))
-    pairs = data.draw(st.lists(st.sampled_from(
-        [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)]), unique=True))
-    assert cube_truncation(n, pairs, allow_full=True) == cube_truncation_reference(n, pairs)
+    allowed = [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1) if (i, k) != (1, n)]
+    pairs = data.draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
+    assert cube_truncation(n, pairs) == cube_truncation_reference(n, pairs)
 
 
 def test_cube_truncation_validation():
@@ -344,8 +322,6 @@ def test_cube_truncation_validation():
         cube_truncation(3, [(2, 2)])
     with pytest.raises(InvalidTruncationPair):
         cube_truncation(3, [(1, 3)])
-    full = cube_truncation(3, [(1, 3)], allow_full=True)
-    assert not full.has_face(("1", "3'"))
 
 
 def test_permutahedron3_contains_the_marked_subcomplex_vertices():
